@@ -25,6 +25,7 @@ from .harness import FuzzConfig, complexity_probe, diff_exhaustive, differential
 from .solver import (
     CoveringFound,
     EngineError,
+    EngineInvariantError,
     Sat,
     Unsat,
     build_covering_report,
@@ -46,13 +47,29 @@ def _fail_input(message: str) -> int:
     return EXIT_INPUT_ERROR
 
 
-def _write_outputs(args, run, report: dict) -> None:
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="ascii") as fh:
-            fh.write(report_json(report) + "\n")
-    if getattr(args, "trace", None):
-        with open(args.trace, "wb") as fh:
-            fh.write(run.trace.serialize())
+def _read_input(path: str) -> str:
+    """The input file's text; ValueError when it cannot be read as ASCII."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: non-ASCII byte at offset {exc.start}") from None
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _write_outputs(args, run, report: dict) -> Optional[str]:
+    """Write the requested report and trace files; the error text on failure."""
+    try:
+        if args.json:
+            with open(args.json, "w", encoding="ascii") as fh:
+                fh.write(report_json(report) + "\n")
+        if args.trace:
+            with open(args.trace, "wb") as fh:
+                fh.write(run.trace.serialize())
+    except OSError as exc:
+        return f"cannot write output: {exc}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +88,8 @@ def _clause_labels(num_clauses: int, removed: Tuple[int, ...]) -> Optional[List[
 
 def _cmd_solve(args) -> int:
     try:
-        with open(args.file, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _fail_input(str(exc))
-    try:
-        formula, pre = parse_dimacs(text)
-    except ParseError as exc:
+        formula, pre = parse_dimacs(_read_input(args.file))
+    except ValueError as exc:  # unreadable file or ParseError
         return _fail_input(str(exc))
 
     labels = _clause_labels(len(formula.clauses), pre.removed_tautologies)
@@ -91,7 +103,9 @@ def _cmd_solve(args) -> int:
     )
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
     report = build_sat_report(args.file, formula, run, elapsed_ms=elapsed_ms)
-    _write_outputs(args, run, report)
+    problem = _write_outputs(args, run, report)
+    if problem:
+        return _fail_input(problem)
 
     verdict = run.verdict
     if isinstance(verdict, Sat):
@@ -174,13 +188,8 @@ def emit_decomp(pair: DecompositionPair) -> str:
 
 def _cmd_covering(args) -> int:
     try:
-        with open(args.file, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return _fail_input(str(exc))
-    try:
-        pair = parse_decomp(text)
-    except (ParseError, StructuralError) as exc:
+        pair = parse_decomp(_read_input(args.file))
+    except ValueError as exc:  # unreadable file, ParseError or StructuralError
         return _fail_input(str(exc))
 
     start = time.perf_counter()
@@ -190,13 +199,15 @@ def _cmd_covering(args) -> int:
         )
     except StructuralError as exc:
         return _fail_input(str(exc))
-    except Exception as exc:  # invariant breakage is an engine error, not a crash
+    except EngineInvariantError as exc:
         print("s UNKNOWN")
         print(f"error: engine: {exc}", file=sys.stderr)
         return EXIT_ENGINE_ERROR
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
     report = build_covering_report(args.file, pair, run, elapsed_ms=elapsed_ms)
-    _write_outputs(args, run, report)
+    problem = _write_outputs(args, run, report)
+    if problem:
+        return _fail_input(problem)
 
     verdict = run.verdict
     if isinstance(verdict, CoveringFound):

@@ -73,7 +73,7 @@ class CnfMatrix:
             raise StructuralError(
                 f"matrix shape {arr.shape} does not match m={self.m}, n={self.n}"
             )
-        if arr.size and not np.isin(arr, (-1, 0, 1)).all():
+        if arr.size and not (arr.min() >= -1 and arr.max() <= 1):
             raise StructuralError("matrix entries must be -1, 0, or +1")
         arr.setflags(write=False)
         self.entries = arr

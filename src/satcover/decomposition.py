@@ -32,7 +32,7 @@ def _as_bit_matrix(rows, name: str) -> np.ndarray:
     arr = np.array(rows, copy=True)
     if arr.ndim != 2 or arr.size == 0:
         raise StructuralError(f"{name} must be a non-empty 2-D matrix")
-    if not np.isin(arr, (0, 1)).all():
+    if not ((arr == 0) | (arr == 1)).all():
         raise StructuralError(f"{name} entries must all be 0 or 1")
     out = np.ascontiguousarray(arr, dtype=np.uint8)
     out.setflags(write=False)

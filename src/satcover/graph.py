@@ -41,6 +41,11 @@ class PointingGraph:
                      vertex i labeled with column j (0 = none)
       dis_edges      n x m count of live disjunctive edges out of a vertex,
                      per label column
+
+    ``main_column_total`` counts the entries of ``main_columns``.  ``trail``
+    is the undo log of removal cascades: (array, index, old value) per write,
+    appended before the write, so popping it back to a mark restores the
+    state the mark was taken in (see ``procedures.StateSnapshot``).
     """
 
     def __init__(self, pair: DecompositionPair, counts: Optional[ColumnCounts] = None):
@@ -56,11 +61,13 @@ class PointingGraph:
         self.examined = np.zeros(n, dtype=bool)
         self.final = np.zeros(n, dtype=bool)
         self.main_columns: List[List[int]] = [[] for _ in range(n)]
+        self.main_column_total = 0
         self.indegree = np.zeros(n, dtype=np.int64)
         self.multiplicity = np.zeros(m, dtype=np.int64)
         self.graph_edges = np.zeros((n, n), dtype=np.int32)
         self.edge_in = np.zeros((m, n), dtype=np.int32)
         self.dis_edges = np.zeros((n, m), dtype=np.int32)
+        self.trail: List[tuple] = []
         # static: the unique alpha-side row per single column (0 = not single)
         single = self.counts.m_alpha == 1
         self._col_single_row = np.where(
@@ -193,6 +200,7 @@ def find_main_vertices(
                 ops.assign(3)
                 trace.emit("vertex-formed", r, 1)
             graph.main_columns[r0].append(int(j0) + 1)
+            graph.main_column_total += 1
             graph.multiplicity[j0] += 1
             ops.arith(1)
             ops.assign(1)

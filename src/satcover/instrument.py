@@ -47,18 +47,6 @@ class OpCounter:
             raise ValueError("operation count must be non-negative")
         self.comparisons += k
 
-    def count(self, op_kind: str, k: int = 1) -> "OpCounter":
-        """Generic instrumentation hook."""
-        if op_kind == "assign":
-            self.assign(k)
-        elif op_kind == "arith":
-            self.arith(k)
-        elif op_kind == "cmp":
-            self.cmp(k)
-        else:
-            raise ValueError(f"unknown op kind {op_kind!r}")
-        return self
-
     def as_dict(self) -> dict:
         return {
             "assignments": self.assignments,

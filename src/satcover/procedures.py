@@ -13,19 +13,20 @@ Elimination scans uncovered columns of the swapped matrix, tries the cascade
 on each blocking vertex under a snapshot (each vertex at most once per whole
 solve), and when nothing is removable collects never-formed rows that could
 cover the column on the second side into an extension plan.
+
+A snapshot is a mark on the graph's undo trail (Een & Sorensson, "An
+Extensible SAT-solver", SAT 2003): the cascade logs every cell it writes, so
+undoing a failed attempt costs what the attempt wrote, not a copy of the
+whole state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from .decomposition import (
-    DecompositionPair,
-    StructuralError,
-    apply_swaps,
-)
+from .decomposition import DecompositionPair, StructuralError
 from .graph import PointingGraph
 from .instrument import DISABLED_OPS, NO_TRACE
 
@@ -34,14 +35,6 @@ from .instrument import DISABLED_OPS, NO_TRACE
 class RemovalOutcome:
     removable: bool
     removed_vertices: tuple  # in removal order
-
-
-@dataclass(frozen=True)
-class IncompatibleSet:
-    """Live vertices whose alpha rows held the 1s of a now-uncovered column."""
-
-    column: int
-    vertices: tuple
 
 
 @dataclass
@@ -70,58 +63,49 @@ class Unreachable:
     column: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class StateSnapshot:
-    """Deep copy of the complete mutable graph state."""
+    """A mark on the graph's undo trail, taken before a removal cascade.
 
-    vertex_order: List[int]
-    formed: np.ndarray
-    removed: np.ndarray
-    main: np.ndarray
-    useless: np.ndarray
-    examined: np.ndarray
-    final: np.ndarray
-    main_columns: List[List[int]]
-    indegree: np.ndarray
-    multiplicity: np.ndarray
-    graph_edges: np.ndarray
-    edge_in: np.ndarray
-    dis_edges: np.ndarray
+    ``restore`` pops the trail back to the mark, undoing every write the
+    cascade made, whether or not it was removable; ``commit`` keeps the
+    writes and drops their log.  Only removal cascades write through the
+    trail, so a mark restores the graph as it was when taken as long as
+    nothing but cascades ran in between.
 
-    _ARRAYS = (
-        "formed",
-        "removed",
-        "main",
-        "useless",
-        "examined",
-        "final",
-        "indegree",
-        "multiplicity",
-        "graph_edges",
-        "edge_in",
-        "dis_edges",
-    )
+    ``cells`` is what a full copy of the mutable graph state would have
+    held when the mark was taken; ``cell_count`` reports it so the op
+    charge for taking and restoring a snapshot stays a fixed formula in n,
+    m and the graph size, independent of how much a cascade writes.
+    """
+
+    mark: int
+    cells: int
 
     @classmethod
     def capture(cls, graph: PointingGraph) -> "StateSnapshot":
-        return cls(
-            vertex_order=list(graph.vertex_order),
-            main_columns=[list(cols) for cols in graph.main_columns],
-            **{name: getattr(graph, name).copy() for name in cls._ARRAYS},
+        n, m = graph.n, graph.m
+        cells = (
+            len(graph.vertex_order)
+            + graph.main_column_total
+            + 7 * n  # six flag arrays and indegree
+            + m  # multiplicity
+            + n * n  # graph_edges
+            + 2 * n * m  # edge_in and dis_edges
         )
+        return cls(mark=len(graph.trail), cells=cells)
 
     def restore(self, graph: PointingGraph) -> None:
-        graph.vertex_order[:] = self.vertex_order
-        for i in range(graph.n):
-            graph.main_columns[i][:] = self.main_columns[i]
-        for name in self._ARRAYS:
-            np.copyto(getattr(graph, name), getattr(self, name))
+        trail = graph.trail
+        while len(trail) > self.mark:
+            array, index, old = trail.pop()
+            array[index] = old
+
+    def commit(self, graph: PointingGraph) -> None:
+        del graph.trail[self.mark:]
 
     def cell_count(self) -> int:
-        cells = len(self.vertex_order) + sum(len(c) for c in self.main_columns)
-        for name in self._ARRAYS:
-            cells += getattr(self, name).size
-        return cells
+        return self.cells
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +128,10 @@ def removal_procedure(
     edges.  Removing a main vertex while any of its associated columns has
     multiplicity 1 aborts with removable=False; the caller restores state
     when it needs the pre-call graph back.  No vertex is processed twice.
+    Every write is logged on ``graph.trail`` before it is made.
     """
     g = graph
-    counts = g.counts
+    log = g.trail.append
     s0 = start_vertex - 1
     if not (0 <= s0 < g.n) or not g.formed[s0] or g.removed[s0]:
         raise StructuralError(f"vertex {start_vertex} is not a live graph vertex")
@@ -165,16 +150,20 @@ def removal_procedure(
         out_cols = g.outgoing_columns(p)
         for t0 in targets:
             cnt = int(g.graph_edges[p0, t0])
+            log((g.graph_edges, (p0, t0), cnt))
             g.graph_edges[p0, t0] = 0
+            log((g.indegree, t0, g.indegree[t0]))
             g.indegree[t0] -= cnt
             ops.assign(1)
             ops.arith(1)
             for j in out_cols:
                 ops.cmp(1)
                 if g.edge_in[j - 1, t0] == p:
+                    log((g.edge_in, (j - 1, t0), p))
                     g.edge_in[j - 1, t0] = 0
                     ops.assign(1)
                     if not g.edge_is_conjunctive(j):
+                        log((g.dis_edges, (p0, j - 1), g.dis_edges[p0, j - 1]))
                         g.dis_edges[p0, j - 1] -= 1
                         ops.arith(1)
                     trace.emit("edge-removed", p, int(t0) + 1, j)
@@ -198,6 +187,7 @@ def removal_procedure(
         ops.cmp(1)
         if g.removed[p0]:
             continue
+        log((g.removed, p0, False))
         g.removed[p0] = True
         removed_order.append(p)
         ops.assign(2)
@@ -210,6 +200,7 @@ def removal_procedure(
                 trace.emit("rp-result", start_vertex, 0)
                 return RemovalOutcome(False, tuple(removed_order))
             for c in cols:
+                log((g.multiplicity, c - 1, g.multiplicity[c - 1]))
                 g.multiplicity[c - 1] -= 1
                 ops.arith(1)
         # incoming edges: group by source row, ascending
@@ -227,14 +218,18 @@ def removal_procedure(
                 if g.edge_is_conjunctive(j) or g.dis_edges[r0, j - 1] <= 1:
                     trigger = True
             cnt = int(g.graph_edges[r0, p0])
+            log((g.graph_edges, (r0, p0), cnt))
             g.graph_edges[r0, p0] = 0
+            log((g.indegree, p0, g.indegree[p0]))
             g.indegree[p0] -= cnt
             ops.assign(1)
             ops.arith(1)
             for j in cols_r:
+                log((g.edge_in, (j - 1, p0), r))
                 g.edge_in[j - 1, p0] = 0
                 ops.assign(1)
                 if not g.edge_is_conjunctive(j):
+                    log((g.dis_edges, (r0, j - 1), g.dis_edges[r0, j - 1]))
                     g.dis_edges[r0, j - 1] -= 1
                     ops.arith(1)
                 trace.emit("edge-removed", r, p, j)
@@ -253,6 +248,7 @@ def removal_procedure(
         ops.cmp(1)
         if g.removed[q0]:
             continue
+        log((g.removed, q0, False))
         g.removed[q0] = True
         removed_order.append(q)
         ops.assign(2)
@@ -309,6 +305,7 @@ def clean(
             trace.emit("restore")
             trace.emit("clean-result", 0, v)
             return v
+        snap.commit(graph)
     trace.emit("clean-result", 1, 0)
     return None
 
@@ -325,29 +322,6 @@ def swapped_alpha_counts(graph: PointingGraph, pair: DecompositionPair) -> np.nd
     delta_out = pair.sm_alpha[live].sum(axis=0, dtype=np.int64)
     delta_in = pair.sm_alpha_bar[live].sum(axis=0, dtype=np.int64)
     return graph.counts.m_alpha - delta_out + delta_in
-
-
-def decomposition_from_graph(
-    graph: PointingGraph, pair: DecompositionPair
-) -> DecompositionPair:
-    """The pair with every live (formed, non-removed) vertex row swapped."""
-    return apply_swaps(pair, graph.live_vertices())
-
-
-def find_incompatible_sets(
-    graph: PointingGraph, pair: DecompositionPair
-) -> List[IncompatibleSet]:
-    """For each uncovered column of the swapped matrix, the live vertices
-    whose alpha rows cover it, ascending by column then vertex."""
-    swapped = swapped_alpha_counts(graph, pair)
-    out: List[IncompatibleSet] = []
-    live = graph.formed & ~graph.removed
-    for j0 in np.nonzero(swapped == 0)[0]:
-        members = tuple(
-            int(i) + 1 for i in np.nonzero(live & (pair.sm_alpha[:, j0] == 1))[0]
-        )
-        out.append(IncompatibleSet(column=int(j0) + 1, vertices=members))
-    return out
 
 
 def eliminate_incompatibilities(
@@ -370,14 +344,19 @@ def eliminate_incompatibilities(
     row the column is unreachable and no covering exists.  Returns
     Eliminated when a full scan finds no uncovered column, NeedsExtension
     with the plan gathered by the final scan otherwise.
+
+    The swapped column counts are computed once and then kept up to date:
+    a committed cascade's removed vertices are the only live vertices that
+    stop being swapped, so their alpha rows come back and their second rows
+    go.
     """
     if tried is None:
         tried = set()
     plan_rows: List[int] = []
     plan_cols: List[int] = []
     planned: Set[tuple] = set()
+    swapped = swapped_alpha_counts(graph, pair)
     while True:
-        swapped = swapped_alpha_counts(graph, pair)
         ops.cmp(graph.m)
         ops.arith(graph.m)
         zero_cols = [int(j0) + 1 for j0 in np.nonzero(swapped == 0)[0]]
@@ -404,7 +383,11 @@ def eliminate_incompatibilities(
                     trace.emit("snapshot")
                 outcome = removal_procedure(graph, pair, r, ops=ops, trace=trace)
                 if outcome.removable:
+                    snap.commit(graph)
                     committed = r
+                    gone = [v - 1 for v in outcome.removed_vertices]
+                    swapped += pair.sm_alpha[gone].sum(axis=0, dtype=np.int64)
+                    swapped -= pair.sm_alpha_bar[gone].sum(axis=0, dtype=np.int64)
                     break
                 snap.restore(graph)
                 ops.assign(snap.cell_count())
@@ -482,6 +465,7 @@ def extend(
         assoc = [c for c in cols if pair.sm_alpha_bar[p0, c - 1]]
         for c in assoc:
             graph.main_columns[p0].append(c)
+            graph.main_column_total += 1
             graph.multiplicity[c - 1] += 1
             ops.cmp(1)
             ops.arith(1)

@@ -17,8 +17,7 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from . import cnf as cnf_mod
-from .cnf import CnfFormula, assignment_from_swaps, evaluate, restrict_to_used, to_decomposition, to_matrix
+from .cnf import CnfFormula, evaluate, restrict_to_used, to_decomposition, to_matrix
 from .decomposition import (
     DecompositionPair,
     StructuralError,

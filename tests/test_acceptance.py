@@ -5,10 +5,13 @@ Engine/oracle disagreements are findings, not failures (criterion 9 checks
 the reporting machinery); only soundness-gate and invariant violations are
 fatal.
 """
+import copy
+import dataclasses
 import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from satcover import (
@@ -196,15 +199,36 @@ def _build_graph(formula):
     return pair, graph
 
 
-def _snapshots_equal(a: StateSnapshot, b: StateSnapshot) -> bool:
-    import numpy as np
+def _same_state(a, b) -> bool:
+    """Exact equality of deep-copied graph fields: arrays by dtype and
+    contents, dataclasses and containers member by member."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same_state(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, (list, tuple)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(_same_state(x, y) for x, y in zip(a, b))
+        )
+    return a == b
 
-    if a.vertex_order != b.vertex_order or a.main_columns != b.main_columns:
-        return False
-    return all(
-        np.array_equal(getattr(a, name), getattr(b, name))
-        for name in StateSnapshot._ARRAYS
+
+def _round_trip_exact(graph, pair, vertex):
+    """(state restored exactly, cascade removable) for one snapshot, cascade
+    from ``vertex`` and restore."""
+    before = copy.deepcopy(vars(graph))
+    snap = StateSnapshot.capture(graph)
+    outcome = removal_procedure(graph, pair, vertex, ops=DISABLED_OPS, trace=NO_TRACE)
+    snap.restore(graph)
+    after = vars(graph)
+    exact = before.keys() == after.keys() and all(
+        _same_state(before[name], after[name]) for name in before
     )
+    return exact, outcome.removable
 
 
 def test_criterion_04_structural_invariants(fuzz_reports):
@@ -214,8 +238,12 @@ def test_criterion_04_structural_invariants(fuzz_reports):
     archived = [e for r in fz for e in r.engine_errors]
     ok = not archived
 
-    # snapshot/restore exactness on corpus graphs
-    checked = 0
+    # snapshot/restore exactness on corpus graphs: every PointingGraph field,
+    # deep-copied before the cascade, must come back exactly after restore,
+    # whether the cascade was blocked or removable; after a removable one is
+    # committed, the next cascade must restore to the committed state
+    outcomes = {False: 0, True: 0}
+    after_commit = 0
     for formula in corpus_formulas(200, seed=20260826):
         pair, graph = _build_graph(formula)
         if graph is None:
@@ -223,14 +251,21 @@ def test_criterion_04_structural_invariants(fuzz_reports):
         live = graph.live_vertices()
         if not live:
             continue
-        before = StateSnapshot.capture(graph)
-        removal_procedure(graph, pair, live[0], ops=DISABLED_OPS, trace=NO_TRACE)
-        before.restore(graph)
-        after = StateSnapshot.capture(graph)
-        if not _snapshots_equal(before, after):
+        exact, removable = _round_trip_exact(graph, pair, live[0])
+        if exact and removable:
+            snap = StateSnapshot.capture(graph)
+            removal_procedure(graph, pair, live[0], ops=DISABLED_OPS, trace=NO_TRACE)
+            snap.commit(graph)
+            rest = graph.live_vertices()
+            if rest:
+                exact, _ = _round_trip_exact(graph, pair, rest[0])
+                after_commit += 1
+        if not exact:
             ok = False
             break
-        checked += 1
+        outcomes[removable] += 1
+    checked = outcomes[False] + outcomes[True]
+    ok = ok and outcomes[False] > 0 and outcomes[True] > 0 and after_commit > 0
 
     # no vertex removed twice within one removal cascade
     double_removals = 0
@@ -250,8 +285,9 @@ def test_criterion_04_structural_invariants(fuzz_reports):
         "criterion-04 structural invariants",
         ok,
         f"edge bound, indegree, extension and multiplicity checks clean on 10000 "
-        f"fuzz solves; snapshot round-trip exact on {checked} graphs; "
-        f"{double_removals} double removals",
+        f"fuzz solves; snapshot round-trip exact on {checked} graphs "
+        f"({outcomes[False]} blocked, {outcomes[True]} removable, {after_commit} "
+        f"after a commit); {double_removals} double removals",
     )
 
 

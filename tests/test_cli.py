@@ -81,6 +81,19 @@ class TestSolve:
         assert main(["solve", path, "--alpha", "pos"]) == 10
         capsys.readouterr()
 
+    def test_non_ascii_input_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "accent.cnf"
+        path.write_bytes(b"c caf\xc3\xa9\n" + E1_TEXT.encode("ascii"))
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-ASCII" in err
+
+    def test_unwritable_json_is_output_error(self, tmp_path, capsys):
+        path = write(tmp_path, "e1.cnf", E1_TEXT)
+        out_path = tmp_path / "missing-dir" / "report.json"
+        assert main(["solve", path, "--json", str(out_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output")
+
     def test_tautology_shifts_reason_index(self, tmp_path, capsys):
         # clause 1 is a tautology; the stuck column is original clause 2
         text = "p cnf 2 4\n1 -1 0\n-1 -2 0\n1 0\n2 0\n"
@@ -113,6 +126,18 @@ class TestCovering:
         report = json.loads(out_path.read_text())
         assert report["verdict"] == "COVERING"
         assert report["swaps"] == [1, 2]
+
+    def test_non_ascii_input_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "e1.decomp"
+        path.write_bytes(E1_DECOMP.encode("ascii") + b"\xff\n")
+        assert main(["covering", str(path)]) == 2
+        assert "non-ASCII" in capsys.readouterr().err
+
+    def test_unwritable_trace_is_output_error(self, tmp_path, capsys):
+        path = write(tmp_path, "e1.decomp", E1_DECOMP)
+        trace_path = tmp_path / "missing-dir" / "run.trace"
+        assert main(["covering", path, "--trace", str(trace_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output")
 
     def test_invalid_matrix_is_input_error(self, tmp_path, capsys):
         # row 1 holds a 1 on both sides of column 1

@@ -154,6 +154,12 @@ class TestMatrix:
         with pytest.raises(StructuralError):
             CnfMatrix(1, 1, np.array([[2]], dtype=np.int8))
 
+    def test_out_of_range_entries_rejected(self):
+        for bad in (-2, 127, -128):
+            with pytest.raises(StructuralError):
+                CnfMatrix(2, 2, np.array([[1, 0], [-1, bad]], dtype=np.int8))
+        assert CnfMatrix(1, 3, np.array([[-1, 0, 1]], dtype=np.int8)).nonzero_count() == 2
+
     def test_tautology_must_be_preprocessed_upstream(self):
         # a raw x1-and-not-x1 clause collapses to one cell, leaving x2 unused;
         # the reduction refuses the resulting matrix

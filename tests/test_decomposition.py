@@ -43,6 +43,12 @@ class TestConstruction:
     def test_non_binary_entries_rejected(self):
         with pytest.raises(StructuralError):
             make([[2, 0]], [[0, 1]])
+        # passed uncast, so -1, 0.5 and nan reach the check as they are
+        for bad in (-1, 0.5, np.nan):
+            with pytest.raises(StructuralError):
+                DecompositionPair(sm_alpha=[[bad, 0]], sm_alpha_bar=[[0, 1]])
+            with pytest.raises(StructuralError):
+                DecompositionPair(sm_alpha=[[0, 0]], sm_alpha_bar=[[0, bad]])
 
     def test_non_2d_rejected(self):
         with pytest.raises(StructuralError):

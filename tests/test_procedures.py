@@ -8,24 +8,29 @@ from hypothesis import given, settings
 from satcover import (
     Eliminated,
     ExtensionPlan,
-    IncompatibleSet,
+    FuzzConfig,
     NeedsExtension,
     OpCounter,
     StateSnapshot,
     StructuralError,
     Trace,
     Unreachable,
+    apply_swaps,
     clean,
     column_counts,
     construct,
     eliminate_incompatibilities,
     extend,
-    find_incompatible_sets,
     find_main_vertices,
+    random_cnf,
     removal_procedure,
+    restrict_to_used,
+    to_decomposition,
+    to_matrix,
 )
+from satcover import procedures
 from satcover.instrument import DISABLED_OPS, NO_TRACE
-from satcover.procedures import decomposition_from_graph, swapped_alpha_counts
+from satcover.procedures import swapped_alpha_counts
 
 from conftest import formulas, pair_of
 
@@ -63,6 +68,31 @@ class TestSnapshot:
         snap.restore(graph)
         assert graph.vertex_order == before["order"]
         assert graph.live_edges() == before["edges"]
+
+    def test_restore_empties_the_trail_and_commit_drops_it(self):
+        pair, graph = built(E5_TEXT)
+        snap = StateSnapshot.capture(graph)
+        removal_procedure(graph, pair, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        assert len(graph.trail) > snap.mark
+        snap.restore(graph)
+        assert len(graph.trail) == snap.mark
+        removal_procedure(graph, pair, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        snap.commit(graph)
+        assert len(graph.trail) == snap.mark
+        assert graph.live_vertices() == [1, 3]
+
+    def test_cell_count_is_the_full_state_size(self):
+        # what a copy of every mutable field would hold: the vertex order,
+        # the main-column lists, six flag arrays, indegree, multiplicity,
+        # graph_edges (n x n), edge_in (m x n) and dis_edges (n x m)
+        pair, graph = built(E5_TEXT)
+        n, m = graph.n, graph.m
+        main_entries = sum(len(cols) for cols in graph.main_columns)
+        expected = len(graph.vertex_order) + main_entries + 7 * n + m + n * n + 2 * n * m
+        assert graph.main_column_total == main_entries
+        assert StateSnapshot.capture(graph).cell_count() == expected
+        removal_procedure(graph, pair, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        assert StateSnapshot.capture(graph).cell_count() == expected
 
 
 class TestRemovalProcedure:
@@ -160,18 +190,69 @@ class TestSwappedCounts:
         pair, graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
         assert swapped_alpha_counts(graph, pair).tolist() == [0, 1, 1]
 
-    def test_decomposition_from_graph_swaps_live_vertices(self):
+    def test_apply_swaps_on_live_vertices(self):
         pair, graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
-        swapped = decomposition_from_graph(graph, pair)
+        swapped = apply_swaps(pair, graph.live_vertices())
         assert swapped.sm_alpha.tolist() == [[0, 1, 0], [0, 0, 1]]
+        counts = swapped.sm_alpha.sum(axis=0).tolist()
+        assert swapped_alpha_counts(graph, pair).tolist() == counts
+
+    def test_kept_counts_match_fresh_counts_after_every_commit(self, monkeypatch):
+        # eliminate computes the swapped counts once and updates them after
+        # each committed cascade; hold on to that array and compare it with
+        # a fresh count at every incompat-eliminated event
+        fresh = swapped_alpha_counts
+        kept = []
+        checks = []
+
+        def recording(graph, pair):
+            kept.append(fresh(graph, pair))
+            return kept[-1]
+
+        class CheckingTrace(Trace):
+            def __init__(self, graph, pair):
+                super().__init__()
+                self.graph, self.pair = graph, pair
+
+            def emit(self, kind, *payload):
+                if kind == "incompat-eliminated":
+                    checks.append(np.array_equal(kept[-1], fresh(self.graph, self.pair)))
+                super().emit(kind, *payload)
+
+        monkeypatch.setattr(procedures, "swapped_alpha_counts", recording)
+        cfg = FuzzConfig(
+            seed=20260830,
+            num_instances=400,
+            var_range=(4, 14),
+            clause_range=(4, 40),
+            width_range=(2, 3),
+        )
+        for i in range(cfg.num_instances):
+            sub, _ = restrict_to_used(random_cnf(cfg, i))
+            if not sub.clauses or any(not c for c in sub.clauses):
+                continue
+            pair = to_decomposition(to_matrix(sub))
+            graph = find_main_vertices(pair)
+            if graph is None:
+                continue
+            construct(graph, pair)
+            if clean(graph, pair) is None:
+                eliminate_incompatibilities(graph, pair, trace=CheckingTrace(graph, pair))
+        assert len(checks) >= 400
+        assert all(checks)
 
 
 class TestEliminate:
     def test_e3_unreachable(self):
         pair, graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
-        assert find_incompatible_sets(graph, pair) == [IncompatibleSet(1, (1, 2))]
-        result = eliminate_incompatibilities(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+        trace = Trace()
+        result = eliminate_incompatibilities(graph, pair, ops=DISABLED_OPS, trace=trace)
         assert result == Unreachable(1)
+        # column 1 is uncovered with both live vertices 1 and 2 blocking it
+        found = [p for k, p in trace.events_without_readings() if k == "incompat-found"]
+        assert found == [(1, 2)]
+        removed = [p for k, p in trace.events_without_readings() if k == "rp-start"]
+        assert removed == [(1,), (2,)]
 
     def test_no_incompatibilities(self):
         pair, graph = built(E5_TEXT)
