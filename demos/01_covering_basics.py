@@ -1,7 +1,8 @@
 """Walk through the decomposition model by hand.
 
 A decomposition is an ordered list of n pairs of disjoint subsets of
-{1..m}, stored as two n x m binary matrices.  Swapping a pair exchanges
+{1..m}, viewed as two n x m binary matrices (and held as the row and column
+occurrence lists of their ones).  Swapping a pair exchanges
 its two rows; a choice of swaps that leaves every column of the first
 matrix nonzero is a covering.
 """

@@ -242,12 +242,17 @@ def _parse_sizes(text: str) -> List[int]:
     return sizes
 
 
-def _emit_report(args, doc: dict) -> None:
+def _emit_report(args, doc: dict) -> Optional[str]:
+    """Print the report and write it to ``--json``; the error text on failure."""
     text = json.dumps(doc, sort_keys=True, indent=2)
     print(text)
-    if getattr(args, "json", None):
-        with open(args.json, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+    if args.json:
+        try:
+            with open(args.json, "w", encoding="ascii") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return f"cannot write output: {exc}"
+    return None
 
 
 def _cmd_fuzz(args) -> int:
@@ -263,7 +268,9 @@ def _cmd_fuzz(args) -> int:
     except ValueError as exc:
         return _fail_input(str(exc))
     report = differential_run(cfg)
-    _emit_report(args, report.as_dict())
+    problem = _emit_report(args, report.as_dict())
+    if problem:
+        return _fail_input(problem)
     return EXIT_VIOLATION if report.violation else 0
 
 
@@ -273,7 +280,9 @@ def _cmd_diff_exhaustive(args) -> int:
     if args.max_n > 4:
         return _fail_input("max-n above 4 is refused (exhaustive space too large)")
     report = diff_exhaustive(args.max_n, args.max_m, args.max_width)
-    _emit_report(args, report.as_dict())
+    problem = _emit_report(args, report.as_dict())
+    if problem:
+        return _fail_input(problem)
     if report.violation or not report.extra.get("reduction_check_passed", True):
         return EXIT_VIOLATION
     return 0
@@ -290,7 +299,9 @@ def _cmd_probe(args) -> int:
         instances_per_size=args.instances_per_size,
         width=args.width,
     )
-    _emit_report(args, doc)
+    problem = _emit_report(args, doc)
+    if problem:
+        return _fail_input(problem)
     return EXIT_VIOLATION if doc["gate_failures"] else 0
 
 

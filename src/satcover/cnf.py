@@ -1,7 +1,8 @@
 """CNF frontend: DIMACS parsing, the signed clause matrix, and the reduction.
 
-A formula with n variables and m clauses becomes an m x n matrix with entries
-in {-1, 0, +1} (one row per clause, one column per variable).  The reduction
+A formula with n variables and m clauses can be viewed as an m x n matrix
+with entries in {-1, 0, +1} (one row per clause, one column per variable);
+``to_matrix`` builds it, but the reduction does not need it.  The reduction
 to a decomposition pair puts, for each variable, the clauses holding its
 negative literal on the alpha side and the clauses holding its positive
 literal on the other side; a row swap then corresponds to assigning the
@@ -211,11 +212,7 @@ def emit_dimacs(formula: CnfFormula) -> str:
 
 def used_variables(formula: CnfFormula) -> List[int]:
     """Variables occurring in at least one clause, ascending."""
-    present = set()
-    for clause in formula.clauses:
-        for lit in clause:
-            present.add(abs(lit))
-    return sorted(present)
+    return sorted({abs(lit) for clause in formula.clauses for lit in clause})
 
 
 def unused_variables(formula: CnfFormula) -> List[int]:
@@ -230,9 +227,11 @@ def restrict_to_used(formula: CnfFormula) -> Tuple[CnfFormula, List[int]]:
     position -> original variable (1-based on both sides).
     """
     used = used_variables(formula)
-    remap = {v: k for k, v in enumerate(used, start=1)}
+    remap = [0] * (formula.num_vars + 1)
+    for k, v in enumerate(used, start=1):
+        remap[v] = k
     clauses = [
-        [int(np.sign(lit)) * remap[abs(lit)] for lit in clause]
+        [remap[lit] if lit > 0 else -remap[-lit] for lit in clause]
         for clause in formula.clauses
     ]
     return CnfFormula(num_vars=len(used), clauses=clauses), used
@@ -253,30 +252,51 @@ def to_matrix(formula: CnfFormula) -> CnfMatrix:
     return CnfMatrix(m=m, n=n, entries=entries)
 
 
-def to_decomposition(matrix: CnfMatrix, *, alpha: str = "neg", ops=None) -> DecompositionPair:
-    """Turn the signed matrix into a decomposition pair.
+def to_decomposition(formula: CnfFormula, *, alpha: str = "neg", ops=None) -> DecompositionPair:
+    """Turn the formula into a decomposition pair, one row per variable and
+    one column per clause.
 
     With ``alpha="neg"`` (default) the alpha side of variable row i holds the
     clauses containing the negative literal of x_i; ``alpha="pos"`` mirrors
-    the orientation.  Requires every clause row and variable column to be
-    nonzero (empty clauses and unused variables must be handled upstream).
+    the orientation.  Requires every clause and every variable to occur
+    (empty clauses and unused variables must be handled upstream).  The
+    occurrence lists are filled straight from the clauses in one pass; a
+    variable repeated inside a clause keeps the sign of its last literal,
+    as in the signed matrix.
     """
     if alpha not in ("neg", "pos"):
         raise StructuralError(f"alpha must be 'neg' or 'pos', got {alpha!r}")
-    entries = matrix.entries
-    for j in np.nonzero(~entries.astype(bool).any(axis=1))[0]:
-        raise StructuralError(f"clause {int(j) + 1} is empty (all-zero matrix row)")
-    for i in np.nonzero(~entries.astype(bool).any(axis=0))[0]:
-        raise StructuralError(f"variable {int(i) + 1} occurs in no clause")
-    neg_side = (entries.T == -1).astype(np.uint8)  # n x m
-    pos_side = (entries.T == 1).astype(np.uint8)
+    n = formula.num_vars
+    m = len(formula.clauses)
+    if m == 0:
+        raise StructuralError("formula has no clauses")
+    # occ[lit] lists the clauses holding literal lit, ascending; a negative
+    # literal indexes from the end, so occ[-v] is x_v's negative list
+    occ: List[List[int]] = [[] for _ in range(2 * n + 1)]
+    for j, clause in enumerate(formula.clauses):
+        if not clause:
+            raise StructuralError(f"clause {j + 1} is empty")
+        for lit in clause:
+            row = occ[lit]
+            if row and row[-1] == j:
+                continue
+            other = occ[-lit]
+            if other and other[-1] == j:
+                other.pop()
+            row.append(j)
+    pos_rows = occ[1 : n + 1]
+    neg_rows = occ[: n : -1]
+    for i in range(n):
+        if not neg_rows[i] and not pos_rows[i]:
+            raise StructuralError(f"variable {i + 1} occurs in no clause")
     if ops is not None:
-        # classify each cell once, write both matrices
-        ops.cmp(matrix.m * matrix.n)
-        ops.assign(2 * matrix.m * matrix.n)
+        # charged as the dense reduction: classify each cell of the signed
+        # matrix once, write both matrices
+        ops.cmp(m * n)
+        ops.assign(2 * m * n)
     if alpha == "neg":
-        return DecompositionPair(neg_side, pos_side)
-    return DecompositionPair(pos_side, neg_side)
+        return DecompositionPair.from_rows(n, m, neg_rows, pos_rows)
+    return DecompositionPair.from_rows(n, m, pos_rows, neg_rows)
 
 
 def assignment_from_swaps(swaps, n: int) -> Assignment:

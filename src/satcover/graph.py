@@ -9,11 +9,17 @@ component can re-cover j.  The edge is conjunctive when that row is the only
 candidate for j, disjunctive otherwise.  A vertex with a vacated column that
 no row can re-cover is useless; a vertex with no single columns is final.
 
+Every edge labelled j leaves the same row, the single alpha-side owner of j,
+and lands on a row of ``pair.bar_cols[j]``.  So an edge is a nonzero of the
+second matrix, and the graph state is a live bit per such nonzero plus
+counters: O(N) for N ones, never n x n or n x m.
+
 Singleness is always judged against the original pair and its counts; the
-matrices themselves never change during a solve.
+pair itself never changes during a solve.
 """
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Optional
 
 import numpy as np
@@ -30,17 +36,28 @@ from .instrument import DISABLED_OPS, NO_TRACE
 class PointingGraph:
     """All bookkeeping for one solve over a fixed decomposition pair.
 
-    Arrays (all 1-based ids, stored 0-based internally):
+    Mutable state (vertex ids 1-based, stored 0-based internally):
       vertex_order   formation order of vertices (rows), append-only
       formed/removed/main/useless/examined/final   per-vertex flags
       main_columns   per-vertex list of associated columns (main vertices)
       indegree       per-vertex count of live incoming edges
       multiplicity   per-column count of live main vertices associated with it
-      graph_edges    n x n parallel-edge counts between vertex pairs
-      edge_in        m x n: edge_in[j][i] = source row of the live edge into
-                     vertex i labeled with column j (0 = none)
-      dis_edges      n x m count of live disjunctive edges out of a vertex,
-                     per label column
+      edge_live      one byte per nonzero of ``sm_alpha_bar``, column-major:
+                     1 while the edge into that row labelled that column is
+                     live; column j's bytes start at ``edge_base[j]``
+      live_targets   per-column count of live edges labelled with it
+
+    Static, precomputed once from the pair and its counts (0-based):
+      targets        ``pair.bar_cols``: the rows an edge labelled j can reach
+      bar_count      per-column count of the second matrix, as a list
+      edge_base      per-column offset into ``edge_live`` (m + 1 entries)
+      col_single_row the unique alpha-side row per single column, 1-based
+                     (0 = not single)
+      single_cols    per-row ascending single columns
+      out_cols       per-row single columns that the second matrix can
+                     re-cover: the labels of the row's possible out-edges
+      in_slots       per-row (column, edge byte) of every possible in-edge,
+                     ascending by column
 
     ``main_column_total`` counts the entries of ``main_columns``.  ``trail``
     is the undo log of removal cascades: (array, index, old value) per write,
@@ -64,22 +81,33 @@ class PointingGraph:
         self.main_column_total = 0
         self.indegree = np.zeros(n, dtype=np.int64)
         self.multiplicity = np.zeros(m, dtype=np.int64)
-        self.graph_edges = np.zeros((n, n), dtype=np.int32)
-        self.edge_in = np.zeros((m, n), dtype=np.int32)
-        self.dis_edges = np.zeros((n, m), dtype=np.int32)
         self.trail: List[tuple] = []
-        # static: the unique alpha-side row per single column (0 = not single)
-        single = self.counts.m_alpha == 1
-        self._col_single_row = np.where(
-            single, pair.sm_alpha.argmax(axis=0) + 1, 0
-        ).astype(np.int32)
+
+        self.targets = pair.bar_cols
+        self.bar_count: List[int] = self.counts.m_alpha_bar.tolist()
+        self.edge_base: List[int] = list(accumulate(map(len, self.targets), initial=0))
+        self.edge_live = bytearray(self.edge_base[m])
+        self.live_targets: List[int] = [0] * m
+        self.col_single_row: List[int] = [0] * m
+        self.single_cols: List[List[int]] = [[] for _ in range(n)]
+        self.out_cols: List[List[int]] = [[] for _ in range(n)]
+        self.in_slots: List[List[tuple]] = [[] for _ in range(n)]
+        for j0 in np.flatnonzero(self.counts.m_alpha == 1).tolist():
+            q0 = pair.alpha_cols[j0][0]
+            self.col_single_row[j0] = q0 + 1
+            self.single_cols[q0].append(j0)
+            if self.targets[j0]:
+                self.out_cols[q0].append(j0)
+                base = self.edge_base[j0]
+                for k, r0 in enumerate(self.targets[j0]):
+                    self.in_slots[r0].append((j0, base + k))
 
     # -- read helpers -----------------------------------------------------
 
     def edge_is_conjunctive(self, column: int) -> bool:
         """Edges labeled with this column are conjunctive iff it has exactly
         one 1 in the second matrix."""
-        return int(self.counts.m_alpha_bar[column - 1]) == 1
+        return self.bar_count[column - 1] == 1
 
     def live(self, vertex: int) -> bool:
         return bool(self.formed[vertex - 1] and not self.removed[vertex - 1])
@@ -89,21 +117,23 @@ class PointingGraph:
         return [int(i) + 1 for i in np.nonzero(mask)[0]]
 
     def live_edge_count(self) -> int:
-        return int(self.graph_edges.sum())
+        return self.edge_live.count(1)
 
     def live_edges(self) -> List[tuple]:
         """All live edges as (source, target, column), sorted."""
         out = []
-        cols, targets = np.nonzero(self.edge_in)
-        for j0, i0 in zip(cols, targets):
-            out.append((int(self.edge_in[j0, i0]), int(i0) + 1, int(j0) + 1))
+        for j0, source in enumerate(self.col_single_row):
+            if source:
+                base = self.edge_base[j0]
+                for k, t0 in enumerate(self.targets[j0]):
+                    if self.edge_live[base + k]:
+                        out.append((source, t0 + 1, j0 + 1))
         out.sort()
         return out
 
     def outgoing_columns(self, vertex: int) -> List[int]:
         """Columns this vertex could have created edges for (static)."""
-        cols = np.nonzero(self._col_single_row == vertex)[0]
-        return [int(j) + 1 for j in cols if self.counts.m_alpha_bar[j] > 0]
+        return [j0 + 1 for j0 in self.out_cols[vertex - 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -114,29 +144,7 @@ def single_columns(pair: DecompositionPair, counts: ColumnCounts, i: int) -> Lis
     """Columns whose only alpha-side 1 sits in row i, ascending."""
     if not 1 <= i <= pair.n:
         raise StructuralError(f"row {i} outside 1..{pair.n}")
-    mask = (pair.sm_alpha[i - 1] == 1) & (counts.m_alpha == 1)
-    return [int(j) + 1 for j in np.nonzero(mask)[0]]
-
-
-def both_single_shortcut(
-    pair: DecompositionPair, i: int, counts: Optional[ColumnCounts] = None
-) -> bool:
-    """True iff row i is single on the alpha side for some column and its
-    second component is single on the other side for some column.
-
-    Advisory only: the condition can hold on instances that do have a
-    covering, so the driver never concludes anything from this predicate
-    alone (see ``find_forced_conflict_row`` for the strengthening it uses).
-    """
-    if counts is None:
-        counts = column_counts(pair)
-    if not 1 <= i <= pair.n:
-        raise StructuralError(f"row {i} outside 1..{pair.n}")
-    alpha_single = bool(((pair.sm_alpha[i - 1] == 1) & (counts.m_alpha == 1)).any())
-    bar_single = bool(
-        ((pair.sm_alpha_bar[i - 1] == 1) & (counts.m_alpha_bar == 1)).any()
-    )
-    return alpha_single and bar_single
+    return [j + 1 for j in pair.alpha_rows[i - 1] if counts.m_alpha[j] == 1]
 
 
 def find_forced_conflict_row(
@@ -153,13 +161,11 @@ def find_forced_conflict_row(
     """
     if counts is None:
         counts = column_counts(pair)
-    must_stay = (counts.m_alpha == 1) & (counts.m_alpha_bar == 0)
-    must_swap = (counts.m_alpha == 0) & (counts.m_alpha_bar == 1)
-    for i in range(1, pair.n + 1):
-        stay = bool((pair.sm_alpha[i - 1][must_stay] == 1).any()) if must_stay.any() else False
-        swap = bool((pair.sm_alpha_bar[i - 1][must_swap] == 1).any()) if must_swap.any() else False
-        if stay and swap:
-            return i
+    must_stay = ((counts.m_alpha == 1) & (counts.m_alpha_bar == 0)).tolist()
+    must_swap = ((counts.m_alpha == 0) & (counts.m_alpha_bar == 1)).tolist()
+    for i, (alpha, bar) in enumerate(zip(pair.alpha_rows, pair.bar_rows)):
+        if any(must_stay[j] for j in alpha) and any(must_swap[j] for j in bar):
+            return i + 1
     return None
 
 
@@ -183,23 +189,21 @@ def find_main_vertices(
     if counts is None:
         counts = column_counts(pair)
     ops.cmp(pair.m)
-    zero_cols = np.nonzero(counts.m_alpha == 0)[0]
-    if zero_cols.size == 0:
+    zero_cols = np.flatnonzero(counts.m_alpha == 0).tolist()
+    if not zero_cols:
         trace.emit("covering-already")
         return None
     graph = PointingGraph(pair, counts)
     for j0 in zero_cols:
-        rows = np.nonzero(pair.sm_alpha_bar[:, j0])[0]
         ops.cmp(pair.n)
-        for r0 in rows:
-            r = int(r0) + 1
+        for r0 in pair.bar_cols[j0]:
             if not graph.formed[r0]:
                 graph.formed[r0] = True
                 graph.main[r0] = True
-                graph.vertex_order.append(r)
+                graph.vertex_order.append(r0 + 1)
                 ops.assign(3)
-                trace.emit("vertex-formed", r, 1)
-            graph.main_columns[r0].append(int(j0) + 1)
+                trace.emit("vertex-formed", r0 + 1, 1)
+            graph.main_columns[r0].append(j0 + 1)
             graph.main_column_total += 1
             graph.multiplicity[j0] += 1
             ops.arith(1)
@@ -222,58 +226,59 @@ def construct(
     skipped; otherwise an edge is created to every live candidate row,
     forming rows not yet in the graph.  Previously removed rows are never
     re-formed and never receive edges.  Returns True iff any vertex or edge
-    was added.
+    was added.  The work is O(degree) per examined vertex; the op charges
+    are those of the dense scans (m cells per singleness check, n per
+    candidate column).
     """
-    counts = graph.counts
+    g = graph
+    formed, removed, indegree = g.formed, g.removed, g.indegree
     added = False
     idx = 0
-    while idx < len(graph.vertex_order):
-        q = graph.vertex_order[idx]
+    while idx < len(g.vertex_order):
+        q = g.vertex_order[idx]
         idx += 1
         q0 = q - 1
         ops.cmp(1)
-        if graph.examined[q0] or graph.removed[q0]:
+        if g.examined[q0] or removed[q0]:
             continue
-        graph.examined[q0] = True
+        g.examined[q0] = True
         ops.assign(1)
         trace.emit("vertex-examined", q)
-        singles = single_columns(pair, counts, q)
+        singles = g.single_cols[q0]
         ops.cmp(pair.m)
         if not singles:
-            graph.final[q0] = True
+            g.final[q0] = True
             ops.assign(1)
             trace.emit("final-marked", q)
             continue
-        for j in singles:
-            j0 = j - 1
+        for j0 in singles:
             ops.cmp(1)
-            if counts.m_alpha_bar[j0] == 0:
-                graph.useless[q0] = True
+            if g.bar_count[j0] == 0:
+                g.useless[q0] = True
                 ops.assign(1)
-                trace.emit("useless-marked", q, j)
+                trace.emit("useless-marked", q, j0 + 1)
                 break  # remaining columns of q are not processed
-            conjunctive = graph.edge_is_conjunctive(j)
-            targets = np.nonzero(pair.sm_alpha_bar[:, j0])[0]
+            conjunctive = g.bar_count[j0] == 1
+            base = g.edge_base[j0]
             ops.cmp(pair.n)
-            for r0 in targets:
-                r = int(r0) + 1
+            for k, r0 in enumerate(g.targets[j0]):
+                r = r0 + 1
                 ops.cmp(1)
-                if graph.removed[r0]:
+                if removed[r0]:
                     continue
-                if not graph.formed[r0]:
-                    graph.formed[r0] = True
-                    graph.vertex_order.append(r)
+                if not formed[r0]:
+                    formed[r0] = True
+                    g.vertex_order.append(r)
                     ops.assign(2)
                     trace.emit("vertex-formed", r, 0)
-                graph.graph_edges[q0, r0] += 1
-                graph.indegree[r0] += 1
-                graph.edge_in[j0, r0] = q
+                g.edge_live[base + k] = 1
+                g.live_targets[j0] += 1
+                indegree[r0] += 1
                 ops.arith(2)
                 ops.assign(1)
                 if not conjunctive:
-                    graph.dis_edges[q0, j0] += 1
                     ops.arith(1)
-                trace.emit("edge-formed", q, r, j, 1 if conjunctive else 0)
+                trace.emit("edge-formed", q, r, j0 + 1, 1 if conjunctive else 0)
                 added = True
     trace.emit("construct-result", 1 if added else 0)
     return added

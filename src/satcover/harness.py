@@ -24,8 +24,8 @@ from .cnf import (
     evaluate,
     restrict_to_used,
     to_decomposition,
-    to_matrix,
 )
+from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .decomposition import DecompositionPair, input_length
 from .solver import EngineError, Sat, SolveRun, Unsat, solve_sat
 
@@ -88,18 +88,8 @@ def brute_covering(
     """
     if pair.n > limit_rows:
         raise ValueError(f"brute_covering refuses n={pair.n} > {limit_rows}")
-    alpha_masks = []
-    bar_masks = []
-    for i in range(pair.n):
-        a = 0
-        b = 0
-        for j in range(pair.m):
-            if pair.sm_alpha[i, j]:
-                a |= 1 << j
-            if pair.sm_alpha_bar[i, j]:
-                b |= 1 << j
-        alpha_masks.append(a)
-        bar_masks.append(b)
+    alpha_masks = [sum(1 << j for j in row) for row in pair.alpha_rows]
+    bar_masks = [sum(1 << j for j in row) for row in pair.bar_rows]
     full = (1 << pair.m) - 1
     for s in range(1 << pair.n):
         cover = 0
@@ -132,48 +122,60 @@ def dpll(
 
     Returns (True, witness), (False, None), or (None, None) when the budget
     runs out.  Branching picks the smallest unassigned variable, true first,
-    so the witness is deterministic.
+    so the witness is deterministic.  Each pass of the propagation loop costs
+    one step.
+
+    The search is iterative (Davis, Logemann & Loveland 1962): a stack holds
+    one frame per open decision, and one assignment dict with a trail of the
+    variables set since each decision replaces per-node copies, so the depth
+    of the search is not bounded by Python's recursion limit.
     """
     if any(len(clause) == 0 for clause in formula.clauses):
         return False, None
-    budget = [step_budget]
-
-    def search(clauses: List[List[int]], assignment: Dict[int, bool]):
-        while True:
-            budget[0] -= 1
-            if budget[0] <= 0:
-                return None
-            if not clauses:
-                return assignment
-            unit = next((c[0] for c in clauses if len(c) == 1), None)
-            if unit is None:
-                break
-            assignment[abs(unit)] = unit > 0
-            clauses = _dpll_simplify(clauses, unit)
-            if clauses is None:
-                return False
-        var = min(abs(l) for clause in clauses for l in clause)
-        for value in (True, False):
-            lit = var if value else -var
-            child = dict(assignment)
-            child[var] = value
-            reduced = _dpll_simplify(clauses, lit)
-            if reduced is None:
+    budget = step_budget
+    assignment: Dict[int, bool] = {}
+    trail: List[int] = []
+    # open decisions: [clauses before the decision, variable, next value
+    # index into (True, False), trail length before the decision]
+    stack: List[list] = []
+    clauses: Optional[List[List[int]]] = [list(c) for c in formula.clauses]
+    while True:
+        if clauses is not None:  # a new node: propagate, then branch
+            while True:
+                budget -= 1
+                if budget <= 0:
+                    return None, None
+                if not clauses:
+                    n = formula.num_vars
+                    return True, tuple(assignment.get(v, False) for v in range(1, n + 1))
+                unit = next((c[0] for c in clauses if len(c) == 1), None)
+                if unit is None:
+                    var = min(abs(l) for clause in clauses for l in clause)
+                    stack.append([clauses, var, 0, len(trail)])
+                    break
+                assignment[abs(unit)] = unit > 0
+                trail.append(abs(unit))
+                clauses = _dpll_simplify(clauses, unit)
+                if clauses is None:
+                    break  # conflict: this node is unsatisfiable
+        # take the next untried branch of the innermost open decision
+        clauses = None
+        while stack and clauses is None:
+            frame = stack[-1]
+            parent, var, k, mark = frame
+            if k == 2:
+                stack.pop()
                 continue
-            result = search(reduced, child)
-            if result is None:
-                return None
-            if result is not False:
-                return result
-        return False
-
-    result = search([list(c) for c in formula.clauses], {})
-    if result is None:
-        return None, None
-    if result is False:
-        return False, None
-    witness = tuple(result.get(v, False) for v in range(1, formula.num_vars + 1))
-    return True, witness
+            frame[2] = k + 1
+            while len(trail) > mark:
+                del assignment[trail.pop()]
+            value = k == 0
+            clauses = _dpll_simplify(parent, var if value else -var)
+            if clauses is not None:
+                assignment[var] = value
+                trail.append(var)
+        if clauses is None:
+            return False, None
 
 
 def oracle_status(
@@ -501,7 +503,7 @@ def exhaustive_reduction_check(max_n: int = 3, max_m: int = 4, max_width: int = 
     for formula in enumerate_formulas(max_n, max_m, max_width):
         sat, _ = brute_sat(formula)
         sub, used = restrict_to_used(formula)
-        pair = to_decomposition(to_matrix(sub))
+        pair = to_decomposition(sub)
         covered, swaps = brute_covering(pair)
         if sat != covered:
             return False

@@ -72,11 +72,6 @@ class StateSnapshot:
     writes and drops their log.  Only removal cascades write through the
     trail, so a mark restores the graph as it was when taken as long as
     nothing but cascades ran in between.
-
-    ``cells`` is what a full copy of the mutable graph state would have
-    held when the mark was taken; ``cell_count`` reports it so the op
-    charge for taking and restoring a snapshot stays a fixed formula in n,
-    m and the graph size, independent of how much a cascade writes.
     """
 
     mark: int
@@ -90,8 +85,8 @@ class StateSnapshot:
             + graph.main_column_total
             + 7 * n  # six flag arrays and indegree
             + m  # multiplicity
-            + n * n  # graph_edges
-            + 2 * n * m  # edge_in and dis_edges
+            + n * n  # the former n x n edge-count matrix
+            + 2 * n * m  # the former m x n edge-source and n x m edge-count matrices
         )
         return cls(mark=len(graph.trail), cells=cells)
 
@@ -105,6 +100,14 @@ class StateSnapshot:
         del graph.trail[self.mark:]
 
     def cell_count(self) -> int:
+        """The op charge for taking or restoring this snapshot.
+
+        It is the size of a full copy of the graph state as the engine once
+        held it, with dense n x n, m x n and n x m edge arrays, when the mark
+        was taken.  The state is O(N) now and a restore costs what the
+        cascade wrote, but the charge stays this formula so op counts and
+        trace readings do not move.
+        """
         return self.cells
 
 
@@ -129,9 +132,17 @@ def removal_procedure(
     multiplicity 1 aborts with removable=False; the caller restores state
     when it needs the pre-call graph back.  No vertex is processed twice.
     Every write is logged on ``graph.trail`` before it is made.
+
+    The work is O(degree) per removed vertex.  The op charges are those of
+    the dense scans the engine once made: n cells for a vertex's out-edge
+    row, m for its in-edge column, and one comparison per outgoing column
+    of the source for every target it points at.
     """
     g = graph
     log = g.trail.append
+    live = g.edge_live
+    live_targets = g.live_targets
+    indegree = g.indegree
     s0 = start_vertex - 1
     if not (0 <= s0 < g.n) or not g.formed[s0] or g.removed[s0]:
         raise StructuralError(f"vertex {start_vertex} is not a live graph vertex")
@@ -143,34 +154,42 @@ def removal_procedure(
     gen_queued: Set[int] = set()
     removed_order: List[int] = []
 
+    def drop_edge(j0: int, edge: int) -> None:
+        log((live, edge, 1))
+        live[edge] = 0
+        log((live_targets, j0, live_targets[j0]))
+        live_targets[j0] -= 1
+        ops.assign(1)
+        if g.bar_count[j0] != 1:
+            ops.arith(1)
+
     def remove_outgoing(p: int) -> None:
-        p0 = p - 1
-        targets = np.nonzero(g.graph_edges[p0])[0]
         ops.cmp(g.n)
-        out_cols = g.outgoing_columns(p)
-        for t0 in targets:
-            cnt = int(g.graph_edges[p0, t0])
-            log((g.graph_edges, (p0, t0), cnt))
-            g.graph_edges[p0, t0] = 0
-            log((g.indegree, t0, g.indegree[t0]))
-            g.indegree[t0] -= cnt
+        out_cols = g.out_cols[p - 1]
+        # live out-edges grouped by target: (position in out_cols, column, byte)
+        by_target: Dict[int, List[tuple]] = {}
+        for pos, j0 in enumerate(out_cols):
+            base = g.edge_base[j0]
+            for k, t0 in enumerate(g.targets[j0]):
+                if live[base + k]:
+                    by_target.setdefault(t0, []).append((pos, j0, base + k))
+        for t0 in sorted(by_target):
+            edges = by_target[t0]
+            log((indegree, t0, indegree[t0]))
+            indegree[t0] -= len(edges)
             ops.assign(1)
             ops.arith(1)
-            for j in out_cols:
-                ops.cmp(1)
-                if g.edge_in[j - 1, t0] == p:
-                    log((g.edge_in, (j - 1, t0), p))
-                    g.edge_in[j - 1, t0] = 0
-                    ops.assign(1)
-                    if not g.edge_is_conjunctive(j):
-                        log((g.dis_edges, (p0, j - 1), g.dis_edges[p0, j - 1]))
-                        g.dis_edges[p0, j - 1] -= 1
-                        ops.arith(1)
-                    trace.emit("edge-removed", p, int(t0) + 1, j)
+            t = t0 + 1
+            seen = -1  # one comparison per outgoing column, up to each edge
+            for pos, j0, edge in edges:
+                ops.cmp(pos - seen)
+                seen = pos
+                drop_edge(j0, edge)
+                trace.emit("edge-removed", p, t, j0 + 1)
+            ops.cmp(len(out_cols) - 1 - seen)
             ops.cmp(1)
-            t = int(t0) + 1
             if (
-                g.indegree[t0] == 0
+                indegree[t0] == 0
                 and not g.main[t0]
                 and not g.removed[t0]
                 and t not in gen_queued
@@ -203,36 +222,27 @@ def removal_procedure(
                 log((g.multiplicity, c - 1, g.multiplicity[c - 1]))
                 g.multiplicity[c - 1] -= 1
                 ops.arith(1)
-        # incoming edges: group by source row, ascending
-        in_cols = np.nonzero(g.edge_in[:, p0])[0]
+        # live in-edges grouped by source row, ascending
         ops.cmp(g.m)
-        bundles: Dict[int, List[int]] = {}
-        for j0 in in_cols:
-            bundles.setdefault(int(g.edge_in[j0, p0]), []).append(int(j0) + 1)
+        bundles: Dict[int, List[tuple]] = {}
+        for j0, edge in g.in_slots[p0]:
+            if live[edge]:
+                bundles.setdefault(g.col_single_row[j0], []).append((j0, edge))
         for r in sorted(bundles):
-            cols_r = bundles[r]
+            edges = bundles[r]
             r0 = r - 1
             trigger = False
-            for j in cols_r:
+            for j0, _ in edges:
                 ops.cmp(2)
-                if g.edge_is_conjunctive(j) or g.dis_edges[r0, j - 1] <= 1:
+                if g.bar_count[j0] == 1 or live_targets[j0] <= 1:
                     trigger = True
-            cnt = int(g.graph_edges[r0, p0])
-            log((g.graph_edges, (r0, p0), cnt))
-            g.graph_edges[r0, p0] = 0
-            log((g.indegree, p0, g.indegree[p0]))
-            g.indegree[p0] -= cnt
+            log((indegree, p0, indegree[p0]))
+            indegree[p0] -= len(edges)
             ops.assign(1)
             ops.arith(1)
-            for j in cols_r:
-                log((g.edge_in, (j - 1, p0), r))
-                g.edge_in[j - 1, p0] = 0
-                ops.assign(1)
-                if not g.edge_is_conjunctive(j):
-                    log((g.dis_edges, (r0, j - 1), g.dis_edges[r0, j - 1]))
-                    g.dis_edges[r0, j - 1] -= 1
-                    ops.arith(1)
-                trace.emit("edge-removed", r, p, j)
+            for j0, edge in edges:
+                drop_edge(j0, edge)
+                trace.emit("edge-removed", r, p, j0 + 1)
             ops.cmp(1)
             if trigger and r not in anc_marked and not g.removed[r0]:
                 anc_marked.add(r)
@@ -314,14 +324,21 @@ def clean(
 # the swapped view and incompatibilities
 # ---------------------------------------------------------------------------
 
+def _swap_rows(counts: np.ndarray, pair: DecompositionPair, rows, sign: int) -> None:
+    """Add ``sign`` times the effect of swapping the given 0-based rows to
+    alpha column counts: their alpha ones leave, their second ones arrive."""
+    for i in rows:
+        for j in pair.alpha_rows[i]:
+            counts[j] -= sign
+        for j in pair.bar_rows[i]:
+            counts[j] += sign
+
+
 def swapped_alpha_counts(graph: PointingGraph, pair: DecompositionPair) -> np.ndarray:
     """Column counts of sm_alpha after swapping every live vertex row."""
-    live = graph.formed & ~graph.removed
-    if not live.any():
-        return graph.counts.m_alpha.copy()
-    delta_out = pair.sm_alpha[live].sum(axis=0, dtype=np.int64)
-    delta_in = pair.sm_alpha_bar[live].sum(axis=0, dtype=np.int64)
-    return graph.counts.m_alpha - delta_out + delta_in
+    counts = graph.counts.m_alpha.copy()
+    _swap_rows(counts, pair, np.flatnonzero(graph.formed & ~graph.removed).tolist(), 1)
+    return counts
 
 
 def eliminate_incompatibilities(
@@ -356,17 +373,15 @@ def eliminate_incompatibilities(
     plan_cols: List[int] = []
     planned: Set[tuple] = set()
     swapped = swapped_alpha_counts(graph, pair)
+    formed, removed = graph.formed, graph.removed
     while True:
         ops.cmp(graph.m)
         ops.arith(graph.m)
-        zero_cols = [int(j0) + 1 for j0 in np.nonzero(swapped == 0)[0]]
+        zero_cols = np.flatnonzero(swapped == 0).tolist()
         restarted = False
-        live = graph.formed & ~graph.removed
-        for j in zero_cols:
-            members = [
-                int(i) + 1
-                for i in np.nonzero(live & (pair.sm_alpha[:, j - 1] == 1))[0]
-            ]
+        for j0 in zero_cols:
+            j = j0 + 1
+            members = [r0 + 1 for r0 in pair.alpha_cols[j0] if formed[r0] and not removed[r0]]
             ops.cmp(graph.n)
             trace.emit("incompat-found", j, len(members))
             snap = None
@@ -386,8 +401,7 @@ def eliminate_incompatibilities(
                     snap.commit(graph)
                     committed = r
                     gone = [v - 1 for v in outcome.removed_vertices]
-                    swapped += pair.sm_alpha[gone].sum(axis=0, dtype=np.int64)
-                    swapped -= pair.sm_alpha_bar[gone].sum(axis=0, dtype=np.int64)
+                    _swap_rows(swapped, pair, gone, -1)
                     break
                 snap.restore(graph)
                 ops.assign(snap.cell_count())
@@ -400,11 +414,7 @@ def eliminate_incompatibilities(
                 restarted = True
                 break
             # nothing removable: plan an extension for this column
-            candidates = [
-                p
-                for p in range(1, graph.n + 1)
-                if not graph.formed[p - 1] and pair.sm_alpha_bar[p - 1, j - 1]
-            ]
+            candidates = [p0 + 1 for p0 in pair.bar_cols[j0] if not formed[p0]]
             ops.cmp(graph.n)
             if not candidates:
                 trace.emit("unreachable-column", j)
@@ -462,7 +472,8 @@ def extend(
         graph.main[p0] = True
         graph.vertex_order.append(p)
         ops.assign(3)
-        assoc = [c for c in cols if pair.sm_alpha_bar[p0, c - 1]]
+        second = set(pair.bar_rows[p0])
+        assoc = [c for c in cols if c - 1 in second]
         for c in assoc:
             graph.main_columns[p0].append(c)
             graph.main_column_total += 1

@@ -6,6 +6,7 @@ The four canonical instances exercise every driver exit:
   E2 unsatisfiable through a non-removable useless vertex,
   E3 unsatisfiable through an unreachable stuck column,
   E4 satisfiable only after a graph extension.
+E5 adds two main vertices and one disjunctive fan-out of two edges.
 """
 from __future__ import annotations
 
@@ -23,13 +24,13 @@ from satcover import (
     parse_dimacs,
     random_cnf,
     to_decomposition,
-    to_matrix,
 )
 
 E1_TEXT = "p cnf 2 2\n-1 2 0\n1 0\n"
 E2_TEXT = "p cnf 1 2\n1 0\n-1 0\n"
 E3_TEXT = "p cnf 2 3\n-1 -2 0\n1 0\n2 0\n"
 E4_TEXT = "p cnf 3 3\n1 0\n2 0\n-1 -2 3 0\n"
+E5_TEXT = "p cnf 3 2\n1 2 0\n-1 2 3 0\n"
 
 
 def formula_of(text: str) -> CnfFormula:
@@ -38,7 +39,7 @@ def formula_of(text: str) -> CnfFormula:
 
 
 def pair_of(text: str) -> DecompositionPair:
-    return to_decomposition(to_matrix(formula_of(text)))
+    return to_decomposition(formula_of(text))
 
 
 @pytest.fixture

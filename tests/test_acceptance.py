@@ -43,11 +43,7 @@ from satcover.harness import oracle_status
 from satcover.instrument import DISABLED_OPS, NO_TRACE
 from satcover.procedures import StateSnapshot, removal_procedure
 
-from conftest import formula_of, record_criterion
-
-E1_TEXT = "p cnf 2 2\n-1 2 0\n1 0\n"
-E2_TEXT = "p cnf 1 2\n1 0\n-1 0\n"
-E3_TEXT = "p cnf 2 3\n-1 -2 0\n1 0\n2 0\n"
+from conftest import E1_TEXT, E2_TEXT, E3_TEXT, formula_of, record_criterion
 
 # 10,000 seeded instances, n <= 30 and m <= 120 throughout; variable counts
 # 21..25 are left out so the brute-force oracle stays affordable
@@ -191,7 +187,7 @@ def _build_graph(formula):
     sub, _ = restrict_to_used(formula)
     if not sub.clauses or any(not c for c in sub.clauses):
         return None, None
-    pair = to_decomposition(to_matrix(sub))
+    pair = to_decomposition(sub)
     graph = find_main_vertices(pair, column_counts(pair), ops=DISABLED_OPS, trace=NO_TRACE)
     if graph is None:
         return None, None
@@ -367,7 +363,7 @@ def test_criterion_06_input_length_equality():
         if not sub.clauses or any(not c for c in sub.clauses):
             continue
         matrix = to_matrix(sub)
-        pair = to_decomposition(matrix)
+        pair = to_decomposition(sub)
         if matrix.nonzero_count() != input_length(pair):
             ok = False
             break

@@ -8,11 +8,7 @@ from hypothesis import given, settings
 from satcover import DecompositionPair, ParseError
 from satcover.cli import emit_decomp, main, parse_decomp
 
-from conftest import decomposition_pairs
-
-E1_TEXT = "p cnf 2 2\n-1 2 0\n1 0\n"
-E2_TEXT = "p cnf 1 2\n1 0\n-1 0\n"
-E3_TEXT = "p cnf 2 3\n-1 -2 0\n1 0\n2 0\n"
+from conftest import E1_TEXT, E2_TEXT, decomposition_pairs
 
 E1_DECOMP = "2 2\n10\n00\n\n01\n10\n"
 E3_DECOMP = "2 3\n100\n100\n\n010\n001\n"
@@ -225,6 +221,22 @@ class TestHarnessCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total"] == 44
         assert doc["reduction_check_passed"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--seed", "7", "--count", "3", "--vars", "1..4", "--clauses", "1..5"],
+            ["diff-exhaustive", "--max-n", "1", "--max-m", "2", "--max-width", "1"],
+            ["probe", "--sizes", "50", "--instances-per-size", "1"],
+        ],
+        ids=["fuzz", "diff-exhaustive", "probe"],
+    )
+    def test_unwritable_json_is_output_error(self, argv, tmp_path, capsys):
+        out_path = tmp_path / "missing-dir" / "report.json"
+        assert main(argv + ["--json", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write output")
+        assert json.loads(captured.out)  # the report still reaches stdout
 
     def test_diff_exhaustive_refuses_large_n(self, capsys):
         assert main(["diff-exhaustive", "--max-n", "9"]) == 2

@@ -161,54 +161,56 @@ class TestMatrix:
         assert CnfMatrix(1, 3, np.array([[-1, 0, 1]], dtype=np.int8)).nonzero_count() == 2
 
     def test_tautology_must_be_preprocessed_upstream(self):
-        # a raw x1-and-not-x1 clause collapses to one cell, leaving x2 unused;
-        # the reduction refuses the resulting matrix
-        matrix = to_matrix(CnfFormula(2, [[1, -1]]))
+        # a raw x1-and-not-x1 clause collapses to one cell of the matrix
+        assert to_matrix(CnfFormula(2, [[1, -1]])).entries.tolist() == [[-1, 0]]
+        # x1 keeps the sign of its last literal, leaving x2 unused; the
+        # reduction refuses the formula
         with pytest.raises(StructuralError):
-            to_decomposition(matrix)
+            to_decomposition(CnfFormula(2, [[1, -1]]))
 
 
 class TestToDecomposition:
     def test_neg_orientation(self, e1):
-        pair = to_decomposition(to_matrix(e1))
+        pair = to_decomposition(e1)
         assert pair.sm_alpha.tolist() == [[1, 0], [0, 0]]
         assert pair.sm_alpha_bar.tolist() == [[0, 1], [1, 0]]
 
     def test_pos_orientation(self, e1):
-        pair = to_decomposition(to_matrix(e1), alpha="pos")
+        pair = to_decomposition(e1, alpha="pos")
         assert pair.sm_alpha.tolist() == [[0, 1], [1, 0]]
         assert pair.sm_alpha_bar.tolist() == [[1, 0], [0, 0]]
 
     def test_unknown_orientation_rejected(self, e1):
         with pytest.raises(ValueError):
-            to_decomposition(to_matrix(e1), alpha="both")
+            to_decomposition(e1, alpha="both")
 
     def test_empty_clause_row_rejected(self):
-        matrix = CnfMatrix(2, 1, np.array([[1], [0]], dtype=np.int8))
         with pytest.raises(StructuralError) as info:
-            to_decomposition(matrix)
+            to_decomposition(CnfFormula(1, [[1], []]))
         assert "2" in str(info.value)
 
     def test_unused_variable_column_rejected(self):
-        matrix = CnfMatrix(1, 2, np.array([[1, 0]], dtype=np.int8))
         with pytest.raises(StructuralError) as info:
-            to_decomposition(matrix)
+            to_decomposition(CnfFormula(2, [[1]]))
         assert "2" in str(info.value)
 
     def test_operation_charges(self, e1):
         ops = OpCounter()
-        matrix = to_matrix(e1)
-        to_decomposition(matrix, ops=ops)
-        assert ops.comparisons == matrix.m * matrix.n
-        assert ops.assignments == 2 * matrix.m * matrix.n
+        to_decomposition(e1, ops=ops)
+        m, n = len(e1.clauses), e1.num_vars
+        assert ops.comparisons == m * n
+        assert ops.assignments == 2 * m * n
 
     @given(formulas())
     @settings(max_examples=60, deadline=None)
     def test_nonzeros_equal_input_length(self, formula):
         sub, _ = restrict_to_used(formula)
         matrix = to_matrix(sub)
-        pair = to_decomposition(matrix)
+        pair = to_decomposition(sub)
         assert matrix.nonzero_count() == input_length(pair)
+        # the occurrence lists agree with the signed matrix cell by cell
+        assert pair.sm_alpha.tolist() == (matrix.entries.T == -1).astype(int).tolist()
+        assert pair.sm_alpha_bar.tolist() == (matrix.entries.T == 1).astype(int).tolist()
         assert input_length(pair) == naive_input_length(pair)
 
 

@@ -4,22 +4,25 @@ import pytest
 from hypothesis import given, settings
 
 from satcover import (
+    DecompositionPair,
+    FuzzConfig,
     OpCounter,
     StructuralError,
     Trace,
-    both_single_shortcut,
+    clean,
     column_counts,
     construct,
+    eliminate_incompatibilities,
     find_main_vertices,
+    random_cnf,
+    restrict_to_used,
+    to_decomposition,
 )
 from satcover.graph import find_forced_conflict_row, single_columns
 from satcover.instrument import DISABLED_OPS, NO_TRACE
 from satcover.solver import _check_graph_invariants
 
-from conftest import formula_of, formulas, pair_of
-
-# two main vertices, one disjunctive fan-out of two edges
-E5_TEXT = "p cnf 3 2\n1 2 0\n-1 2 3 0\n"
+from conftest import E5_TEXT, formulas, pair_of
 
 
 def build(text: str, trace=NO_TRACE):
@@ -83,6 +86,13 @@ class TestSingleColumns:
         assert single_columns(e3_pair, counts, 1) == []
         assert single_columns(e3_pair, counts, 2) == []
 
+    def test_out_of_range(self, e1_pair):
+        counts = column_counts(e1_pair)
+        with pytest.raises(StructuralError):
+            single_columns(e1_pair, counts, 0)
+        with pytest.raises(StructuralError):
+            single_columns(e1_pair, counts, 3)
+
 
 class TestConstruct:
     def test_e1_conjunctive_edge(self, e1_pair):
@@ -94,14 +104,14 @@ class TestConstruct:
         assert graph.formed.tolist() == [True, True]
         assert graph.final.tolist() == [False, True]
         assert not graph.useless.any()
-        assert graph.dis_edges[0, 0] == 0  # conjunctive, not disjunctive
+        assert graph.live_targets == [1, 0]
 
     def test_e5_disjunctive_fan_out(self):
         pair, counts, graph = build(E5_TEXT)
         construct(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.live_edges() == [(1, 2, 2), (1, 3, 2)]
         assert not graph.edge_is_conjunctive(2)
-        assert graph.dis_edges[0, 1] == 2
+        assert graph.live_targets == [0, 2]
         assert graph.indegree.tolist() == [0, 1, 1]
         # row 3 was formed by the edge, not as a main vertex
         assert graph.formed.tolist() == [True, True, True]
@@ -136,12 +146,12 @@ class TestConstruct:
     @given(formulas(max_vars=5, max_clauses=6))
     @settings(max_examples=80, deadline=None)
     def test_construct_preserves_invariants(self, formula):
-        from satcover import restrict_to_used, to_decomposition, to_matrix
+        from satcover import restrict_to_used, to_decomposition
 
         sub, _ = restrict_to_used(formula)
         if any(not c for c in sub.clauses):
             return
-        pair = to_decomposition(to_matrix(sub))
+        pair = to_decomposition(sub)
         counts = column_counts(pair)
         graph = find_main_vertices(pair, counts, ops=DISABLED_OPS, trace=NO_TRACE)
         if graph is None:
@@ -158,19 +168,58 @@ class TestConstruct:
 
 
 class TestShortcuts:
-    def test_both_single_raw_predicate(self, e1_pair, e2_pair):
-        # E1 row 1: alpha-single w.r.t. column 1, complement-single w.r.t. column 2
-        assert both_single_shortcut(e1_pair, 1)
-        assert not both_single_shortcut(e1_pair, 2)
-        assert both_single_shortcut(e2_pair, 1)
-
     def test_forced_conflict_row(self, e1_pair, e2_pair, e3_pair):
         assert find_forced_conflict_row(e1_pair) is None
         assert find_forced_conflict_row(e2_pair) == 1
         assert find_forced_conflict_row(e3_pair) is None
 
-    def test_both_single_out_of_range(self, e1_pair):
-        with pytest.raises(StructuralError):
-            both_single_shortcut(e1_pair, 0)
-        with pytest.raises(StructuralError):
-            both_single_shortcut(e1_pair, 3)
+    def test_forced_conflict_needs_both_halves(self, e1_pair):
+        # E1 row 1 is alone on column 1's alpha side and on column 2's
+        # second side, yet E1 has a covering: singleness alone forces nothing
+        counts = column_counts(e1_pair)
+        assert single_columns(e1_pair, counts, 1) == [1]
+        assert e1_pair.sm_alpha_bar[:, 1].tolist() == [1, 0]
+        assert find_forced_conflict_row(e1_pair) is None
+        # row 1 alone covers column 1 (nothing can re-cover it) and alone
+        # can cover column 2 (nothing covers it unswapped)
+        both = DecompositionPair([[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0]])
+        assert find_forced_conflict_row(both) == 1
+        # once row 2 covers column 2 on the alpha side, row 1 need not swap
+        stay_only = DecompositionPair([[1, 0, 0], [0, 1, 1]], [[0, 1, 0], [0, 0, 0]])
+        assert find_forced_conflict_row(stay_only) is None
+        # once row 2 can re-cover column 1, row 1 may swap
+        swap_only = DecompositionPair([[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0]])
+        assert find_forced_conflict_row(swap_only) is None
+
+
+def _cells(value) -> int:
+    """Entries held by a field, nested containers included."""
+    if isinstance(value, np.ndarray):
+        return value.size
+    if isinstance(value, (bytes, bytearray)):
+        return len(value)
+    if isinstance(value, (list, tuple, set)):
+        return len(value) + sum(_cells(item) for item in value)
+    if hasattr(value, "__dataclass_fields__"):
+        return sum(_cells(getattr(value, name)) for name in value.__dataclass_fields__)
+    return 1
+
+
+class TestStateSize:
+    def test_no_field_is_n_by_n_or_n_by_m(self):
+        # every field holds O(n + m + N) entries, far below n * n = 40,000
+        cfg = FuzzConfig(
+            seed=7, num_instances=1, var_range=(200, 200), clause_range=(800, 800),
+            width_range=(3, 3),
+        )
+        sub, _ = restrict_to_used(random_cnf(cfg, 0))
+        pair = to_decomposition(sub)
+        n, m = pair.n, pair.m
+        assert (n, m) == (200, 800)
+        graph = find_main_vertices(pair)
+        construct(graph, pair)
+        if clean(graph, pair) is None:
+            eliminate_incompatibilities(graph, pair)
+        assert graph.live_edge_count() > 0
+        sizes = {name: _cells(value) for name, value in vars(graph).items()}
+        assert max(sizes.values()) < n * n, sizes

@@ -2,6 +2,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from satcover import (
     CnfFormula,
@@ -13,19 +14,64 @@ from satcover import (
     differential_run,
     dpll,
     emit_dimacs,
+    evaluate,
     exhaustive_reduction_check,
     parse_dimacs,
     random_cnf,
     shrink_disagreement,
 )
 from satcover.harness import (
+    _dpll_simplify,
     enumerate_clause_universe,
     enumerate_formulas,
     oracle_status,
     probe_shape,
 )
 
-from conftest import formula_of, naive_sat, pair_of
+from conftest import formula_of, formulas, naive_sat, pair_of
+
+
+def recursive_dpll(formula, step_budget):
+    """The recursive search ``dpll`` replaced, kept as its reference: same
+    branching order, same one step per propagation pass."""
+    if any(len(clause) == 0 for clause in formula.clauses):
+        return False, None
+    budget = [step_budget]
+
+    def search(clauses, assignment):
+        while True:
+            budget[0] -= 1
+            if budget[0] <= 0:
+                return None
+            if not clauses:
+                return assignment
+            unit = next((c[0] for c in clauses if len(c) == 1), None)
+            if unit is None:
+                break
+            assignment[abs(unit)] = unit > 0
+            clauses = _dpll_simplify(clauses, unit)
+            if clauses is None:
+                return False
+        var = min(abs(l) for clause in clauses for l in clause)
+        for value in (True, False):
+            child = dict(assignment)
+            child[var] = value
+            reduced = _dpll_simplify(clauses, var if value else -var)
+            if reduced is None:
+                continue
+            result = search(reduced, child)
+            if result is None:
+                return None
+            if result is not False:
+                return result
+        return False
+
+    result = search([list(c) for c in formula.clauses], {})
+    if result is None:
+        return None, None
+    if result is False:
+        return False, None
+    return True, tuple(result.get(v, False) for v in range(1, formula.num_vars + 1))
 
 
 class TestBruteSat:
@@ -108,6 +154,36 @@ class TestDpll:
     def test_agrees_with_brute_on_exhaustive_space(self):
         for formula in enumerate_formulas(2, 3, 2):
             assert dpll(formula)[0] == brute_sat(formula)[0]
+
+    def test_matches_recursive_reference(self):
+        # witnesses, UNSAT and budget-exhausted outcomes all match, budgets
+        # small enough that some runs give up part way
+        cfg = FuzzConfig(seed=41, num_instances=150, var_range=(1, 30), clause_range=(1, 120))
+        outcomes = set()
+        for i in range(cfg.num_instances):
+            formula = random_cnf(cfg, i)
+            for budget in (3, 40, 2_000_000):
+                got = dpll(formula, step_budget=budget)
+                assert got == recursive_dpll(formula, budget)
+                outcomes.add(got[0])
+        assert outcomes == {True, False, None}
+
+    def test_long_decision_chain(self):
+        # (x1 or x2)(x3 or x4)...(x2999 or x3000): one decision per clause,
+        # 1500 deep, past the interpreter's recursion limit
+        chain = CnfFormula(3000, [[v, v + 1] for v in range(1, 3000, 2)])
+        sat, witness = dpll(chain)
+        assert sat and evaluate(chain, witness)
+        assert witness == tuple(v % 2 == 1 for v in range(1, 3001))
+        assert oracle_status(chain) == "SAT"
+
+    @given(formulas(max_vars=12, max_clauses=40))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_brute_force(self, formula):
+        sat, witness = dpll(formula)
+        assert sat == brute_sat(formula)[0]
+        if sat:
+            assert evaluate(formula, witness)
 
     def test_oracle_status_uses_dpll_above_limit(self):
         wide = CnfFormula(30, [[i] for i in range(1, 31)])

@@ -26,16 +26,12 @@ from satcover import (
     removal_procedure,
     restrict_to_used,
     to_decomposition,
-    to_matrix,
 )
 from satcover import procedures
 from satcover.instrument import DISABLED_OPS, NO_TRACE
 from satcover.procedures import swapped_alpha_counts
 
-from conftest import formulas, pair_of
-
-E5_TEXT = "p cnf 3 2\n1 2 0\n-1 2 3 0\n"
-E4_TEXT = "p cnf 3 3\n1 0\n2 0\n-1 -2 3 0\n"
+from conftest import E4_TEXT, E5_TEXT, formulas, pair_of
 
 
 def built(text: str):
@@ -82,9 +78,9 @@ class TestSnapshot:
         assert graph.live_vertices() == [1, 3]
 
     def test_cell_count_is_the_full_state_size(self):
-        # what a copy of every mutable field would hold: the vertex order,
-        # the main-column lists, six flag arrays, indegree, multiplicity,
-        # graph_edges (n x n), edge_in (m x n) and dis_edges (n x m)
+        # what a copy of every mutable field of the former dense state held:
+        # the vertex order, the main-column lists, six flag arrays, indegree,
+        # multiplicity, and n x n, m x n and n x m edge arrays
         pair, graph = built(E5_TEXT)
         n, m = graph.n, graph.m
         main_entries = sum(len(cols) for cols in graph.main_columns)
@@ -109,7 +105,7 @@ class TestRemovalProcedure:
         assert outcome.removable
         assert outcome.removed_vertices == (2,)
         assert graph.live_edges() == [(1, 3, 2)]
-        assert graph.dis_edges[0, 1] == 1
+        assert graph.live_targets == [0, 1]
         assert graph.multiplicity.tolist() == [1, 0]
 
     def test_last_disjunctive_edge_recruits_ancestor(self):
@@ -231,7 +227,7 @@ class TestSwappedCounts:
             sub, _ = restrict_to_used(random_cnf(cfg, i))
             if not sub.clauses or any(not c for c in sub.clauses):
                 continue
-            pair = to_decomposition(to_matrix(sub))
+            pair = to_decomposition(sub)
             graph = find_main_vertices(pair)
             if graph is None:
                 continue

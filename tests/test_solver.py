@@ -255,3 +255,32 @@ class TestReasonType:
             "kind": "empty-clause",
             "index": 3,
         }
+
+
+class TestSparsePath:
+    def test_solve_sat_never_builds_the_dense_matrices(self, monkeypatch):
+        # the SAT path reads the occurrence lists only; the dense n x m
+        # matrices exist for the covering CLI, brute_covering and tests
+        from satcover import DecompositionPair, FuzzConfig, random_cnf
+
+        def refuse(self):
+            raise AssertionError("dense matrices built on the SAT path")
+
+        monkeypatch.setattr(DecompositionPair, "_matrices", refuse)
+        corpus = seeded_corpus(20261020, 200, var_range=(1, 30), clause_range=(1, 120))
+        cfg = FuzzConfig(
+            seed=3, num_instances=4, var_range=(150, 150), clause_range=(639, 639),
+            width_range=(3, 3), satisfiable_bias="planted",
+        )
+        corpus += [random_cnf(cfg, i) for i in range(cfg.num_instances)]
+        verdicts = set()
+        for i, formula in enumerate(corpus):
+            run = solve_sat(
+                formula,
+                count_ops=True,
+                invariant_checks=True,
+                alpha="pos" if i % 2 else "neg",
+                shortcut=i % 3 == 0,
+            )
+            verdicts.add(type(run.verdict).__name__)
+        assert verdicts == {"Sat", "Unsat"}
