@@ -17,8 +17,6 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .cnf import ParseError, parse_dimacs
 from .decomposition import DecompositionPair, StructuralError
 from .harness import FuzzConfig, complexity_probe, diff_exhaustive, differential_run
@@ -131,7 +129,11 @@ def _cmd_solve(args) -> int:
 
 def parse_decomp(text: str) -> DecompositionPair:
     """Raw decomposition file: "n m" header, n rows of m chars in {0,1} for
-    the alpha matrix, one blank line, n rows for the complement matrix."""
+    the alpha matrix, one blank line, n rows for the complement matrix.
+
+    Only the rows the file holds are read, so the work and memory follow the
+    file's size, not the header's n and m.  A missing line reads as empty.
+    """
     lines = text.splitlines()
 
     def err(lineno: int, message: str) -> ParseError:
@@ -148,34 +150,32 @@ def parse_decomp(text: str) -> DecompositionPair:
         raise err(1, "expected integer header 'n m'") from None
     if n < 1 or m < 1:
         raise err(1, "n and m must be positive")
-    expected = 1 + n + 1 + n
-    body = [line.rstrip("\n") for line in lines]
-    while len(body) < expected:
-        body.append("")
 
-    def read_block(first_line: int) -> np.ndarray:
-        rows = np.zeros((n, m), dtype=np.uint8)
-        for i in range(n):
-            lineno = first_line + i
-            row = body[lineno - 1].strip()
+    def line(lineno: int) -> str:
+        return lines[lineno - 1].strip() if lineno <= len(lines) else ""
+
+    def read_block(first_line: int) -> List[List[int]]:
+        rows = []
+        for lineno in range(first_line, first_line + n):
+            row = line(lineno)
             if len(row) != m:
                 raise err(lineno, f"expected {m} characters, got {len(row)}")
-            for j, ch in enumerate(row):
+            for ch in row:
                 if ch not in "01":
                     raise err(lineno, f"invalid character {ch!r}")
-                rows[i, j] = ch == "1"
+            rows.append([j for j, ch in enumerate(row) if ch == "1"])
         return rows
 
-    alpha = read_block(2)
+    alpha_rows = read_block(2)
     blank_line = 2 + n
-    if body[blank_line - 1].strip():
+    if line(blank_line):
         raise err(blank_line, "expected a blank separator line")
-    alpha_bar = read_block(blank_line + 1)
-    tail = blank_line + n + 1
-    for lineno in range(tail, len(body) + 1):
-        if body[lineno - 1].strip():
+    bar_rows = read_block(blank_line + 1)
+    for lineno in range(blank_line + n + 1, len(lines) + 1):
+        if line(lineno):
             raise err(lineno, "unexpected trailing content")
-    return DecompositionPair(sm_alpha=alpha, sm_alpha_bar=alpha_bar)
+    # every row is m characters of 0 and 1: the lists are what from_rows trusts
+    return DecompositionPair.from_rows(n, m, alpha_rows, bar_rows)
 
 
 def emit_decomp(pair: DecompositionPair) -> str:
@@ -236,7 +236,10 @@ def _parse_range(text: str) -> Tuple[int, int]:
 
 
 def _parse_sizes(text: str) -> List[int]:
-    sizes = [int(float(part)) for part in text.split(",") if part.strip()]
+    try:
+        sizes = [int(float(part)) for part in text.split(",") if part.strip()]
+    except (ValueError, OverflowError):  # not a number, nan or infinite
+        sizes = []
     if not sizes or any(s < 1 for s in sizes):
         raise ValueError(f"bad sizes {text!r}")
     return sizes
@@ -293,6 +296,10 @@ def _cmd_probe(args) -> int:
         sizes = _parse_sizes(args.sizes)
     except ValueError as exc:
         return _fail_input(str(exc))
+    if args.width < 1:
+        return _fail_input(f"width must be positive, got {args.width}")
+    if args.instances_per_size < 1:
+        return _fail_input(f"instances-per-size must be positive, got {args.instances_per_size}")
     doc = complexity_probe(
         sizes,
         seed=args.seed,

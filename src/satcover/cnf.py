@@ -10,7 +10,7 @@ variable true.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,9 +55,6 @@ class PreprocessReport:
     """What parsing normalized away, in original 1-based clause numbering."""
 
     removed_tautologies: tuple
-    deduped_literals: int
-    unused_variables: tuple
-    empty_clause_found: bool
 
 
 @dataclass
@@ -87,25 +84,19 @@ class CnfMatrix:
 # parsing and emission
 # ---------------------------------------------------------------------------
 
-def _preprocess_clause(raw: Clause) -> Tuple[Optional[Clause], int]:
-    """Dedupe literals and drop tautologies.
-
-    Returns (clause or None if tautological, number of duplicate literals
-    removed).  Literal order of first occurrence is preserved.
-    """
+def _preprocess_clause(raw: Clause) -> Optional[Clause]:
+    """Dedupe literals; None for a tautology.  Literal order of first
+    occurrence is preserved."""
     seen = set()
     out: Clause = []
-    removed = 0
     for lit in raw:
-        if lit in seen:
-            removed += 1
-            continue
-        seen.add(lit)
-        out.append(lit)
+        if lit not in seen:
+            seen.add(lit)
+            out.append(lit)
     for lit in out:
         if -lit in seen:
-            return None, removed
-    return out, removed
+            return None
+    return out
 
 
 def parse_dimacs(text: str) -> Tuple[CnfFormula, PreprocessReport]:
@@ -171,26 +162,14 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, PreprocessReport]:
 
     clauses: List[Clause] = []
     removed_tautologies: List[int] = []
-    deduped = 0
-    empty_found = False
     for idx, raw in enumerate(raw_clauses, start=1):
-        clause, removed = _preprocess_clause(raw)
-        deduped += removed
+        clause = _preprocess_clause(raw)
         if clause is None:
             removed_tautologies.append(idx)
-            continue
-        if not clause:
-            empty_found = True
-        clauses.append(clause)
-
+        else:
+            clauses.append(clause)
     formula = CnfFormula(num_vars=num_vars, clauses=clauses)
-    report = PreprocessReport(
-        removed_tautologies=tuple(removed_tautologies),
-        deduped_literals=deduped,
-        unused_variables=tuple(unused_variables(formula)),
-        empty_clause_found=empty_found,
-    )
-    return formula, report
+    return formula, PreprocessReport(removed_tautologies=tuple(removed_tautologies))
 
 
 def _canonical_clause(clause: Clause) -> Clause:
@@ -213,11 +192,6 @@ def emit_dimacs(formula: CnfFormula) -> str:
 def used_variables(formula: CnfFormula) -> List[int]:
     """Variables occurring in at least one clause, ascending."""
     return sorted({abs(lit) for clause in formula.clauses for lit in clause})
-
-
-def unused_variables(formula: CnfFormula) -> List[int]:
-    present = set(used_variables(formula))
-    return [v for v in range(1, formula.num_vars + 1) if v not in present]
 
 
 def restrict_to_used(formula: CnfFormula) -> Tuple[CnfFormula, List[int]]:
@@ -299,13 +273,21 @@ def to_decomposition(formula: CnfFormula, *, alpha: str = "neg", ops=None) -> De
     return DecompositionPair.from_rows(n, m, pos_rows, neg_rows)
 
 
-def assignment_from_swaps(swaps, n: int) -> Assignment:
-    """x_i is true exactly when row i was swapped."""
-    swap_set = set(int(i) for i in swaps)
-    for i in swap_set:
-        if not 1 <= i <= n:
-            raise StructuralError(f"swap index {i} outside 1..{n}")
-    return tuple(i in swap_set for i in range(1, n + 1))
+def assignment_from_swaps(swaps, used: List[int], num_vars: int, alpha: str) -> Assignment:
+    """The assignment a swap set of the reduced pair encodes.
+
+    Row r of the pair built by ``to_decomposition(restrict_to_used(f)[0],
+    alpha=alpha)`` stands for variable ``used[r - 1]`` of f.  With
+    ``alpha="neg"`` a swapped row's variable is true, with ``"pos"`` an
+    unswapped one's; variables outside ``used`` are false.
+    """
+    swap_set = set(swaps)
+    for r in swap_set:
+        if not 1 <= r <= len(used):
+            raise StructuralError(f"swap index {r} outside 1..{len(used)}")
+    true_when_swapped = alpha == "neg"
+    value = {v: (r in swap_set) == true_when_swapped for r, v in enumerate(used, start=1)}
+    return tuple(value.get(v, False) for v in range(1, num_vars + 1))
 
 
 def evaluate(formula: CnfFormula, assignment: Sequence[bool]) -> bool:

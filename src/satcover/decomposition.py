@@ -26,8 +26,6 @@ from typing import Iterable, List, Optional
 
 import numpy as np
 
-SwapSet = frozenset  # set of 1-based row indices
-
 
 class StructuralError(ValueError):
     """Raised when matrices, rows, or indices break the structural contract."""
@@ -195,16 +193,13 @@ def column_counts(pair: DecompositionPair, *, ops=None) -> ColumnCounts:
     return ColumnCounts(m_alpha=m_alpha, m_alpha_bar=m_alpha_bar)
 
 
-def as_swap_set(indices: Iterable[int]) -> SwapSet:
-    return frozenset(int(i) for i in indices)
-
-
 def apply_swaps(pair: DecompositionPair, swaps: Iterable[int]) -> DecompositionPair:
-    """Exchange the selected rows between the two matrices.
+    """Exchange the selected rows (1-based; a repeated index counts once)
+    between the two matrices.
 
     Applying the same swap set twice returns the original pair.
     """
-    swap_set = as_swap_set(swaps)
+    swap_set = {int(i) for i in swaps}
     for i in swap_set:
         if not 1 <= i <= pair.n:
             raise StructuralError(f"swap index {i} outside 1..{pair.n}")

@@ -20,21 +20,20 @@ pair itself never changes during a solve.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import List, Optional
+from typing import List, Optional, Set
 
 import numpy as np
 
-from .decomposition import (
-    ColumnCounts,
-    DecompositionPair,
-    StructuralError,
-    column_counts,
-)
+from .decomposition import ColumnCounts, DecompositionPair, StructuralError
 from .instrument import DISABLED_OPS, NO_TRACE
 
 
 class PointingGraph:
     """All bookkeeping for one solve over a fixed decomposition pair.
+
+    ``pair`` and ``counts`` are the pair and its column counts; every
+    procedure reads them from here.  ``tried`` holds the vertices whose
+    removal elimination has attempted, once per whole solve.
 
     Mutable state (vertex ids 1-based, stored 0-based internally):
       vertex_order   formation order of vertices (rows), append-only
@@ -65,11 +64,13 @@ class PointingGraph:
     state the mark was taken in (see ``procedures.StateSnapshot``).
     """
 
-    def __init__(self, pair: DecompositionPair, counts: Optional[ColumnCounts] = None):
+    def __init__(self, pair: DecompositionPair, counts: ColumnCounts):
         n, m = pair.n, pair.m
         self.n = n
         self.m = m
-        self.counts = counts if counts is not None else column_counts(pair)
+        self.pair = pair
+        self.counts = counts
+        self.tried: Set[int] = set()
         self.vertex_order: List[int] = []
         self.formed = np.zeros(n, dtype=bool)
         self.removed = np.zeros(n, dtype=bool)
@@ -104,20 +105,12 @@ class PointingGraph:
 
     # -- read helpers -----------------------------------------------------
 
-    def edge_is_conjunctive(self, column: int) -> bool:
-        """Edges labeled with this column are conjunctive iff it has exactly
-        one 1 in the second matrix."""
-        return self.bar_count[column - 1] == 1
-
     def live(self, vertex: int) -> bool:
         return bool(self.formed[vertex - 1] and not self.removed[vertex - 1])
 
     def live_vertices(self) -> List[int]:
         mask = self.formed & ~self.removed
         return [int(i) + 1 for i in np.nonzero(mask)[0]]
-
-    def live_edge_count(self) -> int:
-        return self.edge_live.count(1)
 
     def live_edges(self) -> List[tuple]:
         """All live edges as (source, target, column), sorted."""
@@ -131,10 +124,6 @@ class PointingGraph:
         out.sort()
         return out
 
-    def outgoing_columns(self, vertex: int) -> List[int]:
-        """Columns this vertex could have created edges for (static)."""
-        return [j0 + 1 for j0 in self.out_cols[vertex - 1]]
-
 
 # ---------------------------------------------------------------------------
 # pure queries
@@ -147,9 +136,7 @@ def single_columns(pair: DecompositionPair, counts: ColumnCounts, i: int) -> Lis
     return [j + 1 for j in pair.alpha_rows[i - 1] if counts.m_alpha[j] == 1]
 
 
-def find_forced_conflict_row(
-    pair: DecompositionPair, counts: Optional[ColumnCounts] = None
-) -> Optional[int]:
+def find_forced_conflict_row(pair: DecompositionPair, counts: ColumnCounts) -> Optional[int]:
     """Find a row that provably must be swapped and must not be swapped.
 
     Row i qualifies when (a) some column is covered only by row i on the
@@ -159,8 +146,6 @@ def find_forced_conflict_row(
     Such a row rules out every covering.  Returns the smallest such row, or
     None.
     """
-    if counts is None:
-        counts = column_counts(pair)
     must_stay = ((counts.m_alpha == 1) & (counts.m_alpha_bar == 0)).tolist()
     must_swap = ((counts.m_alpha == 0) & (counts.m_alpha_bar == 1)).tolist()
     for i, (alpha, bar) in enumerate(zip(pair.alpha_rows, pair.bar_rows)):
@@ -175,7 +160,7 @@ def find_forced_conflict_row(
 
 def find_main_vertices(
     pair: DecompositionPair,
-    counts: Optional[ColumnCounts] = None,
+    counts: ColumnCounts,
     *,
     ops=DISABLED_OPS,
     trace=NO_TRACE,
@@ -186,8 +171,6 @@ def find_main_vertices(
     as it stands); otherwise the initialized graph.  Vertices are appended in
     ascending (column, row) order of first appearance.
     """
-    if counts is None:
-        counts = column_counts(pair)
     ops.cmp(pair.m)
     zero_cols = np.flatnonzero(counts.m_alpha == 0).tolist()
     if not zero_cols:
@@ -211,13 +194,7 @@ def find_main_vertices(
     return graph
 
 
-def construct(
-    graph: PointingGraph,
-    pair: DecompositionPair,
-    *,
-    ops=DISABLED_OPS,
-    trace=NO_TRACE,
-) -> bool:
+def construct(graph: PointingGraph, *, ops=DISABLED_OPS, trace=NO_TRACE) -> bool:
     """Explore formed vertices once each, creating edges and new vertices.
 
     Walks the formation order, skipping vertices already examined or removed.
@@ -245,7 +222,7 @@ def construct(
         ops.assign(1)
         trace.emit("vertex-examined", q)
         singles = g.single_cols[q0]
-        ops.cmp(pair.m)
+        ops.cmp(g.m)
         if not singles:
             g.final[q0] = True
             ops.assign(1)
@@ -260,7 +237,7 @@ def construct(
                 break  # remaining columns of q are not processed
             conjunctive = g.bar_count[j0] == 1
             base = g.edge_base[j0]
-            ops.cmp(pair.n)
+            ops.cmp(g.n)
             for k, r0 in enumerate(g.targets[j0]):
                 r = r0 + 1
                 ops.cmp(1)

@@ -20,14 +20,15 @@ import numpy as np
 
 from .cnf import (
     CnfFormula,
+    assignment_from_swaps,
     emit_dimacs,
     evaluate,
     restrict_to_used,
     to_decomposition,
 )
 from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
-from .decomposition import DecompositionPair, input_length
-from .solver import EngineError, Sat, SolveRun, Unsat, solve_sat
+from .decomposition import DecompositionPair
+from .solver import Sat, SolveRun, Unsat, solve_sat
 
 BRUTE_VAR_LIMIT = 25
 DEFAULT_DPLL_BUDGET = 2_000_000
@@ -38,13 +39,13 @@ DEFAULT_DPLL_BUDGET = 2_000_000
 # ---------------------------------------------------------------------------
 
 def brute_sat(
-    formula: CnfFormula, *, limit_vars: int = BRUTE_VAR_LIMIT, chunk_bits: int = 16
+    formula: CnfFormula, *, limit_vars: int = BRUTE_VAR_LIMIT
 ) -> Tuple[bool, Optional[Tuple[bool, ...]]]:
     """Exhaustive satisfiability check by enumerating all assignments.
 
     Assignments are scanned in ascending bitmask order (bit i-1 holds x_i),
-    so the witness is deterministic.  Refuses formulas above the variable
-    limit.
+    2^16 at a time, so the witness is deterministic.  Refuses formulas above
+    the variable limit.
     """
     n = formula.num_vars
     if n > limit_vars:
@@ -63,7 +64,7 @@ def brute_sat(
             else:
                 neg[j] |= 1 << (-lit - 1)
     total = 1 << n
-    chunk = 1 << min(chunk_bits, n)
+    chunk = 1 << min(16, n)
     for start in range(0, total, chunk):
         block = np.arange(start, min(start + chunk, total), dtype=np.int64)
         alive = np.ones(block.size, dtype=bool)
@@ -78,16 +79,15 @@ def brute_sat(
     return False, None
 
 
-def brute_covering(
-    pair: DecompositionPair, *, limit_rows: int = BRUTE_VAR_LIMIT
-) -> Tuple[bool, Optional[frozenset]]:
+def brute_covering(pair: DecompositionPair) -> Tuple[bool, Optional[frozenset]]:
     """Exhaustive covering check by enumerating all swap sets.
 
     Swap sets are scanned in ascending bitmask order (bit i-1 swaps row i),
-    so the witness is deterministic (the empty set comes first).
+    so the witness is deterministic (the empty set comes first).  Refuses
+    pairs of more than ``BRUTE_VAR_LIMIT`` rows.
     """
-    if pair.n > limit_rows:
-        raise ValueError(f"brute_covering refuses n={pair.n} > {limit_rows}")
+    if pair.n > BRUTE_VAR_LIMIT:
+        raise ValueError(f"brute_covering refuses n={pair.n} > {BRUTE_VAR_LIMIT}")
     alpha_masks = [sum(1 << j for j in row) for row in pair.alpha_rows]
     bar_masks = [sum(1 << j for j in row) for row in pair.bar_rows]
     full = (1 << pair.m) - 1
@@ -370,13 +370,10 @@ def _adjudicate(
     labeled_formulas: Iterable[Tuple[str, CnfFormula]],
     *,
     config: dict,
-    invariant_checks: bool = True,
-    count_ops: bool = True,
-    minimize: bool = True,
     brute_limit: int = BRUTE_VAR_LIMIT,
-    dpll_budget: int = DEFAULT_DPLL_BUDGET,
-    shortcut: bool = False,
 ) -> DifferentialReport:
+    """Engine (ops counted, invariant checks on) against the oracle on every
+    formula; each disagreement is archived with a minimized instance."""
     agreements = 0
     disagreements: List[dict] = []
     gate_failures = 0
@@ -386,23 +383,16 @@ def _adjudicate(
     op_points: List[Tuple[int, int]] = []
 
     def engine_of(f: CnfFormula) -> Tuple[str, SolveRun]:
-        run = solve_sat(
-            f,
-            count_ops=count_ops,
-            invariant_checks=invariant_checks,
-            shortcut=shortcut,
-        )
+        run = solve_sat(f, count_ops=True, invariant_checks=True)
         return _engine_status(run), run
 
     def oracle_of(f: CnfFormula) -> str:
-        return oracle_status(f, brute_limit=brute_limit, dpll_budget=dpll_budget)
+        return oracle_status(f, brute_limit=brute_limit)
 
     for label, formula in labeled_formulas:
         generated += 1
         status, run = engine_of(formula)
-        if count_ops:
-            nnz = sum(len(c) for c in formula.clauses)
-            op_points.append((nnz, run.ops.total))
+        op_points.append((sum(len(c) for c in formula.clauses), run.ops.total))
         if status == "ERROR":
             gate_failures += 1
             engine_errors.append(
@@ -432,22 +422,21 @@ def _adjudicate(
             agreements += 1
             continue
 
-        record = {
-            "label": label,
-            "instance": emit_dimacs(formula),
-            "engine": status,
-            "oracle": oracle,
-        }
-        if minimize:
-            def still_disagrees(f: CnfFormula) -> bool:
-                st, _ = engine_of(f)
-                if st != status:
-                    return False
-                return oracle_of(f) == oracle
+        def still_disagrees(f: CnfFormula) -> bool:
+            st, _ = engine_of(f)
+            if st != status:
+                return False
+            return oracle_of(f) == oracle
 
-            minimized = shrink_disagreement(formula, still_disagrees)
-            record["minimized"] = emit_dimacs(minimized)
-        disagreements.append(record)
+        disagreements.append(
+            {
+                "label": label,
+                "instance": emit_dimacs(formula),
+                "engine": status,
+                "oracle": oracle,
+                "minimized": emit_dimacs(shrink_disagreement(formula, still_disagrees)),
+            }
+        )
 
     total = agreements + len(disagreements) + gate_failures
     return DifferentialReport(
@@ -463,16 +452,7 @@ def _adjudicate(
     )
 
 
-def differential_run(
-    cfg: FuzzConfig,
-    *,
-    invariant_checks: bool = True,
-    count_ops: bool = True,
-    minimize: bool = True,
-    brute_limit: int = BRUTE_VAR_LIMIT,
-    dpll_budget: int = DEFAULT_DPLL_BUDGET,
-    shortcut: bool = False,
-) -> DifferentialReport:
+def differential_run(cfg: FuzzConfig, *, brute_limit: int = BRUTE_VAR_LIMIT) -> DifferentialReport:
     """Engine vs oracle over the seeded corpus described by ``cfg``."""
 
     def corpus():
@@ -482,12 +462,7 @@ def differential_run(
     return _adjudicate(
         corpus(),
         config={"mode": "fuzz", **cfg.as_dict()},
-        invariant_checks=invariant_checks,
-        count_ops=count_ops,
-        minimize=minimize,
         brute_limit=brute_limit,
-        dpll_budget=dpll_budget,
-        shortcut=shortcut,
     )
 
 
@@ -508,25 +483,13 @@ def exhaustive_reduction_check(max_n: int = 3, max_m: int = 4, max_width: int = 
         if sat != covered:
             return False
         if covered:
-            true_vars = {used[r - 1] for r in swaps}
-            assignment = tuple(
-                v in true_vars for v in range(1, formula.num_vars + 1)
-            )
+            assignment = assignment_from_swaps(swaps, used, formula.num_vars, "neg")
             if not evaluate(formula, assignment):
                 return False
     return True
 
 
-def diff_exhaustive(
-    max_n: int = 3,
-    max_m: int = 4,
-    max_width: int = 3,
-    *,
-    invariant_checks: bool = True,
-    count_ops: bool = True,
-    minimize: bool = True,
-    shortcut: bool = False,
-) -> DifferentialReport:
+def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> DifferentialReport:
     """Engine vs brute force over the full bounded formula space."""
 
     def corpus():
@@ -541,10 +504,6 @@ def diff_exhaustive(
             "max_m": max_m,
             "max_width": max_width,
         },
-        invariant_checks=invariant_checks,
-        count_ops=count_ops,
-        minimize=minimize,
-        shortcut=shortcut,
     )
     report.extra["reduction_check_passed"] = exhaustive_reduction_check(
         max_n, max_m, max_width
@@ -573,7 +532,6 @@ def complexity_probe(
     seed: int = 2024,
     instances_per_size: int = 2,
     width: int = 3,
-    invariant_checks: bool = False,
 ) -> dict:
     """Solve planted instances of increasing total length, counting operations.
 
@@ -595,7 +553,7 @@ def complexity_probe(
         for index in range(instances_per_size):
             formula = random_cnf(cfg, index)
             start = time.perf_counter()
-            run = solve_sat(formula, count_ops=True, invariant_checks=invariant_checks)
+            run = solve_sat(formula, count_ops=True)
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             nnz = sum(len(c) for c in formula.clauses)
             rows.append(

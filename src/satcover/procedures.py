@@ -44,9 +44,6 @@ class ExtensionPlan:
     new_main_vertices: List[int]
     columns: List[int]  # parallel to new_main_vertices
 
-    def entries(self):
-        return list(zip(self.new_main_vertices, self.columns))
-
 
 @dataclass(frozen=True)
 class Eliminated:
@@ -116,12 +113,7 @@ class StateSnapshot:
 # ---------------------------------------------------------------------------
 
 def removal_procedure(
-    graph: PointingGraph,
-    pair: DecompositionPair,
-    start_vertex: int,
-    *,
-    ops=DISABLED_OPS,
-    trace=NO_TRACE,
+    graph: PointingGraph, start_vertex: int, *, ops=DISABLED_OPS, trace=NO_TRACE
 ) -> RemovalOutcome:
     """Try to remove a live vertex together with its dependent cascade.
 
@@ -275,7 +267,6 @@ def removal_procedure(
 
 def clean(
     graph: PointingGraph,
-    pair: DecompositionPair,
     *,
     order: Optional[List[int]] = None,
     ops=DISABLED_OPS,
@@ -308,7 +299,7 @@ def clean(
         snap = StateSnapshot.capture(graph)
         ops.assign(snap.cell_count())
         trace.emit("snapshot")
-        outcome = removal_procedure(graph, pair, v, ops=ops, trace=trace)
+        outcome = removal_procedure(graph, v, ops=ops, trace=trace)
         if not outcome.removable:
             snap.restore(graph)
             ops.assign(snap.cell_count())
@@ -334,26 +325,19 @@ def _swap_rows(counts: np.ndarray, pair: DecompositionPair, rows, sign: int) -> 
             counts[j] += sign
 
 
-def swapped_alpha_counts(graph: PointingGraph, pair: DecompositionPair) -> np.ndarray:
+def swapped_alpha_counts(graph: PointingGraph) -> np.ndarray:
     """Column counts of sm_alpha after swapping every live vertex row."""
     counts = graph.counts.m_alpha.copy()
-    _swap_rows(counts, pair, np.flatnonzero(graph.formed & ~graph.removed).tolist(), 1)
+    _swap_rows(counts, graph.pair, np.flatnonzero(graph.formed & ~graph.removed).tolist(), 1)
     return counts
 
 
-def eliminate_incompatibilities(
-    graph: PointingGraph,
-    pair: DecompositionPair,
-    *,
-    tried: Optional[Set[int]] = None,
-    ops=DISABLED_OPS,
-    trace=NO_TRACE,
-):
+def eliminate_incompatibilities(graph: PointingGraph, *, ops=DISABLED_OPS, trace=NO_TRACE):
     """Scan columns ascending and resolve each incompatible set in turn.
 
     For the members of a set, the removal cascade is attempted under a
-    snapshot, each vertex at most once per whole solve (the tried marks
-    persist across restores and across calls via the ``tried`` argument).
+    snapshot, each vertex at most once per whole solve (the marks in
+    ``graph.tried`` persist across restores and across calls).
     The first removable member commits its cascade and the scan restarts from
     the first column with a cleared extension plan.  When no member is
     removable, the snapshot is restored and never-formed rows able to cover
@@ -367,12 +351,11 @@ def eliminate_incompatibilities(
     stop being swapped, so their alpha rows come back and their second rows
     go.
     """
-    if tried is None:
-        tried = set()
+    pair, tried = graph.pair, graph.tried
     plan_rows: List[int] = []
     plan_cols: List[int] = []
     planned: Set[tuple] = set()
-    swapped = swapped_alpha_counts(graph, pair)
+    swapped = swapped_alpha_counts(graph)
     formed, removed = graph.formed, graph.removed
     while True:
         ops.cmp(graph.m)
@@ -396,7 +379,7 @@ def eliminate_incompatibilities(
                     snap = StateSnapshot.capture(graph)
                     ops.assign(snap.cell_count())
                     trace.emit("snapshot")
-                outcome = removal_procedure(graph, pair, r, ops=ops, trace=trace)
+                outcome = removal_procedure(graph, r, ops=ops, trace=trace)
                 if outcome.removable:
                     snap.commit(graph)
                     committed = r
@@ -437,14 +420,7 @@ def eliminate_incompatibilities(
 # extension
 # ---------------------------------------------------------------------------
 
-def extend(
-    graph: PointingGraph,
-    pair: DecompositionPair,
-    plan: ExtensionPlan,
-    *,
-    ops=DISABLED_OPS,
-    trace=NO_TRACE,
-) -> None:
+def extend(graph: PointingGraph, plan: ExtensionPlan, *, ops=DISABLED_OPS, trace=NO_TRACE) -> None:
     """Form the planned rows as additional main vertices.
 
     Every planned row must be unformed (removed rows never come back).  A
@@ -472,7 +448,7 @@ def extend(
         graph.main[p0] = True
         graph.vertex_order.append(p)
         ops.assign(3)
-        second = set(pair.bar_rows[p0])
+        second = set(graph.pair.bar_rows[p0])
         assoc = [c for c in cols if c - 1 in second]
         for c in assoc:
             graph.main_columns[p0].append(c)

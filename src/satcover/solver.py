@@ -11,13 +11,12 @@ error and never reported as satisfiable.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cnf import CnfFormula, evaluate, restrict_to_used, to_decomposition
+from .cnf import CnfFormula, assignment_from_swaps, evaluate, restrict_to_used, to_decomposition
 from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .decomposition import (
     DecompositionPair,
@@ -33,7 +32,7 @@ from .graph import (
     find_forced_conflict_row,
     find_main_vertices,
 )
-from .instrument import DISABLED_OPS, NO_TRACE, OpCounter, Trace
+from .instrument import DISABLED_OPS, OpCounter, Trace
 from .procedures import (
     Eliminated,
     NeedsExtension,
@@ -115,7 +114,7 @@ class SolveRun:
 # invariant checks (optional, used by the harness)
 # ---------------------------------------------------------------------------
 
-def _check_graph_invariants(graph, pair) -> None:
+def _check_graph_invariants(graph) -> None:
     g = graph
     edges = g.live_edges()
     if len(edges) > (g.n - 1) * g.m:
@@ -156,13 +155,6 @@ def _run_covering(
     shortcut: bool,
     invariant_checks: bool,
 ):
-    report = validate(pair)
-    if not report.ok:
-        first = report.violations[0]
-        raise StructuralError(
-            f"invalid decomposition: {first.condition} at row={first.row} column={first.column}"
-            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else "")
-        )
     counts = column_counts(pair, ops=ops)
     if shortcut:
         hit = find_forced_conflict_row(pair, counts)
@@ -178,21 +170,20 @@ def _run_covering(
         trace.emit("verdict", 0, 0)
         return CoveringFound(frozenset()), 0
 
-    tried: Set[int] = set()
     extensions = 0
     while True:
-        construct(graph, pair, ops=ops, trace=trace)
+        construct(graph, ops=ops, trace=trace)
         if invariant_checks:
-            _check_graph_invariants(graph, pair)
-        blocking = clean(graph, pair, ops=ops, trace=trace)
+            _check_graph_invariants(graph)
+        blocking = clean(graph, ops=ops, trace=trace)
         if invariant_checks:
-            _check_graph_invariants(graph, pair)
+            _check_graph_invariants(graph)
         if blocking is not None:
             trace.emit("verdict", 1, blocking)
             return NoCovering(Reason(NON_REMOVABLE_USELESS_VERTEX, blocking)), extensions
-        result = eliminate_incompatibilities(graph, pair, tried=tried, ops=ops, trace=trace)
+        result = eliminate_incompatibilities(graph, ops=ops, trace=trace)
         if invariant_checks:
-            _check_graph_invariants(graph, pair)
+            _check_graph_invariants(graph)
         if isinstance(result, Unreachable):
             trace.emit("verdict", 1, result.column)
             return NoCovering(Reason(UNREACHABLE_COLUMN, result.column)), extensions
@@ -206,7 +197,7 @@ def _run_covering(
         extensions += 1
         if extensions > pair.n:
             raise EngineInvariantError(f"extension count exceeded n={pair.n}")
-        extend(graph, pair, result.plan, ops=ops, trace=trace)
+        extend(graph, result.plan, ops=ops, trace=trace)
 
 
 def solve_covering(
@@ -220,8 +211,16 @@ def solve_covering(
 
     Returns a run whose verdict is CoveringFound (with the swap set, verified
     against the covering check before return) or NoCovering with a reason.
-    Internal contract violations raise EngineInvariantError.
+    A pair that breaks a decomposition condition raises StructuralError;
+    internal contract violations raise EngineInvariantError.
     """
+    report = validate(pair)
+    if not report.ok:
+        first = report.violations[0]
+        raise StructuralError(
+            f"invalid decomposition: {first.condition} at row={first.row} column={first.column}"
+            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else "")
+        )
     ops = OpCounter() if count_ops else DISABLED_OPS
     trace = Trace(ops)
     verdict, extensions = _run_covering(
@@ -280,12 +279,7 @@ def solve_sat(
         return SolveRun(EngineError(str(exc)), ops, trace, 0)
 
     if isinstance(verdict, CoveringFound):
-        if alpha == "neg":
-            true_vars = {used[r - 1] for r in verdict.swaps}
-        else:
-            swapped = set(verdict.swaps)
-            true_vars = {used[r - 1] for r in range(1, len(used) + 1) if r not in swapped}
-        assignment = tuple(v in true_vars for v in range(1, formula.num_vars + 1))
+        assignment = assignment_from_swaps(verdict.swaps, used, formula.num_vars, alpha)
         if not evaluate(formula, assignment):
             return SolveRun(
                 EngineError("covering produced a non-satisfying assignment"),
@@ -381,10 +375,3 @@ def build_covering_report(
 def report_json(report: dict) -> str:
     """Canonical serialization: sorted keys, compact separators."""
     return json.dumps(report, sort_keys=True, separators=(",", ":"))
-
-
-def timed_solve_sat(formula: CnfFormula, instance: str, **kwargs) -> Tuple[SolveRun, dict]:
-    start = time.perf_counter()
-    run = solve_sat(formula, **kwargs)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return run, build_sat_report(instance, formula, run, elapsed_ms=round(elapsed, 3))

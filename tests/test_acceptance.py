@@ -191,7 +191,7 @@ def _build_graph(formula):
     graph = find_main_vertices(pair, column_counts(pair), ops=DISABLED_OPS, trace=NO_TRACE)
     if graph is None:
         return None, None
-    construct(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+    construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
     return pair, graph
 
 
@@ -213,12 +213,12 @@ def _same_state(a, b) -> bool:
     return a == b
 
 
-def _round_trip_exact(graph, pair, vertex):
+def _round_trip_exact(graph, vertex):
     """(state restored exactly, cascade removable) for one snapshot, cascade
     from ``vertex`` and restore."""
     before = copy.deepcopy(vars(graph))
     snap = StateSnapshot.capture(graph)
-    outcome = removal_procedure(graph, pair, vertex, ops=DISABLED_OPS, trace=NO_TRACE)
+    outcome = removal_procedure(graph, vertex, ops=DISABLED_OPS, trace=NO_TRACE)
     snap.restore(graph)
     after = vars(graph)
     exact = before.keys() == after.keys() and all(
@@ -247,14 +247,14 @@ def test_criterion_04_structural_invariants(fuzz_reports):
         live = graph.live_vertices()
         if not live:
             continue
-        exact, removable = _round_trip_exact(graph, pair, live[0])
+        exact, removable = _round_trip_exact(graph, live[0])
         if exact and removable:
             snap = StateSnapshot.capture(graph)
-            removal_procedure(graph, pair, live[0], ops=DISABLED_OPS, trace=NO_TRACE)
+            removal_procedure(graph, live[0], ops=DISABLED_OPS, trace=NO_TRACE)
             snap.commit(graph)
             rest = graph.live_vertices()
             if rest:
-                exact, _ = _round_trip_exact(graph, pair, rest[0])
+                exact, _ = _round_trip_exact(graph, rest[0])
                 after_commit += 1
         if not exact:
             ok = False
@@ -330,7 +330,7 @@ def test_criterion_05_cleaning_order_independence():
         for perm in itertools.islice(itertools.permutations(live_useless), 24):
             pair2, graph2 = _build_graph(formula)
             blocking = clean(
-                graph2, pair2, order=list(perm), ops=DISABLED_OPS, trace=NO_TRACE
+                graph2, order=list(perm), ops=DISABLED_OPS, trace=NO_TRACE
             )
             outcomes.append(
                 (

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, output formats, file round-trips."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,23 @@ class TestDecompFormat:
         with pytest.raises(ParseError):
             parse_decomp(text)
 
+    def test_header_does_not_size_the_work(self, tmp_path, capsys):
+        # the header promises 10^9 rows that the file does not hold: the
+        # parser fails on the first missing row without allocating for n
+        text = "1000000000 1\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as info:
+                parse_decomp(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert info.value.line == 2
+        assert peak < 1_000_000
+        path = write(tmp_path, "huge.decomp", text)
+        assert main(["covering", path]) == 2
+        assert capsys.readouterr().err == "error: line 2: expected 1 characters, got 0\n"
+
     def test_emit_fixture(self):
         pair = parse_decomp(E1_DECOMP)
         assert emit_decomp(pair) == E1_DECOMP
@@ -256,3 +274,19 @@ class TestHarnessCommands:
     def test_probe_bad_sizes(self, capsys):
         assert main(["probe", "--sizes", "zero"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--sizes", "1e400"],
+            ["--width", "0"],
+            ["--width", "-2"],
+            ["--instances-per-size", "0"],
+        ],
+        ids=["overflowing-size", "zero-width", "negative-width", "no-instances"],
+    )
+    def test_probe_bad_arguments_are_input_errors(self, argv, capsys):
+        assert main(["probe", "--sizes", "50"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""

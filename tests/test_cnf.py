@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satcover import (
     CnfFormula,
@@ -16,7 +17,8 @@ from satcover import (
     to_decomposition,
     to_matrix,
 )
-from satcover.cnf import CnfMatrix, unused_variables, used_variables
+from satcover.cnf import CnfMatrix, used_variables
+from satcover.decomposition import validate
 
 from conftest import formulas, naive_input_length
 from satcover import input_length
@@ -28,8 +30,6 @@ class TestParse:
         assert formula.num_vars == 2
         assert formula.clauses == [[-1, 2], [1]]
         assert report.removed_tautologies == ()
-        assert report.deduped_literals == 0
-        assert not report.empty_clause_found
 
     def test_comments_and_blank_lines(self):
         text = "c a comment\n\np cnf 2 1\nc another\n1 -2 0\n"
@@ -50,18 +50,12 @@ class TestParse:
         assert report.removed_tautologies == (1,)
 
     def test_duplicate_literal_deduped(self):
-        formula, report = parse_dimacs("p cnf 2 1\n1 1 -2 0\n")
+        formula, _ = parse_dimacs("p cnf 2 1\n1 1 -2 0\n")
         assert formula.clauses == [[1, -2]]
-        assert report.deduped_literals == 1
 
     def test_empty_clause_retained(self):
-        formula, report = parse_dimacs("p cnf 1 2\n1 0\n0\n")
+        formula, _ = parse_dimacs("p cnf 1 2\n1 0\n0\n")
         assert formula.clauses == [[1], []]
-        assert report.empty_clause_found
-
-    def test_unused_variables_reported(self):
-        _, report = parse_dimacs("p cnf 3 1\n2 0\n")
-        assert report.unused_variables == (1, 3)
 
     def test_unterminated_final_clause_accepted(self):
         formula, _ = parse_dimacs("p cnf 2 2\n1 0\n-1 2\n")
@@ -128,7 +122,6 @@ class TestUsedVariables:
     def test_used_and_unused(self):
         formula = CnfFormula(5, [[-4, 2]])
         assert used_variables(formula) == [2, 4]
-        assert unused_variables(formula) == [1, 3, 5]
 
     def test_restrict_to_used(self):
         formula = CnfFormula(5, [[-4, 2]])
@@ -169,7 +162,25 @@ class TestMatrix:
             to_decomposition(CnfFormula(2, [[1, -1]]))
 
 
+@st.composite
+def raw_formulas(draw):
+    """Non-empty formulas of non-empty clauses whose literals are drawn with
+    replacement, so a clause may repeat a literal or hold both signs."""
+    n = draw(st.integers(1, 6))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clause = st.lists(literal, min_size=1, max_size=6)
+    return CnfFormula(n, draw(st.lists(clause, min_size=1, max_size=8)))
+
+
 class TestToDecomposition:
+    @given(raw_formulas())
+    @settings(max_examples=200, deadline=None)
+    def test_output_is_a_valid_decomposition(self, formula):
+        # solve_sat relies on this and does not validate the pair it builds
+        sub, _ = restrict_to_used(formula)
+        for alpha in ("neg", "pos"):
+            assert validate(to_decomposition(sub, alpha=alpha)).ok
+
     def test_neg_orientation(self, e1):
         pair = to_decomposition(e1)
         assert pair.sm_alpha.tolist() == [[1, 0], [0, 0]]
@@ -234,9 +245,16 @@ class TestEvaluate:
 
 class TestAssignmentFromSwaps:
     def test_basic(self):
-        assert assignment_from_swaps({1}, 3) == (True, False, False)
-        assert assignment_from_swaps(set(), 2) == (False, False)
+        assert assignment_from_swaps({1}, [1, 2, 3], 3, "neg") == (True, False, False)
+        assert assignment_from_swaps(set(), [1, 2], 2, "neg") == (False, False)
+
+    def test_rows_map_through_used_variables(self):
+        # rows 1 and 2 stand for x2 and x4; x1, x3 and x5 stay false
+        assert assignment_from_swaps({2}, [2, 4], 5, "neg") == (False, False, False, True, False)
+        assert assignment_from_swaps({2}, [2, 4], 5, "pos") == (False, True, False, False, False)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(StructuralError):
-            assignment_from_swaps({4}, 3)
+            assignment_from_swaps({4}, [1, 2, 3], 3, "neg")
+        with pytest.raises(StructuralError):
+            assignment_from_swaps({0}, [1, 2, 3], 3, "neg")

@@ -14,7 +14,7 @@ from satcover import (
     is_alpha_covering,
     validate,
 )
-from satcover.decomposition import Violation, as_swap_set
+from satcover.decomposition import Violation
 
 from conftest import decomposition_pairs, naive_column_counts, naive_input_length
 
@@ -131,6 +131,8 @@ class TestSwaps:
         swapped = apply_swaps(e1_pair, {1})
         assert swapped.sm_alpha.tolist() == [[0, 1], [0, 0]]
         assert swapped.sm_alpha_bar.tolist() == [[1, 0], [1, 0]]
+        # a repeated index counts once: it does not swap the row back
+        assert apply_swaps(e1_pair, [1, 1]) == swapped
 
     def test_empty_swap_is_identity(self, e1_pair):
         assert apply_swaps(e1_pair, set()) == e1_pair
@@ -146,9 +148,6 @@ class TestSwaps:
     def test_involution(self, pair):
         swaps = set(range(1, pair.n + 1, 2))
         assert apply_swaps(apply_swaps(pair, swaps), swaps) == pair
-
-    def test_as_swap_set(self):
-        assert as_swap_set([3, 1, 1]) == frozenset({1, 3})
 
 
 class TestCoveringCheck:

@@ -27,9 +27,7 @@ from conftest import E5_TEXT, formulas, pair_of
 
 def build(text: str, trace=NO_TRACE):
     pair = pair_of(text)
-    counts = column_counts(pair)
-    graph = find_main_vertices(pair, counts, ops=DISABLED_OPS, trace=trace)
-    return pair, counts, graph
+    return find_main_vertices(pair, column_counts(pair), ops=DISABLED_OPS, trace=trace)
 
 
 class TestFindMainVertices:
@@ -58,7 +56,7 @@ class TestFindMainVertices:
 
     def test_multi_column_main_vertex(self):
         # x1 is the only positive literal of both all-positive clauses
-        pair, _, graph = build("p cnf 2 3\n1 0\n1 0\n-1 -2 0\n")
+        graph = build("p cnf 2 3\n1 0\n1 0\n-1 -2 0\n")
         assert graph.main_columns[0] == [1, 2]
         assert graph.multiplicity.tolist() == [1, 1, 0]
 
@@ -96,10 +94,10 @@ class TestSingleColumns:
 
 class TestConstruct:
     def test_e1_conjunctive_edge(self, e1_pair):
-        pair, counts, graph = build("p cnf 2 2\n-1 2 0\n1 0\n")
-        construct(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = build("p cnf 2 2\n-1 2 0\n1 0\n")
+        construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.live_edges() == [(1, 2, 1)]
-        assert graph.edge_is_conjunctive(1)
+        assert graph.bar_count[0] == 1  # conjunctive: one row can re-cover column 1
         assert graph.indegree.tolist() == [0, 1]
         assert graph.formed.tolist() == [True, True]
         assert graph.final.tolist() == [False, True]
@@ -107,10 +105,10 @@ class TestConstruct:
         assert graph.live_targets == [1, 0]
 
     def test_e5_disjunctive_fan_out(self):
-        pair, counts, graph = build(E5_TEXT)
-        construct(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = build(E5_TEXT)
+        construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.live_edges() == [(1, 2, 2), (1, 3, 2)]
-        assert not graph.edge_is_conjunctive(2)
+        assert graph.bar_count[1] == 2  # disjunctive: two rows can re-cover column 2
         assert graph.live_targets == [0, 2]
         assert graph.indegree.tolist() == [0, 1, 1]
         # row 3 was formed by the edge, not as a main vertex
@@ -119,29 +117,29 @@ class TestConstruct:
         assert graph.final.tolist() == [False, True, True]
 
     def test_e2_useless_vertex(self, e2_pair):
-        pair, counts, graph = build("p cnf 1 2\n1 0\n-1 0\n")
-        construct(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = build("p cnf 1 2\n1 0\n-1 0\n")
+        construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.useless.tolist() == [True]
         assert graph.live_edges() == []
 
     def test_vertices_examined_once(self):
-        pair, counts, graph = build(E5_TEXT)
+        graph = build(E5_TEXT)
         ops = OpCounter()
         trace = Trace(ops)
-        added = construct(graph, pair, ops=ops, trace=trace)
+        added = construct(graph, ops=ops, trace=trace)
         examined = [e for e in trace.kinds() if e == "vertex-examined"]
         assert len(examined) == 3
         # a second pass finds nothing new and examines nobody again
         trace2 = Trace(ops)
-        added2 = construct(graph, pair, ops=ops, trace=trace2)
+        added2 = construct(graph, ops=ops, trace=trace2)
         assert not added2
         assert "vertex-examined" not in trace2.kinds()
 
     def test_outgoing_columns(self):
-        pair, counts, graph = build(E5_TEXT)
-        construct(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
-        assert graph.outgoing_columns(1) == [2]
-        assert graph.outgoing_columns(2) == []
+        graph = build(E5_TEXT)
+        construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        # 0-based labels of the edges each row could create
+        assert graph.out_cols == [[1], [], []]
 
     @given(formulas(max_vars=5, max_clauses=6))
     @settings(max_examples=80, deadline=None)
@@ -156,8 +154,8 @@ class TestConstruct:
         graph = find_main_vertices(pair, counts, ops=DISABLED_OPS, trace=NO_TRACE)
         if graph is None:
             return
-        construct(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
-        _check_graph_invariants(graph, pair)
+        construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        _check_graph_invariants(graph)
         # every live edge leaves a column-single vertex and lands on a
         # row whose complement side holds that column
         for src, tgt, col in graph.live_edges():
@@ -169,9 +167,9 @@ class TestConstruct:
 
 class TestShortcuts:
     def test_forced_conflict_row(self, e1_pair, e2_pair, e3_pair):
-        assert find_forced_conflict_row(e1_pair) is None
-        assert find_forced_conflict_row(e2_pair) == 1
-        assert find_forced_conflict_row(e3_pair) is None
+        assert find_forced_conflict_row(e1_pair, column_counts(e1_pair)) is None
+        assert find_forced_conflict_row(e2_pair, column_counts(e2_pair)) == 1
+        assert find_forced_conflict_row(e3_pair, column_counts(e3_pair)) is None
 
     def test_forced_conflict_needs_both_halves(self, e1_pair):
         # E1 row 1 is alone on column 1's alpha side and on column 2's
@@ -179,17 +177,17 @@ class TestShortcuts:
         counts = column_counts(e1_pair)
         assert single_columns(e1_pair, counts, 1) == [1]
         assert e1_pair.sm_alpha_bar[:, 1].tolist() == [1, 0]
-        assert find_forced_conflict_row(e1_pair) is None
+        assert find_forced_conflict_row(e1_pair, column_counts(e1_pair)) is None
         # row 1 alone covers column 1 (nothing can re-cover it) and alone
         # can cover column 2 (nothing covers it unswapped)
         both = DecompositionPair([[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0]])
-        assert find_forced_conflict_row(both) == 1
+        assert find_forced_conflict_row(both, column_counts(both)) == 1
         # once row 2 covers column 2 on the alpha side, row 1 need not swap
         stay_only = DecompositionPair([[1, 0, 0], [0, 1, 1]], [[0, 1, 0], [0, 0, 0]])
-        assert find_forced_conflict_row(stay_only) is None
+        assert find_forced_conflict_row(stay_only, column_counts(stay_only)) is None
         # once row 2 can re-cover column 1, row 1 may swap
         swap_only = DecompositionPair([[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0]])
-        assert find_forced_conflict_row(swap_only) is None
+        assert find_forced_conflict_row(swap_only, column_counts(swap_only)) is None
 
 
 def _cells(value) -> int:
@@ -216,10 +214,10 @@ class TestStateSize:
         pair = to_decomposition(sub)
         n, m = pair.n, pair.m
         assert (n, m) == (200, 800)
-        graph = find_main_vertices(pair)
-        construct(graph, pair)
-        if clean(graph, pair) is None:
-            eliminate_incompatibilities(graph, pair)
-        assert graph.live_edge_count() > 0
+        graph = find_main_vertices(pair, column_counts(pair))
+        construct(graph)
+        if clean(graph) is None:
+            eliminate_incompatibilities(graph)
+        assert graph.live_edges()
         sizes = {name: _cells(value) for name, value in vars(graph).items()}
         assert max(sizes.values()) < n * n, sizes

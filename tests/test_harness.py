@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from satcover import (
     CnfFormula,
     FuzzConfig,
+    Unsat,
     brute_covering,
     brute_sat,
     complexity_probe,
@@ -368,9 +369,20 @@ class TestDiffExhaustive:
         assert report.total == 44
 
     def test_engine_incompleteness_is_reported_not_fatal(self):
-        # the (3, 3, 3)-bounded space already contains false negatives;
-        # they land in disagreements while the gate stays clean
-        report = diff_exhaustive(3, 3, 3, minimize=False)
+        # the (3, 4, 2)-bounded space holds false negatives such as
+        # (x2)(x1 v x3)(-x1 v -x3)(-x2 v -x3), which the (3, 3, 3) space does
+        # not: they land in disagreements, each with a minimized instance that
+        # still disagrees, while the gate stays clean
+        from satcover import solve_sat
+
+        report = diff_exhaustive(3, 4, 2)
+        assert report.disagreements
+        for item in report.disagreements:
+            assert (item["engine"], item["oracle"]) == ("UNSAT", "SAT")
+            mini, _ = parse_dimacs(item["minimized"])
+            assert isinstance(solve_sat(mini).verdict, Unsat)
+            assert oracle_status(mini) == "SAT"
+        assert report.total == report.agreements + len(report.disagreements)
         assert report.gate_failures == 0
         assert report.extra["reduction_check_passed"]
 

@@ -37,15 +37,15 @@ from conftest import E4_TEXT, E5_TEXT, formulas, pair_of
 def built(text: str):
     pair = pair_of(text)
     graph = find_main_vertices(pair, column_counts(pair), ops=DISABLED_OPS, trace=NO_TRACE)
-    construct(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
-    return pair, graph
+    construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+    return graph
 
 
 class TestSnapshot:
     def test_capture_restore_round_trip(self):
-        pair, graph = built(E5_TEXT)
+        graph = built(E5_TEXT)
         snap = StateSnapshot.capture(graph)
-        removal_procedure(graph, pair, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.removed.any()
         snap.restore(graph)
         assert not graph.removed.any()
@@ -54,25 +54,25 @@ class TestSnapshot:
         assert graph.indegree.tolist() == [0, 1, 1]
 
     def test_restore_is_independent_of_later_mutation(self):
-        pair, graph = built(E5_TEXT)
+        graph = built(E5_TEXT)
         snap = StateSnapshot.capture(graph)
         before = {
             "order": list(graph.vertex_order),
             "edges": graph.live_edges(),
         }
-        removal_procedure(graph, pair, 3, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 3, ops=DISABLED_OPS, trace=NO_TRACE)
         snap.restore(graph)
         assert graph.vertex_order == before["order"]
         assert graph.live_edges() == before["edges"]
 
     def test_restore_empties_the_trail_and_commit_drops_it(self):
-        pair, graph = built(E5_TEXT)
+        graph = built(E5_TEXT)
         snap = StateSnapshot.capture(graph)
-        removal_procedure(graph, pair, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
         assert len(graph.trail) > snap.mark
         snap.restore(graph)
         assert len(graph.trail) == snap.mark
-        removal_procedure(graph, pair, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
         snap.commit(graph)
         assert len(graph.trail) == snap.mark
         assert graph.live_vertices() == [1, 3]
@@ -81,27 +81,27 @@ class TestSnapshot:
         # what a copy of every mutable field of the former dense state held:
         # the vertex order, the main-column lists, six flag arrays, indegree,
         # multiplicity, and n x n, m x n and n x m edge arrays
-        pair, graph = built(E5_TEXT)
+        graph = built(E5_TEXT)
         n, m = graph.n, graph.m
         main_entries = sum(len(cols) for cols in graph.main_columns)
         expected = len(graph.vertex_order) + main_entries + 7 * n + m + n * n + 2 * n * m
         assert graph.main_column_total == main_entries
         assert StateSnapshot.capture(graph).cell_count() == expected
-        removal_procedure(graph, pair, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
         assert StateSnapshot.capture(graph).cell_count() == expected
 
 
 class TestRemovalProcedure:
     def test_blocked_by_last_main_vertex(self):
-        pair, graph = built("p cnf 2 2\n-1 2 0\n1 0\n")
-        outcome = removal_procedure(graph, pair, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = built("p cnf 2 2\n-1 2 0\n1 0\n")
+        outcome = removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
         assert not outcome.removable
         # the conjunctive ancestor chain reached the main vertex before failing
         assert outcome.removed_vertices == (2, 1)
 
     def test_removal_with_disjunctive_siblings_succeeds(self):
-        pair, graph = built(E5_TEXT)
-        outcome = removal_procedure(graph, pair, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = built(E5_TEXT)
+        outcome = removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
         assert outcome.removable
         assert outcome.removed_vertices == (2,)
         assert graph.live_edges() == [(1, 3, 2)]
@@ -111,71 +111,71 @@ class TestRemovalProcedure:
     def test_last_disjunctive_edge_recruits_ancestor(self):
         # removing vertex 3 leaves vertex 1 with one disjunctive edge on the
         # column, so removing 2 afterwards must cascade into vertex 1
-        pair, graph = built(E5_TEXT)
-        removal_procedure(graph, pair, 3, ops=DISABLED_OPS, trace=NO_TRACE)
-        outcome = removal_procedure(graph, pair, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = built(E5_TEXT)
+        removal_procedure(graph, 3, ops=DISABLED_OPS, trace=NO_TRACE)
+        outcome = removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
         assert not outcome.removable  # cascade hits main vertex 1 then 2' mult
         assert 1 in outcome.removed_vertices
 
     def test_generation_removal_on_indegree_zero(self):
         # main v1 points at v3 conjunctively; v3 has no other support, so
         # removing v1 sweeps v3 in the generation phase
-        pair, graph = built("p cnf 3 2\n1 2 0\n-1 3 0\n")
-        outcome = removal_procedure(graph, pair, 1, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = built("p cnf 3 2\n1 2 0\n-1 3 0\n")
+        outcome = removal_procedure(graph, 1, ops=DISABLED_OPS, trace=NO_TRACE)
         assert outcome.removable
         assert outcome.removed_vertices == (1, 3)
         assert graph.live_edges() == []
 
     def test_dead_start_vertex_rejected(self):
-        pair, graph = built(E5_TEXT)
-        removal_procedure(graph, pair, 3, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = built(E5_TEXT)
+        removal_procedure(graph, 3, ops=DISABLED_OPS, trace=NO_TRACE)
         with pytest.raises(StructuralError):
-            removal_procedure(graph, pair, 3, ops=DISABLED_OPS, trace=NO_TRACE)
+            removal_procedure(graph, 3, ops=DISABLED_OPS, trace=NO_TRACE)
 
     def test_no_vertex_removed_twice(self):
-        pair, graph = built(E4_TEXT)
+        graph = built(E4_TEXT)
         ops = OpCounter()
         trace = Trace(ops)
-        removal_procedure(graph, pair, 1, ops=ops, trace=trace)
+        removal_procedure(graph, 1, ops=ops, trace=trace)
         removed = [e[1][0] for e in trace.events_without_readings() if e[0] == "vertex-removed"]
         assert len(removed) == len(set(removed))
 
 
 class TestClean:
     def test_e2_blocked(self):
-        pair, graph = built("p cnf 1 2\n1 0\n-1 0\n")
-        blocking = clean(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = built("p cnf 1 2\n1 0\n-1 0\n")
+        blocking = clean(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert blocking == 1
         # failed attempt restored: the vertex is still live
         assert graph.live(1)
 
     def test_no_useless_vertices_is_a_no_op(self):
-        pair, graph = built(E5_TEXT)
-        assert clean(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE) is None
+        graph = built(E5_TEXT)
+        assert clean(graph, ops=DISABLED_OPS, trace=NO_TRACE) is None
         assert graph.live_vertices() == [1, 2, 3]
 
     def test_removes_useless_vertex(self):
         # v2 is useless (negative unit on x2) and removable (column 1 keeps v1)
-        pair, graph = built("p cnf 2 2\n1 2 0\n-2 0\n")
+        graph = built("p cnf 2 2\n1 2 0\n-2 0\n")
         assert graph.useless.tolist() == [False, True]
-        blocking = clean(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+        blocking = clean(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert blocking is None
         assert graph.live_vertices() == [1]
 
     def test_supplied_order_must_be_permutation(self):
-        pair, graph = built("p cnf 2 2\n1 2 0\n-2 0\n")
+        graph = built("p cnf 2 2\n1 2 0\n-2 0\n")
         with pytest.raises(StructuralError):
-            clean(graph, pair, order=[1], ops=DISABLED_OPS, trace=NO_TRACE)
+            clean(graph, order=[1], ops=DISABLED_OPS, trace=NO_TRACE)
         with pytest.raises(StructuralError):
-            clean(graph, pair, order=[2, 2], ops=DISABLED_OPS, trace=NO_TRACE)
+            clean(graph, order=[2, 2], ops=DISABLED_OPS, trace=NO_TRACE)
 
     def test_order_independence_on_two_useless(self):
         text = "p cnf 3 3\n1 2 3 0\n-1 0\n-2 0\n"
         results = []
         for order in ([1, 2], [2, 1]):
-            pair, graph = built(text)
+            graph = built(text)
             assert graph.useless.tolist() == [True, True, False]
-            blocking = clean(graph, pair, order=order, ops=DISABLED_OPS, trace=NO_TRACE)
+            blocking = clean(graph, order=order, ops=DISABLED_OPS, trace=NO_TRACE)
             results.append((blocking, graph.live_vertices()))
         assert results[0] == (None, [3])
         assert results[1] == (None, [3])
@@ -183,15 +183,15 @@ class TestClean:
 
 class TestSwappedCounts:
     def test_e3_counts(self):
-        pair, graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
-        assert swapped_alpha_counts(graph, pair).tolist() == [0, 1, 1]
+        graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
+        assert swapped_alpha_counts(graph).tolist() == [0, 1, 1]
 
     def test_apply_swaps_on_live_vertices(self):
-        pair, graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
-        swapped = apply_swaps(pair, graph.live_vertices())
+        graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
+        swapped = apply_swaps(graph.pair, graph.live_vertices())
         assert swapped.sm_alpha.tolist() == [[0, 1, 0], [0, 0, 1]]
         counts = swapped.sm_alpha.sum(axis=0).tolist()
-        assert swapped_alpha_counts(graph, pair).tolist() == counts
+        assert swapped_alpha_counts(graph).tolist() == counts
 
     def test_kept_counts_match_fresh_counts_after_every_commit(self, monkeypatch):
         # eliminate computes the swapped counts once and updates them after
@@ -201,18 +201,18 @@ class TestSwappedCounts:
         kept = []
         checks = []
 
-        def recording(graph, pair):
-            kept.append(fresh(graph, pair))
+        def recording(graph):
+            kept.append(fresh(graph))
             return kept[-1]
 
         class CheckingTrace(Trace):
-            def __init__(self, graph, pair):
+            def __init__(self, graph):
                 super().__init__()
-                self.graph, self.pair = graph, pair
+                self.graph = graph
 
             def emit(self, kind, *payload):
                 if kind == "incompat-eliminated":
-                    checks.append(np.array_equal(kept[-1], fresh(self.graph, self.pair)))
+                    checks.append(np.array_equal(kept[-1], fresh(self.graph)))
                 super().emit(kind, *payload)
 
         monkeypatch.setattr(procedures, "swapped_alpha_counts", recording)
@@ -228,21 +228,21 @@ class TestSwappedCounts:
             if not sub.clauses or any(not c for c in sub.clauses):
                 continue
             pair = to_decomposition(sub)
-            graph = find_main_vertices(pair)
+            graph = find_main_vertices(pair, column_counts(pair))
             if graph is None:
                 continue
-            construct(graph, pair)
-            if clean(graph, pair) is None:
-                eliminate_incompatibilities(graph, pair, trace=CheckingTrace(graph, pair))
+            construct(graph)
+            if clean(graph) is None:
+                eliminate_incompatibilities(graph, trace=CheckingTrace(graph))
         assert len(checks) >= 400
         assert all(checks)
 
 
 class TestEliminate:
     def test_e3_unreachable(self):
-        pair, graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
+        graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
         trace = Trace()
-        result = eliminate_incompatibilities(graph, pair, ops=DISABLED_OPS, trace=trace)
+        result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=trace)
         assert result == Unreachable(1)
         # column 1 is uncovered with both live vertices 1 and 2 blocking it
         found = [p for k, p in trace.events_without_readings() if k == "incompat-found"]
@@ -251,33 +251,32 @@ class TestEliminate:
         assert removed == [(1,), (2,)]
 
     def test_no_incompatibilities(self):
-        pair, graph = built(E5_TEXT)
-        result = eliminate_incompatibilities(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = built(E5_TEXT)
+        result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert isinstance(result, Eliminated)
 
     def test_extension_plan_collected(self):
-        pair, graph = built(E4_TEXT)
-        result = eliminate_incompatibilities(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = built(E4_TEXT)
+        result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert isinstance(result, NeedsExtension)
         assert result.plan.new_main_vertices == [3]
         assert result.plan.columns == [3]
 
     def test_failed_attempts_restore_state(self):
-        pair, graph = built(E4_TEXT)
+        graph = built(E4_TEXT)
         before_edges = graph.live_edges()
         before_live = graph.live_vertices()
-        eliminate_incompatibilities(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+        eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.live_edges() == before_edges
         assert graph.live_vertices() == before_live
 
     def test_tried_marks_persist(self):
-        pair, graph = built(E4_TEXT)
-        tried = set()
-        eliminate_incompatibilities(graph, pair, tried=tried, ops=DISABLED_OPS, trace=NO_TRACE)
-        assert tried == {1, 2}
+        graph = built(E4_TEXT)
+        eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        assert graph.tried == {1, 2}
         ops = OpCounter()
         trace = Trace(ops)
-        result = eliminate_incompatibilities(graph, pair, tried=tried, ops=ops, trace=trace)
+        result = eliminate_incompatibilities(graph, ops=ops, trace=trace)
         assert isinstance(result, NeedsExtension)
         assert "rp-start" not in trace.kinds()
 
@@ -285,17 +284,17 @@ class TestEliminate:
         # two all-positive unit-ish clauses make v1, v2 mains on their own
         # columns; clause 3's column goes uncovered once both swap, and
         # removing one member fixes it
-        pair, graph = built("p cnf 2 3\n1 2 0\n1 2 0\n-1 -2 0\n")
-        result = eliminate_incompatibilities(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = built("p cnf 2 3\n1 2 0\n1 2 0\n-1 -2 0\n")
+        result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert isinstance(result, Eliminated)
         assert graph.live_vertices() == [2]
 
 
 class TestExtend:
     def test_extends_with_new_main_vertices(self):
-        pair, graph = built(E4_TEXT)
-        result = eliminate_incompatibilities(graph, pair, ops=DISABLED_OPS, trace=NO_TRACE)
-        extend(graph, pair, result.plan, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = built(E4_TEXT)
+        result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        extend(graph, result.plan, ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.formed.tolist() == [True, True, True]
         assert graph.main.tolist() == [True, True, True]
         assert graph.main_columns[2] == [3]
@@ -303,28 +302,22 @@ class TestExtend:
         assert graph.vertex_order == [1, 2, 3]
 
     def test_empty_plan_rejected(self):
-        pair, graph = built(E4_TEXT)
+        graph = built(E4_TEXT)
         with pytest.raises(StructuralError):
-            extend(graph, pair, ExtensionPlan([], []), ops=DISABLED_OPS, trace=NO_TRACE)
+            extend(graph, ExtensionPlan([], []), ops=DISABLED_OPS, trace=NO_TRACE)
 
     def test_formed_row_rejected(self):
-        pair, graph = built(E4_TEXT)
+        graph = built(E4_TEXT)
         with pytest.raises(StructuralError):
-            extend(graph, pair, ExtensionPlan([1], [3]), ops=DISABLED_OPS, trace=NO_TRACE)
+            extend(graph, ExtensionPlan([1], [3]), ops=DISABLED_OPS, trace=NO_TRACE)
 
     def test_out_of_range_row_rejected(self):
-        pair, graph = built(E4_TEXT)
+        graph = built(E4_TEXT)
         with pytest.raises(StructuralError):
-            extend(graph, pair, ExtensionPlan([9], [3]), ops=DISABLED_OPS, trace=NO_TRACE)
+            extend(graph, ExtensionPlan([9], [3]), ops=DISABLED_OPS, trace=NO_TRACE)
 
     def test_plan_deduplicated(self):
-        pair, graph = built(E4_TEXT)
-        extend(
-            graph,
-            pair,
-            ExtensionPlan([3, 3], [3, 3]),
-            ops=DISABLED_OPS,
-            trace=NO_TRACE,
-        )
+        graph = built(E4_TEXT)
+        extend(graph, ExtensionPlan([3, 3], [3, 3]), ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.main_columns[2] == [3]
         assert graph.multiplicity.tolist() == [1, 1, 1]
