@@ -1,13 +1,11 @@
 """Walk through the decomposition model by hand.
 
 A decomposition is an ordered list of n pairs of disjoint subsets of
-{1..m}, viewed as two n x m binary matrices (and held as the row and column
-occurrence lists of their ones).  Swapping a pair exchanges
-its two rows; a choice of swaps that leaves every column of the first
-matrix nonzero is a covering.
+{1..m}, viewed as two n x m binary matrices and held as the row and column
+occurrence lists of their ones.  Swapping a pair exchanges its two rows; a
+choice of swaps that leaves every column of the first matrix nonzero is a
+covering.
 """
-import numpy as np
-
 from satcover import (
     DecompositionPair,
     apply_swaps,
@@ -16,12 +14,15 @@ from satcover import (
     is_alpha_covering,
     validate,
 )
+from satcover.cli import emit_decomp
 
 # two pairs over three elements: pair 1 holds ({1}, {2,3}), pair 2 holds
-# ({2}, {1,3})
+# ({2}, {1,3}); the row lists hold 0-based columns
 pair = DecompositionPair(
-    np.array([[1, 0, 0], [0, 1, 0]], dtype=np.uint8),
-    np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8),
+    n=2,
+    m=3,
+    alpha_rows=[[0], [1]],
+    bar_rows=[[1, 2], [0, 2]],
 )
 
 report = validate(pair)
@@ -45,8 +46,8 @@ for swaps in ({1}, {2}):
 # swapping both pairs moves {2,3} and {1,3} into the first matrix, and
 # together they touch every column
 swapped = apply_swaps(pair, {1, 2})
-print("after swapping both pairs:")
-print(swapped.sm_alpha)
+print("after swapping both pairs (.decomp text, first matrix on top):")
+print(emit_decomp(swapped), end="")
 print("swap set {1, 2} is a covering:", is_alpha_covering(swapped))
 
 # swaps are involutions: applying the same set twice restores the input

@@ -174,15 +174,20 @@ def parse_decomp(text: str) -> DecompositionPair:
     for lineno in range(blank_line + n + 1, len(lines) + 1):
         if line(lineno):
             raise err(lineno, "unexpected trailing content")
-    # every row is m characters of 0 and 1: the lists are what from_rows trusts
-    return DecompositionPair.from_rows(n, m, alpha_rows, bar_rows)
+    return DecompositionPair(n, m, alpha_rows, bar_rows)
 
 
 def emit_decomp(pair: DecompositionPair) -> str:
+    def row_text(columns: List[int]) -> str:
+        cells = ["0"] * pair.m
+        for j in columns:
+            cells[j] = "1"
+        return "".join(cells)
+
     lines = [f"{pair.n} {pair.m}"]
-    lines.extend("".join(str(int(x)) for x in row) for row in pair.sm_alpha)
+    lines.extend(map(row_text, pair.alpha_rows))
     lines.append("")
-    lines.extend("".join(str(int(x)) for x in row) for row in pair.sm_alpha_bar)
+    lines.extend(map(row_text, pair.bar_rows))
     return "\n".join(lines) + "\n"
 
 
@@ -259,6 +264,8 @@ def _emit_report(args, doc: dict) -> Optional[str]:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.count < 1:
+        return _fail_input(f"count must be positive, got {args.count}")
     try:
         cfg = FuzzConfig(
             seed=args.seed,

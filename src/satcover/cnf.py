@@ -57,29 +57,6 @@ class PreprocessReport:
     removed_tautologies: tuple
 
 
-@dataclass
-class CnfMatrix:
-    """Signed clause/variable matrix: m rows (clauses) x n columns (variables)."""
-
-    m: int
-    n: int
-    entries: np.ndarray  # int8, entries in {-1, 0, +1}
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.entries, dtype=np.int8)
-        if arr.shape != (self.m, self.n):
-            raise StructuralError(
-                f"matrix shape {arr.shape} does not match m={self.m}, n={self.n}"
-            )
-        if arr.size and not (arr.min() >= -1 and arr.max() <= 1):
-            raise StructuralError("matrix entries must be -1, 0, or +1")
-        arr.setflags(write=False)
-        self.entries = arr
-
-    def nonzero_count(self) -> int:
-        return int(np.count_nonzero(self.entries))
-
-
 # ---------------------------------------------------------------------------
 # parsing and emission
 # ---------------------------------------------------------------------------
@@ -201,13 +178,12 @@ def restrict_to_used(formula: CnfFormula) -> Tuple[CnfFormula, List[int]]:
     position -> original variable (1-based on both sides).
     """
     used = used_variables(formula)
-    remap = [0] * (formula.num_vars + 1)
+    # keyed by the used literals only: the header's num_vars sizes nothing
+    remap = {}
     for k, v in enumerate(used, start=1):
         remap[v] = k
-    clauses = [
-        [remap[lit] if lit > 0 else -remap[-lit] for lit in clause]
-        for clause in formula.clauses
-    ]
+        remap[-v] = -k
+    clauses = [[remap[lit] for lit in clause] for clause in formula.clauses]
     return CnfFormula(num_vars=len(used), clauses=clauses), used
 
 
@@ -215,15 +191,15 @@ def restrict_to_used(formula: CnfFormula) -> Tuple[CnfFormula, List[int]]:
 # the reduction
 # ---------------------------------------------------------------------------
 
-def to_matrix(formula: CnfFormula) -> CnfMatrix:
-    """Build the m x n signed matrix; entry (j, i) is the sign of x_i in clause j."""
-    m = len(formula.clauses)
-    n = formula.num_vars
-    entries = np.zeros((m, n), dtype=np.int8)
+def to_matrix(formula: CnfFormula) -> np.ndarray:
+    """The read-only m x n int8 signed matrix; entry (j, i) is the sign of
+    x_i in clause j, 0 when x_i does not occur."""
+    entries = np.zeros((len(formula.clauses), formula.num_vars), dtype=np.int8)
     for j, clause in enumerate(formula.clauses):
         for lit in clause:
             entries[j, abs(lit) - 1] = 1 if lit > 0 else -1
-    return CnfMatrix(m=m, n=n, entries=entries)
+    entries.setflags(write=False)
+    return entries
 
 
 def to_decomposition(formula: CnfFormula, *, alpha: str = "neg", ops=None) -> DecompositionPair:
@@ -269,8 +245,8 @@ def to_decomposition(formula: CnfFormula, *, alpha: str = "neg", ops=None) -> De
         ops.cmp(m * n)
         ops.assign(2 * m * n)
     if alpha == "neg":
-        return DecompositionPair.from_rows(n, m, neg_rows, pos_rows)
-    return DecompositionPair.from_rows(n, m, pos_rows, neg_rows)
+        return DecompositionPair(n, m, neg_rows, pos_rows)
+    return DecompositionPair(n, m, pos_rows, neg_rows)
 
 
 def assignment_from_swaps(swaps, used: List[int], num_vars: int, alpha: str) -> Assignment:

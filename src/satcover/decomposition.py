@@ -1,20 +1,17 @@
 """Paired set decompositions stored as occurrence lists.
 
 A decomposition over a ground set of m elements is a list of n ordered pairs
-of disjoint subsets.  Pair i is row i of two n x m bit matrices: ``sm_alpha``
-holds the first component, ``sm_alpha_bar`` the second.  A swap replaces
-selected rows of ``sm_alpha`` with the corresponding rows of
-``sm_alpha_bar``; the solver searches for a swap set after which the first
-matrix alone covers every column.
+of disjoint subsets.  Pair i is row i of two n x m bit matrices, alpha for
+the first component and alpha-bar for the second.  A swap replaces selected
+rows of alpha with the corresponding rows of alpha-bar; the solver searches
+for a swap set after which alpha alone covers every column.
 
 Key choices:
-  * the pair is held as four occurrence lists (each row's columns and each
-    column's rows, for both sides), so every scan costs the number of ones
-    it visits and the whole pair costs O(N) for N ones, not O(n*m);
-  * the dense matrices are numpy uint8 arrays built from those lists on
-    first access and marked read-only, for callers that want them;
-  * input is validated once, in the public constructor; ``from_rows`` is
-    the trusted constructor for callers that built valid lists themselves;
+  * the pair is held only as four occurrence lists (each row's columns and
+    each column's rows, for both sides), so every scan costs the number of
+    ones it visits and the whole pair costs O(N) for N ones, not O(n*m);
+  * the one constructor takes the row lists and checks their structure once,
+    while transposing them into the column lists;
   * all public row/column indices are 1-based to match the report formats,
     while the occurrence lists hold 0-based indices; conversion happens at
     function boundaries only.
@@ -31,38 +28,23 @@ class StructuralError(ValueError):
     """Raised when matrices, rows, or indices break the structural contract."""
 
 
-def _as_bit_matrix(rows, name: str) -> np.ndarray:
-    arr = np.array(rows, copy=True)
-    if arr.ndim != 2 or arr.size == 0:
-        raise StructuralError(f"{name} must be a non-empty 2-D matrix")
-    if not ((arr == 0) | (arr == 1)).all():
-        raise StructuralError(f"{name} entries must all be 0 or 1")
-    out = np.ascontiguousarray(arr, dtype=np.uint8)
-    out.setflags(write=False)
-    return out
-
-
-def _row_lists(bits: np.ndarray) -> List[List[int]]:
-    """The ascending column indices of the ones of every row."""
-    return [np.flatnonzero(row).tolist() for row in bits]
-
-
-def _column_lists(rows: List[List[int]], m: int) -> List[List[int]]:
-    """Transpose row lists: the ascending row indices of every column."""
+def _column_lists(rows: List[List[int]], n: int, m: int, side: str) -> List[List[int]]:
+    """Transpose row lists into the ascending row indices of every column,
+    checking that there are n rows of strictly ascending columns in 0..m-1."""
+    if len(rows) != n:
+        raise StructuralError(f"{side} has {len(rows)} rows, expected {n}")
     cols: List[List[int]] = [[] for _ in range(m)]
     for i, row in enumerate(rows):
+        last = -1
         for j in row:
+            if not last < j < m:
+                raise StructuralError(
+                    f"{side} row {i + 1}: column {j} is not strictly ascending "
+                    f"inside 0..{m - 1}"
+                )
             cols[j].append(i)
+            last = j
     return cols
-
-
-def _scatter(rows: List[List[int]], n: int, m: int) -> np.ndarray:
-    """The read-only n x m bit matrix with ones where the row lists say."""
-    bits = np.zeros((n, m), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        bits[i, row] = 1
-    bits.setflags(write=False)
-    return bits
 
 
 class DecompositionPair:
@@ -74,56 +56,21 @@ class DecompositionPair:
       alpha_cols[j]  ascending rows whose first component holds column j
       bar_cols[j]    ascending rows whose second component holds column j
 
-    ``DecompositionPair(sm_alpha, sm_alpha_bar)`` validates two 0/1
-    matrices of one shape; ``sm_alpha`` and ``sm_alpha_bar`` give them back
-    as read-only arrays.
+    ``DecompositionPair(n, m, alpha_rows, bar_rows)`` takes the row lists
+    and raises StructuralError unless n, m >= 1 and each side holds n
+    strictly ascending lists of columns in 0..m-1.  The decomposition
+    conditions themselves are checked by ``validate``.
     """
 
-    def __init__(self, sm_alpha, sm_alpha_bar):
-        alpha = _as_bit_matrix(sm_alpha, "sm_alpha")
-        bar = _as_bit_matrix(sm_alpha_bar, "sm_alpha_bar")
-        if alpha.shape != bar.shape:
-            raise StructuralError(
-                "sm_alpha and sm_alpha_bar must have the same shape, got "
-                f"{alpha.shape} and {bar.shape}"
-            )
-        self._set_rows(alpha.shape[0], alpha.shape[1], _row_lists(alpha), _row_lists(bar))
-        self._dense = (alpha, bar)
-
-    @classmethod
-    def from_rows(
-        cls, n: int, m: int, alpha_rows: List[List[int]], bar_rows: List[List[int]]
-    ) -> "DecompositionPair":
-        """Trusted constructor: n row lists per side, each holding ascending
-        0-based columns below m.  Nothing is checked."""
-        pair = cls.__new__(cls)
-        pair._set_rows(n, m, alpha_rows, bar_rows)
-        return pair
-
-    def _set_rows(self, n, m, alpha_rows, bar_rows) -> None:
+    def __init__(self, n: int, m: int, alpha_rows: List[List[int]], bar_rows: List[List[int]]):
+        if n < 1 or m < 1:
+            raise StructuralError(f"a pair needs n, m >= 1, got n={n}, m={m}")
         self.n = n
         self.m = m
         self.alpha_rows = alpha_rows
         self.bar_rows = bar_rows
-        self.alpha_cols = _column_lists(alpha_rows, m)
-        self.bar_cols = _column_lists(bar_rows, m)
-        self._dense = None
-
-    def _matrices(self):
-        if self._dense is None:
-            self._dense = (
-                _scatter(self.alpha_rows, self.n, self.m),
-                _scatter(self.bar_rows, self.n, self.m),
-            )
-        return self._dense
-
-    @property
-    def sm_alpha(self) -> np.ndarray:
-        return self._matrices()[0]
-
-    @property
-    def sm_alpha_bar(self) -> np.ndarray:
-        return self._matrices()[1]
+        self.alpha_cols = _column_lists(alpha_rows, n, m, "alpha")
+        self.bar_cols = _column_lists(bar_rows, n, m, "alpha-bar")
 
     def __eq__(self, other):
         if not isinstance(other, DecompositionPair):
@@ -207,11 +154,11 @@ def apply_swaps(pair: DecompositionPair, swaps: Iterable[int]) -> DecompositionP
     bar = list(pair.bar_rows)
     for i in swap_set:
         alpha[i - 1], bar[i - 1] = bar[i - 1], alpha[i - 1]
-    return DecompositionPair.from_rows(pair.n, pair.m, alpha, bar)
+    return DecompositionPair(pair.n, pair.m, alpha, bar)
 
 
 def is_alpha_covering(pair: DecompositionPair) -> bool:
-    """True iff every column of ``sm_alpha`` contains at least one 1."""
+    """True iff every column of alpha contains at least one 1."""
     return all(pair.alpha_cols)
 
 

@@ -41,7 +41,7 @@ class PointingGraph:
       main_columns   per-vertex list of associated columns (main vertices)
       indegree       per-vertex count of live incoming edges
       multiplicity   per-column count of live main vertices associated with it
-      edge_live      one byte per nonzero of ``sm_alpha_bar``, column-major:
+      edge_live      one byte per nonzero of alpha-bar, column-major:
                      1 while the edge into that row labelled that column is
                      live; column j's bytes start at ``edge_base[j]``
       live_targets   per-column count of live edges labelled with it
@@ -165,7 +165,7 @@ def find_main_vertices(
     ops=DISABLED_OPS,
     trace=NO_TRACE,
 ) -> Optional[PointingGraph]:
-    """Form the root vertices from the uncovered columns of ``sm_alpha``.
+    """Form the root vertices from the uncovered columns of alpha.
 
     Returns None when no column is uncovered (the pair is already a covering
     as it stands); otherwise the initialized graph.  Vertices are appended in

@@ -182,13 +182,12 @@ def oracle_status(
     formula: CnfFormula,
     *,
     brute_limit: int = BRUTE_VAR_LIMIT,
-    dpll_budget: int = DEFAULT_DPLL_BUDGET,
 ) -> str:
     """Adjudicate with brute force when small enough, budgeted DPLL above."""
     if formula.num_vars <= brute_limit:
         sat, _ = brute_sat(formula, limit_vars=brute_limit)
         return "SAT" if sat else "UNSAT"
-    result, _ = dpll(formula, step_budget=dpll_budget)
+    result, _ = dpll(formula)
     if result is None:
         return "UNKNOWN"
     return "SAT" if result else "UNSAT"

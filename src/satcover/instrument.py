@@ -84,11 +84,9 @@ class Trace:
         self.events.append((kind, payload, self._ops.total))
 
     def serialize(self) -> bytes:
-        doc = [
-            [kind, [int(p) for p in payload], int(reading)]
-            for kind, payload, reading in self.events
-        ]
-        return json.dumps(doc, separators=(",", ":")).encode("ascii")
+        # tuples dump as JSON arrays; ``default`` sees only what JSON cannot
+        # encode itself, such as a numpy integer in a payload
+        return json.dumps(self.events, separators=(",", ":"), default=int).encode("ascii")
 
     def sha256(self) -> str:
         return hashlib.sha256(self.serialize()).hexdigest()

@@ -326,7 +326,7 @@ def _swap_rows(counts: np.ndarray, pair: DecompositionPair, rows, sign: int) -> 
 
 
 def swapped_alpha_counts(graph: PointingGraph) -> np.ndarray:
-    """Column counts of sm_alpha after swapping every live vertex row."""
+    """Column counts of alpha after swapping every live vertex row."""
     counts = graph.counts.m_alpha.copy()
     _swap_rows(counts, graph.pair, np.flatnonzero(graph.formed & ~graph.removed).tolist(), 1)
     return counts

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from typing import List, Tuple
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -81,9 +80,16 @@ def e3_pair() -> DecompositionPair:
 # naive reference computations (independent of the library internals)
 # ---------------------------------------------------------------------------
 
+def naive_cell(pair: DecompositionPair, side: str, i: int, j: int) -> int:
+    """Cell (i, j) of the alpha or the alpha-bar matrix, 0-based, read from
+    the row lists by membership only."""
+    rows = pair.alpha_rows if side == "alpha" else pair.bar_rows
+    return 1 if j in rows[i] else 0
+
+
 def naive_column_counts(pair: DecompositionPair) -> Tuple[List[int], List[int]]:
-    a = [sum(int(pair.sm_alpha[i, j]) for i in range(pair.n)) for j in range(pair.m)]
-    b = [sum(int(pair.sm_alpha_bar[i, j]) for i in range(pair.n)) for j in range(pair.m)]
+    a = [sum(naive_cell(pair, "alpha", i, j) for i in range(pair.n)) for j in range(pair.m)]
+    b = [sum(naive_cell(pair, "bar", i, j) for i in range(pair.n)) for j in range(pair.m)]
     return a, b
 
 
@@ -91,8 +97,8 @@ def naive_is_covering(pair: DecompositionPair, swaps) -> bool:
     for j in range(pair.m):
         hit = False
         for i in range(pair.n):
-            row = pair.sm_alpha_bar if (i + 1) in swaps else pair.sm_alpha
-            if row[i, j]:
+            side = "bar" if (i + 1) in swaps else "alpha"
+            if naive_cell(pair, side, i, j):
                 hit = True
                 break
         if not hit:
@@ -109,7 +115,12 @@ def naive_covering_exists(pair: DecompositionPair) -> bool:
 
 
 def naive_input_length(pair: DecompositionPair) -> int:
-    return int(pair.sm_alpha.sum()) + int(pair.sm_alpha_bar.sum())
+    return sum(
+        naive_cell(pair, side, i, j)
+        for side in ("alpha", "bar")
+        for i in range(pair.n)
+        for j in range(pair.m)
+    )
 
 
 def naive_sat(formula: CnfFormula) -> bool:
@@ -164,28 +175,27 @@ def decomposition_pairs(draw, max_rows: int = 6, max_cols: int = 6):
     cells = draw(
         st.lists(st.integers(0, 2), min_size=n * m, max_size=n * m)
     )
-    alpha = np.zeros((n, m), dtype=np.uint8)
-    bar = np.zeros((n, m), dtype=np.uint8)
+    # cells[i * m + j]: 0 empty, 1 on the alpha side, 2 on the alpha-bar side
+    sides = [set(), set()]
     for i in range(n):
         for j in range(m):
             value = cells[i * m + j]
-            if value == 1:
-                alpha[i, j] = 1
-            elif value == 2:
-                bar[i, j] = 1
+            if value:
+                sides[value - 1].add((i, j))
     # repair: every row pair nonempty
     for i in range(n):
-        if not alpha[i].any() and not bar[i].any():
+        if not any(i == r for side in sides for r, _ in side):
             j = draw(st.integers(0, m - 1))
-            side = draw(st.booleans())
-            (alpha if side else bar)[i, j] = 1
+            sides[draw(st.integers(0, 1))].add((i, j))
     # repair: every column covered
     for j in range(m):
-        if not alpha[:, j].any() and not bar[:, j].any():
+        if not any(j == c for side in sides for _, c in side):
             i = draw(st.integers(0, n - 1))
-            side = draw(st.booleans())
-            (alpha if side else bar)[i, j] = 1
-    return DecompositionPair(sm_alpha=alpha, sm_alpha_bar=bar)
+            sides[draw(st.integers(0, 1))].add((i, j))
+    alpha, bar = (
+        [sorted(j for r, j in side if r == i) for i in range(n)] for side in sides
+    )
+    return DecompositionPair(n, m, alpha, bar)
 
 
 def seeded_corpus(seed: int, count: int, **overrides) -> List[CnfFormula]:

@@ -364,7 +364,7 @@ def test_criterion_06_input_length_equality():
             continue
         matrix = to_matrix(sub)
         pair = to_decomposition(sub)
-        if matrix.nonzero_count() != input_length(pair):
+        if np.count_nonzero(matrix) != input_length(pair):
             ok = False
             break
         checked += 1

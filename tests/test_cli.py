@@ -1,16 +1,24 @@
 """Command line surface: exit codes, output formats, file round-trips."""
+import contextlib
+import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satcover import DecompositionPair, ParseError
+from satcover import ParseError, emit_dimacs
 from satcover.cli import emit_decomp, main, parse_decomp
 
-from conftest import E1_TEXT, E2_TEXT, decomposition_pairs
+from conftest import E1_TEXT, E2_TEXT, decomposition_pairs, formulas
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 E1_DECOMP = "2 2\n10\n00\n\n01\n10\n"
 E3_DECOMP = "2 3\n100\n100\n\n010\n001\n"
 
@@ -101,6 +109,38 @@ class TestSolve:
         report = json.loads(out_path.read_text())
         assert report["reason"] == {"kind": "unreachable-column", "index": 2}
 
+    def test_header_does_not_size_the_work(self, tmp_path):
+        # the header declares 10^9 variables but only x1 occurs; a remap
+        # sized by the header would need 8 GB, so the solve runs in a child
+        # process capped at 1.5 GB of address space, where that fails fast
+        path = write(tmp_path, "huge.cnf", "p cnf 1000000000 2\n1 0\n-1 0\n")
+        script = (
+            "import sys, tracemalloc\n"
+            "from satcover.cli import main\n"
+            "tracemalloc.start()\n"
+            "code = main(['solve', sys.argv[1]])\n"
+            "print('peak', tracemalloc.get_traced_memory()[1])\n"
+            "sys.exit(code)\n"
+        )
+        cap = 1_500_000_000
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", script, path],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=limit_memory,
+            timeout=60,
+        )
+        assert done.returncode == 20, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[0] == "s UNSATISFIABLE"
+        assert int(lines[-1].split()[1]) < 1_000_000
+
 
 class TestCovering:
     def test_covering_found(self, tmp_path, capsys):
@@ -146,8 +186,8 @@ class TestCovering:
 class TestDecompFormat:
     def test_parse_fixture(self):
         pair = parse_decomp(E1_DECOMP)
-        assert pair.sm_alpha.tolist() == [[1, 0], [0, 0]]
-        assert pair.sm_alpha_bar.tolist() == [[0, 1], [1, 0]]
+        assert pair.alpha_rows == [[0], []]
+        assert pair.bar_rows == [[1], [0]]
 
     @pytest.mark.parametrize(
         "text",
@@ -290,3 +330,89 @@ class TestHarnessCommands:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_fuzz_bad_count_is_input_error(self, count, capsys):
+        assert main(["fuzz", "--seed", "1", "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: count must be positive, got {count}\n"
+        assert captured.out == ""
+
+
+# inputs the two single-file commands must answer without a traceback; every
+# integer stays below 10^4, since a SAT answer's v line is O(num_vars)
+SMALL_INT = st.integers(-9999, 9999).map(str)
+TOKEN = st.one_of(
+    SMALL_INT,
+    st.sampled_from(["p", "cnf", "c", "0", "-0", "+1", "1_0", "x", "1e3", "--", "", "01", "10"]),
+)
+SEPARATOR = st.sampled_from([" ", "\n", "\t", "\r\n", "  "])
+
+
+@st.composite
+def token_soups(draw):
+    tokens = draw(st.lists(st.tuples(TOKEN, SEPARATOR), max_size=40))
+    body = "".join(tok + sep for tok, sep in tokens)
+    if draw(st.booleans()):
+        header = draw(st.sampled_from(["p cnf {} {}\n", "{} {}\n"]))
+        body = header.format(draw(SMALL_INT), draw(SMALL_INT)) + body
+    return body.encode("ascii")
+
+
+def one_edit(draw, text: str, alphabet: str) -> bytes:
+    """The text with at most one character inserted, deleted or replaced, or
+    its header line replaced by two small integers."""
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["none", "insert", "delete", "replace", "header"]))
+    if edit == "insert":
+        text = text[:at] + draw(st.sampled_from(alphabet)) + text[at:]
+    elif edit == "delete":
+        text = text[:at] + text[at + 1 :]
+    elif edit == "replace":
+        text = text[:at] + draw(st.sampled_from(alphabet)) + text[at + 1 :]
+    elif edit == "header":
+        text = f"{draw(SMALL_INT)} {draw(SMALL_INT)}\n{text.split(chr(10), 1)[1]}"
+    return text.encode("ascii")
+
+
+@st.composite
+def near_valid_texts(draw):
+    """A valid pair's .decomp text or a formula's DIMACS text, edited once."""
+    if draw(st.booleans()):
+        return one_edit(draw, emit_decomp(draw(decomposition_pairs())), "01 \nx2-")
+    return one_edit(draw, emit_dimacs(draw(formulas(max_vars=8))), "0-19 \npcx")
+
+
+class TestNeverRaises:
+    """ROADMAP item 4: the CLI answers 10, 20 or an ``error:`` line with exit
+    2 on any input file, never a traceback or the engine-error exit 1."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("never-raises")
+
+    def check(self, workdir, data):
+        path = workdir / "input"
+        path.write_bytes(data)
+        for command in ("solve", "covering"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            assert code in (10, 20, 2), (command, data, err.getvalue())
+            if code == 2:
+                assert err.getvalue().startswith("error: "), (command, data)
+
+    @given(data=st.binary(max_size=200))
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes(self, workdir, data):
+        self.check(workdir, data)
+
+    @given(data=token_soups())
+    @settings(max_examples=200, deadline=None)
+    def test_token_soups(self, workdir, data):
+        self.check(workdir, data)
+
+    @given(data=near_valid_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_near_valid_texts(self, workdir, data):
+        self.check(workdir, data)

@@ -142,7 +142,9 @@ def random_batch_pins():
 def test_worked_examples(name):
     text = WORKED[name]
     dense = pair_of(text)
-    rebuilt = DecompositionPair(dense.sm_alpha.copy(), dense.sm_alpha_bar.copy())
+    rebuilt = DecompositionPair(
+        dense.n, dense.m, [list(r) for r in dense.alpha_rows], [list(r) for r in dense.bar_rows]
+    )
     got = (
         pin(solve_sat(formula_of(text), count_ops=True)),
         pin(solve_sat(formula_of(text), count_ops=True, shortcut=True)),

@@ -1,5 +1,4 @@
 """Decomposition pair model: validation, counts, swaps, covering check."""
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -16,50 +15,60 @@ from satcover import (
 )
 from satcover.decomposition import Violation
 
-from conftest import decomposition_pairs, naive_column_counts, naive_input_length
+from conftest import (
+    decomposition_pairs,
+    naive_cell,
+    naive_column_counts,
+    naive_input_length,
+)
 
 
 def make(alpha, bar):
-    return DecompositionPair(
-        sm_alpha=np.array(alpha, dtype=np.uint8),
-        sm_alpha_bar=np.array(bar, dtype=np.uint8),
-    )
+    """A pair from two dense 0/1 tables, for readable fixtures."""
+    def rows(table):
+        return [[j for j, bit in enumerate(row) if bit] for row in table]
+
+    return DecompositionPair(len(alpha), len(alpha[0]), rows(alpha), rows(bar))
 
 
 class TestConstruction:
     def test_shapes_and_sizes(self, e1_pair):
         assert (e1_pair.n, e1_pair.m) == (2, 2)
-        assert e1_pair.sm_alpha.tolist() == [[1, 0], [0, 0]]
-        assert e1_pair.sm_alpha_bar.tolist() == [[0, 1], [1, 0]]
-
-    def test_matrices_are_read_only(self, e1_pair):
-        with pytest.raises(ValueError):
-            e1_pair.sm_alpha[0, 0] = 0
+        assert e1_pair.alpha_rows == [[0], []]
+        assert e1_pair.bar_rows == [[1], [0]]
+        assert e1_pair.alpha_cols == [[0], []]
+        assert e1_pair.bar_cols == [[1], [0]]
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(StructuralError):
-            make([[1, 0]], [[1], [0]])
-
-    def test_non_binary_entries_rejected(self):
-        with pytest.raises(StructuralError):
-            make([[2, 0]], [[0, 1]])
-        # passed uncast, so -1, 0.5 and nan reach the check as they are
-        for bad in (-1, 0.5, np.nan):
-            with pytest.raises(StructuralError):
-                DecompositionPair(sm_alpha=[[bad, 0]], sm_alpha_bar=[[0, 1]])
-            with pytest.raises(StructuralError):
-                DecompositionPair(sm_alpha=[[0, 0]], sm_alpha_bar=[[0, bad]])
-
-    def test_non_2d_rejected(self):
-        with pytest.raises(StructuralError):
-            DecompositionPair(
-                sm_alpha=np.zeros(3, dtype=np.uint8),
-                sm_alpha_bar=np.zeros(3, dtype=np.uint8),
-            )
+        # n row lists per side: one too few or one too many is refused
+        with pytest.raises(StructuralError, match="alpha has 1 rows, expected 2"):
+            DecompositionPair(2, 2, [[0]], [[1], [0]])
+        with pytest.raises(StructuralError, match="alpha-bar has 3 rows"):
+            DecompositionPair(2, 2, [[0], []], [[1], [0], []])
+        # a flat list of columns where a list of rows belongs
+        with pytest.raises(StructuralError, match="alpha has 3 rows, expected 1"):
+            DecompositionPair(1, 3, [0, 1, 2], [[1]])
 
     def test_empty_rejected(self):
-        with pytest.raises(StructuralError):
-            make(np.zeros((0, 2)), np.zeros((0, 2)))
+        for n, m in ((0, 2), (2, 0), (0, 0), (-1, 2)):
+            with pytest.raises(StructuralError):
+                DecompositionPair(n, m, [[]] * max(n, 0), [[]] * max(n, 0))
+
+    def test_out_of_range_column_rejected(self):
+        with pytest.raises(StructuralError, match="alpha row 2: column 2"):
+            DecompositionPair(2, 2, [[0], [2]], [[1], [0]])
+        with pytest.raises(StructuralError, match="alpha-bar row 1: column 5"):
+            DecompositionPair(2, 2, [[0], []], [[1, 5], [0]])
+
+    def test_negative_column_rejected(self):
+        with pytest.raises(StructuralError, match="column -1"):
+            DecompositionPair(2, 2, [[-1], []], [[1], [0]])
+
+    def test_descending_or_repeated_column_rejected(self):
+        with pytest.raises(StructuralError, match="column 0 is not strictly ascending"):
+            DecompositionPair(1, 3, [[2, 0]], [[1]])
+        with pytest.raises(StructuralError, match="column 1 is not strictly ascending"):
+            DecompositionPair(1, 3, [[0]], [[1, 1, 2]])
 
     def test_equality_is_by_contents(self, e1_pair):
         clone = make([[1, 0], [0, 0]], [[0, 1], [1, 0]])
@@ -129,8 +138,7 @@ class TestColumnCounts:
 class TestSwaps:
     def test_apply_swaps_exchanges_rows(self, e1_pair):
         swapped = apply_swaps(e1_pair, {1})
-        assert swapped.sm_alpha.tolist() == [[0, 1], [0, 0]]
-        assert swapped.sm_alpha_bar.tolist() == [[1, 0], [1, 0]]
+        assert swapped == make([[0, 1], [0, 0]], [[1, 0], [1, 0]])
         # a repeated index counts once: it does not swap the row back
         assert apply_swaps(e1_pair, [1, 1]) == swapped
 
@@ -164,7 +172,10 @@ class TestCoveringCheck:
     @settings(max_examples=60, deadline=None)
     def test_covering_means_every_column_hit(self, pair):
         result = is_alpha_covering(pair)
-        expected = all(pair.sm_alpha[:, j].any() for j in range(pair.m))
+        expected = all(
+            any(naive_cell(pair, "alpha", i, j) for i in range(pair.n))
+            for j in range(pair.m)
+        )
         assert result == expected
 
 

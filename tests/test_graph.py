@@ -162,7 +162,7 @@ class TestConstruct:
             assert single_columns(pair, counts, src) and col in single_columns(
                 pair, counts, src
             )
-            assert pair.sm_alpha_bar[tgt - 1, col - 1] == 1
+            assert col - 1 in pair.bar_rows[tgt - 1]
 
 
 class TestShortcuts:
@@ -176,17 +176,17 @@ class TestShortcuts:
         # second side, yet E1 has a covering: singleness alone forces nothing
         counts = column_counts(e1_pair)
         assert single_columns(e1_pair, counts, 1) == [1]
-        assert e1_pair.sm_alpha_bar[:, 1].tolist() == [1, 0]
+        assert e1_pair.bar_cols[1] == [0]
         assert find_forced_conflict_row(e1_pair, column_counts(e1_pair)) is None
         # row 1 alone covers column 1 (nothing can re-cover it) and alone
         # can cover column 2 (nothing covers it unswapped)
-        both = DecompositionPair([[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0]])
+        both = DecompositionPair(2, 3, [[0], [2]], [[1], []])
         assert find_forced_conflict_row(both, column_counts(both)) == 1
         # once row 2 covers column 2 on the alpha side, row 1 need not swap
-        stay_only = DecompositionPair([[1, 0, 0], [0, 1, 1]], [[0, 1, 0], [0, 0, 0]])
+        stay_only = DecompositionPair(2, 3, [[0], [1, 2]], [[1], []])
         assert find_forced_conflict_row(stay_only, column_counts(stay_only)) is None
         # once row 2 can re-cover column 1, row 1 may swap
-        swap_only = DecompositionPair([[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0]])
+        swap_only = DecompositionPair(2, 3, [[0], [2]], [[1], [0]])
         assert find_forced_conflict_row(swap_only, column_counts(swap_only)) is None
 
 

@@ -21,6 +21,7 @@ from satcover import (
     random_cnf,
     shrink_disagreement,
 )
+from satcover import harness
 from satcover.harness import (
     _dpll_simplify,
     enumerate_clause_universe,
@@ -120,14 +121,9 @@ class TestBruteCovering:
         assert brute_covering(pair) == (True, frozenset())
 
     def test_limit_refused(self):
-        import numpy as np
-
         from satcover import DecompositionPair
 
-        big = DecompositionPair(
-            sm_alpha=np.ones((26, 1), dtype=np.uint8),
-            sm_alpha_bar=np.zeros((26, 1), dtype=np.uint8),
-        )
+        big = DecompositionPair(26, 1, [[0]] * 26, [[]] * 26)
         with pytest.raises(ValueError):
             brute_covering(big)
 
@@ -186,10 +182,13 @@ class TestDpll:
         if sat:
             assert evaluate(formula, witness)
 
-    def test_oracle_status_uses_dpll_above_limit(self):
+    def test_oracle_status_uses_dpll_above_limit(self, monkeypatch):
         wide = CnfFormula(30, [[i] for i in range(1, 31)])
         assert oracle_status(wide, brute_limit=25) == "SAT"
-        assert oracle_status(wide, brute_limit=25, dpll_budget=1) == "UNKNOWN"
+        # a DPLL run out of budget answers None, which reads as UNKNOWN
+        assert dpll(wide, step_budget=1) == (None, None)
+        monkeypatch.setattr(harness, "dpll", lambda formula: (None, None))
+        assert oracle_status(wide, brute_limit=25) == "UNKNOWN"
 
 
 class TestRandomCnf:

@@ -189,8 +189,8 @@ class TestSwappedCounts:
     def test_apply_swaps_on_live_vertices(self):
         graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
         swapped = apply_swaps(graph.pair, graph.live_vertices())
-        assert swapped.sm_alpha.tolist() == [[0, 1, 0], [0, 0, 1]]
-        counts = swapped.sm_alpha.sum(axis=0).tolist()
+        assert swapped.alpha_rows == [[1], [2]]
+        counts = [sum(j in row for row in swapped.alpha_rows) for j in range(swapped.m)]
         assert swapped_alpha_counts(graph).tolist() == counts
 
     def test_kept_counts_match_fresh_counts_after_every_commit(self, monkeypatch):

@@ -45,14 +45,10 @@ class TestCoveringDriver:
         assert run.verdict == CoveringFound(frozenset())
 
     def test_invalid_pair_rejected(self):
-        import numpy as np
-
         from satcover import DecompositionPair, StructuralError
 
-        pair = DecompositionPair(
-            sm_alpha=np.array([[1, 0]], dtype=np.uint8),
-            sm_alpha_bar=np.array([[1, 0]], dtype=np.uint8),
-        )
+        # row 1 holds column 1 on both sides; column 2 is covered by neither
+        pair = DecompositionPair(1, 2, [[0]], [[0]])
         with pytest.raises(StructuralError):
             solve_covering(pair)
 
@@ -259,14 +255,15 @@ class TestReasonType:
 
 class TestSparsePath:
     def test_solve_sat_never_builds_the_dense_matrices(self, monkeypatch):
-        # the SAT path reads the occurrence lists only; the dense n x m
-        # matrices exist for the covering CLI, brute_covering and tests
-        from satcover import DecompositionPair, FuzzConfig, random_cnf
+        # the SAT path reads the occurrence lists only; the pair has no dense
+        # form, and the signed m x n matrix of to_matrix is never built
+        from satcover import FuzzConfig, cnf, random_cnf
 
-        def refuse(self):
-            raise AssertionError("dense matrices built on the SAT path")
+        def refuse(formula):
+            raise AssertionError("dense matrix built on the SAT path")
 
-        monkeypatch.setattr(DecompositionPair, "_matrices", refuse)
+        monkeypatch.setattr(cnf, "to_matrix", refuse)
+        monkeypatch.setattr(solver_mod, "to_matrix", refuse)
         corpus = seeded_corpus(20261020, 200, var_range=(1, 30), clause_range=(1, 120))
         cfg = FuzzConfig(
             seed=3, num_instances=4, var_range=(150, 150), clause_range=(639, 639),
