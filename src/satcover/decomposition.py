@@ -11,7 +11,8 @@ Key choices:
     each column's rows, for both sides), so every scan costs the number of
     ones it visits and the whole pair costs O(N) for N ones, not O(n*m);
   * the one constructor takes the row lists and checks their structure once,
-    while transposing them into the column lists;
+    while transposing them into the column lists, and freezes all four into
+    tuples so no caller can change a pair after the check;
   * all public row/column indices are 1-based to match the report formats,
     while the occurrence lists hold 0-based indices; conversion happens at
     function boundaries only.
@@ -28,29 +29,37 @@ class StructuralError(ValueError):
     """Raised when matrices, rows, or indices break the structural contract."""
 
 
-def _column_lists(rows: List[List[int]], n: int, m: int, side: str) -> List[List[int]]:
-    """Transpose row lists into the ascending row indices of every column,
-    checking that there are n rows of strictly ascending columns in 0..m-1."""
+def _occurrences(rows: List[List[int]], n: int, m: int, side: str):
+    """Freeze row lists into tuples and transpose them into the ascending row
+    indices of every column, checking that there are n rows of strictly
+    ascending integer columns in 0..m-1."""
     if len(rows) != n:
         raise StructuralError(f"{side} has {len(rows)} rows, expected {n}")
+    try:
+        frozen = tuple(map(tuple, rows))
+    except TypeError:
+        raise StructuralError(f"{side} must be a list of rows of column indices") from None
     cols: List[List[int]] = [[] for _ in range(m)]
-    for i, row in enumerate(rows):
-        last = -1
-        for j in row:
-            if not last < j < m:
-                raise StructuralError(
-                    f"{side} row {i + 1}: column {j} is not strictly ascending "
-                    f"inside 0..{m - 1}"
-                )
-            cols[j].append(i)
-            last = j
-    return cols
+    try:
+        for i, row in enumerate(frozen):
+            last = -1
+            for j in row:
+                if not last < j < m:
+                    raise StructuralError(
+                        f"{side} row {i + 1}: column {j} is not strictly ascending "
+                        f"inside 0..{m - 1}"
+                    )
+                cols[j].append(i)
+                last = j
+    except TypeError:
+        raise StructuralError(f"{side} row {i + 1}: column {j!r} is not an integer") from None
+    return frozen, tuple(map(tuple, cols))
 
 
 class DecompositionPair:
     """n ordered pairs of disjoint element subsets over m elements.
 
-    Occurrence lists, 0-based and never mutated:
+    Occurrence lists, 0-based tuples of tuples, so they cannot be mutated:
       alpha_rows[i]  ascending columns of row i's first component
       bar_rows[i]    ascending columns of row i's second component
       alpha_cols[j]  ascending rows whose first component holds column j
@@ -58,7 +67,7 @@ class DecompositionPair:
 
     ``DecompositionPair(n, m, alpha_rows, bar_rows)`` takes the row lists
     and raises StructuralError unless n, m >= 1 and each side holds n
-    strictly ascending lists of columns in 0..m-1.  The decomposition
+    strictly ascending lists of integer columns in 0..m-1.  The decomposition
     conditions themselves are checked by ``validate``.
     """
 
@@ -67,10 +76,8 @@ class DecompositionPair:
             raise StructuralError(f"a pair needs n, m >= 1, got n={n}, m={m}")
         self.n = n
         self.m = m
-        self.alpha_rows = alpha_rows
-        self.bar_rows = bar_rows
-        self.alpha_cols = _column_lists(alpha_rows, n, m, "alpha")
-        self.bar_cols = _column_lists(bar_rows, n, m, "alpha-bar")
+        self.alpha_rows, self.alpha_cols = _occurrences(alpha_rows, n, m, "alpha")
+        self.bar_rows, self.bar_cols = _occurrences(bar_rows, n, m, "alpha-bar")
 
     def __eq__(self, other):
         if not isinstance(other, DecompositionPair):

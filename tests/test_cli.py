@@ -186,8 +186,8 @@ class TestCovering:
 class TestDecompFormat:
     def test_parse_fixture(self):
         pair = parse_decomp(E1_DECOMP)
-        assert pair.alpha_rows == [[0], []]
-        assert pair.bar_rows == [[1], [0]]
+        assert pair.alpha_rows == ((0,), ())
+        assert pair.bar_rows == ((1,), (0,))
 
     @pytest.mark.parametrize(
         "text",

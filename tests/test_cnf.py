@@ -176,13 +176,13 @@ class TestToDecomposition:
 
     def test_neg_orientation(self, e1):
         pair = to_decomposition(e1)
-        assert pair.alpha_rows == [[0], []]
-        assert pair.bar_rows == [[1], [0]]
+        assert pair.alpha_rows == ((0,), ())
+        assert pair.bar_rows == ((1,), (0,))
 
     def test_pos_orientation(self, e1):
         pair = to_decomposition(e1, alpha="pos")
-        assert pair.alpha_rows == [[1], [0]]
-        assert pair.bar_rows == [[0], []]
+        assert pair.alpha_rows == ((1,), (0,))
+        assert pair.bar_rows == ((0,), ())
 
     def test_unknown_orientation_rejected(self, e1):
         with pytest.raises(ValueError):
@@ -214,8 +214,8 @@ class TestToDecomposition:
         assert np.count_nonzero(matrix) == input_length(pair)
         # the occurrence lists agree with the signed matrix cell by cell
         for i in range(pair.n):
-            assert pair.alpha_rows[i] == np.flatnonzero(matrix[:, i] == -1).tolist()
-            assert pair.bar_rows[i] == np.flatnonzero(matrix[:, i] == 1).tolist()
+            assert list(pair.alpha_rows[i]) == np.flatnonzero(matrix[:, i] == -1).tolist()
+            assert list(pair.bar_rows[i]) == np.flatnonzero(matrix[:, i] == 1).tolist()
         assert input_length(pair) == naive_input_length(pair)
 
 

@@ -34,10 +34,25 @@ def make(alpha, bar):
 class TestConstruction:
     def test_shapes_and_sizes(self, e1_pair):
         assert (e1_pair.n, e1_pair.m) == (2, 2)
-        assert e1_pair.alpha_rows == [[0], []]
-        assert e1_pair.bar_rows == [[1], [0]]
-        assert e1_pair.alpha_cols == [[0], []]
-        assert e1_pair.bar_cols == [[1], [0]]
+        assert e1_pair.alpha_rows == ((0,), ())
+        assert e1_pair.bar_rows == ((1,), (0,))
+        assert e1_pair.alpha_cols == ((0,), ())
+        assert e1_pair.bar_cols == ((1,), (0,))
+
+    def test_matrices_are_read_only(self):
+        # the pair freezes its occurrence lists, so neither the caller's
+        # lists nor the pair's own can change it after the check
+        alpha, bar = [[0], []], [[1], [0]]
+        pair = DecompositionPair(2, 2, alpha, bar)
+        alpha[1].append(1)
+        bar[0].clear()
+        assert pair.alpha_rows == ((0,), ())
+        assert pair.bar_rows == ((1,), (0,))
+        for lists in (pair.alpha_rows, pair.bar_rows, pair.alpha_cols, pair.bar_cols):
+            with pytest.raises(TypeError):
+                lists[0][0] = 1
+            with pytest.raises(AttributeError):
+                lists[1].append(0)
 
     def test_shape_mismatch_rejected(self):
         # n row lists per side: one too few or one too many is refused
@@ -48,6 +63,21 @@ class TestConstruction:
         # a flat list of columns where a list of rows belongs
         with pytest.raises(StructuralError, match="alpha has 3 rows, expected 1"):
             DecompositionPair(1, 3, [0, 1, 2], [[1]])
+
+    def test_non_2d_rejected(self):
+        # a flat list of columns of the right length, rows nested one level
+        # too deep, and entries that are not column indices
+        with pytest.raises(StructuralError, match="alpha must be a list of rows"):
+            DecompositionPair(3, 3, [0, 1, 2], [[1], [0], [2]])
+        with pytest.raises(StructuralError, match="alpha-bar must be a list of rows"):
+            DecompositionPair(2, 2, [[0], []], [[1], 0])
+        with pytest.raises(StructuralError, match="alpha row 1: column \\[0\\] is not an integer"):
+            DecompositionPair(1, 2, [[[0]]], [[1]])
+        for bad in (0.5, 1.0, "1", None):
+            with pytest.raises(StructuralError, match="is not an integer"):
+                DecompositionPair(1, 2, [[bad]], [[]])
+            with pytest.raises(StructuralError, match="is not an integer"):
+                DecompositionPair(1, 2, [[]], [[0, bad]])
 
     def test_empty_rejected(self):
         for n, m in ((0, 2), (2, 0), (0, 0), (-1, 2)):

@@ -176,7 +176,7 @@ class TestShortcuts:
         # second side, yet E1 has a covering: singleness alone forces nothing
         counts = column_counts(e1_pair)
         assert single_columns(e1_pair, counts, 1) == [1]
-        assert e1_pair.bar_cols[1] == [0]
+        assert e1_pair.bar_cols[1] == (0,)
         assert find_forced_conflict_row(e1_pair, column_counts(e1_pair)) is None
         # row 1 alone covers column 1 (nothing can re-cover it) and alone
         # can cover column 2 (nothing covers it unswapped)

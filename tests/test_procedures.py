@@ -189,7 +189,7 @@ class TestSwappedCounts:
     def test_apply_swaps_on_live_vertices(self):
         graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
         swapped = apply_swaps(graph.pair, graph.live_vertices())
-        assert swapped.alpha_rows == [[1], [2]]
+        assert swapped.alpha_rows == ((1,), (2,))
         counts = [sum(j in row for row in swapped.alpha_rows) for j in range(swapped.m)]
         assert swapped_alpha_counts(graph).tolist() == counts
 
