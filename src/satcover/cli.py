@@ -7,12 +7,14 @@ Subcommands: ``solve`` (DIMACS CNF), ``covering`` (raw decomposition file),
 Exit codes follow the SAT-competition convention for ``solve`` and
 ``covering``: 10 = positive verdict, 20 = negative verdict, 1 = engine
 error, 2 = input error.  Harness subcommands exit 0 normally and 3 when a
-soundness-gate or invariant violation occurred.
+soundness-gate or invariant violation occurred.  Running out of memory
+exits 2 with an ``error:`` line in every subcommand.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -107,10 +109,8 @@ def _cmd_solve(args) -> int:
 
     verdict = run.verdict
     if isinstance(verdict, Sat):
+        lits = " ".join(map(str, report["assignment"]))  # before any output
         print("s SATISFIABLE")
-        lits = " ".join(
-            str(i if v else -i) for i, v in enumerate(verdict.assignment, start=1)
-        )
         print(f"v {lits} 0" if lits else "v 0")
         return EXIT_POSITIVE
     if isinstance(verdict, Unsat):
@@ -128,28 +128,20 @@ def _cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def parse_decomp(text: str) -> DecompositionPair:
-    """Raw decomposition file: "n m" header, n rows of m chars in {0,1} for
-    the alpha matrix, one blank line, n rows for the complement matrix.
+    """Raw decomposition file: "n m" header in plain ASCII digits, n rows of
+    m chars in {0,1} for the alpha matrix, one blank line, n rows for the
+    complement matrix.
 
     Only the rows the file holds are read, so the work and memory follow the
     file's size, not the header's n and m.  A missing line reads as empty.
     """
     lines = text.splitlines()
-
-    def err(lineno: int, message: str) -> ParseError:
-        return ParseError(message, line=lineno)
-
     if not lines:
-        raise err(1, "empty file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise err(1, "expected header 'n m'")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise err(1, "expected integer header 'n m'") from None
-    if n < 1 or m < 1:
-        raise err(1, "n and m must be positive")
+        raise ParseError("empty file", 1)
+    header = re.fullmatch(r"\s*0*([1-9][0-9]*)\s+0*([1-9][0-9]*)\s*", lines[0])
+    if header is None:
+        raise ParseError("expected header 'n m' of positive integers in plain digits", 1)
+    n, m = map(int, header.groups())
 
     def line(lineno: int) -> str:
         return lines[lineno - 1].strip() if lineno <= len(lines) else ""
@@ -159,21 +151,21 @@ def parse_decomp(text: str) -> DecompositionPair:
         for lineno in range(first_line, first_line + n):
             row = line(lineno)
             if len(row) != m:
-                raise err(lineno, f"expected {m} characters, got {len(row)}")
+                raise ParseError(f"expected {m} characters, got {len(row)}", lineno)
             for ch in row:
                 if ch not in "01":
-                    raise err(lineno, f"invalid character {ch!r}")
+                    raise ParseError(f"invalid character {ch!r}", lineno)
             rows.append([j for j, ch in enumerate(row) if ch == "1"])
         return rows
 
     alpha_rows = read_block(2)
     blank_line = 2 + n
     if line(blank_line):
-        raise err(blank_line, "expected a blank separator line")
+        raise ParseError("expected a blank separator line", blank_line)
     bar_rows = read_block(blank_line + 1)
     for lineno in range(blank_line + n + 1, len(lines) + 1):
         if line(lineno):
-            raise err(lineno, "unexpected trailing content")
+            raise ParseError("unexpected trailing content", lineno)
     return DecompositionPair(n, m, alpha_rows, bar_rows)
 
 
@@ -387,7 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:  # e.g. a SAT answer's v line, O(num_vars) by format
+        return _fail_input("out of memory")
 
 
 if __name__ == "__main__":

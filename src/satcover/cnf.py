@@ -3,15 +3,18 @@
 A formula with n variables and m clauses can be viewed as an m x n matrix
 with entries in {-1, 0, +1} (one row per clause, one column per variable);
 ``to_matrix`` builds it, but the reduction does not need it.  The reduction
-to a decomposition pair puts, for each variable, the clauses holding its
-negative literal on the alpha side and the clauses holding its positive
-literal on the other side; a row swap then corresponds to assigning the
-variable true.
+to a decomposition pair puts, for each variable that occurs, the clauses
+holding its negative literal on the alpha side and the clauses holding its
+positive literal on the other side; a row swap then corresponds to
+assigning the variable true.
 """
 from __future__ import annotations
 
+import re
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from operator import neg
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,33 +64,42 @@ class PreprocessReport:
 # parsing and emission
 # ---------------------------------------------------------------------------
 
-def _preprocess_clause(raw: Clause) -> Optional[Clause]:
-    """Dedupe literals; None for a tautology.  Literal order of first
-    occurrence is preserved."""
-    seen = set()
-    out: Clause = []
-    for lit in raw:
-        if lit not in seen:
-            seen.add(lit)
-            out.append(lit)
-    for lit in out:
-        if -lit in seen:
-            return None
-    return out
+# a literal is -?[0-9]+ in ASCII digits, never a negative zero; header
+# counts are plain ASCII digits (int() would also read 1_0, +1 and -0).
+# The quantifiers are possessive, so a line is never backtracked into; the
+# alternative needing a nonzero digit comes first, or "01" would stop at "0"
+_LITERAL = r"(?:-?+0*+[1-9][0-9]*+|0++)"
+_LITERALS = re.compile(rf"{_LITERAL}(?:\s++{_LITERAL})*+")
+_HEADER = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)")
+
+
+def _cut(clause: dict, clauses: List[Clause], removed: List[int]) -> None:
+    """File a finished clause (an ordered set of literals): kept, or its
+    1-based position recorded when it is a tautology."""
+    if clause.keys().isdisjoint(map(neg, clause)):
+        clauses.append(list(clause))
+    else:
+        removed.append(len(clauses) + len(removed) + 1)
 
 
 def parse_dimacs(text: str) -> Tuple[CnfFormula, PreprocessReport]:
     """Parse DIMACS CNF text into a preprocessed formula plus a report.
 
     Comment lines start with 'c'; the header is ``p cnf <vars> <clauses>``;
-    clauses are 0-terminated integer runs (the final terminator and newline
-    are optional).  Errors carry 1-based line numbers.
+    clauses are 0-terminated literal runs (the final terminator and newline
+    are optional).  The text is read once: each clause is deduplicated
+    (first occurrences kept, in order) and dropped as a tautology when it is
+    cut.  Errors carry 1-based line numbers; a literal outside the declared
+    range is reported only after the whole text has been read, so any
+    syntax error takes precedence.
     """
     num_vars = None
-    declared_clauses = None
-    header_line = 0
-    tokens: List[Tuple[int, int]] = []  # (literal, line)
+    declared_clauses = 0
     last_line = 1
+    clauses: List[Clause] = []
+    removed_tautologies: List[int] = []
+    current: dict = {}  # the clause being read, as an ordered set of literals
+    out_of_range: Optional[ParseError] = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         last_line = lineno
@@ -96,55 +108,35 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, PreprocessReport]:
         if stripped.startswith("p"):
             if num_vars is not None:
                 raise ParseError("duplicate header", lineno)
-            parts = stripped.split()
-            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+            header = _HEADER.fullmatch(stripped)
+            if header is None:
                 raise ParseError(f"malformed header {stripped!r}", lineno)
-            try:
-                num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
-            except ValueError:
-                raise ParseError(f"malformed header {stripped!r}", lineno) from None
-            if num_vars < 0 or declared_clauses < 0:
-                raise ParseError("header counts must be non-negative", lineno)
-            header_line = lineno
+            num_vars, declared_clauses = map(int, header.groups())
             continue
         if num_vars is None:
             raise ParseError("clause data before header", lineno)
-        for tok in stripped.split():
-            try:
-                val = int(tok)
-            except ValueError:
-                raise ParseError(f"non-integer token {tok!r}", lineno) from None
-            tokens.append((val, lineno))
+        if not _LITERALS.fullmatch(stripped):
+            tok = next(tok for tok in stripped.split() if not re.fullmatch(_LITERAL, tok))
+            raise ParseError(f"non-integer token {tok!r}", lineno)
+        for lit in map(int, stripped.split()):
+            if lit:
+                current[lit] = None
+                if abs(lit) > num_vars and out_of_range is None:
+                    out_of_range = ParseError(
+                        f"literal {lit} outside declared range 1..{num_vars}", lineno
+                    )
+            else:
+                _cut(current, clauses, removed_tautologies)
+                current = {}
     if num_vars is None:
-        raise ParseError("missing 'p cnf' header", header_line or last_line)
-
-    raw_clauses: List[Clause] = []
-    current: Clause = []
-    for val, lineno in tokens:
-        if val == 0:
-            raw_clauses.append(current)
-            current = []
-            continue
-        if abs(val) > num_vars:
-            raise ParseError(f"literal {val} outside declared range 1..{num_vars}", lineno)
-        current.append(val)
+        raise ParseError("missing 'p cnf' header", last_line)
     if current:
-        raw_clauses.append(current)  # unterminated final clause
-    if len(raw_clauses) != declared_clauses:
-        raise ParseError(
-            f"header declares {declared_clauses} clauses, found {len(raw_clauses)}",
-            last_line,
-        )
-
-    clauses: List[Clause] = []
-    removed_tautologies: List[int] = []
-    for idx, raw in enumerate(raw_clauses, start=1):
-        clause = _preprocess_clause(raw)
-        if clause is None:
-            removed_tautologies.append(idx)
-        else:
-            clauses.append(clause)
+        _cut(current, clauses, removed_tautologies)  # unterminated final clause
+    if out_of_range is not None:
+        raise out_of_range
+    found = len(clauses) + len(removed_tautologies)
+    if found != declared_clauses:
+        raise ParseError(f"header declares {declared_clauses} clauses, found {found}", last_line)
     formula = CnfFormula(num_vars=num_vars, clauses=clauses)
     return formula, PreprocessReport(removed_tautologies=tuple(removed_tautologies))
 
@@ -166,18 +158,13 @@ def emit_dimacs(formula: CnfFormula) -> str:
 # variable bookkeeping
 # ---------------------------------------------------------------------------
 
-def used_variables(formula: CnfFormula) -> List[int]:
-    """Variables occurring in at least one clause, ascending."""
-    return sorted({abs(lit) for clause in formula.clauses for lit in clause})
-
-
 def restrict_to_used(formula: CnfFormula) -> Tuple[CnfFormula, List[int]]:
     """Renumber onto the used variables only.
 
     Returns the renumbered formula and the ascending list mapping new index
     position -> original variable (1-based on both sides).
     """
-    used = used_variables(formula)
+    used = sorted({abs(lit) for clause in formula.clauses for lit in clause})
     # keyed by the used literals only: the header's num_vars sizes nothing
     remap = {}
     for k, v in enumerate(used, start=1):
@@ -202,27 +189,29 @@ def to_matrix(formula: CnfFormula) -> np.ndarray:
     return entries
 
 
-def to_decomposition(formula: CnfFormula, *, alpha: str = "neg", ops=None) -> DecompositionPair:
-    """Turn the formula into a decomposition pair, one row per variable and
-    one column per clause.
+def to_decomposition(
+    formula: CnfFormula, *, alpha: str = "neg", ops=None
+) -> Tuple[DecompositionPair, List[int]]:
+    """Turn the formula into a decomposition pair, one row per used variable
+    and one column per clause; return it with ``used``.
 
-    With ``alpha="neg"`` (default) the alpha side of variable row i holds the
-    clauses containing the negative literal of x_i; ``alpha="pos"`` mirrors
-    the orientation.  Requires every clause and every variable to occur
-    (empty clauses and unused variables must be handled upstream).  The
-    occurrence lists are filled straight from the clauses in one pass; a
-    variable repeated inside a clause keeps the sign of its last literal,
-    as in the signed matrix.
+    ``used`` lists the variables that occur, ascending, and row r of the
+    pair stands for variable ``used[r - 1]``: a variable that occurs in no
+    clause gets no row, and the header's num_vars sizes nothing.  With
+    ``alpha="neg"`` (default) the alpha side of a variable's row holds the
+    clauses containing its negative literal; ``alpha="pos"`` mirrors the
+    orientation.  Requires every clause to be non-empty (empty clauses must
+    be handled upstream).  The occurrence lists are filled straight from the
+    clauses in one pass, keyed by literal; a variable repeated inside a
+    clause keeps the sign of its last literal, as in the signed matrix.
     """
     if alpha not in ("neg", "pos"):
         raise StructuralError(f"alpha must be 'neg' or 'pos', got {alpha!r}")
-    n = formula.num_vars
     m = len(formula.clauses)
     if m == 0:
         raise StructuralError("formula has no clauses")
-    # occ[lit] lists the clauses holding literal lit, ascending; a negative
-    # literal indexes from the end, so occ[-v] is x_v's negative list
-    occ: List[List[int]] = [[] for _ in range(2 * n + 1)]
+    # occ[lit] lists the clauses holding literal lit, ascending
+    occ: Dict[int, List[int]] = defaultdict(list)
     for j, clause in enumerate(formula.clauses):
         if not clause:
             raise StructuralError(f"clause {j + 1} is empty")
@@ -230,40 +219,41 @@ def to_decomposition(formula: CnfFormula, *, alpha: str = "neg", ops=None) -> De
             row = occ[lit]
             if row and row[-1] == j:
                 continue
-            other = occ[-lit]
+            other = occ.get(-lit)
             if other and other[-1] == j:
                 other.pop()
             row.append(j)
-    pos_rows = occ[1 : n + 1]
-    neg_rows = occ[: n : -1]
-    for i in range(n):
-        if not neg_rows[i] and not pos_rows[i]:
-            raise StructuralError(f"variable {i + 1} occurs in no clause")
+    used = sorted({abs(lit) for lit in occ})
+    n = len(used)
+    pos_rows = [occ.get(v, ()) for v in used]
+    neg_rows = [occ.get(-v, ()) for v in used]
     if ops is not None:
         # charged as the dense reduction: classify each cell of the signed
         # matrix once, write both matrices
         ops.cmp(m * n)
         ops.assign(2 * m * n)
     if alpha == "neg":
-        return DecompositionPair(n, m, neg_rows, pos_rows)
-    return DecompositionPair(n, m, pos_rows, neg_rows)
+        return DecompositionPair(n, m, neg_rows, pos_rows), used
+    return DecompositionPair(n, m, pos_rows, neg_rows), used
 
 
 def assignment_from_swaps(swaps, used: List[int], num_vars: int, alpha: str) -> Assignment:
     """The assignment a swap set of the reduced pair encodes.
 
-    Row r of the pair built by ``to_decomposition(restrict_to_used(f)[0],
-    alpha=alpha)`` stands for variable ``used[r - 1]`` of f.  With
-    ``alpha="neg"`` a swapped row's variable is true, with ``"pos"`` an
-    unswapped one's; variables outside ``used`` are false.
+    Row r of the pair ``to_decomposition(f, alpha=alpha)`` returns stands
+    for variable ``used[r - 1]`` of f, ``used`` being the list it returns
+    alongside.  With ``alpha="neg"`` a swapped row's variable is true, with
+    ``"pos"`` an unswapped one's; variables outside ``used`` are false.
     """
     swap_set = set(swaps)
     for r in swap_set:
         if not 1 <= r <= len(used):
             raise StructuralError(f"swap index {r} outside 1..{len(used)}")
     true_when_swapped = alpha == "neg"
-    value = {v: (r in swap_set) == true_when_swapped for r, v in enumerate(used, start=1)}
-    return tuple(value.get(v, False) for v in range(1, num_vars + 1))
+    assignment = [False] * num_vars
+    for r, v in enumerate(used, start=1):
+        assignment[v - 1] = (r in swap_set) == true_when_swapped
+    return tuple(assignment)
 
 
 def evaluate(formula: CnfFormula, assignment: Sequence[bool]) -> bool:

@@ -476,8 +476,7 @@ def exhaustive_reduction_check(max_n: int = 3, max_m: int = 4, max_width: int = 
         raise ValueError(f"exhaustive_reduction_check refuses max_n={max_n} > 4")
     for formula in enumerate_formulas(max_n, max_m, max_width):
         sat, _ = brute_sat(formula)
-        sub, used = restrict_to_used(formula)
-        pair = to_decomposition(sub)
+        pair, used = to_decomposition(formula)
         covered, swaps = brute_covering(pair)
         if sat != covered:
             return False

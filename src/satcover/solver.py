@@ -16,7 +16,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cnf import CnfFormula, assignment_from_swaps, evaluate, restrict_to_used, to_decomposition
+from .cnf import CnfFormula, assignment_from_swaps, evaluate, to_decomposition
+from .cnf import restrict_to_used  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .decomposition import (
     DecompositionPair,
@@ -264,12 +265,10 @@ def solve_sat(
                 Unsat(Reason(EMPTY_CLAUSE, clause_label(idx))), ops, trace, 0
             )
     if not formula.clauses:
-        assignment = tuple(False for _ in range(formula.num_vars))
         trace.emit("verdict", 0, 0)
-        return SolveRun(Sat(assignment), ops, trace, 0)
+        return SolveRun(Sat((False,) * formula.num_vars), ops, trace, 0)
 
-    sub, used = restrict_to_used(formula)
-    pair = to_decomposition(sub, alpha=alpha, ops=ops)
+    pair, used = to_decomposition(formula, alpha=alpha, ops=ops)
 
     try:
         verdict, extensions = _run_covering(

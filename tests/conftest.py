@@ -38,7 +38,7 @@ def formula_of(text: str) -> CnfFormula:
 
 
 def pair_of(text: str) -> DecompositionPair:
-    return to_decomposition(formula_of(text))
+    return to_decomposition(formula_of(text))[0]
 
 
 @pytest.fixture

@@ -184,10 +184,9 @@ def test_criterion_03_worked_fixtures():
 
 
 def _build_graph(formula):
-    sub, _ = restrict_to_used(formula)
-    if not sub.clauses or any(not c for c in sub.clauses):
+    if not formula.clauses or any(not c for c in formula.clauses):
         return None, None
-    pair = to_decomposition(sub)
+    pair, _ = to_decomposition(formula)
     graph = find_main_vertices(pair, column_counts(pair), ops=DISABLED_OPS, trace=NO_TRACE)
     if graph is None:
         return None, None
@@ -363,7 +362,7 @@ def test_criterion_06_input_length_equality():
         if not sub.clauses or any(not c for c in sub.clauses):
             continue
         matrix = to_matrix(sub)
-        pair = to_decomposition(sub)
+        pair, _ = to_decomposition(formula)
         if np.count_nonzero(matrix) != input_length(pair):
             ok = False
             break

@@ -29,6 +29,26 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def run_capped(script, path):
+    """Run the script on the path in a child process capped at 1.5 GB of
+    address space, where an allocation sized by a huge header fails fast
+    instead of taking gigabytes."""
+    cap = 1_500_000_000
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", script, path],
+        capture_output=True,
+        text=True,
+        env=env,
+        preexec_fn=limit_memory,
+        timeout=60,
+    )
+
+
 class TestSolve:
     def test_sat_exit_and_output(self, tmp_path, capsys):
         path = write(tmp_path, "e1.cnf", E1_TEXT)
@@ -111,8 +131,7 @@ class TestSolve:
 
     def test_header_does_not_size_the_work(self, tmp_path):
         # the header declares 10^9 variables but only x1 occurs; a remap
-        # sized by the header would need 8 GB, so the solve runs in a child
-        # process capped at 1.5 GB of address space, where that fails fast
+        # sized by the header would need 8 GB
         path = write(tmp_path, "huge.cnf", "p cnf 1000000000 2\n1 0\n-1 0\n")
         script = (
             "import sys, tracemalloc\n"
@@ -122,24 +141,36 @@ class TestSolve:
             "print('peak', tracemalloc.get_traced_memory()[1])\n"
             "sys.exit(code)\n"
         )
-        cap = 1_500_000_000
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
-        done = subprocess.run(
-            [sys.executable, "-c", script, path],
-            capture_output=True,
-            text=True,
-            env=env,
-            preexec_fn=limit_memory,
-            timeout=60,
-        )
+        done = run_capped(script, path)
         assert done.returncode == 20, done.stderr
         lines = done.stdout.splitlines()
         assert lines[0] == "s UNSATISFIABLE"
         assert int(lines[-1].split()[1]) < 1_000_000
+
+    def test_out_of_memory_is_an_input_error(self, tmp_path):
+        # a SAT answer names all 10^8 declared variables, which cannot fit
+        # in 1.5 GB: the answer is an error line, not a traceback
+        path = write(tmp_path, "wide.cnf", "p cnf 100000000 1\n1 0\n")
+        script = (
+            "import sys\n"
+            "from satcover.cli import main\n"
+            "sys.exit(main(['solve', sys.argv[1]]))\n"
+        )
+        done = run_capped(script, path)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == "error: out of memory\n"
+
+    @pytest.mark.parametrize(
+        "text", ["p cnf 1_0 1\n+1_0 0\n", "p cnf 1 1\n+1 0\n", "p cnf 1 1\n-0 1 0\n"]
+    )
+    def test_literals_are_plain_integers(self, tmp_path, capsys, text):
+        # int() reads all of these; DIMACS allows only -?[0-9]+, no -0
+        path = write(tmp_path, "odd.cnf", text)
+        assert main(["solve", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line ")
 
 
 class TestCovering:
@@ -200,6 +231,8 @@ class TestDecompFormat:
             "2 2\n10\n00\n01\n10\n",
             "2 2\n10\n00\n\n01\n1x\n",
             "2 2\n10\n00\n\n01\n10\nextra\n",
+            "+2 2\n10\n00\n\n01\n10\n",
+            "2 \u0662\n10\n00\n\n01\n10\n",
         ],
     )
     def test_rejects(self, text):
@@ -222,6 +255,18 @@ class TestDecompFormat:
         path = write(tmp_path, "huge.decomp", text)
         assert main(["covering", path]) == 2
         assert capsys.readouterr().err == "error: line 2: expected 1 characters, got 0\n"
+
+    def test_header_counts_are_plain_digits(self, tmp_path, capsys):
+        # int() reads 1_0 as 10, and the ten rows per side make a covering
+        text = "1_0 1\n" + "1\n" * 10 + "\n" + "0\n" * 10
+        with pytest.raises(ParseError) as info:
+            parse_decomp(text)
+        assert info.value.line == 1
+        path = write(tmp_path, "underscore.decomp", text)
+        assert main(["covering", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 1: expected header 'n m'")
 
     def test_emit_fixture(self):
         pair = parse_decomp(E1_DECOMP)

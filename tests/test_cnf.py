@@ -1,4 +1,7 @@
 """DIMACS parsing, canonical emission, and the matrix reduction."""
+import re
+from typing import List, Tuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +20,162 @@ from satcover import (
     to_decomposition,
     to_matrix,
 )
-from satcover.cnf import used_variables
 from satcover.decomposition import validate
 
 from conftest import formulas, naive_input_length
 from satcover import input_length
+
+
+def _preprocess_clause(raw):
+    """Dedupe literals; None for a tautology.  Literal order of first
+    occurrence is preserved."""
+    seen = set()
+    out = []
+    for lit in raw:
+        if lit not in seen:
+            seen.add(lit)
+            out.append(lit)
+    for lit in out:
+        if -lit in seen:
+            return None
+    return out
+
+
+def reference_parse_dimacs(text):
+    """The three-pass reader ``parse_dimacs`` replaced, kept as its
+    reference: integers are read with ``int()``, so it also takes ``1_0``,
+    ``+1``, ``-0`` and non-ASCII digits."""
+    num_vars = None
+    declared_clauses = None
+    header_line = 0
+    tokens: List[Tuple[int, int]] = []  # (literal, line)
+    last_line = 1
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        last_line = lineno
+        if not stripped or stripped.startswith("c"):
+            continue
+        if stripped.startswith("p"):
+            if num_vars is not None:
+                raise ParseError("duplicate header", lineno)
+            parts = stripped.split()
+            if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
+                raise ParseError(f"malformed header {stripped!r}", lineno)
+            try:
+                num_vars = int(parts[2])
+                declared_clauses = int(parts[3])
+            except ValueError:
+                raise ParseError(f"malformed header {stripped!r}", lineno) from None
+            if num_vars < 0 or declared_clauses < 0:
+                raise ParseError("header counts must be non-negative", lineno)
+            header_line = lineno
+            continue
+        if num_vars is None:
+            raise ParseError("clause data before header", lineno)
+        for tok in stripped.split():
+            try:
+                val = int(tok)
+            except ValueError:
+                raise ParseError(f"non-integer token {tok!r}", lineno) from None
+            tokens.append((val, lineno))
+    if num_vars is None:
+        raise ParseError("missing 'p cnf' header", header_line or last_line)
+
+    raw_clauses = []
+    current = []
+    for val, lineno in tokens:
+        if val == 0:
+            raw_clauses.append(current)
+            current = []
+            continue
+        if abs(val) > num_vars:
+            raise ParseError(f"literal {val} outside declared range 1..{num_vars}", lineno)
+        current.append(val)
+    if current:
+        raw_clauses.append(current)  # unterminated final clause
+    if len(raw_clauses) != declared_clauses:
+        raise ParseError(
+            f"header declares {declared_clauses} clauses, found {len(raw_clauses)}",
+            last_line,
+        )
+
+    clauses = []
+    removed_tautologies = []
+    for idx, raw in enumerate(raw_clauses, start=1):
+        clause = _preprocess_clause(raw)
+        if clause is None:
+            removed_tautologies.append(idx)
+        else:
+            clauses.append(clause)
+    return CnfFormula(num_vars=num_vars, clauses=clauses), tuple(removed_tautologies)
+
+
+# tokens int() reads that the grammar refuses: header counts are [0-9]+,
+# literals -?[0-9]+ without a negative zero
+COUNT = re.compile(r"[0-9]+")
+LITERAL = re.compile(r"0+|-?0*[1-9][0-9]*")
+
+
+def reads_as_int(tok: str) -> bool:
+    try:
+        int(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def has_refused_token(text: str) -> bool:
+    for line in text.splitlines():
+        grammar = COUNT if line.strip().startswith("p") else LITERAL
+        if any(reads_as_int(tok) and not grammar.fullmatch(tok) for tok in line.split()):
+            return True
+    return False
+
+
+ODD_TOKEN = st.sampled_from(
+    ["x", "--1", "-", "1-2", "+1", "1_0", "-0", "-00", "00", "007", "01", "-007", "\u0661", "+0", "1e3", "-9"]
+)
+SEPARATOR = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\n\n", "\nc note\n", "\xa0"])
+
+
+@st.composite
+def dimacs_texts(draw):
+    """DIMACS-like texts: a clause list's tokens laid out over random lines,
+    with the final terminator sometimes left off, empty and tautological
+    clauses, literals past the declared range, mismatched or odd header
+    counts, stray or doubled headers and a few odd tokens mixed in."""
+    num_vars = draw(st.integers(0, 6))
+    literal = st.integers(-max(num_vars, 1), max(num_vars, 1)).filter(bool)
+    clauses = draw(st.lists(st.lists(literal, max_size=5), max_size=6))
+    tokens = [str(lit) for clause in clauses for lit in clause + [0]]
+    if tokens and draw(st.booleans()):
+        tokens.pop()
+    if draw(st.integers(0, 3)) == 0:
+        for _ in range(draw(st.integers(1, 2))):
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(ODD_TOKEN))
+    count = st.one_of(st.integers(0, 8).map(str), ODD_TOKEN, st.just("-1"))
+    declared = len(clauses) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    proper = f"p cnf {num_vars} {declared}"
+    odd = [f"p cnf {draw(count)} {draw(count)}", "p cnf 3", "p dnf 1 1", ""]
+    header = proper if draw(st.integers(0, 3)) else draw(st.sampled_from(odd))
+    if draw(st.integers(0, 3)) == 0:
+        line = draw(st.sampled_from(["p cnf 1 1", "c p", "cnf"]))
+        tokens.insert(draw(st.integers(0, len(tokens))), f"\n{line}\n")
+    body = "".join(tok + draw(SEPARATOR) for tok in tokens)
+    return draw(st.sampled_from(["", "c head\n"])) + header + "\n" + body
+
+
+def outcome(reader, text):
+    try:
+        formula, removed = reader(text)
+    except ParseError as exc:
+        return "error", str(exc), exc.line
+    return formula.num_vars, formula.clauses, removed
+
+
+def current_reader(text):
+    formula, report = parse_dimacs(text)
+    return formula, report.removed_tautologies
 
 
 class TestParse:
@@ -75,6 +229,13 @@ class TestParse:
             "p cnf 1 1\n1 0\n-1 0\n",
             "p cnf 1 1\nx 0\n",
             "p cnf 0 1\n1 0\n",
+            "p cnf 1_0 1\n",
+            "p cnf +1 1\n",
+            "p cnf 1 1\n+1 0\n",
+            "p cnf 10 1\n1_0 0\n",
+            "p cnf 1 1\n-0 1 0\n",
+            "p cnf 1 1\n--1 0\n",
+            "p cnf 1 1\n\u0661 0\n",
         ],
     )
     def test_rejects(self, text):
@@ -86,6 +247,16 @@ class TestParse:
             parse_dimacs("p cnf 1 1\n2 0\n")
         assert info.value.line == 2
         assert "line 2" in str(info.value)
+
+    @given(dimacs_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_reader(self, text):
+        # same formula, tautology report and error text and line, except on
+        # a token the strict grammar refuses, which the reader must refuse
+        expected = outcome(reference_parse_dimacs, text)
+        got = outcome(current_reader, text)
+        if got != expected:
+            assert has_refused_token(text) and got[0] == "error", (text, expected, got)
 
 
 class TestFormula:
@@ -121,7 +292,7 @@ class TestEmit:
 class TestUsedVariables:
     def test_used_and_unused(self):
         formula = CnfFormula(5, [[-4, 2]])
-        assert used_variables(formula) == [2, 4]
+        assert restrict_to_used(formula)[1] == [2, 4]
 
     def test_restrict_to_used(self):
         formula = CnfFormula(5, [[-4, 2]])
@@ -149,20 +320,21 @@ class TestMatrix:
     def test_tautology_must_be_preprocessed_upstream(self):
         # a raw x1-and-not-x1 clause collapses to one cell of the matrix
         assert to_matrix(CnfFormula(2, [[1, -1]])).tolist() == [[-1, 0]]
-        # x1 keeps the sign of its last literal, leaving x2 unused; the
-        # reduction refuses the formula
-        with pytest.raises(StructuralError):
-            to_decomposition(CnfFormula(2, [[1, -1]]))
+        # x1 keeps the sign of its last literal, and x2 gets no row
+        pair, used = to_decomposition(CnfFormula(2, [[1, -1]]))
+        assert used == [1]
+        assert (pair.alpha_rows, pair.bar_rows) == (((0,),), ((),))
 
 
 @st.composite
 def raw_formulas(draw):
     """Non-empty formulas of non-empty clauses whose literals are drawn with
-    replacement, so a clause may repeat a literal or hold both signs."""
+    replacement, so a clause may repeat a literal or hold both signs, over
+    a variable range that may leave some variables unused."""
     n = draw(st.integers(1, 6))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
     clause = st.lists(literal, min_size=1, max_size=6)
-    return CnfFormula(n, draw(st.lists(clause, min_size=1, max_size=8)))
+    return CnfFormula(n + draw(st.integers(0, 3)), draw(st.lists(clause, min_size=1, max_size=8)))
 
 
 class TestToDecomposition:
@@ -170,17 +342,32 @@ class TestToDecomposition:
     @settings(max_examples=200, deadline=None)
     def test_output_is_a_valid_decomposition(self, formula):
         # solve_sat relies on this and does not validate the pair it builds
-        sub, _ = restrict_to_used(formula)
         for alpha in ("neg", "pos"):
-            assert validate(to_decomposition(sub, alpha=alpha)).ok
+            assert validate(to_decomposition(formula, alpha=alpha)[0]).ok
+
+    @given(raw_formulas())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_renumbered_signed_matrix(self, formula):
+        # row i's alpha side is the clauses with -1 in column i of the
+        # renumbered formula's signed matrix for "neg", +1 for "pos"
+        sub, used = restrict_to_used(formula)
+        matrix = to_matrix(sub)
+        neg_rows = tuple(tuple(np.flatnonzero(col == -1).tolist()) for col in matrix.T)
+        pos_rows = tuple(tuple(np.flatnonzero(col == 1).tolist()) for col in matrix.T)
+        for alpha, sides in (("neg", (neg_rows, pos_rows)), ("pos", (pos_rows, neg_rows))):
+            pair, got_used = to_decomposition(formula, alpha=alpha)
+            assert got_used == used
+            assert (pair.n, pair.m) == matrix.shape[::-1]
+            assert (pair.alpha_rows, pair.bar_rows) == sides
 
     def test_neg_orientation(self, e1):
-        pair = to_decomposition(e1)
+        pair, used = to_decomposition(e1)
+        assert used == [1, 2]
         assert pair.alpha_rows == ((0,), ())
         assert pair.bar_rows == ((1,), (0,))
 
     def test_pos_orientation(self, e1):
-        pair = to_decomposition(e1, alpha="pos")
+        pair, _ = to_decomposition(e1, alpha="pos")
         assert pair.alpha_rows == ((1,), (0,))
         assert pair.bar_rows == ((0,), ())
 
@@ -193,10 +380,12 @@ class TestToDecomposition:
             to_decomposition(CnfFormula(1, [[1], []]))
         assert "2" in str(info.value)
 
-    def test_unused_variable_column_rejected(self):
-        with pytest.raises(StructuralError) as info:
-            to_decomposition(CnfFormula(2, [[1]]))
-        assert "2" in str(info.value)
+    def test_unused_variable_gets_no_row(self):
+        # x1 and x3 occur in no clause; rows stand for x2 and x4
+        pair, used = to_decomposition(CnfFormula(5, [[-4, 2], [2]]))
+        assert used == [2, 4]
+        assert pair.alpha_rows == ((), (0,))
+        assert pair.bar_rows == ((0, 1), ())
 
     def test_operation_charges(self, e1):
         ops = OpCounter()
@@ -208,9 +397,8 @@ class TestToDecomposition:
     @given(formulas())
     @settings(max_examples=60, deadline=None)
     def test_nonzeros_equal_input_length(self, formula):
-        sub, _ = restrict_to_used(formula)
-        matrix = to_matrix(sub)
-        pair = to_decomposition(sub)
+        matrix = to_matrix(restrict_to_used(formula)[0])
+        pair, _ = to_decomposition(formula)
         assert np.count_nonzero(matrix) == input_length(pair)
         # the occurrence lists agree with the signed matrix cell by cell
         for i in range(pair.n):

@@ -15,7 +15,6 @@ from satcover import (
     eliminate_incompatibilities,
     find_main_vertices,
     random_cnf,
-    restrict_to_used,
     to_decomposition,
 )
 from satcover.graph import find_forced_conflict_row, single_columns
@@ -144,12 +143,9 @@ class TestConstruct:
     @given(formulas(max_vars=5, max_clauses=6))
     @settings(max_examples=80, deadline=None)
     def test_construct_preserves_invariants(self, formula):
-        from satcover import restrict_to_used, to_decomposition
-
-        sub, _ = restrict_to_used(formula)
-        if any(not c for c in sub.clauses):
+        if any(not c for c in formula.clauses):
             return
-        pair = to_decomposition(sub)
+        pair, _ = to_decomposition(formula)
         counts = column_counts(pair)
         graph = find_main_vertices(pair, counts, ops=DISABLED_OPS, trace=NO_TRACE)
         if graph is None:
@@ -210,8 +206,7 @@ class TestStateSize:
             seed=7, num_instances=1, var_range=(200, 200), clause_range=(800, 800),
             width_range=(3, 3),
         )
-        sub, _ = restrict_to_used(random_cnf(cfg, 0))
-        pair = to_decomposition(sub)
+        pair, _ = to_decomposition(random_cnf(cfg, 0))
         n, m = pair.n, pair.m
         assert (n, m) == (200, 800)
         graph = find_main_vertices(pair, column_counts(pair))

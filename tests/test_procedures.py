@@ -24,7 +24,6 @@ from satcover import (
     find_main_vertices,
     random_cnf,
     removal_procedure,
-    restrict_to_used,
     to_decomposition,
 )
 from satcover import procedures
@@ -224,10 +223,10 @@ class TestSwappedCounts:
             width_range=(2, 3),
         )
         for i in range(cfg.num_instances):
-            sub, _ = restrict_to_used(random_cnf(cfg, i))
-            if not sub.clauses or any(not c for c in sub.clauses):
+            formula = random_cnf(cfg, i)
+            if not formula.clauses or any(not c for c in formula.clauses):
                 continue
-            pair = to_decomposition(sub)
+            pair, _ = to_decomposition(formula)
             graph = find_main_vertices(pair, column_counts(pair))
             if graph is None:
                 continue
