@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from typing import List, Optional, Tuple
 
-from .cnf import ParseError, parse_dimacs
+from .cnf import ParseError, parse_dimacs, read_counts
 from .decomposition import DecompositionPair, StructuralError
 from .harness import FuzzConfig, complexity_probe, diff_exhaustive, differential_run
 from .solver import (
@@ -138,10 +137,12 @@ def parse_decomp(text: str) -> DecompositionPair:
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty file", 1)
-    header = re.fullmatch(r"\s*0*([1-9][0-9]*)\s+0*([1-9][0-9]*)\s*", lines[0])
-    if header is None:
-        raise ParseError("expected header 'n m' of positive integers in plain digits", 1)
-    n, m = map(int, header.groups())
+    counts = read_counts(lines[0].strip())
+    if counts is None:
+        raise ParseError("expected header 'n m' of two integers in plain digits", 1)
+    n, m = counts
+    if n < 1 or m < 1:
+        raise ParseError("n and m must be positive", 1)
 
     def line(lineno: int) -> str:
         return lines[lineno - 1].strip() if lineno <= len(lines) else ""

@@ -64,13 +64,20 @@ class PreprocessReport:
 # parsing and emission
 # ---------------------------------------------------------------------------
 
-# a literal is -?[0-9]+ in ASCII digits, never a negative zero; header
-# counts are plain ASCII digits (int() would also read 1_0, +1 and -0).
-# The quantifiers are possessive, so a line is never backtracked into; the
-# alternative needing a nonzero digit comes first, or "01" would stop at "0"
-_LITERAL = r"(?:-?+0*+[1-9][0-9]*+|0++)"
-_LITERALS = re.compile(rf"{_LITERAL}(?:\s++{_LITERAL})*+")
-_HEADER = re.compile(r"p\s+cnf\s+([0-9]+)\s+([0-9]+)")
+# a literal is -?[0-9]+ in ASCII digits, never a negative zero; a count is
+# plain ASCII digits (int() would also read 1_0, +1, -0 and other scripts'
+# digits, and refuses a run over sys.get_int_max_str_digits())
+_LITERAL = re.compile(r"-?0*[1-9][0-9]*|0+")
+_COUNTS = re.compile(r"([0-9]+)\s+([0-9]+)")
+
+
+def read_counts(text: str) -> Optional[Tuple[int, int]]:
+    """The two counts of a header's stripped ``text``, or None."""
+    counts = _COUNTS.fullmatch(text)
+    try:
+        return (int(counts[1]), int(counts[2])) if counts else None
+    except ValueError:  # too many digits
+        return None
 
 
 def _cut(clause: dict, clauses: List[Clause], removed: List[int]) -> None:
@@ -90,8 +97,7 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, PreprocessReport]:
     are optional).  The text is read once: each clause is deduplicated
     (first occurrences kept, in order) and dropped as a tautology when it is
     cut.  Errors carry 1-based line numbers; a literal outside the declared
-    range is reported only after the whole text has been read, so any
-    syntax error takes precedence.
+    range is reported after the whole text is read, behind any syntax error.
     """
     num_vars = None
     declared_clauses = 0
@@ -108,17 +114,21 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, PreprocessReport]:
         if stripped.startswith("p"):
             if num_vars is not None:
                 raise ParseError("duplicate header", lineno)
-            header = _HEADER.fullmatch(stripped)
-            if header is None:
+            parts = stripped.split(None, 2)
+            counts = read_counts(parts[2]) if parts[:2] == ["p", "cnf"] and parts[2:] else None
+            if counts is None:
                 raise ParseError(f"malformed header {stripped!r}", lineno)
-            num_vars, declared_clauses = map(int, header.groups())
+            num_vars, declared_clauses = counts
             continue
         if num_vars is None:
             raise ParseError("clause data before header", lineno)
-        if not _LITERALS.fullmatch(stripped):
-            tok = next(tok for tok in stripped.split() if not re.fullmatch(_LITERAL, tok))
-            raise ParseError(f"non-integer token {tok!r}", lineno)
-        for lit in map(int, stripped.split()):
+        for tok in stripped.split():
+            try:
+                lit = int(tok) if _LITERAL.fullmatch(tok) else None
+            except ValueError:  # too many digits
+                lit = None
+            if lit is None:
+                raise ParseError(f"non-integer token {tok!r}", lineno)
             if lit:
                 current[lit] = None
                 if abs(lit) > num_vars and out_of_range is None:
@@ -149,8 +159,7 @@ def emit_dimacs(formula: CnfFormula) -> str:
     """Serialize to canonical DIMACS (sorted literals, one clause per line)."""
     lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
     for clause in formula.clauses:
-        lits = _canonical_clause(clause)
-        lines.append(" ".join(str(l) for l in lits + [0]))
+        lines.append(" ".join(map(str, _canonical_clause(clause) + [0])))
     return "\n".join(lines) + "\n"
 
 
@@ -166,10 +175,7 @@ def restrict_to_used(formula: CnfFormula) -> Tuple[CnfFormula, List[int]]:
     """
     used = sorted({abs(lit) for clause in formula.clauses for lit in clause})
     # keyed by the used literals only: the header's num_vars sizes nothing
-    remap = {}
-    for k, v in enumerate(used, start=1):
-        remap[v] = k
-        remap[-v] = -k
+    remap = {sign * v: sign * k for k, v in enumerate(used, start=1) for sign in (1, -1)}
     clauses = [[remap[lit] for lit in clause] for clause in formula.clauses]
     return CnfFormula(num_vars=len(used), clauses=clauses), used
 
@@ -200,9 +206,8 @@ def to_decomposition(
     clause gets no row, and the header's num_vars sizes nothing.  With
     ``alpha="neg"`` (default) the alpha side of a variable's row holds the
     clauses containing its negative literal; ``alpha="pos"`` mirrors the
-    orientation.  Requires every clause to be non-empty (empty clauses must
-    be handled upstream).  The occurrence lists are filled straight from the
-    clauses in one pass, keyed by literal; a variable repeated inside a
+    orientation.  An empty clause is refused.  The occurrence lists are
+    filled in one pass, keyed by literal; a variable repeated inside a
     clause keeps the sign of its last literal, as in the signed matrix.
     """
     if alpha not in ("neg", "pos"):
@@ -263,12 +268,9 @@ def evaluate(formula: CnfFormula, assignment: Sequence[bool]) -> bool:
             f"assignment length {len(assignment)} != num_vars {formula.num_vars}"
         )
     for clause in formula.clauses:
-        satisfied = False
         for lit in clause:
-            value = assignment[abs(lit) - 1]
-            if (lit > 0) == bool(value):
-                satisfied = True
+            if (lit > 0) == bool(assignment[abs(lit) - 1]):
                 break
-        if not satisfied:
+        else:
             return False
     return True

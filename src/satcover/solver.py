@@ -261,9 +261,7 @@ def solve_sat(
     for idx, clause in enumerate(formula.clauses, start=1):
         if not clause:
             trace.emit("verdict", 1, idx)
-            return SolveRun(
-                Unsat(Reason(EMPTY_CLAUSE, clause_label(idx))), ops, trace, 0
-            )
+            return SolveRun(Unsat(Reason(EMPTY_CLAUSE, clause_label(idx))), ops, trace, 0)
     if not formula.clauses:
         trace.emit("verdict", 0, 0)
         return SolveRun(Sat((False,) * formula.num_vars), ops, trace, 0)

@@ -233,6 +233,7 @@ class TestDecompFormat:
             "2 2\n10\n00\n\n01\n10\nextra\n",
             "+2 2\n10\n00\n\n01\n10\n",
             "2 \u0662\n10\n00\n\n01\n10\n",
+            "1" * 4301 + " 1\n1\n\n0\n",
         ],
     )
     def test_rejects(self, text):

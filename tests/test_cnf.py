@@ -110,6 +110,8 @@ def reference_parse_dimacs(text):
     return CnfFormula(num_vars=num_vars, clauses=clauses), tuple(removed_tautologies)
 
 
+TOO_LONG = "1" * 4301  # one digit over int()'s default limit
+
 # tokens int() reads that the grammar refuses: header counts are [0-9]+,
 # literals -?[0-9]+ without a negative zero
 COUNT = re.compile(r"[0-9]+")
@@ -236,11 +238,29 @@ class TestParse:
             "p cnf 1 1\n-0 1 0\n",
             "p cnf 1 1\n--1 0\n",
             "p cnf 1 1\n\u0661 0\n",
+            f"p cnf {TOO_LONG} 2\n1 0\n",
+            f"p cnf 1 1\n{TOO_LONG} 0\n",
         ],
     )
     def test_rejects(self, text):
         with pytest.raises(ParseError):
             parse_dimacs(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f"p cnf {TOO_LONG} 1\n1 0\n",
+            f"p cnf 1 {TOO_LONG}\n1 0\n",
+            f"p cnf 1 1\n{TOO_LONG} 0\n",
+            f"p cnf 1 1\n-{TOO_LONG} 0\n",
+            f"p cnf 1 1\n{'0' * len(TOO_LONG)} 0\n",
+            f"p cnf 1 1\n1 {TOO_LONG} x 0\n",
+        ],
+    )
+    def test_too_many_digits_read_as_the_reference(self, text):
+        # the grammar takes any digit run, and int() refuses one over its
+        # digit limit: the same error text and line as the reference
+        assert outcome(current_reader, text) == outcome(reference_parse_dimacs, text)
 
     def test_error_carries_line_number(self):
         with pytest.raises(ParseError) as info:

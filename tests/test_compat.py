@@ -1,0 +1,33 @@
+"""The package declares Python >= 3.10: its syntax and its regular
+expressions must use nothing newer, though the suite may run on 3.11."""
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import satcover
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def test_sources_parse_as_python_3_10():
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_patterns_use_no_3_11_regex_syntax(capsys):
+    # possessive quantifiers and atomic groups came in 3.11; re.DEBUG
+    # prints the parsed pattern, naming both
+    patterns = [
+        value
+        for info in pkgutil.iter_modules(satcover.__path__)
+        for value in vars(importlib.import_module(f"satcover.{info.name}")).values()
+        if isinstance(value, re.Pattern)
+    ]
+    assert patterns
+    for pattern in patterns:
+        re.compile(pattern.pattern, pattern.flags | re.DEBUG)
+    dump = capsys.readouterr().out
+    assert "POSSESSIVE_REPEAT" not in dump and "ATOMIC_GROUP" not in dump
