@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -193,6 +194,31 @@ def to_matrix(formula: CnfFormula) -> np.ndarray:
             entries[j, abs(lit) - 1] = 1 if lit > 0 else -1
     entries.setflags(write=False)
     return entries
+
+
+def clause_variable_count(formula: CnfFormula) -> int:
+    """The count of distinct variables in each clause, summed: the nonzeros
+    of ``to_matrix`` and the ones of the reduced pair, also when a clause
+    built in code repeats a variable or holds both of its literals.
+
+    One sort of all literals keyed by (clause, variable) finds the repeats,
+    instead of a set per clause.  The keys are int64, so when the clause
+    count times ``num_vars`` could overflow them the variables are first
+    numbered densely.
+    """
+    clauses = formula.clauses
+    lengths = list(map(len, clauses))
+    variables = map(abs, chain.from_iterable(clauses))
+    width = formula.num_vars + 1
+    if width * (len(clauses) + 1) >= 2**63:
+        seen = list(variables)
+        dense = {v: k for k, v in enumerate(set(seen))}
+        variables, width = map(dense.__getitem__, seen), len(dense)
+    total = sum(lengths)
+    keys = np.fromiter(variables, np.int64, total)
+    keys += np.repeat(np.arange(len(clauses), dtype=np.int64) * width, lengths)
+    keys.sort()
+    return total - int(np.count_nonzero(keys[1:] == keys[:-1]))
 
 
 def to_decomposition(

@@ -35,16 +35,20 @@ class PointingGraph:
     procedure reads them from here.  ``tried`` holds the vertices whose
     removal elimination has attempted, once per whole solve.
 
-    Mutable state (vertex ids 1-based, stored 0-based internally):
+    Mutable state, all plain Python lists and a bytearray, so the per-element
+    loops of the procedures index them without numpy scalar boxing (vertex
+    ids 1-based, stored 0-based internally):
       vertex_order   formation order of vertices (rows), append-only
-      formed/removed/main/useless/examined/final   per-vertex flags
+      formed/removed/main/useless/examined/final   per-vertex bool lists
       main_columns   per-vertex list of associated columns (main vertices)
-      indegree       per-vertex count of live incoming edges
-      multiplicity   per-column count of live main vertices associated with it
+      indegree       per-vertex int list: count of live incoming edges
+      multiplicity   per-column int list: count of live main vertices
+                     associated with the column
       edge_live      one byte per nonzero of alpha-bar, column-major:
                      1 while the edge into that row labelled that column is
                      live; column j's bytes start at ``edge_base[j]``
-      live_targets   per-column count of live edges labelled with it
+      live_targets   per-column int list: count of live edges labelled with
+                     the column
 
     Static, precomputed once from the pair and its counts (0-based):
       targets        ``pair.bar_cols``: the rows an edge labelled j can reach
@@ -59,7 +63,7 @@ class PointingGraph:
                      ascending by column
 
     ``main_column_total`` counts the entries of ``main_columns``.  ``trail``
-    is the undo log of removal cascades: (array, index, old value) per write,
+    is the undo log of removal cascades: (list, index, old value) per write,
     appended before the write, so popping it back to a mark restores the
     state the mark was taken in (see ``procedures.StateSnapshot``).
     """
@@ -72,16 +76,16 @@ class PointingGraph:
         self.counts = counts
         self.tried: Set[int] = set()
         self.vertex_order: List[int] = []
-        self.formed = np.zeros(n, dtype=bool)
-        self.removed = np.zeros(n, dtype=bool)
-        self.main = np.zeros(n, dtype=bool)
-        self.useless = np.zeros(n, dtype=bool)
-        self.examined = np.zeros(n, dtype=bool)
-        self.final = np.zeros(n, dtype=bool)
+        self.formed: List[bool] = [False] * n
+        self.removed: List[bool] = [False] * n
+        self.main: List[bool] = [False] * n
+        self.useless: List[bool] = [False] * n
+        self.examined: List[bool] = [False] * n
+        self.final: List[bool] = [False] * n
         self.main_columns: List[List[int]] = [[] for _ in range(n)]
         self.main_column_total = 0
-        self.indegree = np.zeros(n, dtype=np.int64)
-        self.multiplicity = np.zeros(m, dtype=np.int64)
+        self.indegree: List[int] = [0] * n
+        self.multiplicity: List[int] = [0] * m
         self.trail: List[tuple] = []
 
         self.targets = pair.bar_cols
@@ -93,24 +97,24 @@ class PointingGraph:
         self.single_cols: List[List[int]] = [[] for _ in range(n)]
         self.out_cols: List[List[int]] = [[] for _ in range(n)]
         self.in_slots: List[List[tuple]] = [[] for _ in range(n)]
+        in_slots = self.in_slots
         for j0 in np.flatnonzero(self.counts.m_alpha == 1).tolist():
             q0 = pair.alpha_cols[j0][0]
             self.col_single_row[j0] = q0 + 1
             self.single_cols[q0].append(j0)
             if self.targets[j0]:
                 self.out_cols[q0].append(j0)
-                base = self.edge_base[j0]
-                for k, r0 in enumerate(self.targets[j0]):
-                    self.in_slots[r0].append((j0, base + k))
+                for edge, r0 in enumerate(self.targets[j0], self.edge_base[j0]):
+                    in_slots[r0].append((j0, edge))
 
     # -- read helpers -----------------------------------------------------
 
     def live(self, vertex: int) -> bool:
-        return bool(self.formed[vertex - 1] and not self.removed[vertex - 1])
+        return self.formed[vertex - 1] and not self.removed[vertex - 1]
 
     def live_vertices(self) -> List[int]:
-        mask = self.formed & ~self.removed
-        return [int(i) + 1 for i in np.nonzero(mask)[0]]
+        """Formed and not removed vertices, ascending: the rows to swap."""
+        return [i + 1 for i, (f, r) in enumerate(zip(self.formed, self.removed)) if f and not r]
 
     def live_edges(self) -> List[tuple]:
         """All live edges as (source, target, column), sorted."""
@@ -177,20 +181,22 @@ def find_main_vertices(
         trace.emit("covering-already")
         return None
     graph = PointingGraph(pair, counts)
+    formed, main, main_columns = graph.formed, graph.main, graph.main_columns
     for j0 in zero_cols:
         ops.cmp(pair.n)
-        for r0 in pair.bar_cols[j0]:
-            if not graph.formed[r0]:
-                graph.formed[r0] = True
-                graph.main[r0] = True
+        rows = pair.bar_cols[j0]
+        for r0 in rows:
+            if not formed[r0]:
+                formed[r0] = True
+                main[r0] = True
                 graph.vertex_order.append(r0 + 1)
                 ops.assign(3)
                 trace.emit("vertex-formed", r0 + 1, 1)
-            graph.main_columns[r0].append(j0 + 1)
-            graph.main_column_total += 1
-            graph.multiplicity[j0] += 1
-            ops.arith(1)
+            main_columns[r0].append(j0 + 1)
+            ops.arith(1)  # one multiplicity increment per row, applied below
             ops.assign(1)
+        graph.main_column_total += len(rows)
+        graph.multiplicity[j0] = len(rows)
     return graph
 
 
@@ -208,54 +214,57 @@ def construct(graph: PointingGraph, *, ops=DISABLED_OPS, trace=NO_TRACE) -> bool
     candidate column).
     """
     g = graph
-    formed, removed, indegree = g.formed, g.removed, g.indegree
+    formed, removed, examined, indegree = g.formed, g.removed, g.examined, g.indegree
+    order, targets, bar_count = g.vertex_order, g.targets, g.bar_count
+    edge_base, edge_live, live_targets = g.edge_base, g.edge_live, g.live_targets
+    emit = trace.emit
     added = False
     idx = 0
-    while idx < len(g.vertex_order):
-        q = g.vertex_order[idx]
+    while idx < len(order):
+        q = order[idx]
         idx += 1
         q0 = q - 1
         ops.cmp(1)
-        if g.examined[q0] or removed[q0]:
+        if examined[q0] or removed[q0]:
             continue
-        g.examined[q0] = True
+        examined[q0] = True
         ops.assign(1)
-        trace.emit("vertex-examined", q)
+        emit("vertex-examined", q)
         singles = g.single_cols[q0]
         ops.cmp(g.m)
         if not singles:
             g.final[q0] = True
             ops.assign(1)
-            trace.emit("final-marked", q)
+            emit("final-marked", q)
             continue
         for j0 in singles:
             ops.cmp(1)
-            if g.bar_count[j0] == 0:
+            if bar_count[j0] == 0:
                 g.useless[q0] = True
                 ops.assign(1)
-                trace.emit("useless-marked", q, j0 + 1)
+                emit("useless-marked", q, j0 + 1)
                 break  # remaining columns of q are not processed
-            conjunctive = g.bar_count[j0] == 1
-            base = g.edge_base[j0]
+            conjunctive = 1 if bar_count[j0] == 1 else 0
+            # indegree and live-target updates, plus one for a disjunctive edge
+            arith = 2 if conjunctive else 3
+            j = j0 + 1
             ops.cmp(g.n)
-            for k, r0 in enumerate(g.targets[j0]):
-                r = r0 + 1
+            for edge, r0 in enumerate(targets[j0], edge_base[j0]):
                 ops.cmp(1)
                 if removed[r0]:
                     continue
+                r = r0 + 1
                 if not formed[r0]:
                     formed[r0] = True
-                    g.vertex_order.append(r)
+                    order.append(r)
                     ops.assign(2)
-                    trace.emit("vertex-formed", r, 0)
-                g.edge_live[base + k] = 1
-                g.live_targets[j0] += 1
+                    emit("vertex-formed", r, 0)
+                edge_live[edge] = 1
+                live_targets[j0] += 1
                 indegree[r0] += 1
-                ops.arith(2)
+                ops.arith(arith)
                 ops.assign(1)
-                if not conjunctive:
-                    ops.arith(1)
-                trace.emit("edge-formed", q, r, j0 + 1, 1 if conjunctive else 0)
+                emit("edge-formed", q, r, j, conjunctive)
                 added = True
     trace.emit("construct-result", 1 if added else 0)
     return added

@@ -58,6 +58,8 @@ class OpCounter:
 class _DisabledOpCounter(OpCounter):
     """Counting switched off: identical call surface, nothing recorded."""
 
+    total = 0  # a constant, not the summing property: every trace event reads it
+
     def assign(self, k: int = 1) -> None:  # noqa: ARG002
         pass
 

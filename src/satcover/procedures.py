@@ -9,22 +9,28 @@ every justification: a "generation").  Removing the last live main vertex of
 a column would leave that column uncoverable, so the whole cascade aborts as
 non-removable instead.
 
-Elimination scans uncovered columns of the swapped matrix, tries the cascade
-on each blocking vertex under a snapshot (each vertex at most once per whole
-solve), and when nothing is removable collects never-formed rows that could
-cover the column on the second side into an extension plan.
+Elimination scans uncovered columns of the swapped matrix in ascending
+order, tries the cascade on each blocking vertex under a snapshot (each
+vertex at most once per whole solve), and when nothing is removable collects
+never-formed rows that could cover the column on the second side into an
+extension plan.  It keeps the swapped column counts across commits and takes
+the uncovered columns from a lazy min-heap, the way MiniSat keeps its
+variable order (Een & Sorensson, "An Extensible SAT-solver", SAT 2003): a
+commit pushes the columns it brings to 0, and a pop skips stale entries,
+columns whose count has risen since.  Each pass still sees the columns that
+were 0 when it began, in ascending order, so the scan order, trace events
+and op charges are those of a full rescan of the m counts, without its O(m)
+cost per commit.
 
-A snapshot is a mark on the graph's undo trail (Een & Sorensson, "An
-Extensible SAT-solver", SAT 2003): the cascade logs every cell it writes, so
-undoing a failed attempt costs what the attempt wrote, not a copy of the
-whole state.
+A snapshot is a mark on the graph's undo trail, as in the same solver: the
+cascade logs every cell it writes, so undoing a failed attempt costs what
+the attempt wrote, not a copy of the whole state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set
-
-import numpy as np
 
 from .decomposition import DecompositionPair, StructuralError
 from .graph import PointingGraph
@@ -80,7 +86,7 @@ class StateSnapshot:
         cells = (
             len(graph.vertex_order)
             + graph.main_column_total
-            + 7 * n  # six flag arrays and indegree
+            + 7 * n  # six flag lists and indegree
             + m  # multiplicity
             + n * n  # the former n x n edge-count matrix
             + 2 * n * m  # the former m x n edge-source and n x m edge-count matrices
@@ -90,8 +96,8 @@ class StateSnapshot:
     def restore(self, graph: PointingGraph) -> None:
         trail = graph.trail
         while len(trail) > self.mark:
-            array, index, old = trail.pop()
-            array[index] = old
+            state, index, old = trail.pop()
+            state[index] = old
 
     def commit(self, graph: PointingGraph) -> None:
         del graph.trail[self.mark:]
@@ -132,13 +138,14 @@ def removal_procedure(
     """
     g = graph
     log = g.trail.append
+    emit = trace.emit
     live = g.edge_live
     live_targets = g.live_targets
-    indegree = g.indegree
+    indegree, removed, main, bar_count = g.indegree, g.removed, g.main, g.bar_count
     s0 = start_vertex - 1
-    if not (0 <= s0 < g.n) or not g.formed[s0] or g.removed[s0]:
+    if not (0 <= s0 < g.n) or not g.formed[s0] or removed[s0]:
         raise StructuralError(f"vertex {start_vertex} is not a live graph vertex")
-    trace.emit("rp-start", start_vertex)
+    emit("rp-start", start_vertex)
 
     anc: List[int] = [start_vertex]
     anc_marked: Set[int] = {start_vertex}
@@ -152,7 +159,7 @@ def removal_procedure(
         log((live_targets, j0, live_targets[j0]))
         live_targets[j0] -= 1
         ops.assign(1)
-        if g.bar_count[j0] != 1:
+        if bar_count[j0] != 1:
             ops.arith(1)
 
     def remove_outgoing(p: int) -> None:
@@ -161,10 +168,9 @@ def removal_procedure(
         # live out-edges grouped by target: (position in out_cols, column, byte)
         by_target: Dict[int, List[tuple]] = {}
         for pos, j0 in enumerate(out_cols):
-            base = g.edge_base[j0]
-            for k, t0 in enumerate(g.targets[j0]):
-                if live[base + k]:
-                    by_target.setdefault(t0, []).append((pos, j0, base + k))
+            for edge, t0 in enumerate(g.targets[j0], g.edge_base[j0]):
+                if live[edge]:
+                    by_target.setdefault(t0, []).append((pos, j0, edge))
         for t0 in sorted(by_target):
             edges = by_target[t0]
             log((indegree, t0, indegree[t0]))
@@ -177,15 +183,9 @@ def removal_procedure(
                 ops.cmp(pos - seen)
                 seen = pos
                 drop_edge(j0, edge)
-                trace.emit("edge-removed", p, t, j0 + 1)
-            ops.cmp(len(out_cols) - 1 - seen)
-            ops.cmp(1)
-            if (
-                indegree[t0] == 0
-                and not g.main[t0]
-                and not g.removed[t0]
-                and t not in gen_queued
-            ):
+                emit("edge-removed", p, t, j0 + 1)
+            ops.cmp(len(out_cols) - seen)  # the rest of the columns, and the test below
+            if indegree[t0] == 0 and not main[t0] and not removed[t0] and t not in gen_queued:
                 gen_queued.add(t)
                 gen.append(t)
                 ops.assign(1)
@@ -196,23 +196,23 @@ def removal_procedure(
         pos += 1
         p0 = p - 1
         ops.cmp(1)
-        if g.removed[p0]:
+        if removed[p0]:
             continue
-        log((g.removed, p0, False))
-        g.removed[p0] = True
+        log((removed, p0, False))
+        removed[p0] = True
         removed_order.append(p)
         ops.assign(2)
-        trace.emit("vertex-removed", p, 1)
-        if g.main[p0]:
+        emit("vertex-removed", p, 1)
+        if main[p0]:
             cols = g.main_columns[p0]
+            multiplicity = g.multiplicity
             ops.cmp(len(cols))
-            blocked = any(g.multiplicity[c - 1] == 1 for c in cols)
-            if blocked:
-                trace.emit("rp-result", start_vertex, 0)
+            if any(multiplicity[c - 1] == 1 for c in cols):
+                emit("rp-result", start_vertex, 0)
                 return RemovalOutcome(False, tuple(removed_order))
             for c in cols:
-                log((g.multiplicity, c - 1, g.multiplicity[c - 1]))
-                g.multiplicity[c - 1] -= 1
+                log((multiplicity, c - 1, multiplicity[c - 1]))
+                multiplicity[c - 1] -= 1
                 ops.arith(1)
         # live in-edges grouped by source row, ascending
         ops.cmp(g.m)
@@ -222,11 +222,10 @@ def removal_procedure(
                 bundles.setdefault(g.col_single_row[j0], []).append((j0, edge))
         for r in sorted(bundles):
             edges = bundles[r]
-            r0 = r - 1
             trigger = False
             for j0, _ in edges:
                 ops.cmp(2)
-                if g.bar_count[j0] == 1 or live_targets[j0] <= 1:
+                if bar_count[j0] == 1 or live_targets[j0] <= 1:
                     trigger = True
             log((indegree, p0, indegree[p0]))
             indegree[p0] -= len(edges)
@@ -234,9 +233,9 @@ def removal_procedure(
             ops.arith(1)
             for j0, edge in edges:
                 drop_edge(j0, edge)
-                trace.emit("edge-removed", r, p, j0 + 1)
+                emit("edge-removed", r, p, j0 + 1)
             ops.cmp(1)
-            if trigger and r not in anc_marked and not g.removed[r0]:
+            if trigger and r not in anc_marked and not removed[r - 1]:
                 anc_marked.add(r)
                 anc.append(r)
                 ops.assign(1)
@@ -248,16 +247,16 @@ def removal_procedure(
         pos += 1
         q0 = q - 1
         ops.cmp(1)
-        if g.removed[q0]:
+        if removed[q0]:
             continue
-        log((g.removed, q0, False))
-        g.removed[q0] = True
+        log((removed, q0, False))
+        removed[q0] = True
         removed_order.append(q)
         ops.assign(2)
-        trace.emit("vertex-removed", q, 2)
+        emit("vertex-removed", q, 2)
         remove_outgoing(q)
 
-    trace.emit("rp-result", start_vertex, 1)
+    emit("rp-result", start_vertex, 1)
     return RemovalOutcome(True, tuple(removed_order))
 
 
@@ -315,21 +314,35 @@ def clean(
 # the swapped view and incompatibilities
 # ---------------------------------------------------------------------------
 
-def _swap_rows(counts: np.ndarray, pair: DecompositionPair, rows, sign: int) -> None:
+def _swap_rows(
+    counts: List[int], pair: DecompositionPair, rows, sign: int, zeros: List[int]
+) -> None:
     """Add ``sign`` times the effect of swapping the given 0-based rows to
-    alpha column counts: their alpha ones leave, their second ones arrive."""
+    alpha column counts: their alpha ones leave, their second ones arrive.
+    Every column whose count reaches 0 is pushed on the min-heap ``zeros``."""
     for i in rows:
         for j in pair.alpha_rows[i]:
             counts[j] -= sign
+            if not counts[j]:
+                heappush(zeros, j)
         for j in pair.bar_rows[i]:
             counts[j] += sign
+            if not counts[j]:
+                heappush(zeros, j)
 
 
-def swapped_alpha_counts(graph: PointingGraph) -> np.ndarray:
+def swapped_alpha_counts(graph: PointingGraph) -> List[int]:
     """Column counts of alpha after swapping every live vertex row."""
-    counts = graph.counts.m_alpha.copy()
-    _swap_rows(counts, graph.pair, np.flatnonzero(graph.formed & ~graph.removed).tolist(), 1)
+    counts = graph.counts.m_alpha.tolist()
+    # the zeros of a fresh count come from ``zero_columns``, not the pushes
+    _swap_rows(counts, graph.pair, [i - 1 for i in graph.live_vertices()], 1, [])
     return counts
+
+
+def zero_columns(counts: List[int]) -> List[int]:
+    """The 0-based columns whose count is 0, ascending, which is already a
+    valid min-heap."""
+    return [j for j, c in enumerate(counts) if not c]
 
 
 def eliminate_incompatibilities(graph: PointingGraph, *, ops=DISABLED_OPS, trace=NO_TRACE):
@@ -349,20 +362,40 @@ def eliminate_incompatibilities(graph: PointingGraph, *, ops=DISABLED_OPS, trace
     The swapped column counts are computed once and then kept up to date:
     a committed cascade's removed vertices are the only live vertices that
     stop being swapped, so their alpha rows come back and their second rows
-    go.
+    go.  The uncovered columns come from a lazy min-heap, not from a scan of
+    all m counts per pass.  It holds an entry for every column whose count
+    is 0, plus stale entries: columns whose count has risen above 0 since
+    they were pushed, which a pop skips.  Within a pass only a commit
+    changes a count, and a commit ends the pass, so a pass pops exactly the
+    columns that were 0 when it began, in ascending order: the columns a
+    scan of all m counts would visit, in the same order, with the same
+    events.  Each pass is still charged that scan, m comparisons and m
+    additions.  A commit pushes every column its cascade brings to 0, and
+    the columns the pass popped go back on the heap for the next pass.
+
+    No column is ever on the heap twice.  Live vertices only go during a
+    call, so once a column's count is 0 no live vertex holds it on the
+    second side and the count can only rise: a column reaches 0 at most
+    once per call, and a popped column that is pushed back was not pushed
+    by the commit.
     """
     pair, tried = graph.pair, graph.tried
     plan_rows: List[int] = []
     plan_cols: List[int] = []
     planned: Set[tuple] = set()
     swapped = swapped_alpha_counts(graph)
+    zeros = zero_columns(swapped)
     formed, removed = graph.formed, graph.removed
     while True:
         ops.cmp(graph.m)
         ops.arith(graph.m)
-        zero_cols = np.flatnonzero(swapped == 0).tolist()
+        visited: List[int] = []
         restarted = False
-        for j0 in zero_cols:
+        while zeros:
+            j0 = heappop(zeros)
+            if swapped[j0]:
+                continue  # stale
+            visited.append(j0)
             j = j0 + 1
             members = [r0 + 1 for r0 in pair.alpha_cols[j0] if formed[r0] and not removed[r0]]
             ops.cmp(graph.n)
@@ -384,12 +417,14 @@ def eliminate_incompatibilities(graph: PointingGraph, *, ops=DISABLED_OPS, trace
                     snap.commit(graph)
                     committed = r
                     gone = [v - 1 for v in outcome.removed_vertices]
-                    _swap_rows(swapped, pair, gone, -1)
+                    _swap_rows(swapped, pair, gone, -1, zeros)
                     break
                 snap.restore(graph)
                 ops.assign(snap.cell_count())
                 trace.emit("restore")
             if committed:
+                for v in visited:
+                    heappush(zeros, v)
                 trace.emit("incompat-eliminated", j, committed)
                 plan_rows.clear()
                 plan_cols.clear()

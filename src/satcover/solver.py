@@ -14,9 +14,13 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from .cnf import CnfFormula, assignment_from_swaps, evaluate, to_decomposition
+from .cnf import (
+    CnfFormula,
+    assignment_from_swaps,
+    clause_variable_count,
+    evaluate,
+    to_decomposition,
+)
 from .cnf import restrict_to_used  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .decomposition import (
@@ -122,25 +126,25 @@ def _check_graph_invariants(graph) -> None:
         raise EngineInvariantError(
             f"edge bound violated: {len(edges)} > (n-1)*m = {(g.n - 1) * g.m}"
         )
-    indegree = np.zeros(g.n, dtype=np.int64)
+    indegree = [0] * g.n
     per_column = [0] * g.m
     for source, target, column in edges:
         if not (g.live(source) and g.live(target)):
             raise EngineInvariantError("live edge touches a removed or unformed vertex")
         indegree[target - 1] += 1
         per_column[column - 1] += 1
-    if not np.array_equal(indegree, g.indegree):
+    if indegree != g.indegree:
         raise EngineInvariantError("indegree does not match live incoming edge counts")
     if per_column != g.live_targets:
         raise EngineInvariantError("live-target counts do not match the live edges")
     live_main = [
         v for v in range(1, g.n + 1) if g.main[v - 1] and g.formed[v - 1] and not g.removed[v - 1]
     ]
-    mult = np.zeros(g.m, dtype=np.int64)
+    mult = [0] * g.m
     for v in live_main:
         for c in g.main_columns[v - 1]:
             mult[c - 1] += 1
-    if not np.array_equal(mult, g.multiplicity):
+    if mult != g.multiplicity:
         raise EngineInvariantError("multiplicity does not match live main vertices")
 
 
@@ -311,7 +315,6 @@ def build_sat_report(
     *,
     elapsed_ms: Optional[float] = None,
 ) -> dict:
-    matrix_nonzeros = sum(len(set(abs(l) for l in c)) for c in formula.clauses)
     verdict = run.verdict
     if isinstance(verdict, Sat):
         verdict_str, assignment, reason = "SAT", _assignment_literals(verdict.assignment), None
@@ -326,7 +329,7 @@ def build_sat_report(
         "reason": reason,
         "n": formula.num_vars,
         "m": len(formula.clauses),
-        "input_length": matrix_nonzeros,
+        "input_length": clause_variable_count(formula),
         "op_total": run.ops.total,
         "op_by_kind": run.ops.as_dict(),
         "extensions": run.extensions,

@@ -20,6 +20,7 @@ from satcover import (
     to_decomposition,
     to_matrix,
 )
+from satcover.cnf import clause_variable_count
 from satcover.decomposition import validate
 
 from conftest import formulas, naive_input_length
@@ -425,6 +426,33 @@ class TestToDecomposition:
             assert list(pair.alpha_rows[i]) == np.flatnonzero(matrix[:, i] == -1).tolist()
             assert list(pair.bar_rows[i]) == np.flatnonzero(matrix[:, i] == 1).tolist()
         assert input_length(pair) == naive_input_length(pair)
+
+
+@st.composite
+def code_built_formulas(draw):
+    """Formulas as code may build them: clauses may be empty, repeat a
+    literal or hold both signs, and the variables may sit near or beyond
+    the int64 range."""
+    base = draw(st.sampled_from([0, 2**61, 2**62 - 8, 2**70]))
+    n = draw(st.integers(1, 6))
+    literal = st.integers(base + 1, base + n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(literal, max_size=6), max_size=8))
+    return CnfFormula(base + n, clauses)
+
+
+class TestClauseVariableCount:
+    @given(code_built_formulas())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_a_set_per_clause(self, formula):
+        expected = sum(len(set(abs(l) for l in c)) for c in formula.clauses)
+        assert clause_variable_count(formula) == expected
+
+    def test_repeats_and_complements_count_once(self):
+        formula = CnfFormula(3, [[1, 1, -1], [], [2, -3, 3, 2], [3]])
+        assert clause_variable_count(formula) == 1 + 0 + 2 + 1
+
+    def test_equals_the_pair_size(self, e1):
+        assert clause_variable_count(e1) == input_length(to_decomposition(e1)[0])
 
 
 class TestEvaluate:

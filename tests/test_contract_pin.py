@@ -106,6 +106,14 @@ THRESHOLD_PINS = {
     (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (8632141, 25272, 502241), "5d3ebaf762c214bc5a91f9354eb24a0952215a76711ac4be7c7a2999217136ba"),
 }
 
+# n = 2,000 at the threshold ratio: 366 committed eliminations, enough that
+# the zero-column heap of ``eliminate_incompatibilities`` holds stale and
+# duplicate entries when it is popped
+HEAP_PIN = (
+    (2000, 608, "none"),
+    ("UNSAT", ("unreachable-column", 1638), (15010426332, 3181765, 86284662), "404b1d89440c74edf3eb6c13d717de06ef2fe83c76c7b4122b1e129be4846998"),
+)
+
 RANDOM_BATCHES = tuple(
     FuzzConfig(
         seed=seed,
@@ -157,6 +165,13 @@ def test_worked_examples(name):
 def test_threshold_ratio(n, seed, bias):
     run = solve_sat(threshold_formula(n, seed, bias), count_ops=True)
     assert pin(run) == THRESHOLD_PINS[(n, seed, bias)]
+
+
+def test_threshold_heap_path():
+    (n, seed, bias), expected = HEAP_PIN
+    run = solve_sat(threshold_formula(n, seed, bias), count_ops=True)
+    assert run.trace.kinds().count("incompat-eliminated") >= 100
+    assert pin(run) == expected
 
 
 def test_random_batch_with_invariant_checks():

@@ -34,16 +34,16 @@ class TestFindMainVertices:
         counts = column_counts(e1_pair)
         graph = find_main_vertices(e1_pair, counts, ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.vertex_order == [1]
-        assert graph.main.tolist() == [True, False]
+        assert graph.main == [True, False]
         assert graph.main_columns == [[2], []]
-        assert graph.multiplicity.tolist() == [0, 1]
+        assert graph.multiplicity == [0, 1]
 
     def test_e3_two_mains(self, e3_pair):
         counts = column_counts(e3_pair)
         graph = find_main_vertices(e3_pair, counts, ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.vertex_order == [1, 2]
         assert graph.main_columns == [[2], [3]]
-        assert graph.multiplicity.tolist() == [0, 1, 1]
+        assert graph.multiplicity == [0, 1, 1]
 
     def test_covering_already_returns_none(self):
         pair = pair_of("p cnf 2 2\n-1 -2 0\n-1 0\n")
@@ -57,7 +57,7 @@ class TestFindMainVertices:
         # x1 is the only positive literal of both all-positive clauses
         graph = build("p cnf 2 3\n1 0\n1 0\n-1 -2 0\n")
         assert graph.main_columns[0] == [1, 2]
-        assert graph.multiplicity.tolist() == [1, 1, 0]
+        assert graph.multiplicity == [1, 1, 0]
 
     def test_formation_order_is_by_column_then_row(self):
         ops = OpCounter()
@@ -97,10 +97,10 @@ class TestConstruct:
         construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.live_edges() == [(1, 2, 1)]
         assert graph.bar_count[0] == 1  # conjunctive: one row can re-cover column 1
-        assert graph.indegree.tolist() == [0, 1]
-        assert graph.formed.tolist() == [True, True]
-        assert graph.final.tolist() == [False, True]
-        assert not graph.useless.any()
+        assert graph.indegree == [0, 1]
+        assert graph.formed == [True, True]
+        assert graph.final == [False, True]
+        assert not any(graph.useless)
         assert graph.live_targets == [1, 0]
 
     def test_e5_disjunctive_fan_out(self):
@@ -109,16 +109,16 @@ class TestConstruct:
         assert graph.live_edges() == [(1, 2, 2), (1, 3, 2)]
         assert graph.bar_count[1] == 2  # disjunctive: two rows can re-cover column 2
         assert graph.live_targets == [0, 2]
-        assert graph.indegree.tolist() == [0, 1, 1]
+        assert graph.indegree == [0, 1, 1]
         # row 3 was formed by the edge, not as a main vertex
-        assert graph.formed.tolist() == [True, True, True]
+        assert graph.formed == [True, True, True]
         assert not graph.main[2]
-        assert graph.final.tolist() == [False, True, True]
+        assert graph.final == [False, True, True]
 
     def test_e2_useless_vertex(self, e2_pair):
         graph = build("p cnf 1 2\n1 0\n-1 0\n")
         construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
-        assert graph.useless.tolist() == [True]
+        assert graph.useless == [True]
         assert graph.live_edges() == []
 
     def test_vertices_examined_once(self):

@@ -1,7 +1,6 @@
 """Removal, cleaning, incompatibility elimination, and graph extension."""
 import itertools
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -45,12 +44,12 @@ class TestSnapshot:
         graph = built(E5_TEXT)
         snap = StateSnapshot.capture(graph)
         removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
-        assert graph.removed.any()
+        assert any(graph.removed)
         snap.restore(graph)
-        assert not graph.removed.any()
+        assert not any(graph.removed)
         assert graph.live_edges() == [(1, 2, 2), (1, 3, 2)]
-        assert graph.multiplicity.tolist() == [2, 0]
-        assert graph.indegree.tolist() == [0, 1, 1]
+        assert graph.multiplicity == [2, 0]
+        assert graph.indegree == [0, 1, 1]
 
     def test_restore_is_independent_of_later_mutation(self):
         graph = built(E5_TEXT)
@@ -105,7 +104,7 @@ class TestRemovalProcedure:
         assert outcome.removed_vertices == (2,)
         assert graph.live_edges() == [(1, 3, 2)]
         assert graph.live_targets == [0, 1]
-        assert graph.multiplicity.tolist() == [1, 0]
+        assert graph.multiplicity == [1, 0]
 
     def test_last_disjunctive_edge_recruits_ancestor(self):
         # removing vertex 3 leaves vertex 1 with one disjunctive edge on the
@@ -156,7 +155,7 @@ class TestClean:
     def test_removes_useless_vertex(self):
         # v2 is useless (negative unit on x2) and removable (column 1 keeps v1)
         graph = built("p cnf 2 2\n1 2 0\n-2 0\n")
-        assert graph.useless.tolist() == [False, True]
+        assert graph.useless == [False, True]
         blocking = clean(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         assert blocking is None
         assert graph.live_vertices() == [1]
@@ -173,7 +172,7 @@ class TestClean:
         results = []
         for order in ([1, 2], [2, 1]):
             graph = built(text)
-            assert graph.useless.tolist() == [True, True, False]
+            assert graph.useless == [True, True, False]
             blocking = clean(graph, order=order, ops=DISABLED_OPS, trace=NO_TRACE)
             results.append((blocking, graph.live_vertices()))
         assert results[0] == (None, [3])
@@ -183,26 +182,34 @@ class TestClean:
 class TestSwappedCounts:
     def test_e3_counts(self):
         graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
-        assert swapped_alpha_counts(graph).tolist() == [0, 1, 1]
+        assert swapped_alpha_counts(graph) == [0, 1, 1]
 
     def test_apply_swaps_on_live_vertices(self):
         graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
         swapped = apply_swaps(graph.pair, graph.live_vertices())
         assert swapped.alpha_rows == ((1,), (2,))
         counts = [sum(j in row for row in swapped.alpha_rows) for j in range(swapped.m)]
-        assert swapped_alpha_counts(graph).tolist() == counts
+        assert swapped_alpha_counts(graph) == counts
 
     def test_kept_counts_match_fresh_counts_after_every_commit(self, monkeypatch):
-        # eliminate computes the swapped counts once and updates them after
-        # each committed cascade; hold on to that array and compare it with
-        # a fresh count at every incompat-eliminated event
+        # eliminate computes the swapped counts and the heap of their zero
+        # columns once and updates both after each committed cascade; hold
+        # on to them and compare them with a fresh count at every
+        # incompat-eliminated event
         fresh = swapped_alpha_counts
+        fresh_heap = procedures.zero_columns
         kept = []
+        heaps = []
         checks = []
+        stale = []
 
         def recording(graph):
             kept.append(fresh(graph))
             return kept[-1]
+
+        def recording_heap(counts):
+            heaps.append(fresh_heap(counts))
+            return heaps[-1]
 
         class CheckingTrace(Trace):
             def __init__(self, graph):
@@ -211,10 +218,19 @@ class TestSwappedCounts:
 
             def emit(self, kind, *payload):
                 if kind == "incompat-eliminated":
-                    checks.append(np.array_equal(kept[-1], fresh(self.graph)))
+                    counts, heap = kept[-1], heaps[-1]
+                    now = fresh(self.graph)
+                    live = sorted({j for j in heap if counts[j] == 0})
+                    checks.append(counts == now)
+                    checks.append(live == [j for j, c in enumerate(now) if c == 0])
+                    # a column reaches 0 at most once per call, so the heap
+                    # holds stale entries but never a duplicate
+                    checks.append(len(heap) == len(set(heap)))
+                    stale.append(sum(1 for j in heap if counts[j]))
                 super().emit(kind, *payload)
 
         monkeypatch.setattr(procedures, "swapped_alpha_counts", recording)
+        monkeypatch.setattr(procedures, "zero_columns", recording_heap)
         cfg = FuzzConfig(
             seed=20260830,
             num_instances=400,
@@ -233,8 +249,9 @@ class TestSwappedCounts:
             construct(graph)
             if clean(graph) is None:
                 eliminate_incompatibilities(graph, trace=CheckingTrace(graph))
-        assert len(checks) >= 400
+        assert len(checks) >= 3 * 400
         assert all(checks)
+        assert sum(stale) > 0  # the pops really skip stale entries
 
 
 class TestEliminate:
@@ -294,10 +311,10 @@ class TestExtend:
         graph = built(E4_TEXT)
         result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
         extend(graph, result.plan, ops=DISABLED_OPS, trace=NO_TRACE)
-        assert graph.formed.tolist() == [True, True, True]
-        assert graph.main.tolist() == [True, True, True]
+        assert graph.formed == [True, True, True]
+        assert graph.main == [True, True, True]
         assert graph.main_columns[2] == [3]
-        assert graph.multiplicity.tolist() == [1, 1, 1]
+        assert graph.multiplicity == [1, 1, 1]
         assert graph.vertex_order == [1, 2, 3]
 
     def test_empty_plan_rejected(self):
@@ -319,4 +336,4 @@ class TestExtend:
         graph = built(E4_TEXT)
         extend(graph, ExtensionPlan([3, 3], [3, 3]), ops=DISABLED_OPS, trace=NO_TRACE)
         assert graph.main_columns[2] == [3]
-        assert graph.multiplicity.tolist() == [1, 1, 1]
+        assert graph.multiplicity == [1, 1, 1]
