@@ -7,8 +7,9 @@ Subcommands: ``solve`` (DIMACS CNF), ``covering`` (raw decomposition file),
 Exit codes follow the SAT-competition convention for ``solve`` and
 ``covering``: 10 = positive verdict, 20 = negative verdict, 1 = engine
 error, 2 = input error.  Harness subcommands exit 0 normally and 3 when a
-soundness-gate or invariant violation occurred.  Running out of memory
-exits 2 with an ``error:`` line in every subcommand.
+soundness-gate or invariant violation occurred.  Running out of memory,
+or a size past the index range, exits 2 with an ``error:`` line in every
+subcommand.
 """
 from __future__ import annotations
 
@@ -384,6 +385,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except MemoryError:  # e.g. a SAT answer's v line, O(num_vars) by format
         return _fail_input("out of memory")
+    except OverflowError:  # a SAT answer for a header past the index range
+        return _fail_input("declared size too large")
 
 
 if __name__ == "__main__":

@@ -70,6 +70,11 @@ class PreprocessReport:
 # digits, and refuses a run over sys.get_int_max_str_digits())
 _LITERAL = re.compile(r"-?0*[1-9][0-9]*|0+")
 _COUNTS = re.compile(r"([0-9]+)\s+([0-9]+)")
+# clause data read a block at a time: a block holding a character outside
+# the literal alphabet or a negative zero is refused before int() reads it
+_NON_LITERAL_CHAR = re.compile(r"[^\s0-9-]")
+_NEGATIVE_ZERO = re.compile(r"-0+(?![0-9])")
+BLOCK_LINES = 4096
 
 
 def read_counts(text: str) -> Optional[Tuple[int, int]]:
@@ -95,61 +100,109 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, PreprocessReport]:
 
     Comment lines start with 'c'; the header is ``p cnf <vars> <clauses>``;
     clauses are 0-terminated literal runs (the final terminator and newline
-    are optional).  The text is read once: each clause is deduplicated
-    (first occurrences kept, in order) and dropped as a tautology when it is
-    cut.  Errors carry 1-based line numbers; a literal outside the declared
-    range is reported after the whole text is read, behind any syntax error.
+    are optional).  Each clause is deduplicated (first occurrences kept, in
+    order) and dropped as a tautology when it is cut.
+
+    The header and the lines before it are read one by one.  The clause data
+    after it is read ``BLOCK_LINES`` lines at a time, with every per-token
+    step in C: a block's lines are joined (comment lines dropped when the
+    block holds a 'c'), two regex searches refuse any character other than
+    whitespace, ASCII digits and '-' and any negative zero, so a token
+    ``int()`` then reads is a literal of ``_LITERAL``'s grammar; one
+    ``max``/``min`` checks the range, and the literals are cut into clauses
+    at their zeros, an unfinished clause carrying into the next block.
+
+    A block refused for any reason (a character or token outside the
+    grammar, a literal outside the declared range) and a clause count that
+    differs from the header's send the text to ``_body_error``, which walks
+    the clause data line by line and raises the error with its 1-based line:
+    a syntax error first wherever it is, then the first literal outside the
+    declared range, then the clause count.
     """
-    num_vars = None
-    declared_clauses = 0
-    last_line = 1
+    lines = text.splitlines()
+    last_line = max(len(lines), 1)
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        if not stripped.startswith("p"):
+            raise ParseError("clause data before header", lineno)
+        parts = stripped.split(None, 2)
+        counts = read_counts(parts[2]) if parts[:2] == ["p", "cnf"] and parts[2:] else None
+        if counts is None:
+            raise ParseError(f"malformed header {stripped!r}", lineno)
+        num_vars, declared_clauses = counts
+        body_start = lineno
+        break
+    else:
+        raise ParseError("missing 'p cnf' header", last_line)
+
     clauses: List[Clause] = []
     removed_tautologies: List[int] = []
-    current: dict = {}  # the clause being read, as an ordered set of literals
+    carry: List[int] = []  # the unfinished clause of the previous block
+    for first in range(body_start, len(lines), BLOCK_LINES):
+        block = lines[first:first + BLOCK_LINES]
+        body = "\n".join(block)
+        if "c" in body:
+            body = "\n".join(line for line in block if not line.lstrip().startswith("c"))
+        if _NON_LITERAL_CHAR.search(body) or _NEGATIVE_ZERO.search(body):
+            raise _body_error(lines, body_start, num_vars, declared_clauses)
+        try:
+            literals = carry + list(map(int, body.split()))
+        except ValueError:  # a misplaced '-', or too many digits
+            raise _body_error(lines, body_start, num_vars, declared_clauses) from None
+        if literals and (max(literals) > num_vars or -min(literals) > num_vars):
+            raise _body_error(lines, body_start, num_vars, declared_clauses)
+        start = 0
+        for _ in range(literals.count(0)):
+            end = literals.index(0, start)
+            clause = literals[start:end]
+            if len(set(map(abs, clause))) < len(clause):
+                _cut(dict.fromkeys(clause), clauses, removed_tautologies)
+            else:
+                clauses.append(clause)
+            start = end + 1
+        carry = literals[start:]
+    if carry:
+        _cut(dict.fromkeys(carry), clauses, removed_tautologies)  # unterminated final clause
+    if len(clauses) + len(removed_tautologies) != declared_clauses:
+        raise _body_error(lines, body_start, num_vars, declared_clauses)
+    formula = CnfFormula(num_vars=num_vars, clauses=clauses)
+    return formula, PreprocessReport(removed_tautologies=tuple(removed_tautologies))
+
+
+def _body_error(
+    lines: List[str], body_start: int, num_vars: int, declared_clauses: int
+) -> ParseError:
+    """The error of clause data ``parse_dimacs`` refused, found by walking
+    the lines after the header (``lines[body_start:]``) one by one."""
     out_of_range: Optional[ParseError] = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    found = 0
+    open_clause = False  # a literal read since the last terminator
+    for lineno, line in enumerate(lines[body_start:], start=body_start + 1):
         stripped = line.strip()
-        last_line = lineno
         if not stripped or stripped.startswith("c"):
             continue
         if stripped.startswith("p"):
-            if num_vars is not None:
-                raise ParseError("duplicate header", lineno)
-            parts = stripped.split(None, 2)
-            counts = read_counts(parts[2]) if parts[:2] == ["p", "cnf"] and parts[2:] else None
-            if counts is None:
-                raise ParseError(f"malformed header {stripped!r}", lineno)
-            num_vars, declared_clauses = counts
-            continue
-        if num_vars is None:
-            raise ParseError("clause data before header", lineno)
+            return ParseError("duplicate header", lineno)
         for tok in stripped.split():
             try:
                 lit = int(tok) if _LITERAL.fullmatch(tok) else None
             except ValueError:  # too many digits
                 lit = None
             if lit is None:
-                raise ParseError(f"non-integer token {tok!r}", lineno)
-            if lit:
-                current[lit] = None
-                if abs(lit) > num_vars and out_of_range is None:
-                    out_of_range = ParseError(
-                        f"literal {lit} outside declared range 1..{num_vars}", lineno
-                    )
-            else:
-                _cut(current, clauses, removed_tautologies)
-                current = {}
-    if num_vars is None:
-        raise ParseError("missing 'p cnf' header", last_line)
-    if current:
-        _cut(current, clauses, removed_tautologies)  # unterminated final clause
+                return ParseError(f"non-integer token {tok!r}", lineno)
+            if not lit:
+                found += 1
+            elif abs(lit) > num_vars and out_of_range is None:
+                out_of_range = ParseError(
+                    f"literal {lit} outside declared range 1..{num_vars}", lineno
+                )
+            open_clause = lit != 0
     if out_of_range is not None:
-        raise out_of_range
-    found = len(clauses) + len(removed_tautologies)
-    if found != declared_clauses:
-        raise ParseError(f"header declares {declared_clauses} clauses, found {found}", last_line)
-    formula = CnfFormula(num_vars=num_vars, clauses=clauses)
-    return formula, PreprocessReport(removed_tautologies=tuple(removed_tautologies))
+        return out_of_range
+    found += open_clause
+    return ParseError(f"header declares {declared_clauses} clauses, found {found}", max(len(lines), 1))
 
 
 def _canonical_clause(clause: Clause) -> Clause:

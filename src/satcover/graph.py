@@ -24,7 +24,7 @@ from typing import List, Optional, Set
 
 import numpy as np
 
-from .decomposition import ColumnCounts, DecompositionPair, StructuralError
+from .decomposition import ColumnCounts, DecompositionPair
 from .instrument import DISABLED_OPS, NO_TRACE
 
 
@@ -132,13 +132,6 @@ class PointingGraph:
 # ---------------------------------------------------------------------------
 # pure queries
 # ---------------------------------------------------------------------------
-
-def single_columns(pair: DecompositionPair, counts: ColumnCounts, i: int) -> List[int]:
-    """Columns whose only alpha-side 1 sits in row i, ascending."""
-    if not 1 <= i <= pair.n:
-        raise StructuralError(f"row {i} outside 1..{pair.n}")
-    return [j + 1 for j in pair.alpha_rows[i - 1] if counts.m_alpha[j] == 1]
-
 
 def find_forced_conflict_row(pair: DecompositionPair, counts: ColumnCounts) -> Optional[int]:
     """Find a row that provably must be swapped and must not be swapped.

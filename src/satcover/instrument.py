@@ -87,8 +87,11 @@ class Trace:
 
     def serialize(self) -> bytes:
         # tuples dump as JSON arrays; ``default`` sees only what JSON cannot
-        # encode itself, such as a numpy integer in a payload
-        return json.dumps(self.events, separators=(",", ":"), default=int).encode("ascii")
+        # encode itself, such as a numpy integer in a payload.  Events are
+        # flat tuples of ints and strings, so no cycle check is needed
+        return json.dumps(
+            self.events, separators=(",", ":"), default=int, check_circular=False
+        ).encode("ascii")
 
     def sha256(self) -> str:
         return hashlib.sha256(self.serialize()).hexdigest()

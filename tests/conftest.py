@@ -93,6 +93,13 @@ def naive_column_counts(pair: DecompositionPair) -> Tuple[List[int], List[int]]:
     return a, b
 
 
+def naive_single_columns(pair: DecompositionPair, i: int) -> List[int]:
+    """The 1-based columns whose only alpha-side 1 sits in row i (1-based),
+    ascending."""
+    alpha_counts, _ = naive_column_counts(pair)
+    return [j + 1 for j in range(pair.m) if naive_cell(pair, "alpha", i - 1, j) and alpha_counts[j] == 1]
+
+
 def naive_is_covering(pair: DecompositionPair, swaps) -> bool:
     for j in range(pair.m):
         hit = False

@@ -162,6 +162,27 @@ class TestSolve:
         assert done.stderr == "error: out of memory\n"
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "p cnf 100000000000000000000 1\n100000000000000000000 0\n",
+            "p cnf 100000000000000000000 0\n",
+        ],
+    )
+    def test_header_past_the_index_range_is_an_input_error(self, tmp_path, text):
+        # a SAT answer names all declared variables, and 10^20 of them
+        # cannot be indexed: the answer is an error line, not a traceback
+        path = write(tmp_path, "huge.cnf", text)
+        script = (
+            "import sys\n"
+            "from satcover.cli import main\n"
+            "sys.exit(main(['solve', sys.argv[1]]))\n"
+        )
+        done = run_capped(script, path)
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == "error: declared size too large\n"
+
+    @pytest.mark.parametrize(
         "text", ["p cnf 1_0 1\n+1_0 0\n", "p cnf 1 1\n+1 0\n", "p cnf 1 1\n-0 1 0\n"]
     )
     def test_literals_are_plain_integers(self, tmp_path, capsys, text):

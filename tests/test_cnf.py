@@ -1,6 +1,7 @@
 """DIMACS parsing, canonical emission, and the matrix reduction."""
 import re
 from typing import List, Tuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from satcover import (
     to_decomposition,
     to_matrix,
 )
+from satcover import cnf
 from satcover.cnf import clause_variable_count
 from satcover.decomposition import validate
 
@@ -129,6 +131,8 @@ def reads_as_int(tok: str) -> bool:
 
 def has_refused_token(text: str) -> bool:
     for line in text.splitlines():
+        if line.strip().startswith("c"):
+            continue  # a comment line is never read
         grammar = COUNT if line.strip().startswith("p") else LITERAL
         if any(reads_as_int(tok) and not grammar.fullmatch(tok) for tok in line.split()):
             return True
@@ -136,9 +140,19 @@ def has_refused_token(text: str) -> bool:
 
 
 ODD_TOKEN = st.sampled_from(
-    ["x", "--1", "-", "1-2", "+1", "1_0", "-0", "-00", "00", "007", "01", "-007", "\u0661", "+0", "1e3", "-9"]
+    [
+        "x", "--1", "-", "1-2", "+1", "1_0", "-0", "-00", "00", "007", "01", "-007", "\u0661",
+        "+0", "1e3", "-9", "-01", "0-1", "1-",
+    ]
 )
-SEPARATOR = st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\n\n", "\nc note\n", "\xa0"])
+# str.split() and str.strip() treat \x1f and the Unicode spaces as blanks;
+# \x0b, \x0c, \x1c, \x85 and \u2028 also end a line for str.splitlines()
+SEPARATOR = st.sampled_from(
+    [
+        " ", "  ", "\t", "\n", "\r\n", "\n\n", "\nc note\n", "\xa0", "\x0b", "\x0c", "\x1c",
+        "\x1f", "\x85", "\u2028", "\nc 1 -0 x\n", "\n\tc 2 x\n",
+    ]
+)
 
 
 @st.composite
@@ -166,6 +180,18 @@ def dimacs_texts(draw):
         tokens.insert(draw(st.integers(0, len(tokens))), f"\n{line}\n")
     body = "".join(tok + draw(SEPARATOR) for tok in tokens)
     return draw(st.sampled_from(["", "c head\n"])) + header + "\n" + body
+
+
+def assert_reads_as_the_reference(text):
+    """Same formula, tautology report and error text and line as the
+    reference, except on a token the strict grammar refuses, which the
+    reader must refuse."""
+    expected = outcome(reference_parse_dimacs, text)
+    got = outcome(current_reader, text)
+    if has_refused_token(text):
+        assert got[0] == "error", (text, expected, got)
+    else:
+        assert got == expected, (text, expected, got)
 
 
 def outcome(reader, text):
@@ -272,12 +298,46 @@ class TestParse:
     @given(dimacs_texts())
     @settings(max_examples=400, deadline=None)
     def test_matches_reference_reader(self, text):
-        # same formula, tautology report and error text and line, except on
-        # a token the strict grammar refuses, which the reader must refuse
-        expected = outcome(reference_parse_dimacs, text)
+        assert_reads_as_the_reference(text)
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 3])
+    @given(text=dimacs_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_reader_in_small_blocks(self, block_lines, text):
+        # the texts above fit in one block; blocks of a few lines carry
+        # clauses, comments and errors across block boundaries
+        with mock.patch.object(cnf, "BLOCK_LINES", block_lines):
+            assert_reads_as_the_reference(text)
+
+    @pytest.mark.parametrize(
+        "edits, error",
+        [
+            ({}, None),
+            ({4500: "1 7 0"}, "line 4500: literal 7 outside declared range 1..6"),
+            ({4500: "1 7 0", 4800: "2 --1 0"}, "line 4800: non-integer token '--1'"),
+            ({4500: "c 1 -0 x", 4800: "p cnf 6 1"}, "line 4800: duplicate header"),
+            ({4800: "2 -1 -00"}, "line 4800: non-integer token '-00'"),
+        ],
+        ids=["valid", "out-of-range", "refused-token-first", "duplicate-header", "negative-zero"],
+    )
+    def test_text_longer_than_a_block(self, edits, error):
+        # 5,000 lines; the first block is lines 2-4097, and the clause on
+        # lines 4096-4098 spans its end and repeats a literal across it.
+        # Each edit replaces a one-clause line past the first block.
+        lines = [f"{k % 6 + 1} -{(k + 1) % 6 + 1} 0" for k in range(4094)]
+        lines += ["3 -4", "5 3", "3 0"]
+        lines += [f"-{k % 6 + 1} {(k + 3) % 6 + 1} 0" for k in range(5000 - 1 - len(lines))]
+        lines.insert(0, f"p cnf 6 {len(lines) - 2}")
+        for lineno, line in edits.items():
+            lines[lineno - 1] = line
+        text = "\n".join(lines) + "\n"
+        assert len(lines) == 5000 and cnf.BLOCK_LINES == 4096
         got = outcome(current_reader, text)
-        if got != expected:
-            assert has_refused_token(text) and got[0] == "error", (text, expected, got)
+        if error is None:
+            assert got[1][4094] == [3, -4, 5]
+        else:
+            assert got[:2] == ("error", error)
+        assert_reads_as_the_reference(text)
 
 
 class TestFormula:

@@ -1,13 +1,12 @@
 """Pointing graph: main vertex discovery and edge construction."""
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
 from satcover import (
     DecompositionPair,
     FuzzConfig,
     OpCounter,
-    StructuralError,
+    PointingGraph,
     Trace,
     clean,
     column_counts,
@@ -17,11 +16,17 @@ from satcover import (
     random_cnf,
     to_decomposition,
 )
-from satcover.graph import find_forced_conflict_row, single_columns
+from satcover.graph import find_forced_conflict_row
 from satcover.instrument import DISABLED_OPS, NO_TRACE
 from satcover.solver import _check_graph_invariants
 
-from conftest import E5_TEXT, formulas, pair_of
+from conftest import E5_TEXT, formulas, naive_single_columns, pair_of
+
+
+def single_columns(pair: DecompositionPair, i: int):
+    """Row i's single columns as the graph precomputes them, 1-based."""
+    graph = PointingGraph(pair, column_counts(pair))
+    return [j0 + 1 for j0 in graph.single_cols[i - 1]]
 
 
 def build(text: str, trace=NO_TRACE):
@@ -74,21 +79,19 @@ class TestFindMainVertices:
 
 class TestSingleColumns:
     def test_e1(self, e1_pair):
-        counts = column_counts(e1_pair)
-        assert single_columns(e1_pair, counts, 1) == [1]
-        assert single_columns(e1_pair, counts, 2) == []
+        assert single_columns(e1_pair, 1) == naive_single_columns(e1_pair, 1) == [1]
+        assert single_columns(e1_pair, 2) == naive_single_columns(e1_pair, 2) == []
 
     def test_not_single_when_column_has_two(self, e3_pair):
-        counts = column_counts(e3_pair)
-        assert single_columns(e3_pair, counts, 1) == []
-        assert single_columns(e3_pair, counts, 2) == []
+        assert single_columns(e3_pair, 1) == naive_single_columns(e3_pair, 1) == []
+        assert single_columns(e3_pair, 2) == naive_single_columns(e3_pair, 2) == []
 
-    def test_out_of_range(self, e1_pair):
-        counts = column_counts(e1_pair)
-        with pytest.raises(StructuralError):
-            single_columns(e1_pair, counts, 0)
-        with pytest.raises(StructuralError):
-            single_columns(e1_pair, counts, 3)
+    @given(formulas(max_vars=5, max_clauses=6))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_naive_count(self, formula):
+        pair, _ = to_decomposition(formula)
+        for i in range(1, pair.n + 1):
+            assert single_columns(pair, i) == naive_single_columns(pair, i)
 
 
 class TestConstruct:
@@ -155,9 +158,7 @@ class TestConstruct:
         # every live edge leaves a column-single vertex and lands on a
         # row whose complement side holds that column
         for src, tgt, col in graph.live_edges():
-            assert single_columns(pair, counts, src) and col in single_columns(
-                pair, counts, src
-            )
+            assert col in naive_single_columns(pair, src)
             assert col - 1 in pair.bar_rows[tgt - 1]
 
 
@@ -171,9 +172,9 @@ class TestShortcuts:
         # E1 row 1 is alone on column 1's alpha side and on column 2's
         # second side, yet E1 has a covering: singleness alone forces nothing
         counts = column_counts(e1_pair)
-        assert single_columns(e1_pair, counts, 1) == [1]
+        assert single_columns(e1_pair, 1) == [1]
         assert e1_pair.bar_cols[1] == (0,)
-        assert find_forced_conflict_row(e1_pair, column_counts(e1_pair)) is None
+        assert find_forced_conflict_row(e1_pair, counts) is None
         # row 1 alone covers column 1 (nothing can re-cover it) and alone
         # can cover column 2 (nothing covers it unswapped)
         both = DecompositionPair(2, 3, [[0], [2]], [[1], []])
