@@ -8,13 +8,14 @@ Exit codes follow the SAT-competition convention for ``solve`` and
 ``covering``: 10 = positive verdict, 20 = negative verdict, 1 = engine
 error, 2 = input error.  Harness subcommands exit 0 normally and 3 when a
 soundness-gate or invariant violation occurred.  Running out of memory,
-or a size past the index range, exits 2 with an ``error:`` line in every
-subcommand.
+a size past the index range, or a stdout closed by its reader exits 2
+with an ``error:`` line in every subcommand.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -382,7 +383,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # e.g. piped to `head -c 1`
+        # the interpreter flushes stdout again at exit: let that go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail_input("cannot write output: broken pipe")
     except MemoryError:  # e.g. a SAT answer's v line, O(num_vars) by format
         return _fail_input("out of memory")
     except OverflowError:  # a SAT answer for a header past the index range

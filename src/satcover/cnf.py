@@ -11,9 +11,8 @@ assigning the variable true.
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
 from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,9 +36,12 @@ class ParseError(ValueError):
 class CnfFormula:
     """A CNF formula as a clause list over variables 1..num_vars.
 
-    Clauses are kept exactly as preprocessing left them; an empty clause is
-    retained (it makes the formula unsatisfiable) so every consumer sees the
-    same semantics.
+    A clause names each variable at most once: a repeated literal or a
+    tautology (x and not x) is refused, which the reduction needs to be
+    sound.  ``parse_dimacs`` dedupes and drops tautologies before it builds
+    one.  Clauses are otherwise kept as given; an empty clause is retained
+    (it makes the formula unsatisfiable) so every consumer sees the same
+    semantics.
     """
 
     num_vars: int
@@ -47,11 +49,16 @@ class CnfFormula:
 
     def __post_init__(self):
         for idx, clause in enumerate(self.clauses, start=1):
+            variables = set()
             for lit in clause:
                 if lit == 0 or abs(lit) > self.num_vars:
                     raise StructuralError(
                         f"clause {idx}: literal {lit} outside +/-1..{self.num_vars}"
                     )
+                variables.add(abs(lit))
+            if len(variables) < len(clause):
+                v = next(v for v, k in Counter(map(abs, clause)).items() if k > 1)
+                raise StructuralError(f"clause {idx}: variable {v} occurs twice")
 
 
 @dataclass(frozen=True)
@@ -249,31 +256,6 @@ def to_matrix(formula: CnfFormula) -> np.ndarray:
     return entries
 
 
-def clause_variable_count(formula: CnfFormula) -> int:
-    """The count of distinct variables in each clause, summed: the nonzeros
-    of ``to_matrix`` and the ones of the reduced pair, also when a clause
-    built in code repeats a variable or holds both of its literals.
-
-    One sort of all literals keyed by (clause, variable) finds the repeats,
-    instead of a set per clause.  The keys are int64, so when the clause
-    count times ``num_vars`` could overflow them the variables are first
-    numbered densely.
-    """
-    clauses = formula.clauses
-    lengths = list(map(len, clauses))
-    variables = map(abs, chain.from_iterable(clauses))
-    width = formula.num_vars + 1
-    if width * (len(clauses) + 1) >= 2**63:
-        seen = list(variables)
-        dense = {v: k for k, v in enumerate(set(seen))}
-        variables, width = map(dense.__getitem__, seen), len(dense)
-    total = sum(lengths)
-    keys = np.fromiter(variables, np.int64, total)
-    keys += np.repeat(np.arange(len(clauses), dtype=np.int64) * width, lengths)
-    keys.sort()
-    return total - int(np.count_nonzero(keys[1:] == keys[:-1]))
-
-
 def to_decomposition(
     formula: CnfFormula, *, alpha: str = "neg", ops=None
 ) -> Tuple[DecompositionPair, List[int]]:
@@ -286,8 +268,8 @@ def to_decomposition(
     ``alpha="neg"`` (default) the alpha side of a variable's row holds the
     clauses containing its negative literal; ``alpha="pos"`` mirrors the
     orientation.  An empty clause is refused.  The occurrence lists are
-    filled in one pass, keyed by literal; a variable repeated inside a
-    clause keeps the sign of its last literal, as in the signed matrix.
+    filled in one pass, keyed by literal: a clause names each variable once,
+    so every row is strictly ascending and its two sides are disjoint.
     """
     if alpha not in ("neg", "pos"):
         raise StructuralError(f"alpha must be 'neg' or 'pos', got {alpha!r}")
@@ -300,13 +282,7 @@ def to_decomposition(
         if not clause:
             raise StructuralError(f"clause {j + 1} is empty")
         for lit in clause:
-            row = occ[lit]
-            if row and row[-1] == j:
-                continue
-            other = occ.get(-lit)
-            if other and other[-1] == j:
-                other.pop()
-            row.append(j)
+            occ[lit].append(j)
     used = sorted({abs(lit) for lit in occ})
     n = len(used)
     pos_rows = [occ.get(v, ()) for v in used]

@@ -39,7 +39,7 @@ class PointingGraph:
     loops of the procedures index them without numpy scalar boxing (vertex
     ids 1-based, stored 0-based internally):
       vertex_order   formation order of vertices (rows), append-only
-      formed/removed/main/useless/examined/final   per-vertex bool lists
+      formed/removed/main/useless/examined   per-vertex bool lists
       main_columns   per-vertex list of associated columns (main vertices)
       indegree       per-vertex int list: count of live incoming edges
       multiplicity   per-column int list: count of live main vertices
@@ -81,7 +81,6 @@ class PointingGraph:
         self.main: List[bool] = [False] * n
         self.useless: List[bool] = [False] * n
         self.examined: List[bool] = [False] * n
-        self.final: List[bool] = [False] * n
         self.main_columns: List[List[int]] = [[] for _ in range(n)]
         self.main_column_total = 0
         self.indegree: List[int] = [0] * n
@@ -226,8 +225,7 @@ def construct(graph: PointingGraph, *, ops=DISABLED_OPS, trace=NO_TRACE) -> bool
         singles = g.single_cols[q0]
         ops.cmp(g.m)
         if not singles:
-            g.final[q0] = True
-            ops.assign(1)
+            ops.assign(1)  # charged as marking the vertex final
             emit("final-marked", q)
             continue
         for j0 in singles:

@@ -17,7 +17,6 @@ from typing import List, Optional, Tuple
 from .cnf import (
     CnfFormula,
     assignment_from_swaps,
-    clause_variable_count,
     evaluate,
     to_decomposition,
 )
@@ -329,7 +328,7 @@ def build_sat_report(
         "reason": reason,
         "n": formula.num_vars,
         "m": len(formula.clauses),
-        "input_length": clause_variable_count(formula),
+        "input_length": sum(map(len, formula.clauses)),
         "op_total": run.ops.total,
         "op_by_kind": run.ops.as_dict(),
         "extensions": run.extensions,

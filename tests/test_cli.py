@@ -129,6 +129,12 @@ class TestSolve:
         report = json.loads(out_path.read_text())
         assert report["reason"] == {"kind": "unreachable-column", "index": 2}
 
+    def test_repeated_literal_and_tautology_are_preprocessed(self, tmp_path, capsys):
+        # clause 1 is dropped, clause 2 read as (x1): x1 and x2 must be true
+        path = write(tmp_path, "repeats.cnf", "p cnf 2 3\n1 -1 0\n1 1 0\n-1 2 0\n")
+        assert main(["solve", path]) == 10
+        assert capsys.readouterr().out.splitlines() == ["s SATISFIABLE", "v 1 2 0"]
+
     def test_header_does_not_size_the_work(self, tmp_path):
         # the header declares 10^9 variables but only x1 occurs; a remap
         # sized by the header would need 8 GB
@@ -298,6 +304,37 @@ class TestDecompFormat:
     @settings(max_examples=50, deadline=None)
     def test_round_trip(self, pair):
         assert parse_decomp(emit_decomp(pair)) == pair
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "text, args",
+        [
+            ("p cnf 20000 20000\n" + "".join(f"{v} 0\n" for v in range(1, 20001)), ["solve"]),
+            (E1_TEXT, ["solve"]),
+            (None, ["fuzz", "--seed", "1", "--count", "3"]),
+        ],
+        ids=["long-answer", "short-answer", "fuzz"],
+    )
+    def test_closed_stdout_is_an_output_error(self, tmp_path, text, args):
+        # the reader of stdout is gone before the child writes: a long answer
+        # fails in print, a short one in the flush before exit, and the
+        # interpreter's own flush at exit must not fail again
+        if text is not None:
+            args = args + [write(tmp_path, "in.cnf", text)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as a pipe is by default
+        child = subprocess.Popen(
+            [sys.executable, "-m", "satcover", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert child.returncode == 2, err
+        assert err == "error: cannot write output: broken pipe\n"
 
 
 class TestHarnessCommands:

@@ -22,7 +22,6 @@ from satcover import (
     to_matrix,
 )
 from satcover import cnf
-from satcover.cnf import clause_variable_count
 from satcover.decomposition import validate
 
 from conftest import formulas, naive_input_length
@@ -349,6 +348,21 @@ class TestFormula:
         with pytest.raises(StructuralError):
             CnfFormula(1, [[2]])
 
+    @pytest.mark.parametrize(
+        "num_vars, clauses, message",
+        [
+            (1, [[1, -1], [1]], "clause 1: variable 1 occurs twice"),
+            (2, [[1, 1]], "clause 1: variable 1 occurs twice"),
+            (3, [[1, 2], [-3, 2, 3]], "clause 2: variable 3 occurs twice"),
+            # the range check comes first within a clause
+            (1, [[1, 1, 2]], "clause 1: literal 2 outside +/-1..1"),
+        ],
+    )
+    def test_variable_named_twice_rejected(self, num_vars, clauses, message):
+        with pytest.raises(StructuralError) as info:
+            CnfFormula(num_vars, clauses)
+        assert str(info.value) == message
+
 
 class TestEmit:
     def test_canonical_order(self):
@@ -399,22 +413,22 @@ class TestMatrix:
             matrix[0, 0] = 0
 
     def test_tautology_must_be_preprocessed_upstream(self):
-        # a raw x1-and-not-x1 clause collapses to one cell of the matrix
-        assert to_matrix(CnfFormula(2, [[1, -1]])).tolist() == [[-1, 0]]
-        # x1 keeps the sign of its last literal, and x2 gets no row
-        pair, used = to_decomposition(CnfFormula(2, [[1, -1]]))
-        assert used == [1]
-        assert (pair.alpha_rows, pair.bar_rows) == (((0,),), ((),))
+        # the reduction is unsound on a clause that names x1 twice: the
+        # formula refuses it, and the reader drops it as a tautology
+        with pytest.raises(StructuralError, match="^clause 1: variable 1 occurs twice$"):
+            CnfFormula(2, [[1, -1]])
+        formula, report = parse_dimacs("p cnf 2 2\n1 -1 0\n2 0\n")
+        assert (formula.clauses, report.removed_tautologies) == ([[2]], (1,))
 
 
 @st.composite
 def raw_formulas(draw):
-    """Non-empty formulas of non-empty clauses whose literals are drawn with
-    replacement, so a clause may repeat a literal or hold both signs, over
-    a variable range that may leave some variables unused."""
+    """Non-empty formulas of non-empty clauses, each naming a variable at
+    most once, in any order and with any signs, over a variable range that
+    may leave some variables unused."""
     n = draw(st.integers(1, 6))
     literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
-    clause = st.lists(literal, min_size=1, max_size=6)
+    clause = st.lists(literal, min_size=1, max_size=6, unique_by=abs)
     return CnfFormula(n + draw(st.integers(0, 3)), draw(st.lists(clause, min_size=1, max_size=8)))
 
 
@@ -486,33 +500,6 @@ class TestToDecomposition:
             assert list(pair.alpha_rows[i]) == np.flatnonzero(matrix[:, i] == -1).tolist()
             assert list(pair.bar_rows[i]) == np.flatnonzero(matrix[:, i] == 1).tolist()
         assert input_length(pair) == naive_input_length(pair)
-
-
-@st.composite
-def code_built_formulas(draw):
-    """Formulas as code may build them: clauses may be empty, repeat a
-    literal or hold both signs, and the variables may sit near or beyond
-    the int64 range."""
-    base = draw(st.sampled_from([0, 2**61, 2**62 - 8, 2**70]))
-    n = draw(st.integers(1, 6))
-    literal = st.integers(base + 1, base + n).flatmap(lambda v: st.sampled_from((v, -v)))
-    clauses = draw(st.lists(st.lists(literal, max_size=6), max_size=8))
-    return CnfFormula(base + n, clauses)
-
-
-class TestClauseVariableCount:
-    @given(code_built_formulas())
-    @settings(max_examples=400, deadline=None)
-    def test_equals_a_set_per_clause(self, formula):
-        expected = sum(len(set(abs(l) for l in c)) for c in formula.clauses)
-        assert clause_variable_count(formula) == expected
-
-    def test_repeats_and_complements_count_once(self):
-        formula = CnfFormula(3, [[1, 1, -1], [], [2, -3, 3, 2], [3]])
-        assert clause_variable_count(formula) == 1 + 0 + 2 + 1
-
-    def test_equals_the_pair_size(self, e1):
-        assert clause_variable_count(e1) == input_length(to_decomposition(e1)[0])
 
 
 class TestEvaluate:

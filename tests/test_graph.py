@@ -34,6 +34,12 @@ def build(text: str, trace=NO_TRACE):
     return find_main_vertices(pair, column_counts(pair), ops=DISABLED_OPS, trace=trace)
 
 
+def final_marked(trace):
+    """The vertices ``construct`` marked final, in the order it did."""
+    events = trace.events_without_readings()
+    return [payload[0] for kind, payload in events if kind == "final-marked"]
+
+
 class TestFindMainVertices:
     def test_e1_single_main(self, e1_pair):
         counts = column_counts(e1_pair)
@@ -97,18 +103,20 @@ class TestSingleColumns:
 class TestConstruct:
     def test_e1_conjunctive_edge(self, e1_pair):
         graph = build("p cnf 2 2\n-1 2 0\n1 0\n")
-        construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        trace = Trace(OpCounter())
+        construct(graph, ops=DISABLED_OPS, trace=trace)
         assert graph.live_edges() == [(1, 2, 1)]
         assert graph.bar_count[0] == 1  # conjunctive: one row can re-cover column 1
         assert graph.indegree == [0, 1]
         assert graph.formed == [True, True]
-        assert graph.final == [False, True]
+        assert final_marked(trace) == [2]
         assert not any(graph.useless)
         assert graph.live_targets == [1, 0]
 
     def test_e5_disjunctive_fan_out(self):
         graph = build(E5_TEXT)
-        construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        trace = Trace(OpCounter())
+        construct(graph, ops=DISABLED_OPS, trace=trace)
         assert graph.live_edges() == [(1, 2, 2), (1, 3, 2)]
         assert graph.bar_count[1] == 2  # disjunctive: two rows can re-cover column 2
         assert graph.live_targets == [0, 2]
@@ -116,7 +124,7 @@ class TestConstruct:
         # row 3 was formed by the edge, not as a main vertex
         assert graph.formed == [True, True, True]
         assert not graph.main[2]
-        assert graph.final == [False, True, True]
+        assert final_marked(trace) == [2, 3]
 
     def test_e2_useless_vertex(self, e2_pair):
         graph = build("p cnf 1 2\n1 0\n-1 0\n")

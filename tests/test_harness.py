@@ -3,11 +3,13 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satcover import (
     CnfFormula,
     FuzzConfig,
     Unsat,
+    assignment_from_swaps,
     brute_covering,
     brute_sat,
     complexity_probe,
@@ -20,6 +22,7 @@ from satcover import (
     parse_dimacs,
     random_cnf,
     shrink_disagreement,
+    to_decomposition,
 )
 from satcover import harness
 from satcover.harness import (
@@ -90,8 +93,7 @@ class TestBruteSat:
         assert brute_sat(CnfFormula(1, [[]])) == (False, None)
 
     def test_witness_is_first_in_bitmask_order(self):
-        # both assignments of x1 work; all-false comes first
-        formula = CnfFormula(1, [[1, -1]])  # not preprocessed on purpose
+        # x2 must be true and both values of x1 work; x1 false comes first
         formula = CnfFormula(2, [[1, 2], [-1, 2]])
         assert brute_sat(formula) == (True, (False, True))
 
@@ -272,9 +274,33 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_formulas(2, 2, 2)) == 8 + 36
 
 
+@st.composite
+def distinct_variable_formulas(draw):
+    """Formulas of 1..14 clauses of width 1..3 over 1..10 variables, each
+    clause naming a variable at most once."""
+    n = draw(st.integers(1, 10))
+    literal = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clause = st.lists(literal, min_size=1, max_size=min(3, n), unique_by=abs)
+    return CnfFormula(n, draw(st.lists(clause, min_size=1, max_size=14)))
+
+
 class TestReductionCheck:
     def test_small_space_passes(self):
         assert exhaustive_reduction_check(2, 2, 2)
+
+    @given(distinct_variable_formulas())
+    @settings(max_examples=300, deadline=None)
+    def test_reduction_is_sound_on_random_formulas(self, formula):
+        # beyond the exhaustive space, in both orientations: satisfiable
+        # iff the pair has a covering, and a covering encodes a model
+        sat, _ = brute_sat(formula)
+        for alpha in ("neg", "pos"):
+            pair, used = to_decomposition(formula, alpha=alpha)
+            covered, swaps = brute_covering(pair)
+            assert covered == sat
+            if covered:
+                assignment = assignment_from_swaps(swaps, used, formula.num_vars, alpha)
+                assert evaluate(formula, assignment)
 
     def test_refuses_large_space(self):
         with pytest.raises(ValueError):

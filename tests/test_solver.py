@@ -204,6 +204,15 @@ class TestReports:
         assert report["op_total"] == run.ops.total > 0
         assert len(report["trace_hash"]) == 64
 
+    def test_input_length_is_the_literal_count_past_int64(self):
+        # variables past 2**63, where a count keyed by clause and variable
+        # in int64 would overflow
+        base = 2**70
+        formula = CnfFormula(base + 3, [[base + 1, -(base + 3)], [-(base + 1)], [base + 3]])
+        report = build_sat_report("wide", formula, solve_sat(formula))
+        assert report["verdict"] == "UNSAT"
+        assert report["input_length"] == 4
+
     def test_unsat_report(self, e3):
         run = solve_sat(e3)
         report = build_sat_report("e3", e3, run, elapsed_ms=None)
