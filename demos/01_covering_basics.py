@@ -31,8 +31,8 @@ print("rows n =", pair.n, " columns m =", pair.m)
 print("input length (total set cells):", input_length(pair))
 
 counts = column_counts(pair)
-print("first-component column counts: ", counts.m_alpha.tolist())
-print("second-component column counts:", counts.m_alpha_bar.tolist())
+print("first-component column counts: ", list(counts.m_alpha))
+print("second-component column counts:", list(counts.m_alpha_bar))
 
 # column 3 has no 1 in the first matrix, so the identity choice of swaps
 # is not a covering

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .decomposition import DecompositionPair, StructuralError
+from .decomposition import DecompositionPair, StructuralError, swap_set
 
 Clause = List[int]
 Assignment = Tuple[bool, ...]
@@ -256,6 +256,12 @@ def to_matrix(formula: CnfFormula) -> np.ndarray:
     return entries
 
 
+def check_alpha(alpha: str) -> None:
+    """Refuse an orientation other than ``"neg"`` and ``"pos"``."""
+    if alpha not in ("neg", "pos"):
+        raise StructuralError(f"alpha must be 'neg' or 'pos', got {alpha!r}")
+
+
 def to_decomposition(
     formula: CnfFormula, *, alpha: str = "neg", ops=None
 ) -> Tuple[DecompositionPair, List[int]]:
@@ -271,8 +277,7 @@ def to_decomposition(
     filled in one pass, keyed by literal: a clause names each variable once,
     so every row is strictly ascending and its two sides are disjoint.
     """
-    if alpha not in ("neg", "pos"):
-        raise StructuralError(f"alpha must be 'neg' or 'pos', got {alpha!r}")
+    check_alpha(alpha)
     m = len(formula.clauses)
     if m == 0:
         raise StructuralError("formula has no clauses")
@@ -305,14 +310,12 @@ def assignment_from_swaps(swaps, used: List[int], num_vars: int, alpha: str) -> 
     alongside.  With ``alpha="neg"`` a swapped row's variable is true, with
     ``"pos"`` an unswapped one's; variables outside ``used`` are false.
     """
-    swap_set = set(swaps)
-    for r in swap_set:
-        if not 1 <= r <= len(used):
-            raise StructuralError(f"swap index {r} outside 1..{len(used)}")
+    check_alpha(alpha)
+    swapped = swap_set(swaps, len(used))
     true_when_swapped = alpha == "neg"
     assignment = [False] * num_vars
     for r, v in enumerate(used, start=1):
-        assignment[v - 1] = (r in swap_set) == true_when_swapped
+        assignment[v - 1] = (r in swapped) == true_when_swapped
     return tuple(assignment)
 
 

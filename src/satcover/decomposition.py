@@ -20,9 +20,8 @@ Key choices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
-
-import numpy as np
+from operator import index
+from typing import Iterable, List, Optional, Set, Tuple
 
 
 class StructuralError(ValueError):
@@ -106,10 +105,10 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ColumnCounts:
-    """Per-column 1-counts of both matrices (recomputable at any time)."""
+    """Per-column 1-counts of both matrices as tuples (recomputable)."""
 
-    m_alpha: np.ndarray
-    m_alpha_bar: np.ndarray
+    m_alpha: Tuple[int, ...]
+    m_alpha_bar: Tuple[int, ...]
 
 
 def validate(pair: DecompositionPair) -> ValidationReport:
@@ -134,17 +133,29 @@ def validate(pair: DecompositionPair) -> ValidationReport:
 
 def column_counts(pair: DecompositionPair, *, ops=None) -> ColumnCounts:
     """Count the 1s of every column of both matrices."""
-    m_alpha = np.array([len(rows) for rows in pair.alpha_cols], dtype=np.int64)
-    m_alpha_bar = np.array([len(rows) for rows in pair.bar_cols], dtype=np.int64)
+    m_alpha = tuple(map(len, pair.alpha_cols))
+    m_alpha_bar = tuple(map(len, pair.bar_cols))
     if ops is not None:
         # charged as the dense scan: one read-compare per cell, one
         # increment per 1, init per column
         ops.cmp(2 * pair.n * pair.m)
-        ops.arith(int(m_alpha.sum()) + int(m_alpha_bar.sum()))
+        ops.arith(sum(m_alpha) + sum(m_alpha_bar))
         ops.assign(2 * pair.m)
-    m_alpha.setflags(write=False)
-    m_alpha_bar.setflags(write=False)
     return ColumnCounts(m_alpha=m_alpha, m_alpha_bar=m_alpha_bar)
+
+
+def swap_set(swaps: Iterable[int], n: int) -> Set[int]:
+    """The distinct 1-based rows of a swap set.  An index that is not an
+    integer by ``operator.index`` (no truncation, no parsing) or lies
+    outside 1..n raises StructuralError."""
+    try:
+        rows = set(map(index, swaps))
+    except TypeError as exc:
+        raise StructuralError(f"swap indices must be integers: {exc}") from None
+    for row in rows:
+        if not 1 <= row <= n:
+            raise StructuralError(f"swap index {row} outside 1..{n}")
+    return rows
 
 
 def apply_swaps(pair: DecompositionPair, swaps: Iterable[int]) -> DecompositionPair:
@@ -153,13 +164,9 @@ def apply_swaps(pair: DecompositionPair, swaps: Iterable[int]) -> DecompositionP
 
     Applying the same swap set twice returns the original pair.
     """
-    swap_set = {int(i) for i in swaps}
-    for i in swap_set:
-        if not 1 <= i <= pair.n:
-            raise StructuralError(f"swap index {i} outside 1..{pair.n}")
     alpha = list(pair.alpha_rows)
     bar = list(pair.bar_rows)
-    for i in swap_set:
+    for i in swap_set(swaps, pair.n):
         alpha[i - 1], bar[i - 1] = bar[i - 1], alpha[i - 1]
     return DecompositionPair(pair.n, pair.m, alpha, bar)
 

@@ -22,22 +22,20 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import List, Optional, Set
 
-import numpy as np
-
 from .decomposition import ColumnCounts, DecompositionPair
-from .instrument import DISABLED_OPS, NO_TRACE
+from .instrument import NO_TRACE, Trace
 
 
 class PointingGraph:
     """All bookkeeping for one solve over a fixed decomposition pair.
 
-    ``pair`` and ``counts`` are the pair and its column counts; every
-    procedure reads them from here.  ``tried`` holds the vertices whose
-    removal elimination has attempted, once per whole solve.
+    ``pair`` and ``counts`` are the pair and its column counts, ``trace``
+    the solve's event log and ``trace.ops`` its op counter; every procedure
+    reads them from here.  ``tried`` holds the vertices whose removal
+    elimination has attempted, once per whole solve.
 
-    Mutable state, all plain Python lists and a bytearray, so the per-element
-    loops of the procedures index them without numpy scalar boxing (vertex
-    ids 1-based, stored 0-based internally):
+    Mutable state, all plain Python lists and a bytearray (vertex ids
+    1-based, stored 0-based internally):
       vertex_order   formation order of vertices (rows), append-only
       formed/removed/main/useless/examined   per-vertex bool lists
       main_columns   per-vertex list of associated columns (main vertices)
@@ -52,7 +50,7 @@ class PointingGraph:
 
     Static, precomputed once from the pair and its counts (0-based):
       targets        ``pair.bar_cols``: the rows an edge labelled j can reach
-      bar_count      per-column count of the second matrix, as a list
+      bar_count      per-column count of the second matrix: the counts' tuple
       edge_base      per-column offset into ``edge_live`` (m + 1 entries)
       col_single_row the unique alpha-side row per single column, 1-based
                      (0 = not single)
@@ -68,12 +66,13 @@ class PointingGraph:
     state the mark was taken in (see ``procedures.StateSnapshot``).
     """
 
-    def __init__(self, pair: DecompositionPair, counts: ColumnCounts):
+    def __init__(self, pair: DecompositionPair, counts: ColumnCounts, trace: Trace = NO_TRACE):
         n, m = pair.n, pair.m
         self.n = n
         self.m = m
         self.pair = pair
         self.counts = counts
+        self.trace = trace
         self.tried: Set[int] = set()
         self.vertex_order: List[int] = []
         self.formed: List[bool] = [False] * n
@@ -88,7 +87,7 @@ class PointingGraph:
         self.trail: List[tuple] = []
 
         self.targets = pair.bar_cols
-        self.bar_count: List[int] = self.counts.m_alpha_bar.tolist()
+        self.bar_count = counts.m_alpha_bar
         self.edge_base: List[int] = list(accumulate(map(len, self.targets), initial=0))
         self.edge_live = bytearray(self.edge_base[m])
         self.live_targets: List[int] = [0] * m
@@ -97,7 +96,7 @@ class PointingGraph:
         self.out_cols: List[List[int]] = [[] for _ in range(n)]
         self.in_slots: List[List[tuple]] = [[] for _ in range(n)]
         in_slots = self.in_slots
-        for j0 in np.flatnonzero(self.counts.m_alpha == 1).tolist():
+        for j0 in [j for j, c in enumerate(counts.m_alpha) if c == 1]:
             q0 = pair.alpha_cols[j0][0]
             self.col_single_row[j0] = q0 + 1
             self.single_cols[q0].append(j0)
@@ -142,8 +141,8 @@ def find_forced_conflict_row(pair: DecompositionPair, counts: ColumnCounts) -> O
     Such a row rules out every covering.  Returns the smallest such row, or
     None.
     """
-    must_stay = ((counts.m_alpha == 1) & (counts.m_alpha_bar == 0)).tolist()
-    must_swap = ((counts.m_alpha == 0) & (counts.m_alpha_bar == 1)).tolist()
+    must_stay = [a == 1 and b == 0 for a, b in zip(counts.m_alpha, counts.m_alpha_bar)]
+    must_swap = [a == 0 and b == 1 for a, b in zip(counts.m_alpha, counts.m_alpha_bar)]
     for i, (alpha, bar) in enumerate(zip(pair.alpha_rows, pair.bar_rows)):
         if any(must_stay[j] for j in alpha) and any(must_swap[j] for j in bar):
             return i + 1
@@ -155,24 +154,22 @@ def find_forced_conflict_row(pair: DecompositionPair, counts: ColumnCounts) -> O
 # ---------------------------------------------------------------------------
 
 def find_main_vertices(
-    pair: DecompositionPair,
-    counts: ColumnCounts,
-    *,
-    ops=DISABLED_OPS,
-    trace=NO_TRACE,
+    pair: DecompositionPair, counts: ColumnCounts, trace: Trace = NO_TRACE
 ) -> Optional[PointingGraph]:
     """Form the root vertices from the uncovered columns of alpha.
 
     Returns None when no column is uncovered (the pair is already a covering
-    as it stands); otherwise the initialized graph.  Vertices are appended in
-    ascending (column, row) order of first appearance.
+    as it stands); otherwise the initialized graph, holding ``trace`` for
+    every later step.  Vertices are appended in ascending (column, row)
+    order of first appearance.
     """
+    ops = trace.ops
     ops.cmp(pair.m)
-    zero_cols = np.flatnonzero(counts.m_alpha == 0).tolist()
+    zero_cols = [j for j, c in enumerate(counts.m_alpha) if not c]
     if not zero_cols:
         trace.emit("covering-already")
         return None
-    graph = PointingGraph(pair, counts)
+    graph = PointingGraph(pair, counts, trace)
     formed, main, main_columns = graph.formed, graph.main, graph.main_columns
     for j0 in zero_cols:
         ops.cmp(pair.n)
@@ -192,7 +189,7 @@ def find_main_vertices(
     return graph
 
 
-def construct(graph: PointingGraph, *, ops=DISABLED_OPS, trace=NO_TRACE) -> bool:
+def construct(graph: PointingGraph) -> bool:
     """Explore formed vertices once each, creating edges and new vertices.
 
     Walks the formation order, skipping vertices already examined or removed.
@@ -209,7 +206,7 @@ def construct(graph: PointingGraph, *, ops=DISABLED_OPS, trace=NO_TRACE) -> bool
     formed, removed, examined, indegree = g.formed, g.removed, g.examined, g.indegree
     order, targets, bar_count = g.vertex_order, g.targets, g.bar_count
     edge_base, edge_live, live_targets = g.edge_base, g.edge_live, g.live_targets
-    emit = trace.emit
+    ops, emit = g.trace.ops, g.trace.emit
     added = False
     idx = 0
     while idx < len(order):
@@ -257,5 +254,5 @@ def construct(graph: PointingGraph, *, ops=DISABLED_OPS, trace=NO_TRACE) -> bool
                 ops.assign(1)
                 emit("edge-formed", q, r, j, conjunctive)
                 added = True
-    trace.emit("construct-result", 1 if added else 0)
+    emit("construct-result", 1 if added else 0)
     return added

@@ -74,16 +74,17 @@ DISABLED_OPS = _DisabledOpCounter()
 
 
 class Trace:
-    """Deterministic event log; each event snapshots the counter total."""
+    """Deterministic event log; each event snapshots the total of ``ops``,
+    the solve's one op counter."""
 
-    __slots__ = ("events", "_ops")
+    __slots__ = ("events", "ops")
 
     def __init__(self, ops: OpCounter = DISABLED_OPS):
         self.events: List[Tuple] = []
-        self._ops = ops
+        self.ops = ops
 
     def emit(self, kind: str, *payload: int) -> None:
-        self.events.append((kind, payload, self._ops.total))
+        self.events.append((kind, payload, self.ops.total))
 
     def serialize(self) -> bytes:
         # tuples dump as JSON arrays; ``default`` sees only what JSON cannot

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Set
 
 from .decomposition import DecompositionPair, StructuralError
 from .graph import PointingGraph
-from .instrument import DISABLED_OPS, NO_TRACE
 
 
 @dataclass(frozen=True)
@@ -118,9 +117,7 @@ class StateSnapshot:
 # removal cascade
 # ---------------------------------------------------------------------------
 
-def removal_procedure(
-    graph: PointingGraph, start_vertex: int, *, ops=DISABLED_OPS, trace=NO_TRACE
-) -> RemovalOutcome:
+def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome:
     """Try to remove a live vertex together with its dependent cascade.
 
     Ancestors (sources of conjunctive or last-live-disjunctive incoming
@@ -138,7 +135,7 @@ def removal_procedure(
     """
     g = graph
     log = g.trail.append
-    emit = trace.emit
+    ops, emit = g.trace.ops, g.trace.emit
     live = g.edge_live
     live_targets = g.live_targets
     indegree, removed, main, bar_count = g.indegree, g.removed, g.main, g.bar_count
@@ -264,13 +261,7 @@ def removal_procedure(
 # cleaning
 # ---------------------------------------------------------------------------
 
-def clean(
-    graph: PointingGraph,
-    *,
-    order: Optional[List[int]] = None,
-    ops=DISABLED_OPS,
-    trace=NO_TRACE,
-) -> Optional[int]:
+def clean(graph: PointingGraph, *, order: Optional[List[int]] = None) -> Optional[int]:
     """Remove every live useless vertex; return the blocking vertex on failure.
 
     Vertices are attempted in ascending index order (or the given order, used
@@ -280,17 +271,14 @@ def clean(
     inspect the intact graph, and the vertex index is returned.  Returns None
     when the graph is clean.
     """
-    live_useless = [
-        v
-        for v in range(1, graph.n + 1)
-        if graph.useless[v - 1] and graph.formed[v - 1] and not graph.removed[v - 1]
-    ]
+    live_useless = [v for v in graph.live_vertices() if graph.useless[v - 1]]
     if order is None:
         candidates = live_useless
     else:
         candidates = list(order)
         if set(candidates) != set(live_useless) or len(candidates) != len(live_useless):
             raise StructuralError("clean order must be a permutation of the live useless vertices")
+    trace, ops = graph.trace, graph.trace.ops
     for v in candidates:
         ops.cmp(1)
         if graph.removed[v - 1] or not graph.formed[v - 1]:
@@ -298,7 +286,7 @@ def clean(
         snap = StateSnapshot.capture(graph)
         ops.assign(snap.cell_count())
         trace.emit("snapshot")
-        outcome = removal_procedure(graph, v, ops=ops, trace=trace)
+        outcome = removal_procedure(graph, v)
         if not outcome.removable:
             snap.restore(graph)
             ops.assign(snap.cell_count())
@@ -333,7 +321,7 @@ def _swap_rows(
 
 def swapped_alpha_counts(graph: PointingGraph) -> List[int]:
     """Column counts of alpha after swapping every live vertex row."""
-    counts = graph.counts.m_alpha.tolist()
+    counts = list(graph.counts.m_alpha)
     # the zeros of a fresh count come from ``zero_columns``, not the pushes
     _swap_rows(counts, graph.pair, [i - 1 for i in graph.live_vertices()], 1, [])
     return counts
@@ -345,7 +333,7 @@ def zero_columns(counts: List[int]) -> List[int]:
     return [j for j, c in enumerate(counts) if not c]
 
 
-def eliminate_incompatibilities(graph: PointingGraph, *, ops=DISABLED_OPS, trace=NO_TRACE):
+def eliminate_incompatibilities(graph: PointingGraph):
     """Scan columns ascending and resolve each incompatible set in turn.
 
     For the members of a set, the removal cascade is attempted under a
@@ -379,7 +367,7 @@ def eliminate_incompatibilities(graph: PointingGraph, *, ops=DISABLED_OPS, trace
     once per call, and a popped column that is pushed back was not pushed
     by the commit.
     """
-    pair, tried = graph.pair, graph.tried
+    pair, tried, trace, ops = graph.pair, graph.tried, graph.trace, graph.trace.ops
     plan_rows: List[int] = []
     plan_cols: List[int] = []
     planned: Set[tuple] = set()
@@ -412,7 +400,7 @@ def eliminate_incompatibilities(graph: PointingGraph, *, ops=DISABLED_OPS, trace
                     snap = StateSnapshot.capture(graph)
                     ops.assign(snap.cell_count())
                     trace.emit("snapshot")
-                outcome = removal_procedure(graph, r, ops=ops, trace=trace)
+                outcome = removal_procedure(graph, r)
                 if outcome.removable:
                     snap.commit(graph)
                     committed = r
@@ -455,21 +443,15 @@ def eliminate_incompatibilities(graph: PointingGraph, *, ops=DISABLED_OPS, trace
 # extension
 # ---------------------------------------------------------------------------
 
-def extend(graph: PointingGraph, plan: ExtensionPlan, *, ops=DISABLED_OPS, trace=NO_TRACE) -> None:
+def extend(graph: PointingGraph, plan: ExtensionPlan) -> None:
     """Form the planned rows as additional main vertices.
 
     Every planned row must be unformed (removed rows never come back).  A
     new main vertex is associated with, and bumps the multiplicity of, every
     planned column where its second-component row has a 1.
     """
-    rows: List[int] = []
-    for p in plan.new_main_vertices:
-        if p not in rows:
-            rows.append(p)
-    cols: List[int] = []
-    for c in plan.columns:
-        if c not in cols:
-            cols.append(c)
+    rows = list(dict.fromkeys(plan.new_main_vertices))  # first occurrences, in order
+    cols = list(dict.fromkeys(plan.columns))
     if not rows:
         raise StructuralError("extension plan is empty")
     for p in rows:
@@ -477,6 +459,7 @@ def extend(graph: PointingGraph, plan: ExtensionPlan, *, ops=DISABLED_OPS, trace
             raise StructuralError(f"plan row {p} outside 1..{graph.n}")
         if graph.formed[p - 1] or graph.removed[p - 1]:
             raise StructuralError(f"plan row {p} is already part of the graph")
+    trace, ops = graph.trace, graph.trace.ops
     for p in rows:
         p0 = p - 1
         graph.formed[p0] = True

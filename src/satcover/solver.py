@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 from .cnf import (
     CnfFormula,
     assignment_from_swaps,
+    check_alpha,
     evaluate,
     to_decomposition,
 )
@@ -109,9 +110,13 @@ class SolveRun:
     """One driver run: verdict plus instrumentation."""
 
     verdict: object
-    ops: OpCounter
     trace: Trace
     extensions: int
+
+    @property
+    def ops(self) -> OpCounter:
+        """The run's op counter, the one its trace reads."""
+        return self.trace.ops
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +141,7 @@ def _check_graph_invariants(graph) -> None:
         raise EngineInvariantError("indegree does not match live incoming edge counts")
     if per_column != g.live_targets:
         raise EngineInvariantError("live-target counts do not match the live edges")
-    live_main = [
-        v for v in range(1, g.n + 1) if g.main[v - 1] and g.formed[v - 1] and not g.removed[v - 1]
-    ]
+    live_main = [v for v in g.live_vertices() if g.main[v - 1]]
     mult = [0] * g.m
     for v in live_main:
         for c in g.main_columns[v - 1]:
@@ -151,15 +154,8 @@ def _check_graph_invariants(graph) -> None:
 # covering driver
 # ---------------------------------------------------------------------------
 
-def _run_covering(
-    pair: DecompositionPair,
-    ops: OpCounter,
-    trace: Trace,
-    *,
-    shortcut: bool,
-    invariant_checks: bool,
-):
-    counts = column_counts(pair, ops=ops)
+def _run_covering(pair: DecompositionPair, trace: Trace, *, shortcut: bool, invariant_checks: bool):
+    counts = column_counts(pair, ops=trace.ops)
     if shortcut:
         hit = find_forced_conflict_row(pair, counts)
         if hit is not None:
@@ -167,7 +163,7 @@ def _run_covering(
             trace.emit("verdict", 1, hit)
             return NoCovering(Reason(BOTH_COMPONENTS_SINGLE, hit)), 0
 
-    graph = find_main_vertices(pair, counts, ops=ops, trace=trace)
+    graph = find_main_vertices(pair, counts, trace)
     if graph is None:
         if not is_alpha_covering(pair):
             raise EngineInvariantError("no uncovered column yet the pair is not a covering")
@@ -176,16 +172,16 @@ def _run_covering(
 
     extensions = 0
     while True:
-        construct(graph, ops=ops, trace=trace)
+        construct(graph)
         if invariant_checks:
             _check_graph_invariants(graph)
-        blocking = clean(graph, ops=ops, trace=trace)
+        blocking = clean(graph)
         if invariant_checks:
             _check_graph_invariants(graph)
         if blocking is not None:
             trace.emit("verdict", 1, blocking)
             return NoCovering(Reason(NON_REMOVABLE_USELESS_VERTEX, blocking)), extensions
-        result = eliminate_incompatibilities(graph, ops=ops, trace=trace)
+        result = eliminate_incompatibilities(graph)
         if invariant_checks:
             _check_graph_invariants(graph)
         if isinstance(result, Unreachable):
@@ -201,7 +197,7 @@ def _run_covering(
         extensions += 1
         if extensions > pair.n:
             raise EngineInvariantError(f"extension count exceeded n={pair.n}")
-        extend(graph, result.plan, ops=ops, trace=trace)
+        extend(graph, result.plan)
 
 
 def solve_covering(
@@ -225,12 +221,11 @@ def solve_covering(
             f"invalid decomposition: {first.condition} at row={first.row} column={first.column}"
             + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else "")
         )
-    ops = OpCounter() if count_ops else DISABLED_OPS
-    trace = Trace(ops)
+    trace = Trace(OpCounter() if count_ops else DISABLED_OPS)
     verdict, extensions = _run_covering(
-        pair, ops, trace, shortcut=shortcut, invariant_checks=invariant_checks
+        pair, trace, shortcut=shortcut, invariant_checks=invariant_checks
     )
-    return SolveRun(verdict=verdict, ops=ops, trace=trace, extensions=extensions)
+    return SolveRun(verdict=verdict, trace=trace, extensions=extensions)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +248,8 @@ def solve_sat(
     file numbering.  A satisfying verdict is emitted only after the
     assignment passes evaluation; a failing assignment becomes EngineError.
     """
-    ops = OpCounter() if count_ops else DISABLED_OPS
-    trace = Trace(ops)
+    check_alpha(alpha)
+    trace = Trace(OpCounter() if count_ops else DISABLED_OPS)
 
     def clause_label(j: int) -> int:
         if clause_labels is not None:
@@ -264,30 +259,27 @@ def solve_sat(
     for idx, clause in enumerate(formula.clauses, start=1):
         if not clause:
             trace.emit("verdict", 1, idx)
-            return SolveRun(Unsat(Reason(EMPTY_CLAUSE, clause_label(idx))), ops, trace, 0)
+            return SolveRun(Unsat(Reason(EMPTY_CLAUSE, clause_label(idx))), trace, 0)
     if not formula.clauses:
         trace.emit("verdict", 0, 0)
-        return SolveRun(Sat((False,) * formula.num_vars), ops, trace, 0)
+        return SolveRun(Sat((False,) * formula.num_vars), trace, 0)
 
-    pair, used = to_decomposition(formula, alpha=alpha, ops=ops)
+    pair, used = to_decomposition(formula, alpha=alpha, ops=trace.ops)
 
     try:
         verdict, extensions = _run_covering(
-            pair, ops, trace, shortcut=shortcut, invariant_checks=invariant_checks
+            pair, trace, shortcut=shortcut, invariant_checks=invariant_checks
         )
     except EngineInvariantError as exc:
-        return SolveRun(EngineError(str(exc)), ops, trace, 0)
+        return SolveRun(EngineError(str(exc)), trace, 0)
 
     if isinstance(verdict, CoveringFound):
         assignment = assignment_from_swaps(verdict.swaps, used, formula.num_vars, alpha)
         if not evaluate(formula, assignment):
             return SolveRun(
-                EngineError("covering produced a non-satisfying assignment"),
-                ops,
-                trace,
-                extensions,
+                EngineError("covering produced a non-satisfying assignment"), trace, extensions
             )
-        return SolveRun(Sat(assignment), ops, trace, extensions)
+        return SolveRun(Sat(assignment), trace, extensions)
 
     reason = verdict.reason
     if reason.kind in (NON_REMOVABLE_USELESS_VERTEX, BOTH_COMPONENTS_SINGLE):
@@ -296,7 +288,7 @@ def solve_sat(
         index = clause_label(reason.index)
     else:
         index = reason.index
-    return SolveRun(Unsat(Reason(reason.kind, index)), ops, trace, extensions)
+    return SolveRun(Unsat(Reason(reason.kind, index)), trace, extensions)
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from satcover import (
     to_matrix,
 )
 from satcover.harness import oracle_status
-from satcover.instrument import DISABLED_OPS, NO_TRACE
 from satcover.procedures import StateSnapshot, removal_procedure
 
 from conftest import E1_TEXT, E2_TEXT, E3_TEXT, formula_of, record_criterion
@@ -187,10 +186,10 @@ def _build_graph(formula):
     if not formula.clauses or any(not c for c in formula.clauses):
         return None, None
     pair, _ = to_decomposition(formula)
-    graph = find_main_vertices(pair, column_counts(pair), ops=DISABLED_OPS, trace=NO_TRACE)
+    graph = find_main_vertices(pair, column_counts(pair))
     if graph is None:
         return None, None
-    construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+    construct(graph)
     return pair, graph
 
 
@@ -214,10 +213,11 @@ def _same_state(a, b) -> bool:
 
 def _round_trip_exact(graph, vertex):
     """(state restored exactly, cascade removable) for one snapshot, cascade
-    from ``vertex`` and restore."""
-    before = copy.deepcopy(vars(graph))
+    from ``vertex`` and restore.  The copy shares the solve's trace: a
+    restore records the attempt there rather than rewinding it."""
+    before = copy.deepcopy(vars(graph), {id(graph.trace): graph.trace})
     snap = StateSnapshot.capture(graph)
-    outcome = removal_procedure(graph, vertex, ops=DISABLED_OPS, trace=NO_TRACE)
+    outcome = removal_procedure(graph, vertex)
     snap.restore(graph)
     after = vars(graph)
     exact = before.keys() == after.keys() and all(
@@ -249,7 +249,7 @@ def test_criterion_04_structural_invariants(fuzz_reports):
         exact, removable = _round_trip_exact(graph, live[0])
         if exact and removable:
             snap = StateSnapshot.capture(graph)
-            removal_procedure(graph, live[0], ops=DISABLED_OPS, trace=NO_TRACE)
+            removal_procedure(graph, live[0])
             snap.commit(graph)
             rest = graph.live_vertices()
             if rest:
@@ -328,9 +328,7 @@ def test_criterion_05_cleaning_order_independence():
         outcomes = []
         for perm in itertools.islice(itertools.permutations(live_useless), 24):
             pair2, graph2 = _build_graph(formula)
-            blocking = clean(
-                graph2, order=list(perm), ops=DISABLED_OPS, trace=NO_TRACE
-            )
+            blocking = clean(graph2, order=list(perm))
             outcomes.append(
                 (
                     blocking is None,

@@ -535,3 +535,14 @@ class TestAssignmentFromSwaps:
             assignment_from_swaps({4}, [1, 2, 3], 3, "neg")
         with pytest.raises(StructuralError):
             assignment_from_swaps({0}, [1, 2, 3], 3, "neg")
+
+    @pytest.mark.parametrize("index", [1.5, "1"])
+    def test_non_integer_rejected(self, index):
+        # 1.5 used to be dropped silently, "1" to fail a bare comparison
+        with pytest.raises(StructuralError, match="must be integers"):
+            assignment_from_swaps({index}, [1, 2], 2, "neg")
+
+    def test_unknown_orientation_rejected(self):
+        # "bogus" used to read as "pos"
+        with pytest.raises(StructuralError, match="alpha must be"):
+            assignment_from_swaps({1}, [1, 2], 2, "bogus")

@@ -17,7 +17,7 @@ from satcover import (
     to_decomposition,
 )
 from satcover.graph import find_forced_conflict_row
-from satcover.instrument import DISABLED_OPS, NO_TRACE
+from satcover.instrument import NO_TRACE
 from satcover.solver import _check_graph_invariants
 
 from conftest import E5_TEXT, formulas, naive_single_columns, pair_of
@@ -31,7 +31,7 @@ def single_columns(pair: DecompositionPair, i: int):
 
 def build(text: str, trace=NO_TRACE):
     pair = pair_of(text)
-    return find_main_vertices(pair, column_counts(pair), ops=DISABLED_OPS, trace=trace)
+    return find_main_vertices(pair, column_counts(pair), trace)
 
 
 def final_marked(trace):
@@ -43,7 +43,7 @@ def final_marked(trace):
 class TestFindMainVertices:
     def test_e1_single_main(self, e1_pair):
         counts = column_counts(e1_pair)
-        graph = find_main_vertices(e1_pair, counts, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = find_main_vertices(e1_pair, counts)
         assert graph.vertex_order == [1]
         assert graph.main == [True, False]
         assert graph.main_columns == [[2], []]
@@ -51,16 +51,15 @@ class TestFindMainVertices:
 
     def test_e3_two_mains(self, e3_pair):
         counts = column_counts(e3_pair)
-        graph = find_main_vertices(e3_pair, counts, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = find_main_vertices(e3_pair, counts)
         assert graph.vertex_order == [1, 2]
         assert graph.main_columns == [[2], [3]]
         assert graph.multiplicity == [0, 1, 1]
 
     def test_covering_already_returns_none(self):
         pair = pair_of("p cnf 2 2\n-1 -2 0\n-1 0\n")
-        ops = OpCounter()
-        trace = Trace(ops)
-        graph = find_main_vertices(pair, column_counts(pair), ops=ops, trace=trace)
+        trace = Trace(OpCounter())
+        graph = find_main_vertices(pair, column_counts(pair), trace)
         assert graph is None
         assert trace.kinds() == ["covering-already"]
 
@@ -71,9 +70,8 @@ class TestFindMainVertices:
         assert graph.multiplicity == [1, 1, 0]
 
     def test_formation_order_is_by_column_then_row(self):
-        ops = OpCounter()
-        trace = Trace(ops)
-        build("p cnf 3 2\n2 3 0\n1 2 0\n", trace=trace)
+        trace = Trace(OpCounter())
+        build("p cnf 3 2\n2 3 0\n1 2 0\n", trace)
         formed = [e for e in trace.events_without_readings() if e[0] == "vertex-formed"]
         # column 1 forms rows 2 then 3; column 2 adds row 1
         assert formed == [
@@ -102,9 +100,9 @@ class TestSingleColumns:
 
 class TestConstruct:
     def test_e1_conjunctive_edge(self, e1_pair):
-        graph = build("p cnf 2 2\n-1 2 0\n1 0\n")
         trace = Trace(OpCounter())
-        construct(graph, ops=DISABLED_OPS, trace=trace)
+        graph = build("p cnf 2 2\n-1 2 0\n1 0\n", trace)
+        construct(graph)
         assert graph.live_edges() == [(1, 2, 1)]
         assert graph.bar_count[0] == 1  # conjunctive: one row can re-cover column 1
         assert graph.indegree == [0, 1]
@@ -114,9 +112,9 @@ class TestConstruct:
         assert graph.live_targets == [1, 0]
 
     def test_e5_disjunctive_fan_out(self):
-        graph = build(E5_TEXT)
         trace = Trace(OpCounter())
-        construct(graph, ops=DISABLED_OPS, trace=trace)
+        graph = build(E5_TEXT, trace)
+        construct(graph)
         assert graph.live_edges() == [(1, 2, 2), (1, 3, 2)]
         assert graph.bar_count[1] == 2  # disjunctive: two rows can re-cover column 2
         assert graph.live_targets == [0, 2]
@@ -128,26 +126,24 @@ class TestConstruct:
 
     def test_e2_useless_vertex(self, e2_pair):
         graph = build("p cnf 1 2\n1 0\n-1 0\n")
-        construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        construct(graph)
         assert graph.useless == [True]
         assert graph.live_edges() == []
 
     def test_vertices_examined_once(self):
-        graph = build(E5_TEXT)
-        ops = OpCounter()
-        trace = Trace(ops)
-        added = construct(graph, ops=ops, trace=trace)
-        examined = [e for e in trace.kinds() if e == "vertex-examined"]
+        graph = build(E5_TEXT, Trace(OpCounter()))
+        added = construct(graph)
+        examined = [e for e in graph.trace.kinds() if e == "vertex-examined"]
         assert len(examined) == 3
         # a second pass finds nothing new and examines nobody again
-        trace2 = Trace(ops)
-        added2 = construct(graph, ops=ops, trace=trace2)
+        graph.trace = Trace(graph.trace.ops)
+        added2 = construct(graph)
         assert not added2
-        assert "vertex-examined" not in trace2.kinds()
+        assert "vertex-examined" not in graph.trace.kinds()
 
     def test_outgoing_columns(self):
         graph = build(E5_TEXT)
-        construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        construct(graph)
         # 0-based labels of the edges each row could create
         assert graph.out_cols == [[1], [], []]
 
@@ -158,10 +154,10 @@ class TestConstruct:
             return
         pair, _ = to_decomposition(formula)
         counts = column_counts(pair)
-        graph = find_main_vertices(pair, counts, ops=DISABLED_OPS, trace=NO_TRACE)
+        graph = find_main_vertices(pair, counts)
         if graph is None:
             return
-        construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        construct(graph)
         _check_graph_invariants(graph)
         # every live edge leaves a column-single vertex and lands on a
         # row whose complement side holds that column

@@ -26,7 +26,6 @@ from satcover import (
     to_decomposition,
 )
 from satcover import procedures
-from satcover.instrument import DISABLED_OPS, NO_TRACE
 from satcover.procedures import swapped_alpha_counts
 
 from conftest import E4_TEXT, E5_TEXT, formulas, pair_of
@@ -34,8 +33,8 @@ from conftest import E4_TEXT, E5_TEXT, formulas, pair_of
 
 def built(text: str):
     pair = pair_of(text)
-    graph = find_main_vertices(pair, column_counts(pair), ops=DISABLED_OPS, trace=NO_TRACE)
-    construct(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+    graph = find_main_vertices(pair, column_counts(pair))
+    construct(graph)
     return graph
 
 
@@ -43,7 +42,7 @@ class TestSnapshot:
     def test_capture_restore_round_trip(self):
         graph = built(E5_TEXT)
         snap = StateSnapshot.capture(graph)
-        removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 2)
         assert any(graph.removed)
         snap.restore(graph)
         assert not any(graph.removed)
@@ -58,7 +57,7 @@ class TestSnapshot:
             "order": list(graph.vertex_order),
             "edges": graph.live_edges(),
         }
-        removal_procedure(graph, 3, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 3)
         snap.restore(graph)
         assert graph.vertex_order == before["order"]
         assert graph.live_edges() == before["edges"]
@@ -66,11 +65,11 @@ class TestSnapshot:
     def test_restore_empties_the_trail_and_commit_drops_it(self):
         graph = built(E5_TEXT)
         snap = StateSnapshot.capture(graph)
-        removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 2)
         assert len(graph.trail) > snap.mark
         snap.restore(graph)
         assert len(graph.trail) == snap.mark
-        removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 2)
         snap.commit(graph)
         assert len(graph.trail) == snap.mark
         assert graph.live_vertices() == [1, 3]
@@ -85,21 +84,21 @@ class TestSnapshot:
         expected = len(graph.vertex_order) + main_entries + 7 * n + m + n * n + 2 * n * m
         assert graph.main_column_total == main_entries
         assert StateSnapshot.capture(graph).cell_count() == expected
-        removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 2)
         assert StateSnapshot.capture(graph).cell_count() == expected
 
 
 class TestRemovalProcedure:
     def test_blocked_by_last_main_vertex(self):
         graph = built("p cnf 2 2\n-1 2 0\n1 0\n")
-        outcome = removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        outcome = removal_procedure(graph, 2)
         assert not outcome.removable
         # the conjunctive ancestor chain reached the main vertex before failing
         assert outcome.removed_vertices == (2, 1)
 
     def test_removal_with_disjunctive_siblings_succeeds(self):
         graph = built(E5_TEXT)
-        outcome = removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        outcome = removal_procedure(graph, 2)
         assert outcome.removable
         assert outcome.removed_vertices == (2,)
         assert graph.live_edges() == [(1, 3, 2)]
@@ -110,8 +109,8 @@ class TestRemovalProcedure:
         # removing vertex 3 leaves vertex 1 with one disjunctive edge on the
         # column, so removing 2 afterwards must cascade into vertex 1
         graph = built(E5_TEXT)
-        removal_procedure(graph, 3, ops=DISABLED_OPS, trace=NO_TRACE)
-        outcome = removal_procedure(graph, 2, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 3)
+        outcome = removal_procedure(graph, 2)
         assert not outcome.removable  # cascade hits main vertex 1 then 2' mult
         assert 1 in outcome.removed_vertices
 
@@ -119,22 +118,21 @@ class TestRemovalProcedure:
         # main v1 points at v3 conjunctively; v3 has no other support, so
         # removing v1 sweeps v3 in the generation phase
         graph = built("p cnf 3 2\n1 2 0\n-1 3 0\n")
-        outcome = removal_procedure(graph, 1, ops=DISABLED_OPS, trace=NO_TRACE)
+        outcome = removal_procedure(graph, 1)
         assert outcome.removable
         assert outcome.removed_vertices == (1, 3)
         assert graph.live_edges() == []
 
     def test_dead_start_vertex_rejected(self):
         graph = built(E5_TEXT)
-        removal_procedure(graph, 3, ops=DISABLED_OPS, trace=NO_TRACE)
+        removal_procedure(graph, 3)
         with pytest.raises(StructuralError):
-            removal_procedure(graph, 3, ops=DISABLED_OPS, trace=NO_TRACE)
+            removal_procedure(graph, 3)
 
     def test_no_vertex_removed_twice(self):
         graph = built(E4_TEXT)
-        ops = OpCounter()
-        trace = Trace(ops)
-        removal_procedure(graph, 1, ops=ops, trace=trace)
+        graph.trace = trace = Trace(OpCounter())
+        removal_procedure(graph, 1)
         removed = [e[1][0] for e in trace.events_without_readings() if e[0] == "vertex-removed"]
         assert len(removed) == len(set(removed))
 
@@ -142,30 +140,30 @@ class TestRemovalProcedure:
 class TestClean:
     def test_e2_blocked(self):
         graph = built("p cnf 1 2\n1 0\n-1 0\n")
-        blocking = clean(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        blocking = clean(graph)
         assert blocking == 1
         # failed attempt restored: the vertex is still live
         assert graph.live(1)
 
     def test_no_useless_vertices_is_a_no_op(self):
         graph = built(E5_TEXT)
-        assert clean(graph, ops=DISABLED_OPS, trace=NO_TRACE) is None
+        assert clean(graph) is None
         assert graph.live_vertices() == [1, 2, 3]
 
     def test_removes_useless_vertex(self):
         # v2 is useless (negative unit on x2) and removable (column 1 keeps v1)
         graph = built("p cnf 2 2\n1 2 0\n-2 0\n")
         assert graph.useless == [False, True]
-        blocking = clean(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        blocking = clean(graph)
         assert blocking is None
         assert graph.live_vertices() == [1]
 
     def test_supplied_order_must_be_permutation(self):
         graph = built("p cnf 2 2\n1 2 0\n-2 0\n")
         with pytest.raises(StructuralError):
-            clean(graph, order=[1], ops=DISABLED_OPS, trace=NO_TRACE)
+            clean(graph, order=[1])
         with pytest.raises(StructuralError):
-            clean(graph, order=[2, 2], ops=DISABLED_OPS, trace=NO_TRACE)
+            clean(graph, order=[2, 2])
 
     def test_order_independence_on_two_useless(self):
         text = "p cnf 3 3\n1 2 3 0\n-1 0\n-2 0\n"
@@ -173,7 +171,7 @@ class TestClean:
         for order in ([1, 2], [2, 1]):
             graph = built(text)
             assert graph.useless == [True, True, False]
-            blocking = clean(graph, order=order, ops=DISABLED_OPS, trace=NO_TRACE)
+            blocking = clean(graph, order=order)
             results.append((blocking, graph.live_vertices()))
         assert results[0] == (None, [3])
         assert results[1] == (None, [3])
@@ -248,7 +246,8 @@ class TestSwappedCounts:
                 continue
             construct(graph)
             if clean(graph) is None:
-                eliminate_incompatibilities(graph, trace=CheckingTrace(graph))
+                graph.trace = CheckingTrace(graph)
+                eliminate_incompatibilities(graph)
         assert len(checks) >= 3 * 400
         assert all(checks)
         assert sum(stale) > 0  # the pops really skip stale entries
@@ -257,8 +256,8 @@ class TestSwappedCounts:
 class TestEliminate:
     def test_e3_unreachable(self):
         graph = built("p cnf 2 3\n-1 -2 0\n1 0\n2 0\n")
-        trace = Trace()
-        result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=trace)
+        graph.trace = trace = Trace()
+        result = eliminate_incompatibilities(graph)
         assert result == Unreachable(1)
         # column 1 is uncovered with both live vertices 1 and 2 blocking it
         found = [p for k, p in trace.events_without_readings() if k == "incompat-found"]
@@ -268,12 +267,12 @@ class TestEliminate:
 
     def test_no_incompatibilities(self):
         graph = built(E5_TEXT)
-        result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        result = eliminate_incompatibilities(graph)
         assert isinstance(result, Eliminated)
 
     def test_extension_plan_collected(self):
         graph = built(E4_TEXT)
-        result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        result = eliminate_incompatibilities(graph)
         assert isinstance(result, NeedsExtension)
         assert result.plan.new_main_vertices == [3]
         assert result.plan.columns == [3]
@@ -282,17 +281,16 @@ class TestEliminate:
         graph = built(E4_TEXT)
         before_edges = graph.live_edges()
         before_live = graph.live_vertices()
-        eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        eliminate_incompatibilities(graph)
         assert graph.live_edges() == before_edges
         assert graph.live_vertices() == before_live
 
     def test_tried_marks_persist(self):
         graph = built(E4_TEXT)
-        eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        eliminate_incompatibilities(graph)
         assert graph.tried == {1, 2}
-        ops = OpCounter()
-        trace = Trace(ops)
-        result = eliminate_incompatibilities(graph, ops=ops, trace=trace)
+        graph.trace = trace = Trace(OpCounter())
+        result = eliminate_incompatibilities(graph)
         assert isinstance(result, NeedsExtension)
         assert "rp-start" not in trace.kinds()
 
@@ -301,7 +299,7 @@ class TestEliminate:
         # columns; clause 3's column goes uncovered once both swap, and
         # removing one member fixes it
         graph = built("p cnf 2 3\n1 2 0\n1 2 0\n-1 -2 0\n")
-        result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
+        result = eliminate_incompatibilities(graph)
         assert isinstance(result, Eliminated)
         assert graph.live_vertices() == [2]
 
@@ -309,8 +307,8 @@ class TestEliminate:
 class TestExtend:
     def test_extends_with_new_main_vertices(self):
         graph = built(E4_TEXT)
-        result = eliminate_incompatibilities(graph, ops=DISABLED_OPS, trace=NO_TRACE)
-        extend(graph, result.plan, ops=DISABLED_OPS, trace=NO_TRACE)
+        result = eliminate_incompatibilities(graph)
+        extend(graph, result.plan)
         assert graph.formed == [True, True, True]
         assert graph.main == [True, True, True]
         assert graph.main_columns[2] == [3]
@@ -320,20 +318,45 @@ class TestExtend:
     def test_empty_plan_rejected(self):
         graph = built(E4_TEXT)
         with pytest.raises(StructuralError):
-            extend(graph, ExtensionPlan([], []), ops=DISABLED_OPS, trace=NO_TRACE)
+            extend(graph, ExtensionPlan([], []))
 
     def test_formed_row_rejected(self):
         graph = built(E4_TEXT)
         with pytest.raises(StructuralError):
-            extend(graph, ExtensionPlan([1], [3]), ops=DISABLED_OPS, trace=NO_TRACE)
+            extend(graph, ExtensionPlan([1], [3]))
 
     def test_out_of_range_row_rejected(self):
         graph = built(E4_TEXT)
         with pytest.raises(StructuralError):
-            extend(graph, ExtensionPlan([9], [3]), ops=DISABLED_OPS, trace=NO_TRACE)
+            extend(graph, ExtensionPlan([9], [3]))
 
     def test_plan_deduplicated(self):
         graph = built(E4_TEXT)
-        extend(graph, ExtensionPlan([3, 3], [3, 3]), ops=DISABLED_OPS, trace=NO_TRACE)
+        extend(graph, ExtensionPlan([3, 3], [3, 3]))
         assert graph.main_columns[2] == [3]
         assert graph.multiplicity == [1, 1, 1]
+
+
+class TestOneInstrument:
+    def test_every_step_charges_the_counter_of_the_graph_trace(self):
+        # x2 is useless (unit -2) and removable; elimination then gets stuck
+        # on clause 4 and plans an extension, so all four steps do work
+        pair = pair_of("p cnf 4 5\n1 0\n4 2 0\n-2 0\n3 -1 -4 0\n-2 1 3 0\n")
+        graph = find_main_vertices(pair, column_counts(pair), Trace(OpCounter()))
+        readings = [graph.trace.ops.total]
+
+        def charged():
+            total = graph.trace.ops.total
+            assert graph.trace.events[-1][2] == total
+            readings.append(total)
+
+        construct(graph)
+        charged()
+        assert clean(graph) is None
+        charged()
+        result = eliminate_incompatibilities(graph)
+        assert isinstance(result, NeedsExtension)
+        charged()
+        extend(graph, result.plan)
+        charged()
+        assert all(a < b for a, b in zip(readings, readings[1:])), readings

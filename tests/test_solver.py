@@ -11,6 +11,7 @@ from satcover import (
     NoCovering,
     Reason,
     Sat,
+    StructuralError,
     Unsat,
     build_covering_report,
     build_sat_report,
@@ -124,6 +125,13 @@ class TestSolveSat:
         run = solve_sat(formula, clause_labels=[4, 5, 6])
         assert run.verdict == Unsat(Reason("unreachable-column", 4))
 
+    @pytest.mark.parametrize("clauses", [[], [[]], [[1], []]])
+    def test_unknown_orientation_rejected_before_any_verdict(self, clauses):
+        # a formula with no clauses or an empty clause used to get a
+        # verdict before the orientation was looked at
+        with pytest.raises(StructuralError, match="alpha must be"):
+            solve_sat(CnfFormula(2, clauses), alpha="bogus")
+
     def test_pos_orientation_agrees(self, e1, e2, e3, e4):
         for formula in (e1, e2, e3, e4):
             neg = solve_sat(formula)
@@ -152,6 +160,19 @@ class TestSolveSat:
         run = solve_sat(formula)
         if isinstance(run.verdict, Sat):
             assert naive_sat(formula)
+
+
+class TestOneCounter:
+    @pytest.mark.parametrize("count_ops", [False, True])
+    def test_run_ops_is_the_trace_counter(self, e1, e1_pair, count_ops):
+        runs = [
+            solve_sat(e1, count_ops=count_ops),
+            solve_sat(CnfFormula(1, [[]]), count_ops=count_ops),
+            solve_covering(e1_pair, count_ops=count_ops),
+        ]
+        for run in runs:
+            assert run.ops is run.trace.ops
+        assert (runs[0].ops.total > 0) == count_ops
 
 
 class TestGateDowngrades:
