@@ -2,11 +2,13 @@
 
 A formula with n variables and m clauses can be viewed as an m x n matrix
 with entries in {-1, 0, +1} (one row per clause, one column per variable);
-``to_matrix`` builds it, but the reduction does not need it.  The reduction
-to a decomposition pair puts, for each variable that occurs, the clauses
-holding its negative literal on the alpha side and the clauses holding its
-positive literal on the other side; a row swap then corresponds to
-assigning the variable true.
+``to_matrix`` builds it as a numpy array.  It is a test helper the
+reduction does not need, and it imports numpy only when called.  It stays
+in the package because the benchmark's tracer patches it where ``solver``
+and ``harness`` import it.  The reduction to a decomposition pair puts,
+for each variable that occurs, the clauses holding its negative literal on
+the alpha side and the clauses holding its positive literal on the other
+side; a row swap then corresponds to assigning the variable true.
 """
 from __future__ import annotations
 
@@ -15,8 +17,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .decomposition import DecompositionPair, StructuralError, swap_set
 
@@ -245,9 +245,12 @@ def restrict_to_used(formula: CnfFormula) -> Tuple[CnfFormula, List[int]]:
 # the reduction
 # ---------------------------------------------------------------------------
 
-def to_matrix(formula: CnfFormula) -> np.ndarray:
+def to_matrix(formula: CnfFormula) -> "numpy.ndarray":
     """The read-only m x n int8 signed matrix; entry (j, i) is the sign of
-    x_i in clause j, 0 when x_i does not occur."""
+    x_i in clause j, 0 when x_i does not occur.  Needs numpy, imported here
+    so that importing the package does not."""
+    import numpy as np
+
     entries = np.zeros((len(formula.clauses), formula.num_vars), dtype=np.int8)
     for j, clause in enumerate(formula.clauses):
         for lit in clause:

@@ -9,14 +9,14 @@ fatal.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
+import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
-
-import numpy as np
 
 from .cnf import (
     CnfFormula,
@@ -38,43 +38,60 @@ DEFAULT_DPLL_BUDGET = 2_000_000
 # oracles
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _truth_tables(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The truth tables of x_1..x_k and of their negations as 2^k-bit ints:
+    bit a of table i is bit i of a.  Cached per k: at k = 16 the divisions
+    cost more than evaluating a typical formula."""
+    full = (1 << (1 << k)) - 1
+    tables = tuple(
+        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(k)
+    )
+    return tables, tuple(full ^ t for t in tables)
+
+
 def brute_sat(
     formula: CnfFormula, *, limit_vars: int = BRUTE_VAR_LIMIT
 ) -> Tuple[bool, Optional[Tuple[bool, ...]]]:
     """Exhaustive satisfiability check by enumerating all assignments.
 
     Assignments are scanned in ascending bitmask order (bit i-1 holds x_i),
-    2^16 at a time, so the witness is deterministic.  Refuses formulas above
-    the variable limit.
+    so the witness is deterministic.  The low k = min(n, 16) variables are
+    evaluated at once as 2^k-bit truth tables over Python ints (broadword
+    evaluation, Knuth TAOCP 4A 7.1.3): bit a of table i is bit i of a, a
+    clause is the OR of its low literals' tables, and a block of 2^k
+    assignments sharing the high bits ``high`` survives where the AND of
+    the clauses ``high`` leaves open is set.  Refuses formulas above the
+    variable limit.
     """
     n = formula.num_vars
     if n > limit_vars:
         raise ValueError(f"brute_sat refuses n={n} > {limit_vars}")
     if any(len(clause) == 0 for clause in formula.clauses):
         return False, None
-    if not formula.clauses:
-        return True, tuple(False for _ in range(n))
-    m = len(formula.clauses)
-    pos = np.zeros(m, dtype=np.int64)
-    neg = np.zeros(m, dtype=np.int64)
-    for j, clause in enumerate(formula.clauses):
+    k = min(n, 16)
+    tables, negated = _truth_tables(k)
+    parts = []  # per clause: (low table, high bits true in it, high bits false in it)
+    for clause in formula.clauses:
+        low = pos = neg = 0
         for lit in clause:
-            if lit > 0:
-                pos[j] |= 1 << (lit - 1)
+            v = abs(lit) - 1
+            if v < k:
+                low |= tables[v] if lit > 0 else negated[v]
+            elif lit > 0:
+                pos |= 1 << (v - k)
             else:
-                neg[j] |= 1 << (-lit - 1)
-    total = 1 << n
-    chunk = 1 << min(16, n)
-    for start in range(0, total, chunk):
-        block = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        alive = np.ones(block.size, dtype=bool)
-        for j in range(m):
-            alive &= ((block & pos[j]) != 0) | ((~block & neg[j]) != 0)
-            if not alive.any():
-                break
-        hits = np.nonzero(alive)[0]
-        if hits.size:
-            a = int(block[hits[0]])
+                neg |= 1 << (v - k)
+        parts.append((low, pos, neg))
+    for high in range(1 << (n - k)):
+        live = -1  # all ones: every low assignment is open
+        for low, pos, neg in parts:
+            if not (high & pos or ~high & neg):
+                live &= low
+                if not live:
+                    break
+        if live:
+            a = (high << k) | ((live & -live).bit_length() - 1)
             return True, tuple(bool((a >> i) & 1) for i in range(n))
     return False, None
 
@@ -208,16 +225,6 @@ class FuzzConfig:
     width_range: Tuple[int, int] = (1, 3)
     satisfiable_bias: str = "none"  # "none" | "planted"
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "num_instances": self.num_instances,
-            "var_range": list(self.var_range),
-            "clause_range": list(self.clause_range),
-            "width_range": list(self.width_range),
-            "satisfiable_bias": self.satisfiable_bias,
-        }
-
 
 def random_cnf(cfg: FuzzConfig, index: int) -> CnfFormula:
     """Instance ``index`` of the corpus: a pure function of (seed, index).
@@ -287,19 +294,8 @@ class DifferentialReport:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        doc = {
-            "config": self.config,
-            "generated": self.generated,
-            "total": self.total,
-            "agreements": self.agreements,
-            "disagreements": self.disagreements,
-            "gate_failures": self.gate_failures,
-            "engine_errors": self.engine_errors,
-            "unknown": self.unknown,
-            "op_stats": self.op_stats,
-        }
-        doc.update(self.extra)
-        return doc
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
+        return {**doc, **self.extra}
 
     @property
     def violation(self) -> bool:
@@ -321,9 +317,9 @@ def _op_stats(points: List[Tuple[int, int]]) -> dict:
     if usable:
         stats["max_ratio_cubic"] = max(ops / N**3 for N, ops in usable)
     if len({N for N, _ in usable}) >= 2:
-        logs_n = np.log10([N for N, _ in usable])
-        logs_ops = np.log10([ops for _, ops in usable])
-        slope = float(np.polyfit(logs_n, logs_ops, 1)[0])
+        slope, _ = statistics.linear_regression(
+            [math.log10(N) for N, _ in usable], [math.log10(ops) for _, ops in usable]
+        )
         stats["fitted_exponent"] = round(slope, 4)
     return stats
 
@@ -460,7 +456,7 @@ def differential_run(cfg: FuzzConfig, *, brute_limit: int = BRUTE_VAR_LIMIT) -> 
 
     return _adjudicate(
         corpus(),
-        config={"mode": "fuzz", **cfg.as_dict()},
+        config={"mode": "fuzz", **asdict(cfg)},
         brute_limit=brute_limit,
     )
 

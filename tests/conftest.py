@@ -144,6 +144,41 @@ def naive_sat(formula: CnfFormula) -> bool:
     return False
 
 
+def reference_brute_sat(formula: CnfFormula):
+    """The numpy oracle ``brute_sat`` replaced, kept as its reference:
+    assignments in ascending bitmask order, 2^16 at a time."""
+    import numpy as np
+
+    n = formula.num_vars
+    if any(len(clause) == 0 for clause in formula.clauses):
+        return False, None
+    if not formula.clauses:
+        return True, tuple(False for _ in range(n))
+    m = len(formula.clauses)
+    pos = np.zeros(m, dtype=np.int64)
+    neg = np.zeros(m, dtype=np.int64)
+    for j, clause in enumerate(formula.clauses):
+        for lit in clause:
+            if lit > 0:
+                pos[j] |= 1 << (lit - 1)
+            else:
+                neg[j] |= 1 << (-lit - 1)
+    total = 1 << n
+    chunk = 1 << min(16, n)
+    for start in range(0, total, chunk):
+        block = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        alive = np.ones(block.size, dtype=bool)
+        for j in range(m):
+            alive &= ((block & pos[j]) != 0) | ((~block & neg[j]) != 0)
+            if not alive.any():
+                break
+        hits = np.nonzero(alive)[0]
+        if hits.size:
+            a = int(block[hits[0]])
+            return True, tuple(bool((a >> i) & 1) for i in range(n))
+    return False, None
+
+
 # ---------------------------------------------------------------------------
 # hypothesis strategies
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ from satcover import (
     restrict_to_used,
     solve_sat,
     to_decomposition,
-    to_matrix,
 )
+from satcover.cnf import to_matrix
 from satcover.harness import oracle_status
 from satcover.procedures import StateSnapshot, removal_procedure
 
@@ -194,10 +194,8 @@ def _build_graph(formula):
 
 
 def _same_state(a, b) -> bool:
-    """Exact equality of deep-copied graph fields: arrays by dtype and
-    contents, dataclasses and containers member by member."""
-    if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    """Exact equality of deep-copied graph fields: dataclasses and
+    containers member by member."""
     if dataclasses.is_dataclass(a):
         return type(a) is type(b) and all(
             _same_state(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)

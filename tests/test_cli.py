@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satcover import ParseError, emit_dimacs
+from satcover import FuzzConfig, ParseError, emit_dimacs, random_cnf
 from satcover.cli import emit_decomp, main, parse_decomp
 
 from conftest import E1_TEXT, E2_TEXT, decomposition_pairs, formulas
@@ -335,6 +335,54 @@ class TestClosedStdout:
         _, err = child.communicate(timeout=60)
         assert child.returncode == 2, err
         assert err == "error: cannot write output: broken pipe\n"
+
+
+class TestStdlibOnly:
+    def test_every_subcommand_runs_without_numpy(self, tmp_path):
+        # numpy is blocked before the first import: the package, both
+        # oracles (fuzz n up to 30 reaches brute_sat and dpll) and the
+        # probe's exponent fit must do without it
+        sat = write(tmp_path, "e1.cnf", E1_TEXT)
+        unsat = write(tmp_path, "e2.cnf", E2_TEXT)
+        covering = write(tmp_path, "e1.txt", E1_DECOMP)
+        script = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import satcover\n"
+            "from satcover.cli import main\n"
+            "out = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        code = main(argv)\n"
+            "    out.append([code, buf.getvalue()])\n"
+            "print(json.dumps(out))\n"
+        )
+        runs = [
+            ["solve", sat],
+            ["solve", unsat],
+            ["covering", covering],
+            ["fuzz", "--seed", "1", "--count", "20", "--vars", "1..30"],
+            ["probe", "--sizes", "1e2,1e3"],
+            ["diff-exhaustive", "--max-n", "2"],
+        ]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+        done = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        results = json.loads(done.stdout)
+        assert [code for code, _ in results] == [10, 20, 10, 0, 0, 0]
+        fuzz, probe = (json.loads(text) for _, text in results[3:5])
+        assert fuzz["generated"] == 20
+        cfg = FuzzConfig(seed=1, num_instances=20, var_range=(1, 30))
+        widths = {random_cnf(cfg, i).num_vars > 25 for i in range(20)}
+        assert widths == {False, True}  # brute_sat and dpll both judged
+        assert probe["op_stats"]["fitted_exponent"] is not None
 
 
 class TestHarnessCommands:

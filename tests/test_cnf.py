@@ -19,9 +19,9 @@ from satcover import (
     parse_dimacs,
     restrict_to_used,
     to_decomposition,
-    to_matrix,
 )
 from satcover import cnf
+from satcover.cnf import to_matrix
 from satcover.decomposition import validate
 
 from conftest import formulas, naive_input_length

@@ -1,5 +1,4 @@
 """Pointing graph: main vertex discovery and edge construction."""
-import numpy as np
 from hypothesis import given, settings
 
 from satcover import (
@@ -193,8 +192,6 @@ class TestShortcuts:
 
 def _cells(value) -> int:
     """Entries held by a field, nested containers included."""
-    if isinstance(value, np.ndarray):
-        return value.size
     if isinstance(value, (bytes, bytearray)):
         return len(value)
     if isinstance(value, (list, tuple, set)):

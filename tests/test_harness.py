@@ -33,7 +33,7 @@ from satcover.harness import (
     probe_shape,
 )
 
-from conftest import formula_of, formulas, naive_sat, pair_of
+from conftest import formula_of, formulas, naive_sat, pair_of, reference_brute_sat
 
 
 def recursive_dpll(formula, step_budget):
@@ -100,6 +100,33 @@ class TestBruteSat:
     def test_limit_refused(self):
         with pytest.raises(ValueError):
             brute_sat(CnfFormula(26, [[1]]))
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            # the first witness sets x17, the lowest high variable: block 1
+            CnfFormula(18, [[17], [-18], [-1]]),
+            CnfFormula(22, [[22], [21, -3], [-1, 2], [-21]]),
+            # block 1 passes the high tests but its low tables AND to 0;
+            # the witness is in block 3
+            CnfFormula(18, [[17], [-17, -1], [18, 1, 2], [-17, -2]]),
+            CnfFormula(25, [[v] for v in range(17, 26)] + [[-16, -17]]),
+            # no block survives: a high contradiction, then a low one
+            CnfFormula(18, [[17], [-17, 18], [-18]]),
+            CnfFormula(20, [[20, 1], [20, -1], [-20, 2], [-20, -2]]),
+        ],
+    )
+    def test_later_blocks_match_reference(self, formula):
+        assert brute_sat(formula) == reference_brute_sat(formula)
+
+    @given(formulas(max_vars=22, max_clauses=12), st.lists(st.integers(14, 22), max_size=4))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_numpy_reference(self, formula, forced):
+        # unit clauses on variables near and past the 2^16 block boundary
+        # push the first witness into later blocks
+        units = [[v] for v in forced if v <= formula.num_vars]
+        formula = CnfFormula(formula.num_vars, formula.clauses + units)
+        assert brute_sat(formula) == reference_brute_sat(formula)
 
     def test_agrees_with_naive_on_small_space(self):
         for formula in enumerate_formulas(2, 2, 2):
@@ -176,7 +203,7 @@ class TestDpll:
         assert witness == tuple(v % 2 == 1 for v in range(1, 3001))
         assert oracle_status(chain) == "SAT"
 
-    @given(formulas(max_vars=12, max_clauses=40))
+    @given(formulas(max_vars=25, max_clauses=100))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_brute_force(self, formula):
         sat, witness = dpll(formula)

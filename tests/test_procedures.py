@@ -1,8 +1,5 @@
 """Removal, cleaning, incompatibility elimination, and graph extension."""
-import itertools
-
 import pytest
-from hypothesis import given, settings
 
 from satcover import (
     Eliminated,
@@ -28,7 +25,7 @@ from satcover import (
 from satcover import procedures
 from satcover.procedures import swapped_alpha_counts
 
-from conftest import E4_TEXT, E5_TEXT, formulas, pair_of
+from conftest import E4_TEXT, E5_TEXT, pair_of
 
 
 def built(text: str):
