@@ -225,14 +225,14 @@ def _cmd_covering(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_range(text: str) -> Tuple[int, int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
-    return lo, hi
+    """``a..b`` or ``a`` as ``(a, b)``; ``FuzzConfig`` holds the range rule."""
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        bounds = (int(lo_text), int(hi_text if dots else lo_text))
+        FuzzConfig(seed=0, var_range=bounds)
+    except ValueError:
+        raise ValueError(f"bad range {text!r}") from None
+    return bounds
 
 
 def _parse_sizes(text: str) -> List[int]:

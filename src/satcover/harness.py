@@ -216,7 +216,13 @@ def oracle_status(
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Deterministic corpus description; instance i depends only on (seed, i)."""
+    """Deterministic corpus description; instance i depends only on (seed, i).
+
+    Each range is a tuple ``(lo, hi)`` of ints with ``1 <= lo <= hi``,
+    ``num_instances`` is an int ``>= 0`` and ``satisfiable_bias`` is
+    ``"none"`` or ``"planted"``; any other config raises ``ValueError`` when
+    it is built, so the generator's rejection loops always end.
+    """
 
     seed: int
     num_instances: int = 100
@@ -225,30 +231,88 @@ class FuzzConfig:
     width_range: Tuple[int, int] = (1, 3)
     satisfiable_bias: str = "none"  # "none" | "planted"
 
+    def __post_init__(self) -> None:
+        for name in ("var_range", "clause_range", "width_range"):
+            bounds = getattr(self, name)
+            if not (
+                isinstance(bounds, tuple)
+                and len(bounds) == 2
+                and all(isinstance(b, int) for b in bounds)
+                and 1 <= bounds[0] <= bounds[1]
+            ):
+                raise ValueError(f"{name} must be a pair of ints 1 <= lo <= hi, got {bounds!r}")
+        if not (isinstance(self.num_instances, int) and self.num_instances >= 0):
+            raise ValueError(f"num_instances must be >= 0, got {self.num_instances!r}")
+        if self.satisfiable_bias not in ("none", "planted"):
+            raise ValueError(f"unknown satisfiable_bias {self.satisfiable_bias!r}")
+
 
 def random_cnf(cfg: FuzzConfig, index: int) -> CnfFormula:
     """Instance ``index`` of the corpus: a pure function of (seed, index).
 
     In planted mode a hidden assignment is drawn first and every clause gets
     one literal sign flipped if needed so the hidden assignment satisfies it.
+
+    Every draw is made straight from ``getrandbits`` and ``random``, in the
+    order and with the rejection rule of CPython's ``randint``, ``sample``
+    and ``randrange`` (3.10 to 3.13), so a corpus depends only on MT19937's
+    output and not on those methods' pure-Python internals.
     """
     if index < 0:
         raise ValueError("index must be non-negative")
-    if cfg.satisfiable_bias not in ("none", "planted"):
-        raise ValueError(f"unknown satisfiable_bias {cfg.satisfiable_bias!r}")
     rng = random.Random(cfg.seed * (2**32) + index)
-    n = rng.randint(*cfg.var_range)
-    m = rng.randint(*cfg.clause_range)
+    bits, coin = rng.getrandbits, rng.random
+
+    def below(n: int) -> int:
+        # uniform in [0, n): n.bit_length() bits, drawn again while >= n
+        k = n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    (n_lo, n_hi), (m_lo, m_hi), (w_lo, w_hi) = cfg.var_range, cfg.clause_range, cfg.width_range
+    n = n_lo + below(n_hi - n_lo + 1)
+    m = m_lo + below(m_hi - m_lo + 1)
     planted = cfg.satisfiable_bias == "planted"
-    hidden = [rng.random() < 0.5 for _ in range(n)] if planted else None
+    hidden = [coin() < 0.5 for _ in range(n)] if planted else None
+    base = list(range(1, n + 1))
+    lengths = [k.bit_length() for k in range(n + 1)]
+    w_span = w_hi - w_lo + 1
+    w_bits = w_span.bit_length()
     clauses: List[List[int]] = []
     for _ in range(m):
-        w = rng.randint(*cfg.width_range)
-        w = max(1, min(w, n))
-        variables = rng.sample(range(1, n + 1), w)
-        clause = [v if rng.random() < 0.5 else -v for v in variables]
+        r = bits(w_bits)
+        while r >= w_span:
+            r = bits(w_bits)
+        w = w_lo + r
+        if w > n:
+            w = n
+        # sample(range(1, n + 1), w): a shrinking pool while a list of n is
+        # smaller than a set of w, else redraws past the indices taken
+        if n <= 21 or (w > 5 and n <= 21 + 4 ** math.ceil(math.log(w * 3, 4))):
+            pool = base[:]
+            variables = []
+            for top in range(n - 1, n - 1 - w, -1):
+                k = lengths[top + 1]
+                j = bits(k)
+                while j > top:
+                    j = bits(k)
+                variables.append(pool[j])
+                pool[j] = pool[top]
+        else:
+            k = lengths[n]
+            taken = set()
+            variables = []
+            for _ in range(w):
+                j = bits(k)
+                while j >= n or j in taken:
+                    j = bits(k)
+                taken.add(j)
+                variables.append(j + 1)
+        clause = [v if coin() < 0.5 else -v for v in variables]
         if planted and not any((lit > 0) == hidden[abs(lit) - 1] for lit in clause):
-            k = rng.randrange(w)
+            k = below(w)
             v = abs(clause[k])
             clause[k] = v if hidden[v - 1] else -v
         clauses.append(clause)

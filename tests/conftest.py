@@ -11,6 +11,7 @@ E5 adds two main vertices and one disjunctive fan-out of two edges.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import List, Tuple
 
 import pytest
@@ -177,6 +178,33 @@ def reference_brute_sat(formula: CnfFormula):
             a = int(block[hits[0]])
             return True, tuple(bool((a >> i) & 1) for i in range(n))
     return False, None
+
+
+def reference_random_cnf(cfg: FuzzConfig, index: int) -> CnfFormula:
+    """The ``randint``/``sample`` generator ``random_cnf`` replaced, kept as
+    its reference: ``random_cnf`` must give the same formula for every
+    (config, index)."""
+    if index < 0:
+        raise ValueError("index must be non-negative")
+    if cfg.satisfiable_bias not in ("none", "planted"):
+        raise ValueError(f"unknown satisfiable_bias {cfg.satisfiable_bias!r}")
+    rng = random.Random(cfg.seed * (2**32) + index)
+    n = rng.randint(*cfg.var_range)
+    m = rng.randint(*cfg.clause_range)
+    planted = cfg.satisfiable_bias == "planted"
+    hidden = [rng.random() < 0.5 for _ in range(n)] if planted else None
+    clauses: List[List[int]] = []
+    for _ in range(m):
+        w = rng.randint(*cfg.width_range)
+        w = max(1, min(w, n))
+        variables = rng.sample(range(1, n + 1), w)
+        clause = [v if rng.random() < 0.5 else -v for v in variables]
+        if planted and not any((lit > 0) == hidden[abs(lit) - 1] for lit in clause):
+            k = rng.randrange(w)
+            v = abs(clause[k])
+            clause[k] = v if hidden[v - 1] else -v
+        clauses.append(clause)
+    return CnfFormula(num_vars=n, clauses=clauses)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ fatal.
 """
 import copy
 import dataclasses
+import hashlib
 import itertools
 import random
 import time
@@ -63,6 +64,9 @@ FUZZ_BATCHES = (
     ),
 )
 ORACLE_BRUTE_LIMIT = 20
+# sha256 of emit_dimacs over every instance of both batches, in order,
+# recorded with the randint/sample generator that random_cnf replaced
+FUZZ_CORPORA_SHA256 = "9c4fdc653af667aea9e298dad7bcc767d3283377243360bde07b9ffb8432ed6e"
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +94,17 @@ def corpus_formulas(count: int, seed: int = 20260825):
         width_range=(1, 3),
     )
     return [random_cnf(cfg, i) for i in range(count)]
+
+
+def test_fuzz_corpora_are_pinned():
+    digest = hashlib.sha256()
+    for cfg in FUZZ_BATCHES:
+        for i in range(cfg.num_instances):
+            digest.update(emit_dimacs(random_cnf(cfg, i)).encode("ascii"))
+    assert digest.hexdigest() == FUZZ_CORPORA_SHA256, (
+        "random_cnf no longer generates the acceptance fuzz corpora; "
+        "criteria 02, 04 and 09 would judge different instances"
+    )
 
 
 def test_criterion_01_reduction_equivalence():

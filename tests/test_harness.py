@@ -33,7 +33,14 @@ from satcover.harness import (
     probe_shape,
 )
 
-from conftest import formula_of, formulas, naive_sat, pair_of, reference_brute_sat
+from conftest import (
+    formula_of,
+    formulas,
+    naive_sat,
+    pair_of,
+    reference_brute_sat,
+    reference_random_cnf,
+)
 
 
 def recursive_dpll(formula, step_budget):
@@ -276,13 +283,82 @@ class TestRandomCnf:
             assert brute_sat(random_cnf(cfg, i))[0]
 
     def test_bad_bias_rejected(self):
-        cfg = FuzzConfig(seed=1, num_instances=1, satisfiable_bias="maybe")
         with pytest.raises(ValueError):
-            random_cnf(cfg, 0)
+            FuzzConfig(seed=1, num_instances=1, satisfiable_bias="maybe")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("var_range", (0, 3)),
+            ("var_range", (5, 2)),
+            ("var_range", (-2, -1)),
+            ("clause_range", (0, 0)),
+            ("clause_range", (1,)),
+            ("clause_range", (1, 2, 3)),
+            ("width_range", (1.0, 3)),
+            ("width_range", ("1", "3")),
+            ("width_range", [1, 3]),
+            ("width_range", 3),
+            ("num_instances", -1),
+            ("num_instances", "3"),
+        ],
+    )
+    def test_bad_config_rejected(self, field, value):
+        # getrandbits(0) is 0, so a zero-width or reversed range would make
+        # the generator's rejection loop spin forever; the config refuses it
+        with pytest.raises(ValueError, match=field):
+            FuzzConfig(seed=1, **{field: value})
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             random_cnf(FuzzConfig(seed=1), -1)
+
+    @pytest.mark.parametrize(
+        "var_range, width_range",
+        [
+            ((21, 21), (1, 5)),  # largest n drawn from a pool when w <= 5
+            ((22, 22), (1, 5)),  # smallest n drawn by redraws when w <= 5
+            ((21, 22), (5, 6)),  # w = 6 raises the pool limit to 21 + 4 ** 3
+            ((85, 86), (6, 6)),  # n = 85 is that limit's last pool size
+            ((277, 278), (22, 22)),  # w = 22 lifts the limit to 21 + 4 ** 4
+            ((1, 4), (6, 9)),  # every width above n, clamped to n
+            ((1, 1), (1, 1)),
+        ],
+    )
+    @pytest.mark.parametrize("bias", ["none", "planted"])
+    def test_boundaries_match_reference(self, var_range, width_range, bias):
+        cfg = FuzzConfig(
+            seed=2**40 + 7,  # seed * 2**32 + index passes 2**64
+            num_instances=25,
+            var_range=var_range,
+            clause_range=(1, 30),
+            width_range=width_range,
+            satisfiable_bias=bias,
+        )
+        for i in range(cfg.num_instances):
+            assert random_cnf(cfg, i) == reference_random_cnf(cfg, i)
+
+    @given(
+        seed=st.integers(0, 2**48),
+        index=st.integers(0, 2**40),
+        n_lo=st.integers(1, 100),
+        n_span=st.integers(0, 20),
+        w_lo=st.integers(1, 12),
+        w_span=st.integers(0, 4),
+        bias=st.sampled_from(["none", "planted"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, seed, index, n_lo, n_span, w_lo, w_span, bias):
+        # n on both sides of 21 and of 21 + 4 ** 3, w on both sides of 5 and
+        # above n, indices past the seed's 32-bit shift
+        cfg = FuzzConfig(
+            seed=seed,
+            var_range=(n_lo, n_lo + n_span),
+            clause_range=(1, 40),
+            width_range=(w_lo, w_lo + w_span),
+            satisfiable_bias=bias,
+        )
+        assert random_cnf(cfg, index) == reference_random_cnf(cfg, index)
 
 
 class TestEnumeration:
