@@ -24,11 +24,6 @@ from .cnf import ParseError, parse_dimacs, read_counts
 from .decomposition import DecompositionPair, StructuralError
 from .harness import FuzzConfig, complexity_probe, diff_exhaustive, differential_run
 from .solver import (
-    CoveringFound,
-    EngineError,
-    EngineInvariantError,
-    Sat,
-    Unsat,
     build_covering_report,
     build_sat_report,
     report_json,
@@ -59,8 +54,19 @@ def _read_input(path: str) -> str:
         raise ValueError(str(exc)) from None
 
 
-def _write_outputs(args, run, report: dict) -> Optional[str]:
-    """Write the requested report and trace files; the error text on failure."""
+# report verdict -> (s line, exit code)
+_ANSWERS = {
+    "SAT": ("s SATISFIABLE", EXIT_POSITIVE),
+    "COVERING": ("s COVERING", EXIT_POSITIVE),
+    "UNSAT": ("s UNSATISFIABLE", EXIT_NEGATIVE),
+    "NO_COVERING": ("s NO-COVERING", EXIT_NEGATIVE),
+    "ERROR": ("s UNKNOWN", EXIT_ENGINE_ERROR),
+}
+
+
+def _answer(args, run, report: dict) -> int:
+    """Write the requested report and trace files, print the answer lines of
+    ``solve`` and ``covering`` and return the exit code."""
     try:
         if args.json:
             with open(args.json, "w", encoding="ascii") as fh:
@@ -69,8 +75,22 @@ def _write_outputs(args, run, report: dict) -> Optional[str]:
             with open(args.trace, "wb") as fh:
                 fh.write(run.trace.serialize())
     except OSError as exc:
-        return f"cannot write output: {exc}"
-    return None
+        return _fail_input(f"cannot write output: {exc}")
+
+    status_line, code = _ANSWERS[report["verdict"]]
+    if code == EXIT_POSITIVE:
+        values = report["assignment"] if report["assignment"] is not None else report["swaps"]
+        text = " ".join(map(str, values))  # before any output
+        print(status_line)
+        print(f"v {text} 0" if text else "v 0")
+    elif code == EXIT_NEGATIVE:
+        reason = report["reason"]
+        print(status_line)
+        print(f"c reason {reason['kind']} index {reason['index']}")
+    else:
+        print(status_line)
+        print(f"error: engine: {report['error_detail']}", file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -103,25 +123,7 @@ def _cmd_solve(args) -> int:
         clause_labels=labels,
     )
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    report = build_sat_report(args.file, formula, run, elapsed_ms=elapsed_ms)
-    problem = _write_outputs(args, run, report)
-    if problem:
-        return _fail_input(problem)
-
-    verdict = run.verdict
-    if isinstance(verdict, Sat):
-        lits = " ".join(map(str, report["assignment"]))  # before any output
-        print("s SATISFIABLE")
-        print(f"v {lits} 0" if lits else "v 0")
-        return EXIT_POSITIVE
-    if isinstance(verdict, Unsat):
-        print("s UNSATISFIABLE")
-        print(f"c reason {verdict.reason.kind} index {verdict.reason.index}")
-        return EXIT_NEGATIVE
-    assert isinstance(verdict, EngineError)
-    print("s UNKNOWN")
-    print(f"error: engine: {verdict.detail}", file=sys.stderr)
-    return EXIT_ENGINE_ERROR
+    return _answer(args, run, build_sat_report(args.file, formula, run, elapsed_ms=elapsed_ms))
 
 
 # ---------------------------------------------------------------------------
@@ -199,25 +201,8 @@ def _cmd_covering(args) -> int:
         )
     except StructuralError as exc:
         return _fail_input(str(exc))
-    except EngineInvariantError as exc:
-        print("s UNKNOWN")
-        print(f"error: engine: {exc}", file=sys.stderr)
-        return EXIT_ENGINE_ERROR
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    report = build_covering_report(args.file, pair, run, elapsed_ms=elapsed_ms)
-    problem = _write_outputs(args, run, report)
-    if problem:
-        return _fail_input(problem)
-
-    verdict = run.verdict
-    if isinstance(verdict, CoveringFound):
-        print("s COVERING")
-        swaps = " ".join(str(v) for v in sorted(verdict.swaps))
-        print(f"v {swaps} 0" if swaps else "v 0")
-        return EXIT_POSITIVE
-    print("s NO-COVERING")
-    print(f"c reason {verdict.reason.kind} index {verdict.reason.index}")
-    return EXIT_NEGATIVE
+    return _answer(args, run, build_covering_report(args.file, pair, run, elapsed_ms=elapsed_ms))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +287,10 @@ def _cmd_probe(args) -> int:
         return _fail_input(f"width must be positive, got {args.width}")
     if args.instances_per_size < 1:
         return _fail_input(f"instances-per-size must be positive, got {args.instances_per_size}")
+    try:  # the corpus rules of the configs complexity_probe builds
+        FuzzConfig(seed=args.seed, num_instances=args.instances_per_size)
+    except ValueError as exc:
+        return _fail_input(str(exc))
     doc = complexity_probe(
         sizes,
         seed=args.seed,

@@ -19,6 +19,7 @@ from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .decomposition import DecompositionPair, StructuralError, swap_set
+from .instrument import DISABLED_OPS, OpCounter
 
 Clause = List[int]
 Assignment = Tuple[bool, ...]
@@ -266,7 +267,7 @@ def check_alpha(alpha: str) -> None:
 
 
 def to_decomposition(
-    formula: CnfFormula, *, alpha: str = "neg", ops=None
+    formula: CnfFormula, *, alpha: str = "neg", ops: OpCounter = DISABLED_OPS
 ) -> Tuple[DecompositionPair, List[int]]:
     """Turn the formula into a decomposition pair, one row per used variable
     and one column per clause; return it with ``used``.
@@ -295,11 +296,10 @@ def to_decomposition(
     n = len(used)
     pos_rows = [occ.get(v, ()) for v in used]
     neg_rows = [occ.get(-v, ()) for v in used]
-    if ops is not None:
-        # charged as the dense reduction: classify each cell of the signed
-        # matrix once, write both matrices
-        ops.cmp(m * n)
-        ops.assign(2 * m * n)
+    # charged as the dense reduction: classify each cell of the signed
+    # matrix once, write both matrices
+    ops.cmp(m * n)
+    ops.assign(2 * m * n)
     if alpha == "neg":
         return DecompositionPair(n, m, neg_rows, pos_rows), used
     return DecompositionPair(n, m, pos_rows, neg_rows), used

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from operator import index
 from typing import Iterable, List, Optional, Set, Tuple
 
+from .instrument import DISABLED_OPS, OpCounter
+
 
 class StructuralError(ValueError):
     """Raised when matrices, rows, or indices break the structural contract."""
@@ -131,16 +133,15 @@ def validate(pair: DecompositionPair) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def column_counts(pair: DecompositionPair, *, ops=None) -> ColumnCounts:
+def column_counts(pair: DecompositionPair, *, ops: OpCounter = DISABLED_OPS) -> ColumnCounts:
     """Count the 1s of every column of both matrices."""
     m_alpha = tuple(map(len, pair.alpha_cols))
     m_alpha_bar = tuple(map(len, pair.bar_cols))
-    if ops is not None:
-        # charged as the dense scan: one read-compare per cell, one
-        # increment per 1, init per column
-        ops.cmp(2 * pair.n * pair.m)
-        ops.arith(sum(m_alpha) + sum(m_alpha_bar))
-        ops.assign(2 * pair.m)
+    # charged as the dense scan: one read-compare per cell, one increment
+    # per 1, init per column
+    ops.cmp(2 * pair.n * pair.m)
+    ops.arith(sum(m_alpha) + sum(m_alpha_bar))
+    ops.assign(2 * pair.m)
     return ColumnCounts(m_alpha=m_alpha, m_alpha_bar=m_alpha_bar)
 
 

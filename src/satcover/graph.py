@@ -23,7 +23,7 @@ from itertools import accumulate
 from typing import List, Optional, Set
 
 from .decomposition import ColumnCounts, DecompositionPair
-from .instrument import NO_TRACE, Trace
+from .instrument import Trace
 
 
 class PointingGraph:
@@ -66,7 +66,7 @@ class PointingGraph:
     state the mark was taken in (see ``procedures.StateSnapshot``).
     """
 
-    def __init__(self, pair: DecompositionPair, counts: ColumnCounts, trace: Trace = NO_TRACE):
+    def __init__(self, pair: DecompositionPair, counts: ColumnCounts, trace: Trace):
         n, m = pair.n, pair.m
         self.n = n
         self.m = m
@@ -154,7 +154,7 @@ def find_forced_conflict_row(pair: DecompositionPair, counts: ColumnCounts) -> O
 # ---------------------------------------------------------------------------
 
 def find_main_vertices(
-    pair: DecompositionPair, counts: ColumnCounts, trace: Trace = NO_TRACE
+    pair: DecompositionPair, counts: ColumnCounts, trace: Trace
 ) -> Optional[PointingGraph]:
     """Form the root vertices from the uncovered columns of alpha.
 

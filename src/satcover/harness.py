@@ -28,7 +28,7 @@ from .cnf import (
 )
 from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .decomposition import DecompositionPair
-from .solver import Sat, SolveRun, Unsat, solve_sat
+from .solver import SolveRun, solve_sat
 
 BRUTE_VAR_LIMIT = 25
 DEFAULT_DPLL_BUDGET = 2_000_000
@@ -218,10 +218,11 @@ def oracle_status(
 class FuzzConfig:
     """Deterministic corpus description; instance i depends only on (seed, i).
 
-    Each range is a tuple ``(lo, hi)`` of ints with ``1 <= lo <= hi``,
-    ``num_instances`` is an int ``>= 0`` and ``satisfiable_bias`` is
-    ``"none"`` or ``"planted"``; any other config raises ``ValueError`` when
-    it is built, so the generator's rejection loops always end.
+    ``seed`` is an int ``>= 0``, each range is a tuple ``(lo, hi)`` of ints
+    with ``1 <= lo <= hi``, ``num_instances`` is an int in ``0..2**32`` and
+    ``satisfiable_bias`` is ``"none"`` or ``"planted"``; any other config
+    raises ``ValueError`` when it is built, so the generator's rejection
+    loops always end and no two (seed, index) pairs share an instance.
     """
 
     seed: int
@@ -232,6 +233,10 @@ class FuzzConfig:
     satisfiable_bias: str = "none"  # "none" | "planted"
 
     def __post_init__(self) -> None:
+        # random.Random seeds from abs(), so a negative seed would repeat a
+        # corpus; seed * 2**32 + index is one-to-one for index < 2**32
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         for name in ("var_range", "clause_range", "width_range"):
             bounds = getattr(self, name)
             if not (
@@ -241,8 +246,8 @@ class FuzzConfig:
                 and 1 <= bounds[0] <= bounds[1]
             ):
                 raise ValueError(f"{name} must be a pair of ints 1 <= lo <= hi, got {bounds!r}")
-        if not (isinstance(self.num_instances, int) and self.num_instances >= 0):
-            raise ValueError(f"num_instances must be >= 0, got {self.num_instances!r}")
+        if not (isinstance(self.num_instances, int) and 0 <= self.num_instances <= 2**32):
+            raise ValueError(f"num_instances must be in 0..2**32, got {self.num_instances!r}")
         if self.satisfiable_bias not in ("none", "planted"):
             raise ValueError(f"unknown satisfiable_bias {self.satisfiable_bias!r}")
 
@@ -258,8 +263,8 @@ def random_cnf(cfg: FuzzConfig, index: int) -> CnfFormula:
     and ``randrange`` (3.10 to 3.13), so a corpus depends only on MT19937's
     output and not on those methods' pure-Python internals.
     """
-    if index < 0:
-        raise ValueError("index must be non-negative")
+    if not 0 <= index < 2**32:
+        raise ValueError(f"index must be in 0 <= index < 2**32, got {index}")
     rng = random.Random(cfg.seed * (2**32) + index)
     bits, coin = rng.getrandbits, rng.random
 
@@ -366,14 +371,6 @@ class DifferentialReport:
         return self.gate_failures > 0
 
 
-def _engine_status(run: SolveRun) -> str:
-    if isinstance(run.verdict, Sat):
-        return "SAT"
-    if isinstance(run.verdict, Unsat):
-        return "UNSAT"
-    return "ERROR"
-
-
 def _op_stats(points: List[Tuple[int, int]]) -> dict:
     """Max op_total / N^3 ratio and the fitted log-log exponent."""
     usable = [(N, ops) for N, ops in points if N > 0 and ops > 0]
@@ -443,7 +440,7 @@ def _adjudicate(
 
     def engine_of(f: CnfFormula) -> Tuple[str, SolveRun]:
         run = solve_sat(f, count_ops=True, invariant_checks=True)
-        return _engine_status(run), run
+        return run.verdict.status, run
 
     def oracle_of(f: CnfFormula) -> str:
         return oracle_status(f, brute_limit=brute_limit)
@@ -620,7 +617,7 @@ def complexity_probe(
                     "input_length": nnz,
                     "n": formula.num_vars,
                     "m": len(formula.clauses),
-                    "verdict": _engine_status(run),
+                    "verdict": run.verdict.status,
                     "op_total": run.ops.total,
                     "extensions": run.extensions,
                     "elapsed_ms": round(elapsed_ms, 3),

@@ -103,12 +103,3 @@ class Trace:
     def events_without_readings(self) -> List[Tuple]:
         return [(kind, payload) for kind, payload, _ in self.events]
 
-
-class _NullTrace(Trace):
-    """Tracing switched off."""
-
-    def emit(self, kind: str, *payload: int) -> None:  # noqa: ARG002
-        pass
-
-
-NO_TRACE = _NullTrace()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from .cnf import (
     CnfFormula,
@@ -80,29 +80,36 @@ class Reason:
         return {"kind": self.kind, "index": self.index}
 
 
+# verdicts; ``status`` is the word reports, the harness and the CLI use
+
 @dataclass(frozen=True)
 class CoveringFound:
     swaps: frozenset
+    status: ClassVar[str] = "COVERING"
 
 
 @dataclass(frozen=True)
 class NoCovering:
     reason: Reason
+    status: ClassVar[str] = "NO_COVERING"
 
 
 @dataclass(frozen=True)
 class Sat:
     assignment: Tuple[bool, ...]
+    status: ClassVar[str] = "SAT"
 
 
 @dataclass(frozen=True)
 class Unsat:
     reason: Reason
+    status: ClassVar[str] = "UNSAT"
 
 
 @dataclass(frozen=True)
 class EngineError:
     detail: str
+    status: ClassVar[str] = "ERROR"
 
 
 @dataclass
@@ -155,49 +162,54 @@ def _check_graph_invariants(graph) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_covering(pair: DecompositionPair, trace: Trace, *, shortcut: bool, invariant_checks: bool):
-    counts = column_counts(pair, ops=trace.ops)
-    if shortcut:
-        hit = find_forced_conflict_row(pair, counts)
-        if hit is not None:
-            trace.emit("shortcut-hit", hit)
-            trace.emit("verdict", 1, hit)
-            return NoCovering(Reason(BOTH_COMPONENTS_SINGLE, hit)), 0
+    """The covering loop: (verdict, extensions).  A broken internal contract
+    ends the run as an EngineError verdict with 0 extensions."""
+    try:
+        counts = column_counts(pair, ops=trace.ops)
+        if shortcut:
+            hit = find_forced_conflict_row(pair, counts)
+            if hit is not None:
+                trace.emit("shortcut-hit", hit)
+                trace.emit("verdict", 1, hit)
+                return NoCovering(Reason(BOTH_COMPONENTS_SINGLE, hit)), 0
 
-    graph = find_main_vertices(pair, counts, trace)
-    if graph is None:
-        if not is_alpha_covering(pair):
-            raise EngineInvariantError("no uncovered column yet the pair is not a covering")
-        trace.emit("verdict", 0, 0)
-        return CoveringFound(frozenset()), 0
-
-    extensions = 0
-    while True:
-        construct(graph)
-        if invariant_checks:
-            _check_graph_invariants(graph)
-        blocking = clean(graph)
-        if invariant_checks:
-            _check_graph_invariants(graph)
-        if blocking is not None:
-            trace.emit("verdict", 1, blocking)
-            return NoCovering(Reason(NON_REMOVABLE_USELESS_VERTEX, blocking)), extensions
-        result = eliminate_incompatibilities(graph)
-        if invariant_checks:
-            _check_graph_invariants(graph)
-        if isinstance(result, Unreachable):
-            trace.emit("verdict", 1, result.column)
-            return NoCovering(Reason(UNREACHABLE_COLUMN, result.column)), extensions
-        if isinstance(result, Eliminated):
-            swaps = frozenset(graph.live_vertices())
-            if not is_alpha_covering(apply_swaps(pair, swaps)):
-                raise EngineInvariantError("eliminated state failed the covering gate")
+        graph = find_main_vertices(pair, counts, trace)
+        if graph is None:
+            if not is_alpha_covering(pair):
+                raise EngineInvariantError("no uncovered column yet the pair is not a covering")
             trace.emit("verdict", 0, 0)
-            return CoveringFound(swaps), extensions
-        assert isinstance(result, NeedsExtension)
-        extensions += 1
-        if extensions > pair.n:
-            raise EngineInvariantError(f"extension count exceeded n={pair.n}")
-        extend(graph, result.plan)
+            return CoveringFound(frozenset()), 0
+
+        extensions = 0
+        while True:
+            construct(graph)
+            if invariant_checks:
+                _check_graph_invariants(graph)
+            blocking = clean(graph)
+            if invariant_checks:
+                _check_graph_invariants(graph)
+            if blocking is not None:
+                trace.emit("verdict", 1, blocking)
+                return NoCovering(Reason(NON_REMOVABLE_USELESS_VERTEX, blocking)), extensions
+            result = eliminate_incompatibilities(graph)
+            if invariant_checks:
+                _check_graph_invariants(graph)
+            if isinstance(result, Unreachable):
+                trace.emit("verdict", 1, result.column)
+                return NoCovering(Reason(UNREACHABLE_COLUMN, result.column)), extensions
+            if isinstance(result, Eliminated):
+                swaps = frozenset(graph.live_vertices())
+                if not is_alpha_covering(apply_swaps(pair, swaps)):
+                    raise EngineInvariantError("eliminated state failed the covering gate")
+                trace.emit("verdict", 0, 0)
+                return CoveringFound(swaps), extensions
+            assert isinstance(result, NeedsExtension)
+            extensions += 1
+            if extensions > pair.n:
+                raise EngineInvariantError(f"extension count exceeded n={pair.n}")
+            extend(graph, result.plan)
+    except EngineInvariantError as exc:
+        return EngineError(str(exc)), 0
 
 
 def solve_covering(
@@ -210,9 +222,9 @@ def solve_covering(
     """Decide whether some swap set turns the pair into an alpha covering.
 
     Returns a run whose verdict is CoveringFound (with the swap set, verified
-    against the covering check before return) or NoCovering with a reason.
-    A pair that breaks a decomposition condition raises StructuralError;
-    internal contract violations raise EngineInvariantError.
+    against the covering check before return), NoCovering with a reason, or
+    EngineError when an internal contract broke.  A pair that breaks a
+    decomposition condition raises StructuralError.
     """
     report = validate(pair)
     if not report.ok:
@@ -266,29 +278,26 @@ def solve_sat(
 
     pair, used = to_decomposition(formula, alpha=alpha, ops=trace.ops)
 
-    try:
-        verdict, extensions = _run_covering(
-            pair, trace, shortcut=shortcut, invariant_checks=invariant_checks
-        )
-    except EngineInvariantError as exc:
-        return SolveRun(EngineError(str(exc)), trace, 0)
+    verdict, extensions = _run_covering(
+        pair, trace, shortcut=shortcut, invariant_checks=invariant_checks
+    )
 
     if isinstance(verdict, CoveringFound):
         assignment = assignment_from_swaps(verdict.swaps, used, formula.num_vars, alpha)
         if not evaluate(formula, assignment):
-            return SolveRun(
-                EngineError("covering produced a non-satisfying assignment"), trace, extensions
-            )
-        return SolveRun(Sat(assignment), trace, extensions)
-
-    reason = verdict.reason
-    if reason.kind in (NON_REMOVABLE_USELESS_VERTEX, BOTH_COMPONENTS_SINGLE):
-        index = used[reason.index - 1]  # decomposition row -> variable
-    elif reason.kind == UNREACHABLE_COLUMN:
-        index = clause_label(reason.index)
-    else:
-        index = reason.index
-    return SolveRun(Unsat(Reason(reason.kind, index)), trace, extensions)
+            verdict = EngineError("covering produced a non-satisfying assignment")
+        else:
+            verdict = Sat(assignment)
+    elif isinstance(verdict, NoCovering):
+        reason = verdict.reason
+        if reason.kind in (NON_REMOVABLE_USELESS_VERTEX, BOTH_COMPONENTS_SINGLE):
+            index = used[reason.index - 1]  # decomposition row -> variable
+        elif reason.kind == UNREACHABLE_COLUMN:
+            index = clause_label(reason.index)
+        else:
+            index = reason.index
+        verdict = Unsat(Reason(reason.kind, index))
+    return SolveRun(verdict, trace, extensions)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +308,33 @@ def _assignment_literals(assignment: Tuple[bool, ...]) -> List[int]:
     return [i if value else -i for i, value in enumerate(assignment, start=1)]
 
 
+def _report(
+    instance: str, run: SolveRun, n: int, m: int, length: int, elapsed_ms: Optional[float], **answer
+) -> dict:
+    """The report both front ends write; ``answer`` adds the front end's own
+    answer field (``assignment`` or ``swaps``), None unless it answered yes."""
+    verdict = run.verdict
+    reason = getattr(verdict, "reason", None)
+    report = {
+        "instance": instance,
+        "verdict": verdict.status,
+        "assignment": None,
+        "reason": None if reason is None else reason.as_dict(),
+        "n": n,
+        "m": m,
+        "input_length": length,
+        "op_total": run.ops.total,
+        "op_by_kind": run.ops.as_dict(),
+        "extensions": run.extensions,
+        "elapsed_ms": elapsed_ms,
+        "trace_hash": run.trace.sha256(),
+        **answer,
+    }
+    if isinstance(verdict, EngineError):
+        report["error_detail"] = verdict.detail
+    return report
+
+
 def build_sat_report(
     instance: str,
     formula: CnfFormula,
@@ -307,29 +343,11 @@ def build_sat_report(
     elapsed_ms: Optional[float] = None,
 ) -> dict:
     verdict = run.verdict
-    if isinstance(verdict, Sat):
-        verdict_str, assignment, reason = "SAT", _assignment_literals(verdict.assignment), None
-    elif isinstance(verdict, Unsat):
-        verdict_str, assignment, reason = "UNSAT", None, verdict.reason.as_dict()
-    else:
-        verdict_str, assignment, reason = "ERROR", None, None
-    report = {
-        "instance": instance,
-        "verdict": verdict_str,
-        "assignment": assignment,
-        "reason": reason,
-        "n": formula.num_vars,
-        "m": len(formula.clauses),
-        "input_length": sum(map(len, formula.clauses)),
-        "op_total": run.ops.total,
-        "op_by_kind": run.ops.as_dict(),
-        "extensions": run.extensions,
-        "elapsed_ms": elapsed_ms,
-        "trace_hash": run.trace.sha256(),
-    }
-    if isinstance(verdict, EngineError):
-        report["error_detail"] = verdict.detail
-    return report
+    clauses = formula.clauses
+    return _report(
+        instance, run, formula.num_vars, len(clauses), sum(map(len, clauses)), elapsed_ms,
+        assignment=_assignment_literals(verdict.assignment) if isinstance(verdict, Sat) else None,
+    )
 
 
 def build_covering_report(
@@ -340,27 +358,10 @@ def build_covering_report(
     elapsed_ms: Optional[float] = None,
 ) -> dict:
     verdict = run.verdict
-    if isinstance(verdict, CoveringFound):
-        verdict_str, reason = "COVERING", None
-        swaps = sorted(verdict.swaps)
-    else:
-        verdict_str, reason = "NO_COVERING", verdict.reason.as_dict()
-        swaps = None
-    return {
-        "instance": instance,
-        "verdict": verdict_str,
-        "assignment": None,
-        "swaps": swaps,
-        "reason": reason,
-        "n": pair.n,
-        "m": pair.m,
-        "input_length": input_length(pair),
-        "op_total": run.ops.total,
-        "op_by_kind": run.ops.as_dict(),
-        "extensions": run.extensions,
-        "elapsed_ms": elapsed_ms,
-        "trace_hash": run.trace.sha256(),
-    }
+    return _report(
+        instance, run, pair.n, pair.m, input_length(pair), elapsed_ms,
+        swaps=sorted(verdict.swaps) if isinstance(verdict, CoveringFound) else None,
+    )
 
 
 def report_json(report: dict) -> str:

@@ -20,6 +20,7 @@ from satcover import (
     FuzzConfig,
     Reason,
     Sat,
+    Trace,
     Unsat,
     build_sat_report,
     clean,
@@ -201,7 +202,7 @@ def _build_graph(formula):
     if not formula.clauses or any(not c for c in formula.clauses):
         return None, None
     pair, _ = to_decomposition(formula)
-    graph = find_main_vertices(pair, column_counts(pair))
+    graph = find_main_vertices(pair, column_counts(pair), Trace())
     if graph is None:
         return None, None
     construct(graph)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satcover import FuzzConfig, ParseError, emit_dimacs, random_cnf
+from satcover import solver as solver_mod
 from satcover.cli import emit_decomp, main, parse_decomp
 
 from conftest import E1_TEXT, E2_TEXT, decomposition_pairs, formulas
@@ -239,6 +240,26 @@ class TestCovering:
         path = write(tmp_path, "bad.decomp", "1 1\n1\n\n1\n")
         assert main(["covering", path]) == 2
         capsys.readouterr()
+
+
+class TestEngineError:
+    @pytest.mark.parametrize(
+        "command, name, text",
+        [("solve", "e1.cnf", E1_TEXT), ("covering", "e1.decomp", E1_DECOMP)],
+        ids=["solve", "covering"],
+    )
+    def test_broken_gate_is_engine_error(self, command, name, text, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(solver_mod, "is_alpha_covering", lambda pair: False)
+        path = write(tmp_path, name, text)
+        out_path = tmp_path / "report.json"
+        assert main([command, path, "--json", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "s UNKNOWN\n"
+        assert captured.err.startswith("error: engine: ")
+        assert "Traceback" not in captured.err
+        report = json.loads(out_path.read_text())
+        assert report["verdict"] == "ERROR"
+        assert report["error_detail"] == captured.err[len("error: engine: ") :].rstrip("\n")
 
 
 class TestDecompFormat:
@@ -474,13 +495,21 @@ class TestHarnessCommands:
             ["--width", "0"],
             ["--width", "-2"],
             ["--instances-per-size", "0"],
+            ["--seed", "-1"],
         ],
-        ids=["overflowing-size", "zero-width", "negative-width", "no-instances"],
+        ids=["overflowing-size", "zero-width", "negative-width", "no-instances", "negative-seed"],
     )
     def test_probe_bad_arguments_are_input_errors(self, argv, capsys):
         assert main(["probe", "--sizes", "50"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    def test_fuzz_negative_seed_is_input_error(self, capsys):
+        # random.Random seeds from abs(): seed -1 would repeat seed 1's corpus
+        assert main(["fuzz", "--seed", "-1", "--count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be an int >= 0, got -1\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize("count", ["0", "-1"])

@@ -16,7 +16,6 @@ from satcover import (
     to_decomposition,
 )
 from satcover.graph import find_forced_conflict_row
-from satcover.instrument import NO_TRACE
 from satcover.solver import _check_graph_invariants
 
 from conftest import E5_TEXT, formulas, naive_single_columns, pair_of
@@ -24,13 +23,13 @@ from conftest import E5_TEXT, formulas, naive_single_columns, pair_of
 
 def single_columns(pair: DecompositionPair, i: int):
     """Row i's single columns as the graph precomputes them, 1-based."""
-    graph = PointingGraph(pair, column_counts(pair))
+    graph = PointingGraph(pair, column_counts(pair), Trace())
     return [j0 + 1 for j0 in graph.single_cols[i - 1]]
 
 
-def build(text: str, trace=NO_TRACE):
+def build(text: str, trace=None):
     pair = pair_of(text)
-    return find_main_vertices(pair, column_counts(pair), trace)
+    return find_main_vertices(pair, column_counts(pair), trace or Trace())
 
 
 def final_marked(trace):
@@ -42,7 +41,7 @@ def final_marked(trace):
 class TestFindMainVertices:
     def test_e1_single_main(self, e1_pair):
         counts = column_counts(e1_pair)
-        graph = find_main_vertices(e1_pair, counts)
+        graph = find_main_vertices(e1_pair, counts, Trace())
         assert graph.vertex_order == [1]
         assert graph.main == [True, False]
         assert graph.main_columns == [[2], []]
@@ -50,7 +49,7 @@ class TestFindMainVertices:
 
     def test_e3_two_mains(self, e3_pair):
         counts = column_counts(e3_pair)
-        graph = find_main_vertices(e3_pair, counts)
+        graph = find_main_vertices(e3_pair, counts, Trace())
         assert graph.vertex_order == [1, 2]
         assert graph.main_columns == [[2], [3]]
         assert graph.multiplicity == [0, 1, 1]
@@ -153,7 +152,7 @@ class TestConstruct:
             return
         pair, _ = to_decomposition(formula)
         counts = column_counts(pair)
-        graph = find_main_vertices(pair, counts)
+        graph = find_main_vertices(pair, counts, Trace())
         if graph is None:
             return
         construct(graph)
@@ -211,7 +210,7 @@ class TestStateSize:
         pair, _ = to_decomposition(random_cnf(cfg, 0))
         n, m = pair.n, pair.m
         assert (n, m) == (200, 800)
-        graph = find_main_vertices(pair, column_counts(pair))
+        graph = find_main_vertices(pair, column_counts(pair), Trace())
         construct(graph)
         if clean(graph) is None:
             eliminate_incompatibilities(graph)

@@ -301,17 +301,28 @@ class TestRandomCnf:
             ("width_range", 3),
             ("num_instances", -1),
             ("num_instances", "3"),
+            ("num_instances", 2**32 + 1),
+            ("seed", -1),
+            ("seed", 1.0),
+            ("seed", "1"),
         ],
     )
     def test_bad_config_rejected(self, field, value):
         # getrandbits(0) is 0, so a zero-width or reversed range would make
-        # the generator's rejection loop spin forever; the config refuses it
+        # the generator's rejection loop spin forever; random.Random seeds
+        # from abs(), so seed -1 would repeat seed 1's corpus, and an index
+        # past 2**32 would repeat the next seed's; the config refuses them
         with pytest.raises(ValueError, match=field):
-            FuzzConfig(seed=1, **{field: value})
+            FuzzConfig(**{"seed": 1, field: value})
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             random_cnf(FuzzConfig(seed=1), -1)
+
+    def test_index_past_32_bits_rejected(self):
+        # (5, 2**32 + 7) would draw instance (6, 7)
+        with pytest.raises(ValueError, match="index"):
+            random_cnf(FuzzConfig(seed=5), 2**32 + 7)
 
     @pytest.mark.parametrize(
         "var_range, width_range",
@@ -340,7 +351,7 @@ class TestRandomCnf:
 
     @given(
         seed=st.integers(0, 2**48),
-        index=st.integers(0, 2**40),
+        index=st.integers(0, 2**32 - 1),
         n_lo=st.integers(1, 100),
         n_span=st.integers(0, 20),
         w_lo=st.integers(1, 12),
@@ -350,7 +361,7 @@ class TestRandomCnf:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, seed, index, n_lo, n_span, w_lo, w_span, bias):
         # n on both sides of 21 and of 21 + 4 ** 3, w on both sides of 5 and
-        # above n, indices past the seed's 32-bit shift
+        # above n; seeds up to 2**48 push seed * 2**32 + index past 2**64
         cfg = FuzzConfig(
             seed=seed,
             var_range=(n_lo, n_lo + n_span),

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from satcover import DISABLED_OPS, NO_TRACE, OpCounter, Trace
+from satcover import DISABLED_OPS, OpCounter, Trace
 
 
 class TestOpCounter:
@@ -83,7 +83,3 @@ class TestTrace:
     def test_empty_trace(self):
         trace = Trace()
         assert json.loads(trace.serialize()) == []
-
-    def test_null_trace_is_inert(self):
-        NO_TRACE.emit("anything", 1, 2)
-        # no events attribute surface is relied upon; emit simply returns

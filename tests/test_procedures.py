@@ -30,7 +30,7 @@ from conftest import E4_TEXT, E5_TEXT, pair_of
 
 def built(text: str):
     pair = pair_of(text)
-    graph = find_main_vertices(pair, column_counts(pair))
+    graph = find_main_vertices(pair, column_counts(pair), Trace())
     construct(graph)
     return graph
 
@@ -238,7 +238,7 @@ class TestSwappedCounts:
             if not formula.clauses or any(not c for c in formula.clauses):
                 continue
             pair, _ = to_decomposition(formula)
-            graph = find_main_vertices(pair, column_counts(pair))
+            graph = find_main_vertices(pair, column_counts(pair), Trace())
             if graph is None:
                 continue
             construct(graph)

@@ -190,10 +190,12 @@ class TestGateDowngrades:
         run = solver_mod.solve_sat(e1)
         assert isinstance(run.verdict, EngineError)
 
-    def test_solve_covering_raises_on_invariant_breakage(self, e1_pair, monkeypatch):
+    def test_solve_covering_reports_invariant_breakage(self, e1_pair, monkeypatch):
         monkeypatch.setattr(solver_mod, "is_alpha_covering", lambda pair: False)
-        with pytest.raises(solver_mod.EngineInvariantError):
-            solve_covering(e1_pair)
+        run = solve_covering(e1_pair)
+        assert isinstance(run.verdict, EngineError)
+        assert "covering gate" in run.verdict.detail
+        assert run.extensions == 0
 
 
 class TestReports:
