@@ -7,7 +7,8 @@ Subcommands: ``solve`` (DIMACS CNF), ``covering`` (raw decomposition file),
 Exit codes follow the SAT-competition convention for ``solve`` and
 ``covering``: 10 = positive verdict, 20 = negative verdict, 1 = engine
 error, 2 = input error.  Harness subcommands exit 0 normally and 3 when a
-soundness-gate or invariant violation occurred.  Running out of memory,
+soundness-gate or invariant violation occurred, or ``diff-exhaustive``'s
+reduction check failed.  Running out of memory,
 a size past the index range, or a stdout closed by its reader exits 2
 with an ``error:`` line in every subcommand.
 """
@@ -230,8 +231,9 @@ def _parse_sizes(text: str) -> List[int]:
     return sizes
 
 
-def _emit_report(args, doc: dict) -> Optional[str]:
-    """Print the report and write it to ``--json``; the error text on failure."""
+def _emit_report(args, doc: dict, violated: bool) -> int:
+    """Print the report, write it to ``--json`` and return the exit code:
+    2 when the file cannot be written, 3 on a violation, 0 otherwise."""
     text = json.dumps(doc, sort_keys=True, indent=2)
     print(text)
     if args.json:
@@ -239,8 +241,8 @@ def _emit_report(args, doc: dict) -> Optional[str]:
             with open(args.json, "w", encoding="ascii") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            return f"cannot write output: {exc}"
-    return None
+            return _fail_input(f"cannot write output: {exc}")
+    return EXIT_VIOLATION if violated else 0
 
 
 def _cmd_fuzz(args) -> int:
@@ -258,24 +260,15 @@ def _cmd_fuzz(args) -> int:
     except ValueError as exc:
         return _fail_input(str(exc))
     report = differential_run(cfg)
-    problem = _emit_report(args, report.as_dict())
-    if problem:
-        return _fail_input(problem)
-    return EXIT_VIOLATION if report.violation else 0
+    return _emit_report(args, report.as_dict(), report.violation)
 
 
 def _cmd_diff_exhaustive(args) -> int:
-    if args.max_n < 1 or args.max_m < 1 or args.max_width < 1:
-        return _fail_input("bounds must be positive")
-    if args.max_n > 4:
-        return _fail_input("max-n above 4 is refused (exhaustive space too large)")
-    report = diff_exhaustive(args.max_n, args.max_m, args.max_width)
-    problem = _emit_report(args, report.as_dict())
-    if problem:
-        return _fail_input(problem)
-    if report.violation or not report.extra.get("reduction_check_passed", True):
-        return EXIT_VIOLATION
-    return 0
+    try:
+        report = diff_exhaustive(args.max_n, args.max_m, args.max_width)
+    except ValueError as exc:  # bounds outside the sweepable space
+        return _fail_input(str(exc))
+    return _emit_report(args, report.as_dict(), report.violation)
 
 
 def _cmd_probe(args) -> int:
@@ -297,10 +290,7 @@ def _cmd_probe(args) -> int:
         instances_per_size=args.instances_per_size,
         width=args.width,
     )
-    problem = _emit_report(args, doc)
-    if problem:
-        return _fail_input(problem)
-    return EXIT_VIOLATION if doc["gate_failures"] else 0
+    return _emit_report(args, doc, doc["gate_failures"] > 0)
 
 
 # ---------------------------------------------------------------------------

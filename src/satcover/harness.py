@@ -368,7 +368,8 @@ class DifferentialReport:
 
     @property
     def violation(self) -> bool:
-        return self.gate_failures > 0
+        """A gate failure, or a failed oracle-vs-oracle reduction check."""
+        return self.gate_failures > 0 or self.extra.get("reduction_check_passed") is False
 
 
 def _op_stats(points: List[Tuple[int, int]]) -> dict:
@@ -432,7 +433,6 @@ def _adjudicate(
     formula; each disagreement is archived with a minimized instance."""
     agreements = 0
     disagreements: List[dict] = []
-    gate_failures = 0
     engine_errors: List[dict] = []
     unknown = 0
     generated = 0
@@ -450,24 +450,15 @@ def _adjudicate(
         status, run = engine_of(formula)
         op_points.append((sum(len(c) for c in formula.clauses), run.ops.total))
         if status == "ERROR":
-            gate_failures += 1
-            engine_errors.append(
-                {
-                    "label": label,
-                    "instance": emit_dimacs(formula),
-                    "detail": run.verdict.detail,
-                }
-            )
-            continue
-        if status == "SAT" and not evaluate(formula, run.verdict.assignment):
+            detail = run.verdict.detail
+        elif status == "SAT" and not evaluate(formula, run.verdict.assignment):
             # the engine's internal gate should make this unreachable
-            gate_failures += 1
+            detail = "external recheck: Sat assignment fails evaluate"
+        else:
+            detail = None
+        if detail is not None:
             engine_errors.append(
-                {
-                    "label": label,
-                    "instance": emit_dimacs(formula),
-                    "detail": "external recheck: Sat assignment fails evaluate",
-                }
+                {"label": label, "instance": emit_dimacs(formula), "detail": detail}
             )
             continue
         oracle = oracle_of(formula)
@@ -494,11 +485,11 @@ def _adjudicate(
             }
         )
 
-    total = agreements + len(disagreements) + gate_failures
+    gate_failures = len(engine_errors)
     return DifferentialReport(
         config=config,
         generated=generated,
-        total=total,
+        total=agreements + len(disagreements) + gate_failures,
         agreements=agreements,
         disagreements=disagreements,
         gate_failures=gate_failures,
@@ -522,6 +513,14 @@ def differential_run(cfg: FuzzConfig, *, brute_limit: int = BRUTE_VAR_LIMIT) -> 
     )
 
 
+def _check_space(max_n: int, max_m: int, max_width: int) -> None:
+    """Refuse a bounded formula space that is empty or too large to sweep."""
+    if not 1 <= max_n <= 4:
+        raise ValueError(f"max-n must be in 1..4, got {max_n}")
+    if max_m < 1 or max_width < 1:
+        raise ValueError(f"max-m and max-width must be positive, got {max_m} and {max_width}")
+
+
 def exhaustive_reduction_check(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> bool:
     """Oracle-vs-oracle equivalence over the full bounded formula space.
 
@@ -529,8 +528,7 @@ def exhaustive_reduction_check(max_n: int = 3, max_m: int = 4, max_width: int = 
     covering existence of the reduced pair, and a covering witness must map
     to a satisfying assignment.  True iff there are no mismatches.
     """
-    if max_n > 4:
-        raise ValueError(f"exhaustive_reduction_check refuses max_n={max_n} > 4")
+    _check_space(max_n, max_m, max_width)
     for formula in enumerate_formulas(max_n, max_m, max_width):
         sat, _ = brute_sat(formula)
         pair, used = to_decomposition(formula)
@@ -545,7 +543,10 @@ def exhaustive_reduction_check(max_n: int = 3, max_m: int = 4, max_width: int = 
 
 
 def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> DifferentialReport:
-    """Engine vs brute force over the full bounded formula space."""
+    """Engine vs brute force over the full bounded formula space, then the
+    oracle-vs-oracle reduction check over the same space.  The bounds are
+    checked before anything is solved."""
+    _check_space(max_n, max_m, max_width)
 
     def corpus():
         for i, formula in enumerate(enumerate_formulas(max_n, max_m, max_width)):
@@ -573,8 +574,9 @@ def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> Diffe
 def probe_shape(target_length: int, width: int = 3) -> Tuple[int, int]:
     """Instance shape for a target total literal count: (num_vars, num_clauses).
 
-    Variables grow like the square root of the target so the dense matrices
-    stay small while the clause count carries the growth.
+    Variables grow like the square root of the target, so each variable
+    occurs in about that many clauses while the clause count carries the
+    growth.
     """
     n = max(width, round(math.sqrt(target_length)))
     m = max(1, round(target_length / width))

@@ -73,7 +73,9 @@ class StateSnapshot:
     cascade made, whether or not it was removable; ``commit`` keeps the
     writes and drops their log.  Only removal cascades write through the
     trail, so a mark restores the graph as it was when taken as long as
-    nothing but cascades ran in between.
+    nothing but cascades ran in between.  ``capture`` and ``restore`` each
+    charge ``cell_count()`` assignments to the graph's op counter and then
+    emit a ``snapshot`` or ``restore`` trace event; ``commit`` is free.
     """
 
     mark: int
@@ -90,6 +92,8 @@ class StateSnapshot:
             + n * n  # the former n x n edge-count matrix
             + 2 * n * m  # the former m x n edge-source and n x m edge-count matrices
         )
+        graph.trace.ops.assign(cells)
+        graph.trace.emit("snapshot")
         return cls(mark=len(graph.trail), cells=cells)
 
     def restore(self, graph: PointingGraph) -> None:
@@ -97,6 +101,8 @@ class StateSnapshot:
         while len(trail) > self.mark:
             state, index, old = trail.pop()
             state[index] = old
+        graph.trace.ops.assign(self.cell_count())
+        graph.trace.emit("restore")
 
     def commit(self, graph: PointingGraph) -> None:
         del graph.trail[self.mark:]
@@ -187,19 +193,23 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
                 gen.append(t)
                 ops.assign(1)
 
-    pos = 0
-    while pos < len(anc):
-        p = anc[pos]
-        pos += 1
-        p0 = p - 1
+    def take(v: int, kind: int) -> bool:
+        """Remove ``v`` (1 = ancestor, 2 = generation) unless a cascade
+        step has already removed it; True when it was taken."""
         ops.cmp(1)
-        if removed[p0]:
-            continue
-        log((removed, p0, False))
-        removed[p0] = True
-        removed_order.append(p)
+        if removed[v - 1]:
+            return False
+        log((removed, v - 1, False))
+        removed[v - 1] = True
+        removed_order.append(v)
         ops.assign(2)
-        emit("vertex-removed", p, 1)
+        emit("vertex-removed", v, kind)
+        return True
+
+    for p in anc:  # grows while it is walked
+        if not take(p, 1):
+            continue
+        p0 = p - 1
         if main[p0]:
             cols = g.main_columns[p0]
             multiplicity = g.multiplicity
@@ -238,20 +248,9 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
                 ops.assign(1)
         remove_outgoing(p)
 
-    pos = 0
-    while pos < len(gen):
-        q = gen[pos]
-        pos += 1
-        q0 = q - 1
-        ops.cmp(1)
-        if removed[q0]:
-            continue
-        log((removed, q0, False))
-        removed[q0] = True
-        removed_order.append(q)
-        ops.assign(2)
-        emit("vertex-removed", q, 2)
-        remove_outgoing(q)
+    for q in gen:  # grows while it is walked
+        if take(q, 2):
+            remove_outgoing(q)
 
     emit("rp-result", start_vertex, 1)
     return RemovalOutcome(True, tuple(removed_order))
@@ -281,16 +280,12 @@ def clean(graph: PointingGraph, *, order: Optional[List[int]] = None) -> Optiona
     trace, ops = graph.trace, graph.trace.ops
     for v in candidates:
         ops.cmp(1)
-        if graph.removed[v - 1] or not graph.formed[v - 1]:
+        if graph.removed[v - 1]:
             continue
         snap = StateSnapshot.capture(graph)
-        ops.assign(snap.cell_count())
-        trace.emit("snapshot")
         outcome = removal_procedure(graph, v)
         if not outcome.removable:
             snap.restore(graph)
-            ops.assign(snap.cell_count())
-            trace.emit("restore")
             trace.emit("clean-result", 0, v)
             return v
         snap.commit(graph)
@@ -398,8 +393,6 @@ def eliminate_incompatibilities(graph: PointingGraph):
                 ops.assign(1)
                 if snap is None:
                     snap = StateSnapshot.capture(graph)
-                    ops.assign(snap.cell_count())
-                    trace.emit("snapshot")
                 outcome = removal_procedure(graph, r)
                 if outcome.removable:
                     snap.commit(graph)
@@ -408,8 +401,6 @@ def eliminate_incompatibilities(graph: PointingGraph):
                     _swap_rows(swapped, pair, gone, -1, zeros)
                     break
                 snap.restore(graph)
-                ops.assign(snap.cell_count())
-                trace.emit("restore")
             if committed:
                 for v in visited:
                     heappush(zeros, v)

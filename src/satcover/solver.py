@@ -52,14 +52,12 @@ NON_REMOVABLE_USELESS_VERTEX = "non-removable-useless-vertex"
 UNREACHABLE_COLUMN = "unreachable-column"
 BOTH_COMPONENTS_SINGLE = "both-components-single"
 EMPTY_CLAUSE = "empty-clause"
-INCOMPATIBILITY_NOT_ELIMINATED = "incompatibility-not-eliminated"
 
 REASON_KINDS = (
     NON_REMOVABLE_USELESS_VERTEX,
     UNREACHABLE_COLUMN,
     BOTH_COMPONENTS_SINGLE,
     EMPTY_CLAUSE,
-    INCOMPATIBILITY_NOT_ELIMINATED,
 )
 
 

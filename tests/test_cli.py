@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satcover import FuzzConfig, ParseError, emit_dimacs, random_cnf
+from satcover import harness
 from satcover import solver as solver_mod
 from satcover.cli import emit_decomp, main, parse_decomp
 
@@ -472,6 +473,43 @@ class TestHarnessCommands:
     def test_diff_exhaustive_refuses_large_n(self, capsys):
         assert main(["diff-exhaustive", "--max-n", "9"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "bound, value",
+        [("--max-n", "5"), ("--max-n", "0"), ("--max-m", "0"), ("--max-width", "-1")],
+    )
+    def test_diff_exhaustive_bad_bounds_are_input_errors(self, bound, value, capsys):
+        assert main(["diff-exhaustive", bound, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--seed", "7", "--count", "5", "--vars", "1..4", "--clauses", "1..5", "--planted"],
+            ["probe", "--sizes", "50", "--instances-per-size", "1"],
+        ],
+        ids=["fuzz", "probe"],
+    )
+    def test_gate_failure_exits_3(self, argv, tmp_path, capsys, monkeypatch):
+        # every covering the engine finds now fails its gate: an engine error
+        monkeypatch.setattr(solver_mod, "is_alpha_covering", lambda pair: False)
+        out_path = tmp_path / "report.json"
+        assert main(argv + ["--json", str(out_path)]) == 3
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc == json.loads(out_path.read_text())
+        assert doc["gate_failures"] > 0
+        assert captured.err == ""
+
+    def test_failed_reduction_check_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(harness, "exhaustive_reduction_check", lambda *bounds: False)
+        assert main(["diff-exhaustive", "--max-n", "1", "--max-m", "2", "--max-width", "1"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["reduction_check_passed"] is False
+        assert doc["gate_failures"] == 0
 
     def test_probe(self, tmp_path, capsys):
         out_path = tmp_path / "probe.json"

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 
 from satcover import (
-    ColumnCounts,
     DecompositionPair,
     OpCounter,
     StructuralError,

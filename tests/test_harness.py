@@ -1,5 +1,4 @@
 """Oracles, generators, differential adjudication, shrinking, probing."""
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -524,6 +523,24 @@ class TestDiffExhaustive:
         assert report.total == report.agreements + len(report.disagreements)
         assert report.gate_failures == 0
         assert report.extra["reduction_check_passed"]
+
+    def test_failed_reduction_check_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(harness, "exhaustive_reduction_check", lambda *bounds: False)
+        report = diff_exhaustive(1, 2, 1)
+        assert report.gate_failures == 0
+        assert report.extra["reduction_check_passed"] is False
+        assert report.violation
+
+    @pytest.mark.parametrize("bounds", [(5, 2, 1), (0, 2, 1), (2, 0, 1), (2, 2, 0)])
+    def test_bad_bounds_refused_before_any_solve(self, bounds, monkeypatch):
+        solves = []
+        real_solve = harness.solve_sat
+        monkeypatch.setattr(
+            harness, "solve_sat", lambda *a, **k: solves.append(a) or real_solve(*a, **k)
+        )
+        with pytest.raises(ValueError):
+            diff_exhaustive(*bounds)
+        assert solves == []
 
 
 class TestProbe:

@@ -23,7 +23,7 @@ from satcover import (
 )
 from satcover import solver as solver_mod
 
-from conftest import formula_of, formulas, naive_sat, pair_of, seeded_corpus
+from conftest import formulas, naive_sat, pair_of, seeded_corpus
 
 
 class TestCoveringDriver:
