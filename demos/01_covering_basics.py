@@ -25,8 +25,7 @@ pair = DecompositionPair(
     bar_rows=[[1, 2], [0, 2]],
 )
 
-report = validate(pair)
-print("valid decomposition:", report.ok)
+print("valid decomposition:", not validate(pair))
 print("rows n =", pair.n, " columns m =", pair.m)
 print("input length (total set cells):", input_length(pair))
 

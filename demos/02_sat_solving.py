@@ -28,7 +28,7 @@ p cnf 2 3
 """
 
 for label, text in (("satisfiable", SATISFIABLE), ("unsatisfiable", UNSATISFIABLE)):
-    formula, prep = parse_dimacs(text)
+    formula, _ = parse_dimacs(text)
     run = solve_sat(formula, count_ops=True)
     print(f"--- {label} instance ---")
     if isinstance(run.verdict, Sat):

@@ -10,7 +10,6 @@ brute-force oracles and measures operation-count growth.
 from .cnf import (
     CnfFormula,
     ParseError,
-    PreprocessReport,
     assignment_from_swaps,
     emit_dimacs,
     evaluate,
@@ -22,7 +21,6 @@ from .decomposition import (
     ColumnCounts,
     DecompositionPair,
     StructuralError,
-    ValidationReport,
     Violation,
     apply_swaps,
     column_counts,
@@ -48,9 +46,7 @@ from .harness import (
 )
 from .instrument import DISABLED_OPS, OpCounter, Trace
 from .procedures import (
-    Eliminated,
     ExtensionPlan,
-    NeedsExtension,
     RemovalOutcome,
     StateSnapshot,
     Unreachable,
@@ -79,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CnfFormula",
     "ParseError",
-    "PreprocessReport",
     "assignment_from_swaps",
     "emit_dimacs",
     "evaluate",
@@ -89,7 +84,6 @@ __all__ = [
     "ColumnCounts",
     "DecompositionPair",
     "StructuralError",
-    "ValidationReport",
     "Violation",
     "apply_swaps",
     "column_counts",
@@ -115,9 +109,7 @@ __all__ = [
     "DISABLED_OPS",
     "OpCounter",
     "Trace",
-    "Eliminated",
     "ExtensionPlan",
-    "NeedsExtension",
     "RemovalOutcome",
     "StateSnapshot",
     "Unreachable",

@@ -110,11 +110,11 @@ def _clause_labels(num_clauses: int, removed: Tuple[int, ...]) -> Optional[List[
 
 def _cmd_solve(args) -> int:
     try:
-        formula, pre = parse_dimacs(_read_input(args.file))
+        formula, removed_tautologies = parse_dimacs(_read_input(args.file))
     except ValueError as exc:  # unreadable file or ParseError
         return _fail_input(str(exc))
 
-    labels = _clause_labels(len(formula.clauses), pre.removed_tautologies)
+    labels = _clause_labels(len(formula.clauses), removed_tautologies)
     start = time.perf_counter()
     run = solve_sat(
         formula,
@@ -222,13 +222,12 @@ def _parse_range(text: str) -> Tuple[int, int]:
 
 
 def _parse_sizes(text: str) -> List[int]:
+    """Comma-separated sizes, ``1e4`` notation allowed; ``complexity_probe``
+    holds the rule for their values."""
     try:
-        sizes = [int(float(part)) for part in text.split(",") if part.strip()]
+        return [int(float(part)) for part in text.split(",") if part.strip()]
     except (ValueError, OverflowError):  # not a number, nan or infinite
-        sizes = []
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"bad sizes {text!r}")
-    return sizes
+        raise ValueError(f"bad sizes {text!r}") from None
 
 
 def _emit_report(args, doc: dict, violated: bool) -> int:
@@ -273,23 +272,14 @@ def _cmd_diff_exhaustive(args) -> int:
 
 def _cmd_probe(args) -> int:
     try:
-        sizes = _parse_sizes(args.sizes)
-    except ValueError as exc:
+        doc = complexity_probe(
+            _parse_sizes(args.sizes),
+            seed=args.seed,
+            instances_per_size=args.instances_per_size,
+            width=args.width,
+        )
+    except ValueError as exc:  # text that is no sizes, or arguments the probe refuses
         return _fail_input(str(exc))
-    if args.width < 1:
-        return _fail_input(f"width must be positive, got {args.width}")
-    if args.instances_per_size < 1:
-        return _fail_input(f"instances-per-size must be positive, got {args.instances_per_size}")
-    try:  # the corpus rules of the configs complexity_probe builds
-        FuzzConfig(seed=args.seed, num_instances=args.instances_per_size)
-    except ValueError as exc:
-        return _fail_input(str(exc))
-    doc = complexity_probe(
-        sizes,
-        seed=args.seed,
-        instances_per_size=args.instances_per_size,
-        width=args.width,
-    )
     return _emit_report(args, doc, doc["gate_failures"] > 0)
 
 
@@ -304,28 +294,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="solve a DIMACS CNF file")
-    solve.add_argument("file")
-    solve.add_argument("--json", metavar="OUT", help="write the JSON report here")
-    solve.add_argument("--trace", metavar="OUT", help="write the serialized trace here")
-    solve.add_argument("--count-ops", action="store_true")
-    solve.add_argument("--alpha", choices=("neg", "pos"), default="neg")
-    solve.add_argument(
-        "--shortcut-43",
-        action="store_true",
-        dest="shortcut_43",
-        help="enable the advisory forced-conflict early exit",
+    # what solve and covering share: the input file and the answer's options
+    answer = argparse.ArgumentParser(add_help=False)
+    answer.add_argument("file")
+    answer.add_argument("--json", metavar="OUT", help="write the JSON report here")
+    answer.add_argument("--trace", metavar="OUT", help="write the serialized trace here")
+    answer.add_argument("--count-ops", action="store_true", help="count elementary operations")
+    answer.add_argument(
+        "--shortcut-43", action="store_true", help="enable the advisory forced-conflict early exit"
     )
+
+    solve = sub.add_parser("solve", parents=[answer], help="solve a DIMACS CNF file")
+    solve.add_argument("--alpha", choices=("neg", "pos"), default="neg")
     solve.set_defaults(func=_cmd_solve)
 
-    covering = sub.add_parser("covering", help="solve a raw decomposition file")
-    covering.add_argument("file")
-    covering.add_argument("--json", metavar="OUT")
-    covering.add_argument("--trace", metavar="OUT")
-    covering.add_argument("--count-ops", action="store_true")
-    covering.add_argument(
-        "--shortcut-43", action="store_true", dest="shortcut_43"
-    )
+    covering = sub.add_parser("covering", parents=[answer], help="solve a raw decomposition file")
     covering.set_defaults(func=_cmd_covering)
 
     fuzz = sub.add_parser("fuzz", help="seeded random differential run")

@@ -62,13 +62,6 @@ class CnfFormula:
                 raise StructuralError(f"clause {idx}: variable {v} occurs twice")
 
 
-@dataclass(frozen=True)
-class PreprocessReport:
-    """What parsing normalized away, in original 1-based clause numbering."""
-
-    removed_tautologies: tuple
-
-
 # ---------------------------------------------------------------------------
 # parsing and emission
 # ---------------------------------------------------------------------------
@@ -103,8 +96,9 @@ def _cut(clause: dict, clauses: List[Clause], removed: List[int]) -> None:
         removed.append(len(clauses) + len(removed) + 1)
 
 
-def parse_dimacs(text: str) -> Tuple[CnfFormula, PreprocessReport]:
-    """Parse DIMACS CNF text into a preprocessed formula plus a report.
+def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
+    """Parse DIMACS CNF text into a preprocessed formula and the 1-based
+    file positions of the clauses dropped as tautologies.
 
     Comment lines start with 'c'; the header is ``p cnf <vars> <clauses>``;
     clauses are 0-terminated literal runs (the final terminator and newline
@@ -175,8 +169,7 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, PreprocessReport]:
         _cut(dict.fromkeys(carry), clauses, removed_tautologies)  # unterminated final clause
     if len(clauses) + len(removed_tautologies) != declared_clauses:
         raise _body_error(lines, body_start, num_vars, declared_clauses)
-    formula = CnfFormula(num_vars=num_vars, clauses=clauses)
-    return formula, PreprocessReport(removed_tautologies=tuple(removed_tautologies))
+    return CnfFormula(num_vars=num_vars, clauses=clauses), tuple(removed_tautologies)
 
 
 def _body_error(

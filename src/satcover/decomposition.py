@@ -100,12 +100,6 @@ class Violation:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
-
-
-@dataclass(frozen=True)
 class ColumnCounts:
     """Per-column 1-counts of both matrices as tuples (recomputable)."""
 
@@ -113,8 +107,9 @@ class ColumnCounts:
     m_alpha_bar: Tuple[int, ...]
 
 
-def validate(pair: DecompositionPair) -> ValidationReport:
-    """Check the three decomposition conditions, reporting every violation.
+def validate(pair: DecompositionPair) -> Tuple[Violation, ...]:
+    """Check the three decomposition conditions and return every violation,
+    none for a valid decomposition.
 
     Disjointness of each pair, nonemptiness of each pair, and column coverage
     of the ground set are all checked; nothing short-circuits.
@@ -130,7 +125,7 @@ def validate(pair: DecompositionPair) -> ValidationReport:
     for j, (alpha, bar) in enumerate(zip(pair.alpha_cols, pair.bar_cols)):
         if not alpha and not bar:
             violations.append(Violation("coverage", column=j + 1))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 def column_counts(pair: DecompositionPair, *, ops: OpCounter = DISABLED_OPS) -> ColumnCounts:

@@ -594,8 +594,16 @@ def complexity_probe(
 
     Reports one row per instance plus the fitted log-log exponent and the
     maximum op_total / N^3 ratio.  This measures and reports; it asserts
-    nothing about the growth.
+    nothing about the growth.  No sizes, or a size, ``width`` or
+    ``instances_per_size`` below 1, raise ValueError before anything is
+    solved.
     """
+    if not sizes or any(int(size) < 1 for size in sizes):
+        raise ValueError(f"sizes must be a non-empty list of positive sizes, got {list(sizes)}")
+    if width < 1:
+        raise ValueError(f"width must be positive, got {width}")
+    if instances_per_size < 1:
+        raise ValueError(f"instances-per-size must be positive, got {instances_per_size}")
     rows: List[dict] = []
     for target in sizes:
         n, m = probe_shape(int(target), width)

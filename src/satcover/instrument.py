@@ -2,10 +2,10 @@
 
 The counter tracks three kinds of elementary operations: assignments (array
 or scalar writes), arithmetic (integer add/sub), and comparisons (read-and-
-compare of a cell or scalar).  Loop control is not counted.  Vectorized steps
-charge the number of elementary operations the element-wise procedure would
-perform, so totals are deterministic and independent of implementation
-batching.
+compare of a cell or scalar).  Loop control is not counted.  Each step
+charges the op counts of the dense procedure the engine once ran, not the
+work its occurrence lists do, as the step's own comment says, so totals are
+deterministic and independent of how the step is implemented.
 
 The trace is an append-only list of (kind, payload ints..., counter reading)
 events; identical input and configuration yield byte-identical serialized

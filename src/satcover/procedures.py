@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
 from .decomposition import DecompositionPair, StructuralError
 from .graph import PointingGraph
@@ -48,16 +48,6 @@ class ExtensionPlan:
 
     new_main_vertices: List[int]
     columns: List[int]  # parallel to new_main_vertices
-
-
-@dataclass(frozen=True)
-class Eliminated:
-    pass
-
-
-@dataclass(frozen=True)
-class NeedsExtension:
-    plan: ExtensionPlan
 
 
 @dataclass(frozen=True)
@@ -328,7 +318,7 @@ def zero_columns(counts: List[int]) -> List[int]:
     return [j for j, c in enumerate(counts) if not c]
 
 
-def eliminate_incompatibilities(graph: PointingGraph):
+def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable, ExtensionPlan]:
     """Scan columns ascending and resolve each incompatible set in turn.
 
     For the members of a set, the removal cascade is attempted under a
@@ -338,9 +328,12 @@ def eliminate_incompatibilities(graph: PointingGraph):
     the first column with a cleared extension plan.  When no member is
     removable, the snapshot is restored and never-formed rows able to cover
     the column on the second side are recorded in the plan; absent any such
-    row the column is unreachable and no covering exists.  Returns
-    Eliminated when a full scan finds no uncovered column, NeedsExtension
-    with the plan gathered by the final scan otherwise.
+    row the column is unreachable and no covering exists, and
+    ``Unreachable(column)`` is returned.  Otherwise the first pass that
+    commits nothing ends the call: it returns None when that pass found no
+    uncovered column, else the ``ExtensionPlan`` the pass gathered.  A pass
+    pops each column at most once and a column's candidates are distinct
+    rows, so no (row, column) pair is planned twice.
 
     The swapped column counts are computed once and then kept up to date:
     a committed cascade's removed vertices are the only live vertices that
@@ -363,9 +356,6 @@ def eliminate_incompatibilities(graph: PointingGraph):
     by the commit.
     """
     pair, tried, trace, ops = graph.pair, graph.tried, graph.trace, graph.trace.ops
-    plan_rows: List[int] = []
-    plan_cols: List[int] = []
-    planned: Set[tuple] = set()
     swapped = swapped_alpha_counts(graph)
     zeros = zero_columns(swapped)
     formed, removed = graph.formed, graph.removed
@@ -373,7 +363,8 @@ def eliminate_incompatibilities(graph: PointingGraph):
         ops.cmp(graph.m)
         ops.arith(graph.m)
         visited: List[int] = []
-        restarted = False
+        plan_rows: List[int] = []
+        plan_cols: List[int] = []
         while zeros:
             j0 = heappop(zeros)
             if swapped[j0]:
@@ -405,11 +396,7 @@ def eliminate_incompatibilities(graph: PointingGraph):
                 for v in visited:
                     heappush(zeros, v)
                 trace.emit("incompat-eliminated", j, committed)
-                plan_rows.clear()
-                plan_cols.clear()
-                planned.clear()
-                restarted = True
-                break
+                break  # restart the scan with an empty plan
             # nothing removable: plan an extension for this column
             candidates = [p0 + 1 for p0 in pair.bar_cols[j0] if not formed[p0]]
             ops.cmp(graph.n)
@@ -417,17 +404,12 @@ def eliminate_incompatibilities(graph: PointingGraph):
                 trace.emit("unreachable-column", j)
                 return Unreachable(j)
             for p in candidates:
-                if (p, j) not in planned:
-                    planned.add((p, j))
-                    plan_rows.append(p)
-                    plan_cols.append(j)
-                    ops.assign(2)
-                    trace.emit("extension-planned", p, j)
-        if restarted:
-            continue
-        if plan_rows:
-            return NeedsExtension(ExtensionPlan(plan_rows, plan_cols))
-        return Eliminated()
+                plan_rows.append(p)
+                plan_cols.append(j)
+                ops.assign(2)
+                trace.emit("extension-planned", p, j)
+        else:  # a full pass committed nothing
+            return ExtensionPlan(plan_rows, plan_cols) if plan_rows else None
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ from .graph import (
 )
 from .instrument import DISABLED_OPS, OpCounter, Trace
 from .procedures import (
-    Eliminated,
-    NeedsExtension,
     Unreachable,
     clean,
     eliminate_incompatibilities,
@@ -195,17 +193,16 @@ def _run_covering(pair: DecompositionPair, trace: Trace, *, shortcut: bool, inva
             if isinstance(result, Unreachable):
                 trace.emit("verdict", 1, result.column)
                 return NoCovering(Reason(UNREACHABLE_COLUMN, result.column)), extensions
-            if isinstance(result, Eliminated):
+            if result is None:
                 swaps = frozenset(graph.live_vertices())
                 if not is_alpha_covering(apply_swaps(pair, swaps)):
                     raise EngineInvariantError("eliminated state failed the covering gate")
                 trace.emit("verdict", 0, 0)
                 return CoveringFound(swaps), extensions
-            assert isinstance(result, NeedsExtension)
             extensions += 1
             if extensions > pair.n:
                 raise EngineInvariantError(f"extension count exceeded n={pair.n}")
-            extend(graph, result.plan)
+            extend(graph, result)
     except EngineInvariantError as exc:
         return EngineError(str(exc)), 0
 
@@ -224,12 +221,12 @@ def solve_covering(
     EngineError when an internal contract broke.  A pair that breaks a
     decomposition condition raises StructuralError.
     """
-    report = validate(pair)
-    if not report.ok:
-        first = report.violations[0]
+    violations = validate(pair)
+    if violations:
+        first = violations[0]
         raise StructuralError(
             f"invalid decomposition: {first.condition} at row={first.row} column={first.column}"
-            + (f" (+{len(report.violations) - 1} more)" if len(report.violations) > 1 else "")
+            + (f" (+{len(violations) - 1} more)" if len(violations) > 1 else "")
         )
     trace = Trace(OpCounter() if count_ops else DISABLED_OPS)
     verdict, extensions = _run_covering(

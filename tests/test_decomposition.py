@@ -108,28 +108,23 @@ class TestConstruction:
 
 class TestValidate:
     def test_valid_pair(self, e1_pair):
-        report = validate(e1_pair)
-        assert report.ok
-        assert report.violations == ()
+        assert validate(e1_pair) == ()
 
     def test_all_violations_reported(self):
         pair = make([[1, 1], [0, 0]], [[1, 0], [0, 0]])
-        report = validate(pair)
-        assert not report.ok
-        assert report.violations == (
+        assert validate(pair) == (
             Violation(condition="disjointness", row=1, column=1),
             Violation(condition="pair-nonempty", row=2, column=None),
         )
 
     def test_coverage_violation(self):
         pair = make([[1, 0]], [[0, 0]])
-        report = validate(pair)
-        assert Violation(condition="coverage", row=None, column=2) in report.violations
+        assert Violation(condition="coverage", row=None, column=2) in validate(pair)
 
     @given(decomposition_pairs())
     @settings(max_examples=60, deadline=None)
     def test_generated_pairs_validate(self, pair):
-        assert validate(pair).ok
+        assert validate(pair) == ()
 
 
 class TestColumnCounts:

@@ -558,6 +558,39 @@ class TestProbe:
         assert doc["op_stats"]["fitted_exponent"] is not None
         assert doc["gate_failures"] == 0
 
+    @pytest.mark.parametrize(
+        "sizes, kwargs, named",
+        [
+            ([100], {"width": 0}, "width"),
+            ([100], {"width": -2}, "width"),
+            ([-5], {}, "sizes"),
+            ([0], {}, "sizes"),
+            ([100, 0], {}, "sizes"),
+            ([], {}, "sizes"),
+            ([100], {"instances_per_size": 0}, "instances-per-size"),
+            ([100], {"seed": -1}, "seed"),
+        ],
+        ids=[
+            "zero-width",
+            "negative-width",
+            "negative-size",
+            "zero-size",
+            "zero-size-after-a-good-one",
+            "no-sizes",
+            "no-instances",
+            "negative-seed",
+        ],
+    )
+    def test_bad_arguments_refused_before_any_solve(self, sizes, kwargs, named, monkeypatch):
+        solves = []
+        real_solve = harness.solve_sat
+        monkeypatch.setattr(
+            harness, "solve_sat", lambda *a, **k: solves.append(a) or real_solve(*a, **k)
+        )
+        with pytest.raises(ValueError, match=f"^{named} "):
+            complexity_probe(sizes, **kwargs)
+        assert solves == []
+
     def test_deterministic(self):
         first = complexity_probe([50, 100], seed=6, instances_per_size=1)
         second = complexity_probe([50, 100], seed=6, instances_per_size=1)

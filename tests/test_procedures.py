@@ -2,10 +2,8 @@
 import pytest
 
 from satcover import (
-    Eliminated,
     ExtensionPlan,
     FuzzConfig,
-    NeedsExtension,
     OpCounter,
     StateSnapshot,
     StructuralError,
@@ -20,6 +18,7 @@ from satcover import (
     find_main_vertices,
     random_cnf,
     removal_procedure,
+    solve_sat,
     to_decomposition,
 )
 from satcover import procedures
@@ -264,15 +263,12 @@ class TestEliminate:
 
     def test_no_incompatibilities(self):
         graph = built(E5_TEXT)
-        result = eliminate_incompatibilities(graph)
-        assert isinstance(result, Eliminated)
+        assert eliminate_incompatibilities(graph) is None
 
     def test_extension_plan_collected(self):
         graph = built(E4_TEXT)
         result = eliminate_incompatibilities(graph)
-        assert isinstance(result, NeedsExtension)
-        assert result.plan.new_main_vertices == [3]
-        assert result.plan.columns == [3]
+        assert result == ExtensionPlan([3], [3])
 
     def test_failed_attempts_restore_state(self):
         graph = built(E4_TEXT)
@@ -288,7 +284,7 @@ class TestEliminate:
         assert graph.tried == {1, 2}
         graph.trace = trace = Trace(OpCounter())
         result = eliminate_incompatibilities(graph)
-        assert isinstance(result, NeedsExtension)
+        assert isinstance(result, ExtensionPlan)
         assert "rp-start" not in trace.kinds()
 
     def test_successful_removal_commits_and_rescans(self):
@@ -296,16 +292,39 @@ class TestEliminate:
         # columns; clause 3's column goes uncovered once both swap, and
         # removing one member fixes it
         graph = built("p cnf 2 3\n1 2 0\n1 2 0\n-1 -2 0\n")
-        result = eliminate_incompatibilities(graph)
-        assert isinstance(result, Eliminated)
+        assert eliminate_incompatibilities(graph) is None
         assert graph.live_vertices() == [2]
+
+    @pytest.mark.parametrize("alpha", ["neg", "pos"])
+    def test_no_pair_planned_twice_between_commits(self, alpha):
+        # a pass pops each column once and a column's candidates are distinct
+        # rows, so the plan never repeats a (row, column) pair and needs no
+        # guard against one
+        cfg = FuzzConfig(
+            seed=20260830,
+            num_instances=2000,
+            var_range=(1, 14),
+            clause_range=(1, 40),
+            width_range=(1, 3),
+        )
+        planned = 0
+        for i in range(cfg.num_instances):
+            run = solve_sat(random_cnf(cfg, i), alpha=alpha)
+            since_commit = set()
+            for kind, payload in run.trace.events_without_readings():
+                if kind == "incompat-eliminated":
+                    since_commit.clear()
+                elif kind == "extension-planned":
+                    assert payload not in since_commit, (i, payload)
+                    since_commit.add(payload)
+                    planned += 1
+        assert planned >= 10  # the corpus really plans extensions
 
 
 class TestExtend:
     def test_extends_with_new_main_vertices(self):
         graph = built(E4_TEXT)
-        result = eliminate_incompatibilities(graph)
-        extend(graph, result.plan)
+        extend(graph, eliminate_incompatibilities(graph))
         assert graph.formed == [True, True, True]
         assert graph.main == [True, True, True]
         assert graph.main_columns[2] == [3]
@@ -351,9 +370,9 @@ class TestOneInstrument:
         charged()
         assert clean(graph) is None
         charged()
-        result = eliminate_incompatibilities(graph)
-        assert isinstance(result, NeedsExtension)
+        plan = eliminate_incompatibilities(graph)
+        assert isinstance(plan, ExtensionPlan)
         charged()
-        extend(graph, result.plan)
+        extend(graph, plan)
         charged()
         assert all(a < b for a, b in zip(readings, readings[1:])), readings
