@@ -11,19 +11,34 @@ soundness-gate or invariant violation occurred, or ``diff-exhaustive``'s
 reduction check failed.  Running out of memory,
 a size past the index range, or a stdout closed by its reader exits 2
 with an ``error:`` line in every subcommand.
+
+``solve`` and ``covering`` pause Python's cyclic garbage collector from
+reading the file to writing the answer, and ``probe`` for each instance's
+generation and solve, then restore the state they found: everything one
+input builds is acyclic and freed by reference counting, so the collector
+would only walk it.  ``fuzz`` and ``diff-exhaustive`` leave it as it is:
+there it costs nothing measurable.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
+from decimal import Decimal
 from typing import List, Optional, Tuple
 
 from .cnf import ParseError, parse_dimacs, read_counts
 from .decomposition import DecompositionPair, StructuralError
-from .harness import FuzzConfig, complexity_probe, diff_exhaustive, differential_run
+from .harness import (
+    FuzzConfig,
+    collector_paused,
+    complexity_probe,
+    diff_exhaustive,
+    differential_run,
+)
 from .solver import (
     build_covering_report,
     build_sat_report,
@@ -108,6 +123,7 @@ def _clause_labels(num_clauses: int, removed: Tuple[int, ...]) -> Optional[List[
     return [i for i in range(1, total + 1) if i not in gone]
 
 
+@collector_paused()
 def _cmd_solve(args) -> int:
     try:
         formula, removed_tautologies = parse_dimacs(_read_input(args.file))
@@ -189,6 +205,7 @@ def emit_decomp(pair: DecompositionPair) -> str:
     return "\n".join(lines) + "\n"
 
 
+@collector_paused()
 def _cmd_covering(args) -> int:
     try:
         pair = parse_decomp(_read_input(args.file))
@@ -222,12 +239,22 @@ def _parse_range(text: str) -> Tuple[int, int]:
 
 
 def _parse_sizes(text: str) -> List[int]:
-    """Comma-separated sizes, ``1e4`` notation allowed; ``complexity_probe``
-    holds the rule for their values."""
-    try:
-        return [int(float(part)) for part in text.split(",") if part.strip()]
-    except (ValueError, OverflowError):  # not a number, nan or infinite
-        raise ValueError(f"bad sizes {text!r}") from None
+    """Comma-separated whole sizes, ``1e4`` and ``1.5e3`` notation allowed;
+    ``complexity_probe`` holds the rule for their values."""
+    sizes = []
+    for part in filter(str.strip, text.split(",")):
+        try:
+            value = float(part)
+            # the text's exact value: 150.0000000000000001 and 2**53 + 1 read as whole floats
+            whole = value.is_integer() and Decimal(part) == value
+        except (ValueError, ArithmeticError):  # not a number
+            whole = False
+        if not whole:  # also nan and 1e400, which no float holds
+            raise ValueError(
+                f"bad sizes {text!r}: {part.strip()!r} is not a whole number a float holds exactly"
+            )
+        sizes.append(int(value))
+    return sizes
 
 
 def _emit_report(args, doc: dict, violated: bool) -> int:
@@ -287,7 +314,9 @@ def _cmd_probe(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``satcover`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="satcover",
         description="Covering-search SAT engine with a differential verification harness.",

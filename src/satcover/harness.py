@@ -9,7 +9,9 @@ fatal.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 import math
 import random
@@ -571,6 +573,25 @@ def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> Diffe
 # the operation-growth probe
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Hold off Python's cyclic garbage collector for the block, then put back
+    the state it was in.
+
+    What one input's parse, solve and report build is acyclic and freed by
+    reference counting, so the collector would only walk that growing heap
+    and find nothing; for the same reason nothing is collected on exit.
+    Usable as a decorator too.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def probe_shape(target_length: int, width: int = 3) -> Tuple[int, int]:
     """Instance shape for a target total literal count: (num_vars, num_clauses).
 
@@ -596,7 +617,8 @@ def complexity_probe(
     maximum op_total / N^3 ratio.  This measures and reports; it asserts
     nothing about the growth.  No sizes, or a size, ``width`` or
     ``instances_per_size`` below 1, raise ValueError before anything is
-    solved.
+    solved.  Each instance is generated and solved with the cyclic garbage
+    collector paused (``collector_paused``).
     """
     if not sizes or any(int(size) < 1 for size in sizes):
         raise ValueError(f"sizes must be a non-empty list of positive sizes, got {list(sizes)}")
@@ -616,10 +638,11 @@ def complexity_probe(
             satisfiable_bias="planted",
         )
         for index in range(instances_per_size):
-            formula = random_cnf(cfg, index)
-            start = time.perf_counter()
-            run = solve_sat(formula, count_ops=True)
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            with collector_paused():
+                formula = random_cnf(cfg, index)
+                start = time.perf_counter()
+                run = solve_sat(formula, count_ops=True)
+                elapsed_ms = (time.perf_counter() - start) * 1000.0
             nnz = sum(len(c) for c in formula.clauses)
             rows.append(
                 {

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, output formats, file round-trips."""
 import contextlib
+import gc
 import io
 import json
 import os
@@ -13,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satcover import FuzzConfig, ParseError, emit_dimacs, random_cnf
-from satcover import harness
+from satcover import FuzzConfig, ParseError, emit_dimacs, random_cnf, to_decomposition
+from satcover import cli, harness
 from satcover import solver as solver_mod
 from satcover.cli import emit_decomp, main, parse_decomp
+from satcover.solver import solve_covering, solve_sat
 
 from conftest import E1_TEXT, E2_TEXT, decomposition_pairs, formulas
 
@@ -359,6 +361,121 @@ class TestClosedStdout:
         assert err == "error: cannot write output: broken pipe\n"
 
 
+class ClosedStdout:
+    """A stdout whose reader has gone; its file descriptor is a scratch
+    file's, which ``main`` points at the null device."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, *_):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.fd
+
+
+# id: (command, input text, exit code); the id's last word picks the set-up
+PAUSE_CASES = {
+    "solve-sat": ("solve", E1_TEXT, 10),
+    "solve-unsat": ("solve", E2_TEXT, 20),
+    "solve-broken-gate": ("solve", E1_TEXT, 1),
+    "solve-parse-error": ("solve", "p cnf 1 1\n2 0\n", 2),
+    "solve-unwritable-json": ("solve", E1_TEXT, 2),
+    "solve-broken-pipe": ("solve", E1_TEXT, 2),
+    "covering-found": ("covering", E1_DECOMP, 10),
+    "covering-none": ("covering", E3_DECOMP, 20),
+    "covering-broken-gate": ("covering", E1_DECOMP, 1),
+    "covering-parse-error": ("covering", "2 2\n1x\n", 2),
+    "covering-unwritable-json": ("covering", E1_DECOMP, 2),
+    "covering-broken-pipe": ("covering", E1_DECOMP, 2),
+}
+
+
+class TestCollectorPause:
+    """``solve`` and ``covering`` read, solve and answer with the cyclic
+    garbage collector paused, ``probe`` generates and solves each instance
+    so, and each puts back the state it found on every exit path."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collector(self, request):
+        was_enabled = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was_enabled else gc.disable)()
+
+    def record_collector(self, monkeypatch, module, name, seen):
+        """Wrap ``module.name`` so each call notes whether the collector ran."""
+        inner = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+
+    @pytest.mark.parametrize("case", list(PAUSE_CASES))
+    def test_paused_within_and_restored_after(self, case, collector, tmp_path, capsys, monkeypatch):
+        command, text, code = PAUSE_CASES[case]
+        argv = [command, write(tmp_path, "input", text)]
+        setup = case.rsplit("-", 1)[1]
+        if setup == "gate":
+            monkeypatch.setattr(solver_mod, "is_alpha_covering", lambda pair: False)
+        elif setup == "json":
+            argv += ["--json", str(tmp_path / "missing-dir" / "report.json")]
+        elif setup == "pipe":
+            fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+            monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+        seen = []
+        steps = {"solve": ("parse_dimacs", "solve_sat"), "covering": ("parse_decomp", "solve_covering")}
+        for name in steps[command]:
+            self.record_collector(monkeypatch, cli, name, seen)
+
+        exit_code = main(argv)
+        if setup == "pipe":
+            os.close(fd)
+        assert exit_code == code
+        assert gc.isenabled() is collector
+        assert seen == ([False] if setup == "error" else [False, False])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 2:
+            assert captured.err.startswith("error: ")
+
+    def test_probe(self, collector, capsys, monkeypatch):
+        seen = []
+        self.record_collector(monkeypatch, harness, "random_cnf", seen)
+        self.record_collector(monkeypatch, harness, "solve_sat", seen)
+        assert main(["probe", "--sizes", "50,1e2", "--instances-per-size", "2"]) == 0
+        capsys.readouterr()
+        assert gc.isenabled() is collector
+        assert seen == [False] * 8
+
+
+class TestNoCyclicGarbage:
+    """What the pause rests on: a solve builds no reference cycle, so with the
+    collector off it leaves nothing for a later collection to find."""
+
+    def test_solves_leave_no_cyclic_garbage(self):
+        n, m = 300, 1278  # random 3-SAT at the threshold ratio m = 4.26 n
+        cfg = FuzzConfig(seed=16, var_range=(n, n), clause_range=(m, m), width_range=(3, 3))
+        formula = random_cnf(cfg, 0)
+        pair, _ = to_decomposition(formula)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            solve_sat(formula, count_ops=True)
+            assert gc.collect() == 0
+            solve_covering(pair, count_ops=True)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
+
 class TestStdlibOnly:
     def test_every_subcommand_runs_without_numpy(self, tmp_path):
         # numpy is blocked before the first import: the package, both
@@ -522,6 +639,10 @@ class TestHarnessCommands:
         assert len(doc["rows"]) == 2
         assert doc["op_stats"]["fitted_exponent"] is not None
 
+    def test_probe_sizes_in_exponent_notation(self, capsys):
+        assert main(["probe", "--sizes", "1.5e1,2e1", "--instances-per-size", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["sizes"] == [15, 20]
+
     def test_probe_bad_sizes(self, capsys):
         assert main(["probe", "--sizes", "zero"]) == 2
         capsys.readouterr()
@@ -534,8 +655,20 @@ class TestHarnessCommands:
             ["--width", "-2"],
             ["--instances-per-size", "0"],
             ["--seed", "-1"],
+            ["--sizes", "150.7"],
+            ["--sizes", "0.5"],
+            ["--sizes", "1e2,2.5e-1"],
         ],
-        ids=["overflowing-size", "zero-width", "negative-width", "no-instances", "negative-seed"],
+        ids=[
+            "overflowing-size",
+            "zero-width",
+            "negative-width",
+            "no-instances",
+            "negative-seed",
+            "fractional-size",
+            "fraction-below-one",
+            "fractional-exponent-size",
+        ],
     )
     def test_probe_bad_arguments_are_input_errors(self, argv, capsys):
         assert main(["probe", "--sizes", "50"] + argv) == 2
