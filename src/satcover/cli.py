@@ -379,7 +379,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return code
     except BrokenPipeError:  # e.g. piped to `head -c 1`
         # the interpreter flushes stdout again at exit: let that go nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return _fail_input("cannot write output: broken pipe")
     except MemoryError:  # e.g. a SAT answer's v line, O(num_vars) by format
         return _fail_input("out of memory")

@@ -116,9 +116,8 @@ def validate(pair: DecompositionPair) -> Tuple[Violation, ...]:
     """
     violations: List[Violation] = []
     for i, (alpha, bar) in enumerate(zip(pair.alpha_rows, pair.bar_rows)):
-        if alpha and bar:
-            for j in sorted(set(alpha).intersection(bar)):
-                violations.append(Violation("disjointness", row=i + 1, column=j + 1))
+        for j in sorted(set(alpha).intersection(bar)):
+            violations.append(Violation("disjointness", row=i + 1, column=j + 1))
     for i, (alpha, bar) in enumerate(zip(pair.alpha_rows, pair.bar_rows)):
         if not alpha and not bar:
             violations.append(Violation("pair-nonempty", row=i + 1))

@@ -3,9 +3,10 @@
 The engine's verdicts are treated as hypotheses.  Brute-force enumeration
 and a budgeted DPLL solver act as independent oracles; seeded generators
 produce deterministic corpora; disagreements are archived with a shrunken
-re-runnable instance.  Disagreement with the oracle is a reportable finding,
-not a harness failure: only soundness-gate and invariant violations are
-fatal.
+re-runnable instance.  The exhaustive sweep walks its space once and judges
+each formula there by the oracle-vs-oracle reduction check too.
+Disagreement with the oracle is a reportable finding, not a harness failure:
+only soundness-gate and invariant violations are fatal.
 """
 from __future__ import annotations
 
@@ -388,37 +389,31 @@ def _op_stats(points: List[Tuple[int, int]]) -> dict:
     return stats
 
 
+def _one_smaller(formula: CnfFormula) -> Iterator[CnfFormula]:
+    """Every formula one step smaller, built lazily: each one-clause removal,
+    then each one-literal removal in (clause, literal) order."""
+    clauses = formula.clauses
+    for i in range(len(clauses)):
+        yield CnfFormula(formula.num_vars, [list(c) for k, c in enumerate(clauses) if k != i])
+    for ci, clause in enumerate(clauses):
+        for li in range(len(clause)):
+            smaller = [list(c) for c in clauses]
+            del smaller[ci][li]
+            yield CnfFormula(formula.num_vars, smaller)
+
+
 def shrink_disagreement(
     formula: CnfFormula, check: Callable[[CnfFormula], bool]
 ) -> CnfFormula:
-    """Greedy minimization preserving ``check``: drop clauses, then drop
-    literals, then renumber variables densely.  Every step re-validates."""
+    """Greedy minimization preserving ``check``: move to the first one-step
+    smaller formula that passes (``_one_smaller``) until none does, then
+    renumber variables densely.  Every step re-validates."""
     current = formula
-    improved = True
-    while improved:
-        improved = False
-        for i in range(len(current.clauses)):
-            candidate = CnfFormula(
-                current.num_vars,
-                [list(c) for k, c in enumerate(current.clauses) if k != i],
-            )
-            if check(candidate):
-                current = candidate
-                improved = True
-                break
-        if improved:
-            continue
-        for ci in range(len(current.clauses)):
-            for li in range(len(current.clauses[ci])):
-                clauses = [list(c) for c in current.clauses]
-                del clauses[ci][li]
-                candidate = CnfFormula(current.num_vars, clauses)
-                if check(candidate):
-                    current = candidate
-                    improved = True
-                    break
-            if improved:
-                break
+    while True:
+        smaller = next((c for c in _one_smaller(current) if check(c)), None)
+        if smaller is None:
+            break
+        current = smaller
     dense, _ = restrict_to_used(current)
     if dense.num_vars != current.num_vars and check(dense):
         current = dense
@@ -523,35 +518,37 @@ def _check_space(max_n: int, max_m: int, max_width: int) -> None:
         raise ValueError(f"max-m and max-width must be positive, got {max_m} and {max_width}")
 
 
-def exhaustive_reduction_check(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> bool:
-    """Oracle-vs-oracle equivalence over the full bounded formula space.
+def _reduction_holds(formula: CnfFormula) -> bool:
+    """Oracle-vs-oracle equivalence on one formula: exhaustive satisfiability
+    equals exhaustive covering existence of the reduced pair, and a covering
+    witness maps to a satisfying assignment."""
+    sat, _ = brute_sat(formula)
+    pair, used = to_decomposition(formula)
+    covered, swaps = brute_covering(pair)
+    if not covered:
+        return not sat
+    return sat and evaluate(formula, assignment_from_swaps(swaps, used, formula.num_vars, "neg"))
 
-    For every formula: exhaustive satisfiability must equal exhaustive
-    covering existence of the reduced pair, and a covering witness must map
-    to a satisfying assignment.  True iff there are no mismatches.
-    """
+
+def exhaustive_reduction_check(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> bool:
+    """Oracle-vs-oracle reduction check over the full bounded formula space:
+    True iff ``_reduction_holds`` on every formula."""
     _check_space(max_n, max_m, max_width)
-    for formula in enumerate_formulas(max_n, max_m, max_width):
-        sat, _ = brute_sat(formula)
-        pair, used = to_decomposition(formula)
-        covered, swaps = brute_covering(pair)
-        if sat != covered:
-            return False
-        if covered:
-            assignment = assignment_from_swaps(swaps, used, formula.num_vars, "neg")
-            if not evaluate(formula, assignment):
-                return False
-    return True
+    return all(map(_reduction_holds, enumerate_formulas(max_n, max_m, max_width)))
 
 
 def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> DifferentialReport:
-    """Engine vs brute force over the full bounded formula space, then the
-    oracle-vs-oracle reduction check over the same space.  The bounds are
-    checked before anything is solved."""
+    """Engine vs brute force over the full bounded formula space, walked
+    once: each formula is also judged by ``_reduction_holds``, the
+    oracle-vs-oracle reduction check.  The bounds are checked before
+    anything is solved."""
     _check_space(max_n, max_m, max_width)
+    reduction_passed = True
 
     def corpus():
+        nonlocal reduction_passed
         for i, formula in enumerate(enumerate_formulas(max_n, max_m, max_width)):
+            reduction_passed = reduction_passed and _reduction_holds(formula)
             yield f"exhaustive-{i}", formula
 
     report = _adjudicate(
@@ -563,9 +560,7 @@ def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> Diffe
             "max_width": max_width,
         },
     )
-    report.extra["reduction_check_passed"] = exhaustive_reduction_check(
-        max_n, max_m, max_width
-    )
+    report.extra["reduction_check_passed"] = reduction_passed
     return report
 
 

@@ -196,9 +196,8 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
         emit("vertex-removed", v, kind)
         return True
 
-    for p in anc:  # grows while it is walked
-        if not take(p, 1):
-            continue
+    for p in anc:  # grows while it is walked; only its own take removes p
+        take(p, 1)
         p0 = p - 1
         if main[p0]:
             cols = g.main_columns[p0]
@@ -358,7 +357,7 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
     pair, tried, trace, ops = graph.pair, graph.tried, graph.trace, graph.trace.ops
     swapped = swapped_alpha_counts(graph)
     zeros = zero_columns(swapped)
-    formed, removed = graph.formed, graph.removed
+    formed = graph.formed
     while True:
         ops.cmp(graph.m)
         ops.arith(graph.m)
@@ -371,7 +370,8 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
                 continue  # stale
             visited.append(j0)
             j = j0 + 1
-            members = [r0 + 1 for r0 in pair.alpha_cols[j0] if formed[r0] and not removed[r0]]
+            # a swapped count of 0 means every alpha row of the column is live
+            members = [r0 + 1 for r0 in pair.alpha_cols[j0]]
             ops.cmp(graph.n)
             trace.emit("incompat-found", j, len(members))
             snap = None

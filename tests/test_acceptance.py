@@ -37,11 +37,12 @@ from satcover import (
     random_cnf,
     report_json,
     restrict_to_used,
+    shrink_disagreement,
     solve_sat,
     to_decomposition,
 )
 from satcover.cnf import to_matrix
-from satcover.harness import oracle_status
+from satcover.harness import enumerate_formulas, oracle_status
 from satcover.procedures import StateSnapshot, removal_procedure
 
 from conftest import E1_TEXT, E2_TEXT, E3_TEXT, formula_of, record_criterion
@@ -466,6 +467,38 @@ def test_criterion_09_differential_deliverable(exhaustive_report, fuzz_reports):
         "re-runnable minimized counterexample (false negatives: the search gives "
         "up on some satisfiable instances; soundness gate stayed clean)",
     )
+
+
+# sha256 of every check the shrinker made, in order (candidate DIMACS and
+# verdict), re-shrinking the disagreements of diff_exhaustive(3, 4, 2) and of
+# the fuzz corpora; recorded with the two-loop shrinker the candidate stream
+# replaced
+SHRINK_CHECKS_SHA256 = "d98a6d49b2bebc8f5aeb325e37bd5d8cbbeefce0e30fa154f169dca0142e6136"
+
+
+def test_shrinker_check_sequence_is_pinned(fuzz_reports):
+    # the archived instances are canonical DIMACS, whose sorted literals
+    # would change the candidate order: rebuild each formula from its label
+    def index(item):
+        return int(item["label"].rsplit("-", 1)[1])
+
+    space = list(enumerate_formulas(3, 4, 2))
+    cases = [(space[index(d)], d) for d in diff_exhaustive(3, 4, 2).disagreements]
+    for cfg, report in zip(FUZZ_BATCHES, fuzz_reports[0]):
+        cases += [(random_cnf(cfg, index(d)), d) for d in report.disagreements]
+    assert len(cases) == 15
+    digest = hashlib.sha256()
+    for formula, item in cases:
+
+        def recording(f, item=item):
+            same = solve_sat(f).verdict.status == item["engine"] and (
+                oracle_status(f, brute_limit=ORACLE_BRUTE_LIMIT) == item["oracle"]
+            )
+            digest.update(f"{emit_dimacs(f)}{int(same)}\n".encode("ascii"))
+            return same
+
+        assert emit_dimacs(shrink_disagreement(formula, recording)) == item["minimized"]
+    assert digest.hexdigest() == SHRINK_CHECKS_SHA256
 
 
 def test_criterion_10_dimacs_round_trip():

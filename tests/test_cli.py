@@ -377,6 +377,28 @@ class ClosedStdout:
         return self.fd
 
 
+def test_broken_pipe_keeps_no_descriptor_open(tmp_path, monkeypatch):
+    # main points the dead stdout at the null device, through a descriptor
+    # it must close again: in-process callers would collect one per call
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", ClosedStdout(fd))
+    opened = []
+    real_open = cli.os.open
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli.os, "open", recording_open)
+    try:
+        assert main(["solve", write(tmp_path, "in.cnf", E1_TEXT)]) == 2
+    finally:
+        os.close(fd)
+    assert len(opened) == 1
+    with pytest.raises(OSError):
+        os.fstat(opened[0])
+
+
 # id: (command, input text, exit code); the id's last word picks the set-up
 PAUSE_CASES = {
     "solve-sat": ("solve", E1_TEXT, 10),
@@ -622,7 +644,7 @@ class TestHarnessCommands:
         assert captured.err == ""
 
     def test_failed_reduction_check_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setattr(harness, "exhaustive_reduction_check", lambda *bounds: False)
+        monkeypatch.setattr(harness, "brute_covering", lambda pair: (False, None))
         assert main(["diff-exhaustive", "--max-n", "1", "--max-m", "2", "--max-width", "1"]) == 3
         doc = json.loads(capsys.readouterr().out)
         assert doc["reduction_check_passed"] is False

@@ -525,11 +525,22 @@ class TestDiffExhaustive:
         assert report.extra["reduction_check_passed"]
 
     def test_failed_reduction_check_is_a_violation(self, monkeypatch):
-        monkeypatch.setattr(harness, "exhaustive_reduction_check", lambda *bounds: False)
+        # a covering oracle that finds nothing disagrees with brute_sat on
+        # every satisfiable formula of the space
+        monkeypatch.setattr(harness, "brute_covering", lambda pair: (False, None))
         report = diff_exhaustive(1, 2, 1)
         assert report.gate_failures == 0
         assert report.extra["reduction_check_passed"] is False
         assert report.violation
+
+    def test_walks_the_space_once(self, monkeypatch):
+        calls = []
+        real_enumerate = harness.enumerate_formulas
+        monkeypatch.setattr(
+            harness, "enumerate_formulas", lambda *b: calls.append(b) or real_enumerate(*b)
+        )
+        assert diff_exhaustive(2, 2, 2).extra["reduction_check_passed"]
+        assert calls == [(2, 2, 2)]
 
     @pytest.mark.parametrize("bounds", [(5, 2, 1), (0, 2, 1), (2, 0, 1), (2, 2, 0)])
     def test_bad_bounds_refused_before_any_solve(self, bounds, monkeypatch):
