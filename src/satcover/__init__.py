@@ -6,6 +6,9 @@ positive/negative occurrence rows) and searching for a set of row swaps
 that covers every clause column.  Every satisfiable verdict is gated by
 direct evaluation; the harness differentially tests the engine against
 brute-force oracles and measures operation-count growth.
+
+The harness names are served on first use (PEP 562), so importing the
+package, or running a solve, loads only the engine.
 """
 from .cnf import (
     CnfFormula,
@@ -29,21 +32,6 @@ from .decomposition import (
     validate,
 )
 from .graph import PointingGraph, construct, find_main_vertices
-from .harness import (
-    DifferentialReport,
-    FuzzConfig,
-    brute_covering,
-    brute_sat,
-    complexity_probe,
-    diff_exhaustive,
-    differential_run,
-    dpll,
-    enumerate_clause_universe,
-    enumerate_formulas,
-    exhaustive_reduction_check,
-    random_cnf,
-    shrink_disagreement,
-)
 from .instrument import DISABLED_OPS, OpCounter, Trace
 from .procedures import (
     ExtensionPlan,
@@ -131,3 +119,19 @@ __all__ = [
     "solve_sat",
     "__version__",
 ]
+
+# the names of __all__ not bound above: the harness's
+_HARNESS_NAMES = frozenset(__all__).difference(globals())
+
+
+def __getattr__(name: str):
+    """A harness name, read from ``satcover.harness`` (imported on first use)."""
+    if name not in _HARNESS_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import harness
+
+    return getattr(harness, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | _HARNESS_NAMES)

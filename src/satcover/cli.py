@@ -18,6 +18,9 @@ generation and solve, then restore the state they found: everything one
 input builds is acyclic and freed by reference counting, so the collector
 would only walk it.  ``fuzz`` and ``diff-exhaustive`` leave it as it is:
 there it costs nothing measurable.
+
+``solve`` and ``covering`` load only the engine: the harness subcommands
+import ``satcover.harness`` (and ``decimal``) when they run.
 """
 from __future__ import annotations
 
@@ -27,18 +30,11 @@ import json
 import os
 import sys
 import time
-from decimal import Decimal
 from typing import List, Optional, Tuple
 
 from .cnf import ParseError, parse_dimacs, read_counts
 from .decomposition import DecompositionPair, StructuralError
-from .harness import (
-    FuzzConfig,
-    collector_paused,
-    complexity_probe,
-    diff_exhaustive,
-    differential_run,
-)
+from .instrument import collector_paused
 from .solver import (
     build_covering_report,
     build_sat_report,
@@ -229,6 +225,8 @@ def _cmd_covering(args) -> int:
 
 def _parse_range(text: str) -> Tuple[int, int]:
     """``a..b`` or ``a`` as ``(a, b)``; ``FuzzConfig`` holds the range rule."""
+    from .harness import FuzzConfig
+
     lo_text, dots, hi_text = text.partition("..")
     try:
         bounds = (int(lo_text), int(hi_text if dots else lo_text))
@@ -241,6 +239,8 @@ def _parse_range(text: str) -> Tuple[int, int]:
 def _parse_sizes(text: str) -> List[int]:
     """Comma-separated whole sizes, ``1e4`` and ``1.5e3`` notation allowed;
     ``complexity_probe`` holds the rule for their values."""
+    from decimal import Decimal
+
     sizes = []
     for part in filter(str.strip, text.split(",")):
         try:
@@ -272,6 +272,8 @@ def _emit_report(args, doc: dict, violated: bool) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    from .harness import FuzzConfig, differential_run
+
     if args.count < 1:
         return _fail_input(f"count must be positive, got {args.count}")
     try:
@@ -290,6 +292,8 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_diff_exhaustive(args) -> int:
+    from .harness import diff_exhaustive
+
     try:
         report = diff_exhaustive(args.max_n, args.max_m, args.max_width)
     except ValueError as exc:  # bounds outside the sweepable space
@@ -298,6 +302,8 @@ def _cmd_diff_exhaustive(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    from .harness import complexity_probe
+
     try:
         doc = complexity_probe(
             _parse_sizes(args.sizes),

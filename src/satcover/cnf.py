@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from operator import neg
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .decomposition import DecompositionPair, StructuralError, swap_set
 from .instrument import DISABLED_OPS, OpCounter
@@ -33,8 +32,12 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass
-class CnfFormula:
+class _CnfFormulaFields(NamedTuple):
+    num_vars: int
+    clauses: List[Clause]
+
+
+class CnfFormula(_CnfFormulaFields):
     """A CNF formula as a clause list over variables 1..num_vars.
 
     A clause names each variable at most once: a repeated literal or a
@@ -45,21 +48,19 @@ class CnfFormula:
     semantics.
     """
 
-    num_vars: int
-    clauses: List[Clause]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for idx, clause in enumerate(self.clauses, start=1):
+    def __new__(cls, num_vars: int, clauses: List[Clause]) -> "CnfFormula":
+        for idx, clause in enumerate(clauses, start=1):
             variables = set()
             for lit in clause:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise StructuralError(
-                        f"clause {idx}: literal {lit} outside +/-1..{self.num_vars}"
-                    )
+                if lit == 0 or abs(lit) > num_vars:
+                    raise StructuralError(f"clause {idx}: literal {lit} outside +/-1..{num_vars}")
                 variables.add(abs(lit))
             if len(variables) < len(clause):
                 v = next(v for v, k in Counter(map(abs, clause)).items() if k > 1)
                 raise StructuralError(f"clause {idx}: variable {v} occurs twice")
+        return super().__new__(cls, num_vars, clauses)
 
 
 # ---------------------------------------------------------------------------

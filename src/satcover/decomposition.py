@@ -19,9 +19,8 @@ Key choices:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .instrument import DISABLED_OPS, OpCounter
 
@@ -90,8 +89,7 @@ class DecompositionPair:
         return f"DecompositionPair(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated decomposition condition, with 1-based witnesses."""
 
     condition: str  # "disjointness" | "pair-nonempty" | "coverage"
@@ -99,8 +97,7 @@ class Violation:
     column: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class ColumnCounts:
+class ColumnCounts(NamedTuple):
     """Per-column 1-counts of both matrices as tuples (recomputable)."""
 
     m_alpha: Tuple[int, ...]

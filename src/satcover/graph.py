@@ -107,9 +107,6 @@ class PointingGraph:
 
     # -- read helpers -----------------------------------------------------
 
-    def live(self, vertex: int) -> bool:
-        return self.formed[vertex - 1] and not self.removed[vertex - 1]
-
     def live_vertices(self) -> List[int]:
         """Formed and not removed vertices, ascending: the rows to swap."""
         return [i + 1 for i, (f, r) in enumerate(zip(self.formed, self.removed)) if f and not r]

@@ -10,16 +10,13 @@ only soundness-gate and invariant violations are fatal.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
-import gc
 import itertools
 import math
 import random
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .cnf import (
     CnfFormula,
@@ -31,6 +28,7 @@ from .cnf import (
 )
 from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .decomposition import DecompositionPair
+from .instrument import collector_paused
 from .solver import SolveRun, solve_sat
 
 BRUTE_VAR_LIMIT = 25
@@ -217,8 +215,16 @@ def oracle_status(
 # generators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FuzzConfig:
+class _FuzzConfigFields(NamedTuple):
+    seed: int
+    num_instances: int = 100
+    var_range: Tuple[int, int] = (1, 12)
+    clause_range: Tuple[int, int] = (1, 30)
+    width_range: Tuple[int, int] = (1, 3)
+    satisfiable_bias: str = "none"  # "none" | "planted"
+
+
+class FuzzConfig(_FuzzConfigFields):
     """Deterministic corpus description; instance i depends only on (seed, i).
 
     ``seed`` is an int ``>= 0``, each range is a tuple ``(lo, hi)`` of ints
@@ -228,14 +234,10 @@ class FuzzConfig:
     loops always end and no two (seed, index) pairs share an instance.
     """
 
-    seed: int
-    num_instances: int = 100
-    var_range: Tuple[int, int] = (1, 12)
-    clause_range: Tuple[int, int] = (1, 30)
-    width_range: Tuple[int, int] = (1, 3)
-    satisfiable_bias: str = "none"  # "none" | "planted"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "FuzzConfig":
+        self = super().__new__(cls, *args, **kwargs)
         # random.Random seeds from abs(), so a negative seed would repeat a
         # corpus; seed * 2**32 + index is one-to-one for index < 2**32
         if not (isinstance(self.seed, int) and self.seed >= 0):
@@ -253,6 +255,7 @@ class FuzzConfig:
             raise ValueError(f"num_instances must be in 0..2**32, got {self.num_instances!r}")
         if self.satisfiable_bias not in ("none", "planted"):
             raise ValueError(f"unknown satisfiable_bias {self.satisfiable_bias!r}")
+        return self
 
 
 def random_cnf(cfg: FuzzConfig, index: int) -> CnfFormula:
@@ -350,10 +353,7 @@ def enumerate_formulas(max_n: int, max_m: int, max_width: int) -> Iterator[CnfFo
 # differential adjudication
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DifferentialReport:
-    """Outcome tallies; total = agreements + disagreements + gate_failures."""
-
+class _DifferentialReportFields(NamedTuple):
     config: dict
     generated: int
     total: int
@@ -363,11 +363,22 @@ class DifferentialReport:
     engine_errors: List[dict]
     unknown: int
     op_stats: dict
-    extra: dict = field(default_factory=dict)
+    extra: Optional[dict] = None  # a fresh dict per report when not given
+
+
+class DifferentialReport(_DifferentialReportFields):
+    """Outcome tallies; total = agreements + disagreements + gate_failures."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "DifferentialReport":
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.extra is not None else self._replace(extra={})
 
     def as_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
-        return {**doc, **self.extra}
+        doc = self._asdict()
+        extra = doc.pop("extra")
+        return {**doc, **extra}
 
     @property
     def violation(self) -> bool:
@@ -505,7 +516,7 @@ def differential_run(cfg: FuzzConfig, *, brute_limit: int = BRUTE_VAR_LIMIT) -> 
 
     return _adjudicate(
         corpus(),
-        config={"mode": "fuzz", **asdict(cfg)},
+        config={"mode": "fuzz", **cfg._asdict()},
         brute_limit=brute_limit,
     )
 
@@ -567,25 +578,6 @@ def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> Diffe
 # ---------------------------------------------------------------------------
 # the operation-growth probe
 # ---------------------------------------------------------------------------
-
-@contextlib.contextmanager
-def collector_paused() -> Iterator[None]:
-    """Hold off Python's cyclic garbage collector for the block, then put back
-    the state it was in.
-
-    What one input's parse, solve and report build is acyclic and freed by
-    reference counting, so the collector would only walk that growing heap
-    and find nothing; for the same reason nothing is collected on exit.
-    Usable as a decorator too.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
 
 def probe_shape(target_length: int, width: int = 3) -> Tuple[int, int]:
     """Instance shape for a target total literal count: (num_vars, num_clauses).

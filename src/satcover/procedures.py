@@ -28,35 +28,30 @@ the attempt wrote, not a copy of the whole state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, NamedTuple, Optional, Set, Union
 
 from .decomposition import DecompositionPair, StructuralError
 from .graph import PointingGraph
 
 
-@dataclass(frozen=True)
-class RemovalOutcome:
+class RemovalOutcome(NamedTuple):
     removable: bool
     removed_vertices: tuple  # in removal order
 
 
-@dataclass
-class ExtensionPlan:
+class ExtensionPlan(NamedTuple):
     """Rows to form as additional main vertices, with justifying columns."""
 
     new_main_vertices: List[int]
     columns: List[int]  # parallel to new_main_vertices
 
 
-@dataclass(frozen=True)
-class Unreachable:
+class Unreachable(NamedTuple):
     column: int
 
 
-@dataclass(frozen=True)
-class StateSnapshot:
+class StateSnapshot(NamedTuple):
     """A mark on the graph's undo trail, taken before a removal cascade.
 
     ``restore`` pops the trail back to the mark, undoing every write the

@@ -11,8 +11,8 @@ error and never reported as satisfiable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple
+from bisect import bisect_right
+from typing import List, NamedTuple, Optional, Tuple
 
 from .cnf import (
     CnfFormula,
@@ -63,14 +63,18 @@ class EngineInvariantError(RuntimeError):
     """An internal contract of the covering loop was violated."""
 
 
-@dataclass(frozen=True)
-class Reason:
+class _ReasonFields(NamedTuple):
     kind: str
     index: Optional[int] = None
 
-    def __post_init__(self):
-        if self.kind not in REASON_KINDS:
-            raise ValueError(f"unknown reason kind {self.kind!r}")
+
+class Reason(_ReasonFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: Optional[int] = None) -> "Reason":
+        if kind not in REASON_KINDS:
+            raise ValueError(f"unknown reason kind {kind!r}")
+        return super().__new__(cls, kind, index)
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "index": self.index}
@@ -78,38 +82,32 @@ class Reason:
 
 # verdicts; ``status`` is the word reports, the harness and the CLI use
 
-@dataclass(frozen=True)
-class CoveringFound:
+class CoveringFound(NamedTuple):
     swaps: frozenset
-    status: ClassVar[str] = "COVERING"
+    status = "COVERING"
 
 
-@dataclass(frozen=True)
-class NoCovering:
+class NoCovering(NamedTuple):
     reason: Reason
-    status: ClassVar[str] = "NO_COVERING"
+    status = "NO_COVERING"
 
 
-@dataclass(frozen=True)
-class Sat:
+class Sat(NamedTuple):
     assignment: Tuple[bool, ...]
-    status: ClassVar[str] = "SAT"
+    status = "SAT"
 
 
-@dataclass(frozen=True)
-class Unsat:
+class Unsat(NamedTuple):
     reason: Reason
-    status: ClassVar[str] = "UNSAT"
+    status = "UNSAT"
 
 
-@dataclass(frozen=True)
-class EngineError:
+class EngineError(NamedTuple):
     detail: str
-    status: ClassVar[str] = "ERROR"
+    status = "ERROR"
 
 
-@dataclass
-class SolveRun:
+class SolveRun(NamedTuple):
     """One driver run: verdict plus instrumentation."""
 
     verdict: object
@@ -127,28 +125,43 @@ class SolveRun:
 # ---------------------------------------------------------------------------
 
 def _check_graph_invariants(graph) -> None:
+    """Raise EngineInvariantError unless the graph's counters match its live
+    edges and vertices: the edge bound, live endpoints, indegree, live
+    targets and multiplicity, checked in that order.  The live edges are
+    counted in one pass over the set bytes of ``edge_live``."""
     g = graph
-    edges = g.live_edges()
-    if len(edges) > (g.n - 1) * g.m:
-        raise EngineInvariantError(
-            f"edge bound violated: {len(edges)} > (n-1)*m = {(g.n - 1) * g.m}"
-        )
+    formed, removed, single_row = g.formed, g.removed, g.col_single_row
+    edge_base, targets, find = g.edge_base, g.targets, g.edge_live.find
     indegree = [0] * g.n
     per_column = [0] * g.m
-    for source, target, column in edges:
-        if not (g.live(source) and g.live(target)):
-            raise EngineInvariantError("live edge touches a removed or unformed vertex")
-        indegree[target - 1] += 1
-        per_column[column - 1] += 1
+    dead_endpoint = False
+    edge = find(1)
+    while edge >= 0:
+        j0 = bisect_right(edge_base, edge) - 1
+        t0 = targets[j0][edge - edge_base[j0]]
+        s0 = single_row[j0] - 1  # -1: a column with no single row has no edges
+        dead_endpoint = (
+            dead_endpoint or s0 < 0 or not formed[s0] or removed[s0] or not formed[t0] or removed[t0]
+        )
+        indegree[t0] += 1
+        per_column[j0] += 1
+        edge = find(1, edge + 1)
+    edges = sum(per_column)
+    if edges > (g.n - 1) * g.m:
+        raise EngineInvariantError(
+            f"edge bound violated: {edges} > (n-1)*m = {(g.n - 1) * g.m}"
+        )
+    if dead_endpoint:
+        raise EngineInvariantError("live edge touches a removed or unformed vertex")
     if indegree != g.indegree:
         raise EngineInvariantError("indegree does not match live incoming edge counts")
     if per_column != g.live_targets:
         raise EngineInvariantError("live-target counts do not match the live edges")
-    live_main = [v for v in g.live_vertices() if g.main[v - 1]]
     mult = [0] * g.m
-    for v in live_main:
-        for c in g.main_columns[v - 1]:
-            mult[c - 1] += 1
+    for v0, columns in enumerate(g.main_columns):
+        if g.main[v0] and formed[v0] and not removed[v0]:
+            for c in columns:
+                mult[c - 1] += 1
     if mult != g.multiplicity:
         raise EngineInvariantError("multiplicity does not match live main vertices")
 
@@ -224,8 +237,13 @@ def solve_covering(
     violations = validate(pair)
     if violations:
         first = violations[0]
+        witnesses = " ".join(
+            f"{name}={value}"
+            for name, value in (("row", first.row), ("column", first.column))
+            if value is not None
+        )
         raise StructuralError(
-            f"invalid decomposition: {first.condition} at row={first.row} column={first.column}"
+            f"invalid decomposition: {first.condition} at {witnesses}"
             + (f" (+{len(violations) - 1} more)" if len(violations) > 1 else "")
         )
     trace = Trace(OpCounter() if count_ops else DISABLED_OPS)

@@ -6,7 +6,6 @@ the reporting machinery); only soundness-gate and invariant violations are
 fatal.
 """
 import copy
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -211,12 +210,8 @@ def _build_graph(formula):
 
 
 def _same_state(a, b) -> bool:
-    """Exact equality of deep-copied graph fields: dataclasses and
-    containers member by member."""
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(
-            _same_state(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
-        )
+    """Exact equality of deep-copied graph fields: containers (value classes
+    are NamedTuples) member by member."""
     if isinstance(a, (list, tuple)):
         return (
             type(a) is type(b)

@@ -244,6 +244,15 @@ class TestCovering:
         assert main(["covering", path]) == 2
         capsys.readouterr()
 
+    def test_invalid_matrix_error_names_its_witnesses(self, tmp_path, capsys):
+        # all zeros: rows 1-3 are empty pairs and columns 1-2 are uncovered;
+        # the first violation names a row and no column
+        path = write(tmp_path, "zeros.decomp", "3 2\n00\n00\n00\n\n00\n00\n00\n")
+        assert main(["covering", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid decomposition: pair-nonempty at row=1 (+4 more)\n"
+
 
 class TestEngineError:
     @pytest.mark.parametrize(
@@ -544,6 +553,53 @@ class TestStdlibOnly:
         widths = {random_cnf(cfg, i).num_vars > 25 for i in range(20)}
         assert widths == {False, True}  # brute_sat and dpll both judged
         assert probe["op_stats"]["fitted_exponent"] is not None
+
+
+class TestColdStart:
+    """A solve loads the engine only: not the harness, not the stdlib modules
+    only the harness subcommands use (``statistics``, ``decimal``,
+    ``fractions``), and not ``dataclasses`` and its ``inspect``."""
+
+    NOT_ON_SOLVE = ("satcover.harness", "dataclasses", "inspect", "statistics", "decimal", "fractions")
+
+    def fresh(self, *args):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    def test_solve_loads_no_harness_module(self, tmp_path):
+        # modules a site hook loaded before the import do not count
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import satcover.cli\n"
+            "code = satcover.cli.main(['solve', sys.argv[1]])\n"
+            "print(code, *sorted(set(sys.modules) - before))\n"
+        )
+        done = self.fresh("-c", script, write(tmp_path, "e1.cnf", E1_TEXT))
+        assert done.returncode == 0, done.stderr
+        *answer, last = done.stdout.splitlines()
+        assert answer == ["s SATISFIABLE", "v 1 2 0"]
+        code, *loaded = last.split()
+        assert code == "10"
+        assert "satcover.solver" in loaded
+        assert [name for name in self.NOT_ON_SOLVE if name in loaded] == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fuzz", "--seed", "2", "--count", "5", "--vars", "1..4"],
+            ["probe", "--sizes", "1e2", "--instances-per-size", "1"],
+            ["diff-exhaustive", "--max-n", "1", "--max-m", "2"],
+        ],
+        ids=["fuzz", "probe", "diff-exhaustive"],
+    )
+    def test_harness_commands_run_in_a_fresh_process(self, argv):
+        done = self.fresh("-m", "satcover", *argv)
+        assert done.returncode == 0, done.stderr
+        doc = json.loads(done.stdout)
+        assert doc.get("generated", 1) > 0 and doc.get("gate_failures") == 0
 
 
 class TestHarnessCommands:

@@ -139,7 +139,7 @@ class TestClean:
         blocking = clean(graph)
         assert blocking == 1
         # failed attempt restored: the vertex is still live
-        assert graph.live(1)
+        assert graph.live_vertices() == [1]
 
     def test_no_useless_vertices_is_a_no_op(self):
         graph = built(E5_TEXT)

@@ -23,7 +23,7 @@ from satcover import (
 )
 from satcover import solver as solver_mod
 
-from conftest import formulas, naive_sat, pair_of, seeded_corpus
+from conftest import E5_TEXT, formulas, naive_sat, pair_of, seeded_corpus
 
 
 class TestCoveringDriver:
@@ -50,8 +50,26 @@ class TestCoveringDriver:
 
         # row 1 holds column 1 on both sides; column 2 is covered by neither
         pair = DecompositionPair(1, 2, [[0]], [[0]])
-        with pytest.raises(StructuralError):
+        with pytest.raises(StructuralError) as err:
             solve_covering(pair)
+        assert str(err.value) == "invalid decomposition: disjointness at row=1 column=1 (+1 more)"
+
+    @pytest.mark.parametrize(
+        "alpha_rows, bar_rows, message",
+        [
+            ([[], [1]], [[], [0]], "pair-nonempty at row=1"),
+            ([[0], []], [[], [0]], "coverage at column=2"),
+            ([[], [], []], [[], [], []], "pair-nonempty at row=1 (+4 more)"),
+        ],
+        ids=["row-only", "column-only", "row-and-more"],
+    )
+    def test_invalid_pair_names_only_its_witnesses(self, alpha_rows, bar_rows, message):
+        from satcover import DecompositionPair, StructuralError
+
+        pair = DecompositionPair(len(alpha_rows), 2, alpha_rows, bar_rows)
+        with pytest.raises(StructuralError) as err:
+            solve_covering(pair)
+        assert str(err.value) == f"invalid decomposition: {message}"
 
     def test_shortcut_changes_reason_not_verdict(self, e2_pair):
         plain = solve_covering(e2_pair)
@@ -196,6 +214,74 @@ class TestGateDowngrades:
         assert isinstance(run.verdict, EngineError)
         assert "covering gate" in run.verdict.detail
         assert run.extensions == 0
+
+
+class TestGraphInvariantChecks:
+    """Each check of ``_check_graph_invariants`` fires on a graph whose
+    counters were corrupted after ``construct``; E5's graph has main
+    vertices 1 and 2 and live edges 1 -> 2 and 1 -> 3, both labelled 2."""
+
+    @pytest.fixture
+    def e5_graph(self):
+        from satcover import Trace, column_counts, construct, find_main_vertices
+
+        pair = pair_of(E5_TEXT)
+        graph = find_main_vertices(pair, column_counts(pair), Trace())
+        construct(graph)
+        solver_mod._check_graph_invariants(graph)  # clean before corruption
+        return graph
+
+    def corrupt_and_check(self, graph, corrupt, message):
+        corrupt(graph)
+        with pytest.raises(solver_mod.EngineInvariantError) as err:
+            solver_mod._check_graph_invariants(graph)
+        assert str(err.value) == message
+
+    def test_indegree(self, e5_graph):
+        def corrupt(g):
+            g.indegree[2] += 1
+
+        self.corrupt_and_check(
+            e5_graph, corrupt, "indegree does not match live incoming edge counts"
+        )
+
+    def test_live_targets(self, e5_graph):
+        def corrupt(g):
+            g.live_targets[1] -= 1
+
+        self.corrupt_and_check(
+            e5_graph, corrupt, "live-target counts do not match the live edges"
+        )
+
+    def test_multiplicity(self, e5_graph):
+        def corrupt(g):
+            g.multiplicity[0] += 1
+
+        self.corrupt_and_check(
+            e5_graph, corrupt, "multiplicity does not match live main vertices"
+        )
+
+    @pytest.mark.parametrize("end", ["source", "target"])
+    def test_edge_touching_a_removed_vertex(self, e5_graph, end):
+        def corrupt(g):
+            g.removed[0 if end == "source" else 2] = True
+
+        self.corrupt_and_check(
+            e5_graph, corrupt, "live edge touches a removed or unformed vertex"
+        )
+
+    def test_edge_bound(self):
+        from satcover import DecompositionPair, Trace, column_counts, construct
+        from satcover import find_main_vertices
+
+        # an invalid pair: row 1 holds column 1 on both sides, so the graph
+        # gets a self-loop, one edge past (n - 1) * m = 0
+        pair = DecompositionPair(1, 2, [[0]], [[0, 1]])
+        graph = find_main_vertices(pair, column_counts(pair), Trace())
+        construct(graph)
+        self.corrupt_and_check(
+            graph, lambda g: None, "edge bound violated: 1 > (n-1)*m = 0"
+        )
 
 
 class TestReports:
