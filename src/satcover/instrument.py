@@ -109,7 +109,6 @@ class Trace:
         return [(kind, payload) for kind, payload, _ in self.events]
 
 
-
 @contextlib.contextmanager
 def collector_paused() -> Iterator[None]:
     """Hold off Python's cyclic garbage collector for the block, then put back

@@ -217,58 +217,36 @@ class TestGateDowngrades:
 
 
 class TestGraphInvariantChecks:
-    """Each check of ``_check_graph_invariants`` fires on a graph whose
-    counters were corrupted after ``construct``; E5's graph has main
-    vertices 1 and 2 and live edges 1 -> 2 and 1 -> 3, both labelled 2."""
+    """Each check of ``_check_graph_invariants`` fires, with its message, on
+    a graph whose state was corrupted after ``construct``."""
 
-    @pytest.fixture
-    def e5_graph(self):
-        from satcover import Trace, column_counts, construct, find_main_vertices
-
-        pair = pair_of(E5_TEXT)
-        graph = find_main_vertices(pair, column_counts(pair), Trace())
-        construct(graph)
-        solver_mod._check_graph_invariants(graph)  # clean before corruption
-        return graph
-
-    def corrupt_and_check(self, graph, corrupt, message):
-        corrupt(graph)
+    def assert_caught(self, graph, message):
         with pytest.raises(solver_mod.EngineInvariantError) as err:
             solver_mod._check_graph_invariants(graph)
         assert str(err.value) == message
 
-    def test_indegree(self, e5_graph):
-        def corrupt(g):
-            g.indegree[2] += 1
+    @pytest.mark.parametrize(
+        "field, index, value, message",
+        [
+            ("indegree", 2, 2, "indegree does not match live incoming edge counts"),
+            ("live_targets", 1, 1, "live-target counts do not match the live edges"),
+            ("multiplicity", 0, 3, "multiplicity does not match live main vertices"),
+            ("removed", 0, True, "live edge touches a removed or unformed vertex"),
+            ("removed", 2, True, "live edge touches a removed or unformed vertex"),
+        ],
+        ids=["indegree", "live-targets", "multiplicity", "removed-source", "removed-target"],
+    )
+    def test_corrupted_state_is_caught(self, field, index, value, message):
+        from satcover import Trace, column_counts, construct, find_main_vertices
 
-        self.corrupt_and_check(
-            e5_graph, corrupt, "indegree does not match live incoming edge counts"
-        )
-
-    def test_live_targets(self, e5_graph):
-        def corrupt(g):
-            g.live_targets[1] -= 1
-
-        self.corrupt_and_check(
-            e5_graph, corrupt, "live-target counts do not match the live edges"
-        )
-
-    def test_multiplicity(self, e5_graph):
-        def corrupt(g):
-            g.multiplicity[0] += 1
-
-        self.corrupt_and_check(
-            e5_graph, corrupt, "multiplicity does not match live main vertices"
-        )
-
-    @pytest.mark.parametrize("end", ["source", "target"])
-    def test_edge_touching_a_removed_vertex(self, e5_graph, end):
-        def corrupt(g):
-            g.removed[0 if end == "source" else 2] = True
-
-        self.corrupt_and_check(
-            e5_graph, corrupt, "live edge touches a removed or unformed vertex"
-        )
+        # E5: main vertices 1 and 2, live edges 1 -> 2 and 1 -> 3 labelled 2,
+        # so indegree [0, 1, 1], live_targets [0, 2], multiplicity [2, 0]
+        pair = pair_of(E5_TEXT)
+        graph = find_main_vertices(pair, column_counts(pair), Trace())
+        construct(graph)
+        solver_mod._check_graph_invariants(graph)  # clean before corruption
+        getattr(graph, field)[index] = value
+        self.assert_caught(graph, message)
 
     def test_edge_bound(self):
         from satcover import DecompositionPair, Trace, column_counts, construct
@@ -279,9 +257,7 @@ class TestGraphInvariantChecks:
         pair = DecompositionPair(1, 2, [[0]], [[0, 1]])
         graph = find_main_vertices(pair, column_counts(pair), Trace())
         construct(graph)
-        self.corrupt_and_check(
-            graph, lambda g: None, "edge bound violated: 1 > (n-1)*m = 0"
-        )
+        self.assert_caught(graph, "edge bound violated: 1 > (n-1)*m = 0")
 
 
 class TestReports:
