@@ -11,7 +11,6 @@ error and never reported as satisfiable.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from typing import List, NamedTuple, Optional, Tuple
 
 from .cnf import (
@@ -127,25 +126,23 @@ class SolveRun(NamedTuple):
 def _check_graph_invariants(graph) -> None:
     """Raise EngineInvariantError unless the graph's counters match its live
     edges and vertices: the edge bound, live endpoints, indegree, live
-    targets and multiplicity, checked in that order.  The live edges are
-    counted in one pass over the set bytes of ``edge_live``."""
+    targets and multiplicity, checked in that order."""
     g = graph
-    formed, removed, single_row = g.formed, g.removed, g.col_single_row
-    edge_base, targets, find = g.edge_base, g.targets, g.edge_live.find
+    formed, removed, edge_live, edge_base = g.formed, g.removed, g.edge_live, g.edge_base
     indegree = [0] * g.n
     per_column = [0] * g.m
     dead_endpoint = False
-    edge = find(1)
-    while edge >= 0:
-        j0 = bisect_right(edge_base, edge) - 1
-        t0 = targets[j0][edge - edge_base[j0]]
-        s0 = single_row[j0] - 1  # -1: a column with no single row has no edges
-        dead_endpoint = (
-            dead_endpoint or s0 < 0 or not formed[s0] or removed[s0] or not formed[t0] or removed[t0]
-        )
-        indegree[t0] += 1
-        per_column[j0] += 1
-        edge = find(1, edge + 1)
+    for j0, source in enumerate(g.col_single_row):
+        base = edge_base[j0]
+        if not source:  # a column with no single row has no edges
+            dead_endpoint = dead_endpoint or edge_live.find(1, base, edge_base[j0 + 1]) >= 0
+            continue
+        s0 = source - 1
+        for edge, t0 in enumerate(g.targets[j0], base):
+            if edge_live[edge]:
+                dead_endpoint = dead_endpoint or not formed[s0] or removed[s0] or not formed[t0] or removed[t0]
+                indegree[t0] += 1
+                per_column[j0] += 1
     edges = sum(per_column)
     if edges > (g.n - 1) * g.m:
         raise EngineInvariantError(

@@ -77,6 +77,17 @@ def e3_pair() -> DecompositionPair:
     return pair_of(E3_TEXT)
 
 
+def typed(value):
+    """`value` with the class of every NamedTuple in it spelled out.
+
+    NamedTuples compare as plain tuples, so `Unsat(r) == NoCovering(r)`;
+    compare `typed(a) == typed(b)` to tell the verdict classes apart.
+    """
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return (type(value).__name__, tuple(typed(v) for v in value))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # naive reference computations (independent of the library internals)
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from satcover import (
     Violation,
 )
 
+from conftest import typed
+
 
 class TestNames:
     def test_every_name_resolves_and_is_listed(self):
@@ -169,6 +171,15 @@ def test_verdicts_name_their_report_word():
     ]
     assert Sat(()).status == "SAT"
     assert "status" not in Sat._fields
+
+
+def test_typed_tells_equal_tuples_of_other_classes_apart():
+    # the verdict asserts compare typed(...), since the tuples themselves are equal
+    reason = Reason("unreachable-column", 3)
+    assert Unsat(reason) == NoCovering(reason)
+    assert typed(Unsat(reason)) != typed(NoCovering(reason))
+    assert typed(Unsat(reason)) != typed(Unsat(("unreachable-column", 3)))
+    assert typed(Unsat(reason)) == typed(Unsat(Reason("unreachable-column", 3)))
 
 
 def test_each_report_gets_its_own_extra():

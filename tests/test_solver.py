@@ -23,27 +23,27 @@ from satcover import (
 )
 from satcover import solver as solver_mod
 
-from conftest import E5_TEXT, formulas, naive_sat, pair_of, seeded_corpus
+from conftest import E5_TEXT, formulas, naive_sat, pair_of, seeded_corpus, typed
 
 
 class TestCoveringDriver:
     def test_e1_found(self, e1_pair):
         run = solve_covering(e1_pair)
-        assert run.verdict == CoveringFound(frozenset({1, 2}))
+        assert typed(run.verdict) == typed(CoveringFound(frozenset({1, 2})))
         assert run.extensions == 0
 
     def test_e2_non_removable(self, e2_pair):
         run = solve_covering(e2_pair)
-        assert run.verdict == NoCovering(Reason("non-removable-useless-vertex", 1))
+        assert typed(run.verdict) == typed(NoCovering(Reason("non-removable-useless-vertex", 1)))
 
     def test_e3_unreachable(self, e3_pair):
         run = solve_covering(e3_pair)
-        assert run.verdict == NoCovering(Reason("unreachable-column", 1))
+        assert typed(run.verdict) == typed(NoCovering(Reason("unreachable-column", 1)))
 
     def test_covering_already(self):
         pair = pair_of("p cnf 2 2\n-1 -2 0\n-1 0\n")
         run = solve_covering(pair)
-        assert run.verdict == CoveringFound(frozenset())
+        assert typed(run.verdict) == typed(CoveringFound(frozenset()))
 
     def test_invalid_pair_rejected(self):
         from satcover import DecompositionPair, StructuralError
@@ -75,12 +75,12 @@ class TestCoveringDriver:
         plain = solve_covering(e2_pair)
         quick = solve_covering(e2_pair, shortcut=True)
         assert isinstance(plain.verdict, NoCovering)
-        assert quick.verdict == NoCovering(Reason("both-components-single", 1))
+        assert typed(quick.verdict) == typed(NoCovering(Reason("both-components-single", 1)))
 
     def test_extension_loop(self):
         pair = pair_of("p cnf 3 3\n1 0\n2 0\n-1 -2 3 0\n")
         run = solve_covering(pair)
-        assert run.verdict == CoveringFound(frozenset({1, 2, 3}))
+        assert typed(run.verdict) == typed(CoveringFound(frozenset({1, 2, 3})))
         assert run.extensions == 1
 
     def test_verdict_event_closes_trace(self, e1_pair, e3_pair):
@@ -92,34 +92,34 @@ class TestCoveringDriver:
 class TestSolveSat:
     def test_e1(self, e1):
         run = solve_sat(e1)
-        assert run.verdict == Sat((True, True))
+        assert typed(run.verdict) == typed(Sat((True, True)))
 
     def test_e2(self, e2):
         run = solve_sat(e2)
-        assert run.verdict == Unsat(Reason("non-removable-useless-vertex", 1))
+        assert typed(run.verdict) == typed(Unsat(Reason("non-removable-useless-vertex", 1)))
 
     def test_e3(self, e3):
         run = solve_sat(e3)
-        assert run.verdict == Unsat(Reason("unreachable-column", 1))
+        assert typed(run.verdict) == typed(Unsat(Reason("unreachable-column", 1)))
 
     def test_e4_extension(self, e4):
         run = solve_sat(e4)
-        assert run.verdict == Sat((True, True, True))
+        assert typed(run.verdict) == typed(Sat((True, True, True)))
         assert run.extensions == 1
 
     def test_empty_clause_short_circuit(self):
         formula, _ = parse_dimacs("p cnf 2 2\n1 0\n0\n")
         run = solve_sat(formula)
-        assert run.verdict == Unsat(Reason("empty-clause", 2))
+        assert typed(run.verdict) == typed(Unsat(Reason("empty-clause", 2)))
 
     def test_empty_clause_with_labels(self):
         formula, _ = parse_dimacs("p cnf 2 2\n1 0\n0\n")
         run = solve_sat(formula, clause_labels=[7, 9])
-        assert run.verdict == Unsat(Reason("empty-clause", 9))
+        assert typed(run.verdict) == typed(Unsat(Reason("empty-clause", 9)))
 
     def test_no_clauses_trivially_sat(self):
         run = solve_sat(CnfFormula(3, []))
-        assert run.verdict == Sat((False, False, False))
+        assert typed(run.verdict) == typed(Sat((False, False, False)))
 
     def test_unused_variables_default_false(self):
         formula = CnfFormula(4, [[2]])
@@ -131,17 +131,17 @@ class TestSolveSat:
         # the conflict lives on variable 2; variables 1 and 3 are padding
         formula = CnfFormula(3, [[2], [-2]])
         run = solve_sat(formula)
-        assert run.verdict == Unsat(Reason("non-removable-useless-vertex", 2))
+        assert typed(run.verdict) == typed(Unsat(Reason("non-removable-useless-vertex", 2)))
 
     def test_unreachable_index_is_clause_position(self):
         formula = CnfFormula(2, [[-1, -2], [1], [2]])
         run = solve_sat(formula)
-        assert run.verdict == Unsat(Reason("unreachable-column", 1))
+        assert typed(run.verdict) == typed(Unsat(Reason("unreachable-column", 1)))
 
     def test_unreachable_index_respects_labels(self):
         formula = CnfFormula(2, [[-1, -2], [1], [2]])
         run = solve_sat(formula, clause_labels=[4, 5, 6])
-        assert run.verdict == Unsat(Reason("unreachable-column", 4))
+        assert typed(run.verdict) == typed(Unsat(Reason("unreachable-column", 4)))
 
     @pytest.mark.parametrize("clauses", [[], [[]], [[1], []]])
     def test_unknown_orientation_rejected_before_any_verdict(self, clauses):
@@ -233,14 +233,19 @@ class TestGraphInvariantChecks:
             ("multiplicity", 0, 3, "multiplicity does not match live main vertices"),
             ("removed", 0, True, "live edge touches a removed or unformed vertex"),
             ("removed", 2, True, "live edge touches a removed or unformed vertex"),
+            ("edge_live", 0, 1, "live edge touches a removed or unformed vertex"),
         ],
-        ids=["indegree", "live-targets", "multiplicity", "removed-source", "removed-target"],
+        ids=[
+            "indegree", "live-targets", "multiplicity", "removed-source", "removed-target",
+            "edge-in-column-without-source",
+        ],
     )
     def test_corrupted_state_is_caught(self, field, index, value, message):
         from satcover import Trace, column_counts, construct, find_main_vertices
 
         # E5: main vertices 1 and 2, live edges 1 -> 2 and 1 -> 3 labelled 2,
-        # so indegree [0, 1, 1], live_targets [0, 2], multiplicity [2, 0]
+        # so indegree [0, 1, 1], live_targets [0, 2], multiplicity [2, 0];
+        # column 1 has no single row, so its edge bytes 0 and 1 stay dead
         pair = pair_of(E5_TEXT)
         graph = find_main_vertices(pair, column_counts(pair), Trace())
         construct(graph)
