@@ -1,11 +1,15 @@
-"""Pinned behaviour contract: trace hashes with op-counter readings, op counts
-by kind, verdicts and reasons.
+"""Pinned behaviour contract: verdicts, reasons and traces, twice over.
 
-The values were recorded on the dense-array engine, before the pair moved to
-occurrence lists and the pointing graph to column-indexed state.  They may
-move only in a change that says so and republishes the probe numbers.  The
-benchmark's reference compares trace digests without counter readings, so
-this is the check that catches a moved op charge.
+The ``*_BEHAVIOUR`` pins hold what the engine decides: the verdict, the
+reason (or swap set) and the sha256 of the trace events without counter
+readings.  No change to the engine may move them.
+
+The ``*_PINS`` pins add the op counts by kind and the trace hash with
+counter readings.  They may move only in a change that says so, lists the
+moved values and republishes the probe numbers; the behaviour pins of the
+same inputs must then hold unedited.  The benchmark's reference compares
+trace digests without counter readings, so these are the check that
+catches a moved op charge.
 """
 import hashlib
 import json
@@ -27,9 +31,8 @@ from satcover import (
 from conftest import E1_TEXT, E2_TEXT, E3_TEXT, E4_TEXT, E5_TEXT, formula_of, pair_of
 
 
-def pin(run) -> tuple:
-    """(verdict, reason or swap set, (assignments, arithmetic, comparisons),
-    trace hash with counter readings)."""
+def outcome(run) -> tuple:
+    """(verdict, reason or swap set)."""
     verdict = run.verdict
     if isinstance(verdict, Sat):
         status, reason = "SAT", None
@@ -41,8 +44,23 @@ def pin(run) -> tuple:
         status, reason = "COVERING", tuple(sorted(verdict.swaps))
     else:
         status, reason = "ERROR", verdict.detail
+    return status, reason
+
+
+def pin(run) -> tuple:
+    """(verdict, reason or swap set, (assignments, arithmetic, comparisons),
+    trace hash with counter readings)."""
     ops = run.ops
-    return status, reason, (ops.assignments, ops.arithmetic, ops.comparisons), run.trace.sha256()
+    return (
+        *outcome(run), (ops.assignments, ops.arithmetic, ops.comparisons), run.trace.sha256()
+    )
+
+
+def behaviour(run) -> tuple:
+    """(verdict, reason or swap set, sha256 of the trace events without
+    counter readings)."""
+    events = json.dumps(run.trace.events_without_readings(), separators=(",", ":"))
+    return (*outcome(run), hashlib.sha256(events.encode("ascii")).hexdigest())
 
 
 def digest(pins) -> str:
@@ -82,6 +100,34 @@ WORKED_PINS = {
     ),
 }
 
+WORKED_BEHAVIOUR = {
+    "E1": (
+        ("SAT", None, "6b9f5065ad8b8bc79af1931fdc583bcf393223b707f2e0840a747c7e9a9da6da"),
+        ("SAT", None, "6b9f5065ad8b8bc79af1931fdc583bcf393223b707f2e0840a747c7e9a9da6da"),
+        ("COVERING", (1, 2), "6b9f5065ad8b8bc79af1931fdc583bcf393223b707f2e0840a747c7e9a9da6da"),
+    ),
+    "E2": (
+        ("UNSAT", ("non-removable-useless-vertex", 1), "05b739d9aa78cf1211aae700ed1a7beb8848a6ae68c4075547400fcbbbdbe0c4"),
+        ("UNSAT", ("both-components-single", 1), "6ddc6be57b890404b87eb283b394d5c473d7b3e9f5c7b1e84364cce7884a4985"),
+        ("NO_COVERING", ("non-removable-useless-vertex", 1), "05b739d9aa78cf1211aae700ed1a7beb8848a6ae68c4075547400fcbbbdbe0c4"),
+    ),
+    "E3": (
+        ("UNSAT", ("unreachable-column", 1), "fb0cf4d5223db77eaebd16d30362e9e2f4152c884b0039b282a5894724eab045"),
+        ("UNSAT", ("unreachable-column", 1), "fb0cf4d5223db77eaebd16d30362e9e2f4152c884b0039b282a5894724eab045"),
+        ("NO_COVERING", ("unreachable-column", 1), "fb0cf4d5223db77eaebd16d30362e9e2f4152c884b0039b282a5894724eab045"),
+    ),
+    "E4": (
+        ("SAT", None, "47f76d52bfcbdea55d785913a7a9ce24622c127942799d41793279b4e2ca89a4"),
+        ("SAT", None, "47f76d52bfcbdea55d785913a7a9ce24622c127942799d41793279b4e2ca89a4"),
+        ("COVERING", (1, 2, 3), "47f76d52bfcbdea55d785913a7a9ce24622c127942799d41793279b4e2ca89a4"),
+    ),
+    "E5": (
+        ("SAT", None, "6ce9548b244168bba524a6aa4fe297fbff465b1c3fb19d8f7db58c2e14e4eaa8"),
+        ("SAT", None, "6ce9548b244168bba524a6aa4fe297fbff465b1c3fb19d8f7db58c2e14e4eaa8"),
+        ("COVERING", (1, 2, 3), "6ce9548b244168bba524a6aa4fe297fbff465b1c3fb19d8f7db58c2e14e4eaa8"),
+    ),
+}
+
 
 def threshold_formula(n: int, seed: int, bias: str):
     m = round(4.26 * n)
@@ -106,6 +152,16 @@ THRESHOLD_PINS = {
     (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (8632141, 25272, 502241), "5d3ebaf762c214bc5a91f9354eb24a0952215a76711ac4be7c7a2999217136ba"),
 }
 
+THRESHOLD_BEHAVIOUR = {
+    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), "62a896d57d067c5cf789813b7085ab70e224dd6e0e3ce4970ef284c23adccf2f"),
+    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), "fc5ddf36e94a243cbc57db0a867b1396c3c93b58bbefe042deaf79ec602c772b"),
+    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), "7f9f1489d425f4bde87965c1f3a0b651ecf68447c224da73baf644b199480907"),
+    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), "3cc7d480557ed35ae613c4a062f6a71ef3c3614bd83b3c46d077ccf9a921bfdf"),
+    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), "f9187643a719b8d4142c054c78a40e90ca6548b4ade9d4b42f589768e48e44a8"),
+    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), "3de51cb3c7103c5d7131a1cecb133c061fbe70817969ffbcfc9c1e65c16b8fcd"),
+    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), "53269513eae08daeb3955d4cccaf0a3f9fa97e9c47dd406cea3aef49ce3c2d27"),
+}
+
 # n = 2,000 at the threshold ratio: 366 committed eliminations, enough that
 # the zero-column heap of ``eliminate_incompatibilities`` holds stale and
 # duplicate entries when it is popped
@@ -113,6 +169,8 @@ HEAP_PIN = (
     (2000, 608, "none"),
     ("UNSAT", ("unreachable-column", 1638), (15010426332, 3181765, 86284662), "404b1d89440c74edf3eb6c13d717de06ef2fe83c76c7b4122b1e129be4846998"),
 )
+
+HEAP_BEHAVIOUR = ("UNSAT", ("unreachable-column", 1638), "04a850ea51c531438b99ea03d2d4028259da8e5054c56b107273653851a9fc7c")
 
 RANDOM_BATCHES = tuple(
     FuzzConfig(
@@ -127,43 +185,47 @@ RANDOM_BATCHES = tuple(
 )
 RANDOM_TALLY = {"UNSAT": 109, "SAT": 131}
 RANDOM_DIGEST = "8feb364800944c7e7f46433c0b1251557f2535c7288c5ea1b6f82a286d41f0bd"
+RANDOM_BEHAVIOUR_DIGEST = "53a8cd3de0bbec44960588b858bfa2c188b759587e26a2295f575ebb0c3d5cab"
 
 
-def random_batch_pins():
+def random_batch_runs():
     """Every instance with invariant checks; the orientation alternates and
     every third instance takes the forced-conflict shortcut."""
-    pins = []
     for cfg in RANDOM_BATCHES:
         for i in range(cfg.num_instances):
-            run = solve_sat(
+            yield solve_sat(
                 random_cnf(cfg, i),
                 count_ops=True,
                 invariant_checks=True,
                 alpha="pos" if i % 2 else "neg",
                 shortcut=i % 3 == 0,
             )
-            pins.append(pin(run))
-    return pins
 
 
-@pytest.mark.parametrize("name", sorted(WORKED))
-def test_worked_examples(name):
+def worked_runs(name: str) -> tuple:
     text = WORKED[name]
     dense = pair_of(text)
     rebuilt = DecompositionPair(
         dense.n, dense.m, [list(r) for r in dense.alpha_rows], [list(r) for r in dense.bar_rows]
     )
-    got = (
-        pin(solve_sat(formula_of(text), count_ops=True)),
-        pin(solve_sat(formula_of(text), count_ops=True, shortcut=True)),
-        pin(solve_covering(rebuilt, count_ops=True, invariant_checks=True)),
+    return (
+        solve_sat(formula_of(text), count_ops=True),
+        solve_sat(formula_of(text), count_ops=True, shortcut=True),
+        solve_covering(rebuilt, count_ops=True, invariant_checks=True),
     )
-    assert got == WORKED_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKED))
+def test_worked_examples(name):
+    runs = worked_runs(name)
+    assert tuple(map(behaviour, runs)) == WORKED_BEHAVIOUR[name]
+    assert tuple(map(pin, runs)) == WORKED_PINS[name]
 
 
 @pytest.mark.parametrize("n,seed,bias", sorted(THRESHOLD_PINS))
 def test_threshold_ratio(n, seed, bias):
     run = solve_sat(threshold_formula(n, seed, bias), count_ops=True)
+    assert behaviour(run) == THRESHOLD_BEHAVIOUR[(n, seed, bias)]
     assert pin(run) == THRESHOLD_PINS[(n, seed, bias)]
 
 
@@ -171,13 +233,16 @@ def test_threshold_heap_path():
     (n, seed, bias), expected = HEAP_PIN
     run = solve_sat(threshold_formula(n, seed, bias), count_ops=True)
     assert run.trace.kinds().count("incompat-eliminated") >= 100
+    assert behaviour(run) == HEAP_BEHAVIOUR
     assert pin(run) == expected
 
 
 def test_random_batch_with_invariant_checks():
-    pins = random_batch_pins()
+    runs = list(random_batch_runs())
     tally = {}
-    for p in pins:
-        tally[p[0]] = tally.get(p[0], 0) + 1
+    for run in runs:
+        status = outcome(run)[0]
+        tally[status] = tally.get(status, 0) + 1
     assert tally == RANDOM_TALLY
-    assert digest(pins) == RANDOM_DIGEST
+    assert digest(list(map(behaviour, runs))) == RANDOM_BEHAVIOUR_DIGEST
+    assert digest(list(map(pin, runs))) == RANDOM_DIGEST
