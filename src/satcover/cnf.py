@@ -290,10 +290,9 @@ def to_decomposition(
     n = len(used)
     pos_rows = [occ.get(v, ()) for v in used]
     neg_rows = [occ.get(-v, ()) for v in used]
-    # charged as the dense reduction: classify each cell of the signed
-    # matrix once, write both matrices
-    ops.cmp(m * n)
-    ops.assign(2 * m * n)
+    filed = sum(map(len, occ.values()))  # N: each literal read and filed once
+    ops.cmp(filed)
+    ops.assign(filed)
     if alpha == "neg":
         return DecompositionPair(n, m, neg_rows, pos_rows), used
     return DecompositionPair(n, m, pos_rows, neg_rows), used

@@ -60,10 +60,10 @@ class PointingGraph:
       in_slots       per-row (column, edge byte) of every possible in-edge,
                      ascending by column
 
-    ``main_column_total`` counts the entries of ``main_columns``.  ``trail``
-    is the undo log of removal cascades: (list, index, old value) per write,
-    appended before the write, so popping it back to a mark restores the
-    state the mark was taken in (see ``procedures.StateSnapshot``).
+    ``trail`` is the undo log of removal cascades: (list, index, old value)
+    per write, appended before the write, so popping it back to a mark
+    restores the state the mark was taken in (see
+    ``procedures.StateSnapshot``).
     """
 
     def __init__(self, pair: DecompositionPair, counts: ColumnCounts, trace: Trace):
@@ -81,7 +81,6 @@ class PointingGraph:
         self.useless: List[bool] = [False] * n
         self.examined: List[bool] = [False] * n
         self.main_columns: List[List[int]] = [[] for _ in range(n)]
-        self.main_column_total = 0
         self.indegree: List[int] = [0] * n
         self.multiplicity: List[int] = [0] * m
         self.trail: List[tuple] = []
@@ -96,14 +95,19 @@ class PointingGraph:
         self.out_cols: List[List[int]] = [[] for _ in range(n)]
         self.in_slots: List[List[tuple]] = [[] for _ in range(n)]
         in_slots = self.in_slots
+        filed = m + 1  # the edge offsets
         for j0 in [j for j, c in enumerate(counts.m_alpha) if c == 1]:
             q0 = pair.alpha_cols[j0][0]
             self.col_single_row[j0] = q0 + 1
             self.single_cols[q0].append(j0)
+            filed += 2
             if self.targets[j0]:
                 self.out_cols[q0].append(j0)
                 for edge, r0 in enumerate(self.targets[j0], self.edge_base[j0]):
                     in_slots[r0].append((j0, edge))
+                filed += 1 + len(self.targets[j0])
+        trace.ops.cmp(m)  # the alpha counts
+        trace.ops.assign(filed)
 
     # -- read helpers -----------------------------------------------------
 
@@ -169,19 +173,18 @@ def find_main_vertices(
     graph = PointingGraph(pair, counts, trace)
     formed, main, main_columns = graph.formed, graph.main, graph.main_columns
     for j0 in zero_cols:
-        ops.cmp(pair.n)
         rows = pair.bar_cols[j0]
+        fresh = [r0 for r0 in rows if not formed[r0]]
+        # the formed flags; three writes per new vertex, a column entry per row, the multiplicity
+        ops.cmp(len(rows))
+        ops.assign(3 * len(fresh) + len(rows) + 1)
+        for r0 in fresh:
+            formed[r0] = True
+            main[r0] = True
+            graph.vertex_order.append(r0 + 1)
+            trace.emit("vertex-formed", r0 + 1, 1)
         for r0 in rows:
-            if not formed[r0]:
-                formed[r0] = True
-                main[r0] = True
-                graph.vertex_order.append(r0 + 1)
-                ops.assign(3)
-                trace.emit("vertex-formed", r0 + 1, 1)
             main_columns[r0].append(j0 + 1)
-            ops.arith(1)  # one multiplicity increment per row, applied below
-            ops.assign(1)
-        graph.main_column_total += len(rows)
         graph.multiplicity[j0] = len(rows)
     return graph
 
@@ -195,9 +198,7 @@ def construct(graph: PointingGraph) -> bool:
     skipped; otherwise an edge is created to every live candidate row,
     forming rows not yet in the graph.  Previously removed rows are never
     re-formed and never receive edges.  Returns True iff any vertex or edge
-    was added.  The work is O(degree) per examined vertex; the op charges
-    are those of the dense scans (m cells per singleness check, n per
-    candidate column).
+    was added.  The work, and the charge, is O(degree) per examined vertex.
     """
     g = graph
     formed, removed, examined, indegree = g.formed, g.removed, g.examined, g.indegree
@@ -210,46 +211,46 @@ def construct(graph: PointingGraph) -> bool:
         q = order[idx]
         idx += 1
         q0 = q - 1
-        ops.cmp(1)
         if examined[q0] or removed[q0]:
             continue
         examined[q0] = True
-        ops.assign(1)
         emit("vertex-examined", q)
         singles = g.single_cols[q0]
-        ops.cmp(g.m)
         if not singles:
-            ops.assign(1)  # charged as marking the vertex final
+            ops.assign(1)  # the examined flag
             emit("final-marked", q)
             continue
+        reads = edges = writes = 0
         for j0 in singles:
-            ops.cmp(1)
+            reads += 1
             if bar_count[j0] == 0:
                 g.useless[q0] = True
-                ops.assign(1)
+                writes += 1
                 emit("useless-marked", q, j0 + 1)
                 break  # remaining columns of q are not processed
             conjunctive = 1 if bar_count[j0] == 1 else 0
-            # indegree and live-target updates, plus one for a disjunctive edge
-            arith = 2 if conjunctive else 3
             j = j0 + 1
-            ops.cmp(g.n)
+            reads += len(targets[j0])
             for edge, r0 in enumerate(targets[j0], edge_base[j0]):
-                ops.cmp(1)
                 if removed[r0]:
                     continue
                 r = r0 + 1
                 if not formed[r0]:
                     formed[r0] = True
                     order.append(r)
-                    ops.assign(2)
+                    writes += 2
                     emit("vertex-formed", r, 0)
                 edge_live[edge] = 1
                 live_targets[j0] += 1
                 indegree[r0] += 1
-                ops.arith(arith)
-                ops.assign(1)
+                edges += 1
                 emit("edge-formed", q, r, j, conjunctive)
-                added = True
+        # the columns and rows read; per edge its byte, live-target count and
+        # indegree; the examined flag, a useless flag, two writes per new vertex
+        ops.cmp(reads)
+        ops.arith(2 * edges)
+        ops.assign(1 + edges + writes)
+        added = added or edges > 0  # a vertex is only formed with an edge into it
+    ops.cmp(len(order))  # each vertex's flags, once
     emit("construct-result", 1 if added else 0)
     return added

@@ -1,11 +1,14 @@
 """Elementary-operation counting and deterministic structured tracing.
 
-The counter tracks three kinds of elementary operations: assignments (array
-or scalar writes), arithmetic (integer add/sub), and comparisons (read-and-
-compare of a cell or scalar).  Loop control is not counted.  Each step
-charges the op counts of the dense procedure the engine once ran, not the
-work its occurrence lists do, as the step's own comment says, so totals are
-deterministic and independent of how the step is implemented.
+The counter tracks three kinds of elementary operations, and every step of
+the search charges them by one rule: a comparison per cell it reads, an
+arithmetic op per counter it changes, an assignment per cell it writes (a
+write logged on the undo trail is one, and so is a trail entry a restore
+pops).  A list the step visits is charged by its length in one call, never
+element by element.  Loop control, allocating a zero-filled list and the
+checks around the search (input validation, the forced-conflict shortcut,
+the covering gate) are free, so totals are deterministic and follow the
+entries the O(N) engine touches.
 
 The trace is an append-only list of (kind, payload ints..., counter reading)
 events; identical input and configuration yield byte-identical serialized

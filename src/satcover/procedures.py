@@ -18,9 +18,9 @@ the uncovered columns from a lazy min-heap, the way MiniSat keeps its
 variable order (Een & Sorensson, "An Extensible SAT-solver", SAT 2003): a
 commit pushes the columns it brings to 0, and a pop skips stale entries,
 columns whose count has risen since.  Each pass still sees the columns that
-were 0 when it began, in ascending order, so the scan order, trace events
-and op charges are those of a full rescan of the m counts, without its O(m)
-cost per commit.
+were 0 when it began, in ascending order, so the scan order and trace
+events are those of a full rescan of the m counts, without its O(m) cost
+per commit.
 
 A snapshot is a mark on the graph's undo trail, as in the same solver: the
 cascade logs every cell it writes, so undoing a failed attempt costs what
@@ -51,57 +51,49 @@ class Unreachable(NamedTuple):
     column: int
 
 
-class StateSnapshot(NamedTuple):
+class _SnapshotFields(NamedTuple):
+    mark: int
+    cells: int
+
+
+class StateSnapshot(_SnapshotFields):
     """A mark on the graph's undo trail, taken before a removal cascade.
 
     ``restore`` pops the trail back to the mark, undoing every write the
     cascade made, whether or not it was removable; ``commit`` keeps the
     writes and drops their log.  Only removal cascades write through the
     trail, so a mark restores the graph as it was when taken as long as
-    nothing but cascades ran in between.  ``capture`` and ``restore`` each
-    charge ``cell_count()`` assignments to the graph's op counter and then
-    emit a ``snapshot`` or ``restore`` trace event; ``commit`` is free.
+    nothing but cascades ran in between.  ``capture`` and ``restore`` emit
+    a ``snapshot`` or ``restore`` trace event.  Only ``restore`` charges:
+    one assignment per trail entry it pops, kept in the instance dict for
+    ``cell_count()`` (``cells``, the capture's charge, is 0).  No attribute
+    can be set.
     """
 
-    mark: int
-    cells: int
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
 
     @classmethod
     def capture(cls, graph: PointingGraph) -> "StateSnapshot":
-        n, m = graph.n, graph.m
-        cells = (
-            len(graph.vertex_order)
-            + graph.main_column_total
-            + 7 * n  # six flag lists and indegree
-            + m  # multiplicity
-            + n * n  # the former n x n edge-count matrix
-            + 2 * n * m  # the former m x n edge-source and n x m edge-count matrices
-        )
-        graph.trace.ops.assign(cells)
         graph.trace.emit("snapshot")
-        return cls(mark=len(graph.trail), cells=cells)
+        return cls(mark=len(graph.trail), cells=0)
 
     def restore(self, graph: PointingGraph) -> None:
         trail = graph.trail
-        while len(trail) > self.mark:
-            state, index, old = trail.pop()
+        undone = trail[self.mark:]
+        del trail[self.mark:]
+        for state, index, old in reversed(undone):
             state[index] = old
-        graph.trace.ops.assign(self.cell_count())
+        self.__dict__["restored"] = len(undone)
+        graph.trace.ops.assign(len(undone))
         graph.trace.emit("restore")
 
     def commit(self, graph: PointingGraph) -> None:
         del graph.trail[self.mark:]
 
     def cell_count(self) -> int:
-        """The op charge for taking or restoring this snapshot.
-
-        It is the size of a full copy of the graph state as the engine once
-        held it, with dense n x n, m x n and n x m edge arrays, when the mark
-        was taken.  The state is O(N) now and a restore costs what the
-        cascade wrote, but the charge stays this formula so op counts and
-        trace readings do not move.
-        """
-        return self.cells
+        """The op charge of the snapshot's last capture or restore."""
+        return self.__dict__.get("restored", self.cells)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +111,9 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
     when it needs the pre-call graph back.  No vertex is processed twice.
     Every write is logged on ``graph.trail`` before it is made.
 
-    The work is O(degree) per removed vertex.  The op charges are those of
-    the dense scans the engine once made: n cells for a vertex's out-edge
-    row, m for its in-edge column, and one comparison per outgoing column
-    of the source for every target it points at.
+    The work is O(degree) per removed vertex, and so is the charge: the
+    flags, multiplicities and edge bytes read, the counters changed and the
+    cells written.
     """
     g = graph
     log = g.trail.append
@@ -141,38 +132,35 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
     gen_queued: Set[int] = set()
     removed_order: List[int] = []
 
-    def drop_edge(j0: int, edge: int) -> None:
-        log((live, edge, 1))
-        live[edge] = 0
-        log((live_targets, j0, live_targets[j0]))
-        live_targets[j0] -= 1
-        ops.assign(1)
-        if bar_count[j0] != 1:
-            ops.arith(1)
+    def drop_edges(source: int, target: int, edges: List[tuple]) -> None:
+        """Drop the live edges, (column, edge byte) pairs, from ``source``
+        to ``target``: their bytes, their columns' live-target counts and
+        the target's indegree."""
+        t0 = target - 1
+        log((indegree, t0, indegree[t0]))
+        indegree[t0] -= len(edges)
+        for j0, edge in edges:
+            log((live, edge, 1))
+            live[edge] = 0
+            log((live_targets, j0, live_targets[j0]))
+            live_targets[j0] -= 1
+            emit("edge-removed", source, target, j0 + 1)
+        ops.assign(len(edges))
+        ops.arith(len(edges) + 1)
 
     def remove_outgoing(p: int) -> None:
-        ops.cmp(g.n)
-        out_cols = g.out_cols[p - 1]
-        # live out-edges grouped by target: (position in out_cols, column, byte)
+        # live out-edges grouped by target: (column, byte)
         by_target: Dict[int, List[tuple]] = {}
-        for pos, j0 in enumerate(out_cols):
+        visited = 0
+        for j0 in g.out_cols[p - 1]:
+            visited += len(g.targets[j0])
             for edge, t0 in enumerate(g.targets[j0], g.edge_base[j0]):
                 if live[edge]:
-                    by_target.setdefault(t0, []).append((pos, j0, edge))
+                    by_target.setdefault(t0, []).append((j0, edge))
+        ops.cmp(visited + len(by_target))  # the edge bytes, and each target's test below
         for t0 in sorted(by_target):
-            edges = by_target[t0]
-            log((indegree, t0, indegree[t0]))
-            indegree[t0] -= len(edges)
-            ops.assign(1)
-            ops.arith(1)
             t = t0 + 1
-            seen = -1  # one comparison per outgoing column, up to each edge
-            for pos, j0, edge in edges:
-                ops.cmp(pos - seen)
-                seen = pos
-                drop_edge(j0, edge)
-                emit("edge-removed", p, t, j0 + 1)
-            ops.cmp(len(out_cols) - seen)  # the rest of the columns, and the test below
+            drop_edges(p, t, by_target[t0])
             if indegree[t0] == 0 and not main[t0] and not removed[t0] and t not in gen_queued:
                 gen_queued.add(t)
                 gen.append(t)
@@ -204,28 +192,21 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
             for c in cols:
                 log((multiplicity, c - 1, multiplicity[c - 1]))
                 multiplicity[c - 1] -= 1
-                ops.arith(1)
+            ops.arith(len(cols))
         # live in-edges grouped by source row, ascending
-        ops.cmp(g.m)
+        slots = g.in_slots[p0]
+        ops.cmp(len(slots))
         bundles: Dict[int, List[tuple]] = {}
-        for j0, edge in g.in_slots[p0]:
+        for j0, edge in slots:
             if live[edge]:
                 bundles.setdefault(g.col_single_row[j0], []).append((j0, edge))
         for r in sorted(bundles):
             edges = bundles[r]
-            trigger = False
-            for j0, _ in edges:
-                ops.cmp(2)
-                if bar_count[j0] == 1 or live_targets[j0] <= 1:
-                    trigger = True
-            log((indegree, p0, indegree[p0]))
-            indegree[p0] -= len(edges)
-            ops.assign(1)
-            ops.arith(1)
-            for j0, edge in edges:
-                drop_edge(j0, edge)
-                emit("edge-removed", r, p, j0 + 1)
-            ops.cmp(1)
+            # the source must go too when it loses an obligatory edge or
+            # the last live one of a column
+            trigger = any(bar_count[j0] == 1 or live_targets[j0] <= 1 for j0, _ in edges)
+            ops.cmp(len(edges) + 1)  # the edges' columns, and the source test below
+            drop_edges(r, p, edges)
             if trigger and r not in anc_marked and not removed[r - 1]:
                 anc_marked.add(r)
                 anc.append(r)
@@ -254,14 +235,16 @@ def clean(graph: PointingGraph, *, order: Optional[List[int]] = None) -> Optiona
     inspect the intact graph, and the vertex index is returned.  Returns None
     when the graph is clean.
     """
-    live_useless = [v for v in graph.live_vertices() if graph.useless[v - 1]]
+    trace, ops = graph.trace, graph.trace.ops
+    live = graph.live_vertices()
+    live_useless = [v for v in live if graph.useless[v - 1]]
+    ops.cmp(graph.n + len(live))  # each vertex's flags, and the useless flags of the live ones
     if order is None:
         candidates = live_useless
     else:
         candidates = list(order)
         if set(candidates) != set(live_useless) or len(candidates) != len(live_useless):
             raise StructuralError("clean order must be a permutation of the live useless vertices")
-    trace, ops = graph.trace, graph.trace.ops
     for v in candidates:
         ops.cmp(1)
         if graph.removed[v - 1]:
@@ -283,26 +266,35 @@ def clean(graph: PointingGraph, *, order: Optional[List[int]] = None) -> Optiona
 
 def _swap_rows(
     counts: List[int], pair: DecompositionPair, rows, sign: int, zeros: List[int]
-) -> None:
+) -> int:
     """Add ``sign`` times the effect of swapping the given 0-based rows to
     alpha column counts: their alpha ones leave, their second ones arrive.
-    Every column whose count reaches 0 is pushed on the min-heap ``zeros``."""
+    Every column whose count reaches 0 is pushed on the min-heap ``zeros``.
+    Returns the number of counts changed."""
+    changed = 0
     for i in rows:
-        for j in pair.alpha_rows[i]:
+        alpha, bar = pair.alpha_rows[i], pair.bar_rows[i]
+        for j in alpha:
             counts[j] -= sign
             if not counts[j]:
                 heappush(zeros, j)
-        for j in pair.bar_rows[i]:
+        for j in bar:
             counts[j] += sign
             if not counts[j]:
                 heappush(zeros, j)
+        changed += len(alpha) + len(bar)
+    return changed
 
 
 def swapped_alpha_counts(graph: PointingGraph) -> List[int]:
     """Column counts of alpha after swapping every live vertex row."""
+    ops = graph.trace.ops
     counts = list(graph.counts.m_alpha)
     # the zeros of a fresh count come from ``zero_columns``, not the pushes
-    _swap_rows(counts, graph.pair, [i - 1 for i in graph.live_vertices()], 1, [])
+    changed = _swap_rows(counts, graph.pair, [i - 1 for i in graph.live_vertices()], 1, [])
+    ops.cmp(graph.n)  # each vertex's flags
+    ops.arith(changed)
+    ops.assign(graph.m)  # the copied counts
     return counts
 
 
@@ -339,9 +331,9 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
     changes a count, and a commit ends the pass, so a pass pops exactly the
     columns that were 0 when it began, in ascending order: the columns a
     scan of all m counts would visit, in the same order, with the same
-    events.  Each pass is still charged that scan, m comparisons and m
-    additions.  A commit pushes every column its cascade brings to 0, and
-    the columns the pass popped go back on the heap for the next pass.
+    events.  A pass is charged the columns it pops.  A commit pushes every
+    column its cascade brings to 0, and the columns the pass popped go back
+    on the heap for the next pass.
 
     No column is ever on the heap twice.  Live vertices only go during a
     call, so once a column's count is 0 no live vertex holds it on the
@@ -352,27 +344,29 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
     pair, tried, trace, ops = graph.pair, graph.tried, graph.trace, graph.trace.ops
     swapped = swapped_alpha_counts(graph)
     zeros = zero_columns(swapped)
+    ops.cmp(graph.m)  # the swapped counts scanned
+    ops.assign(len(zeros))  # the heap they fill
     formed = graph.formed
     while True:
-        ops.cmp(graph.m)
-        ops.arith(graph.m)
         visited: List[int] = []
         plan_rows: List[int] = []
         plan_cols: List[int] = []
+        popped = 0  # columns popped and not yet charged
         while zeros:
             j0 = heappop(zeros)
+            popped += 1
             if swapped[j0]:
                 continue  # stale
             visited.append(j0)
             j = j0 + 1
             # a swapped count of 0 means every alpha row of the column is live
             members = [r0 + 1 for r0 in pair.alpha_cols[j0]]
-            ops.cmp(graph.n)
+            ops.cmp(popped + len(members))  # the pops, and each member's tried mark
+            popped = 0
             trace.emit("incompat-found", j, len(members))
             snap = None
             committed = 0
             for r in members:
-                ops.cmp(1)
                 if r in tried:
                     continue
                 tried.add(r)
@@ -383,27 +377,30 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
                 if outcome.removable:
                     snap.commit(graph)
                     committed = r
-                    gone = [v - 1 for v in outcome.removed_vertices]
-                    _swap_rows(swapped, pair, gone, -1, zeros)
                     break
                 snap.restore(graph)
             if committed:
+                heap_size = len(zeros)
+                gone = [v - 1 for v in outcome.removed_vertices]
+                ops.arith(_swap_rows(swapped, pair, gone, -1, zeros))
                 for v in visited:
                     heappush(zeros, v)
+                ops.assign(len(zeros) - heap_size)
                 trace.emit("incompat-eliminated", j, committed)
                 break  # restart the scan with an empty plan
             # nothing removable: plan an extension for this column
             candidates = [p0 + 1 for p0 in pair.bar_cols[j0] if not formed[p0]]
-            ops.cmp(graph.n)
+            ops.cmp(len(pair.bar_cols[j0]))
+            ops.assign(2 * len(candidates))
             if not candidates:
                 trace.emit("unreachable-column", j)
                 return Unreachable(j)
             for p in candidates:
                 plan_rows.append(p)
                 plan_cols.append(j)
-                ops.assign(2)
                 trace.emit("extension-planned", p, j)
         else:  # a full pass committed nothing
+            ops.cmp(popped)
             return ExtensionPlan(plan_rows, plan_cols) if plan_rows else None
 
 
@@ -433,15 +430,15 @@ def extend(graph: PointingGraph, plan: ExtensionPlan) -> None:
         graph.formed[p0] = True
         graph.main[p0] = True
         graph.vertex_order.append(p)
-        ops.assign(3)
         second = set(graph.pair.bar_rows[p0])
         assoc = [c for c in cols if c - 1 in second]
         for c in assoc:
             graph.main_columns[p0].append(c)
-            graph.main_column_total += 1
             graph.multiplicity[c - 1] += 1
-            ops.cmp(1)
-            ops.arith(1)
-            ops.assign(1)
+        # the row's second side and the planned columns read; the
+        # multiplicities; three flag and order writes and the column entries
+        ops.cmp(len(second) + len(cols))
+        ops.arith(len(assoc))
+        ops.assign(3 + len(assoc))
         trace.emit("vertex-formed", p, 1)
     trace.emit("extend", len(rows))

@@ -74,29 +74,29 @@ WORKED = {"E1": E1_TEXT, "E2": E2_TEXT, "E3": E3_TEXT, "E4": E4_TEXT, "E5": E5_T
 # the pair rebuilt through the public dense constructor
 WORKED_PINS = {
     "E1": (
-        ("SAT", None, (22, 8, 28), "610d26a72a46a124853d35cf01b9dceced1dc1487158b21cdcd518bde30ee2ee"),
-        ("SAT", None, (22, 8, 28), "610d26a72a46a124853d35cf01b9dceced1dc1487158b21cdcd518bde30ee2ee"),
-        ("COVERING", (1, 2), (14, 8, 24), "5233398cb4f64b9d657a0255111ffdd91b4886f2af1a30c521880769e877dde8"),
+        ("SAT", None, (26, 5, 24), "e771d053af5b5a58099ed109b219a1ec1dd347f7af6613ba6339816fa8d4c352"),
+        ("SAT", None, (26, 5, 24), "e771d053af5b5a58099ed109b219a1ec1dd347f7af6613ba6339816fa8d4c352"),
+        ("COVERING", (1, 2), (23, 5, 21), "6b0524f16e6af4747d68975f0c3ab46843d330f2d8274910b7c1479f70e1f4be"),
     ),
     "E2": (
-        ("UNSAT", ("non-removable-useless-vertex", 1), (48, 3, 16), "9a0c85ff09c9ba8bb4b8a8ebdfcbbbf1774246f75557b8e8b0387ba347bffd54"),
-        ("UNSAT", ("both-components-single", 1), (8, 2, 6), "7fe8eb60ebc3ce82a429d407389c96cdf419ee74c97fc9f843ae23e4b4cc6419"),
-        ("NO_COVERING", ("non-removable-useless-vertex", 1), (44, 3, 14), "3969b5610c88579dd339f0cc08b9eee226fa4033f38bd541bd51a037f58836b5"),
+        ("UNSAT", ("non-removable-useless-vertex", 1), (21, 0, 18), "9a3e78dbd36a3fd8df9d28e2b7756ead1458cf00e41c4304d4c89d98e5909782"),
+        ("UNSAT", ("both-components-single", 1), (6, 0, 6), "834fa167cd3e78e20fb428a2377a1b1ac67a7b8524152e0f1f53191a7d89c950"),
+        ("NO_COVERING", ("non-removable-useless-vertex", 1), (19, 0, 16), "64bccd6953ef83dc05600bd82dfeda0d318e2527e17fdcbe5535e856ab53c17c"),
     ),
     "E3": (
-        ("UNSAT", ("unreachable-column", 1), (147, 9, 46), "f4cf0b21e7de8aa4067a87c6bf517512ccccfe2aa26bf0da8a4e18999b4d7587"),
-        ("UNSAT", ("unreachable-column", 1), (147, 9, 46), "f4cf0b21e7de8aa4067a87c6bf517512ccccfe2aa26bf0da8a4e18999b4d7587"),
-        ("NO_COVERING", ("unreachable-column", 1), (135, 9, 40), "f08f323f538847e4840d52d7584e40d9dd056aa7c47b033d80cb43e894cc7b04"),
+        ("UNSAT", ("unreachable-column", 1), (38, 4, 36), "f4c106c0718287044a510a6faf2cf21c95c4c7460eb8ed78d7e1f3254ad04209"),
+        ("UNSAT", ("unreachable-column", 1), (38, 4, 36), "f4c106c0718287044a510a6faf2cf21c95c4c7460eb8ed78d7e1f3254ad04209"),
+        ("NO_COVERING", ("unreachable-column", 1), (34, 4, 32), "2623265254a226aaff6b333c91bfedc52cf22ecf8092ca70bbad84b8838801b2"),
     ),
     "E4": (
-        ("SAT", None, (215, 14, 69), "91fcaaebc1f2fe659222125ec56a5e8317aee5b6946abffc2f28090460c0b264"),
-        ("SAT", None, (215, 14, 69), "91fcaaebc1f2fe659222125ec56a5e8317aee5b6946abffc2f28090460c0b264"),
-        ("COVERING", (1, 2, 3), (197, 14, 60), "af70513cf9b1d1241cda9a4316ed6e8dc92d6f87021d1c14728a2697adbe4d03"),
+        ("SAT", None, (49, 10, 57), "b580e56696dd54ed0fb28484e2ce1f5c3f5fc9a2d49dfa449647a07827f55144"),
+        ("SAT", None, (49, 10, 57), "b580e56696dd54ed0fb28484e2ce1f5c3f5fc9a2d49dfa449647a07827f55144"),
+        ("COVERING", (1, 2, 3), (44, 10, 52), "596c74cd6ad3e97d326f4dcc72b7c97aa3d9cd88acfd8e1f79a508638606c9a2"),
     ),
     "E5": (
-        ("SAT", None, (33, 15, 40), "ecc0201738777e02794dca278950712e7e1019b3cbd0fac29ff68bb266fe220d"),
-        ("SAT", None, (33, 15, 40), "ecc0201738777e02794dca278950712e7e1019b3cbd0fac29ff68bb266fe220d"),
-        ("COVERING", (1, 2, 3), (21, 15, 34), "831a300d293ec269e7d59cdb04736b09cf7da417cfd2cf764d5a1cb9062bc2d5"),
+        ("SAT", None, (35, 9, 32), "4b007220edf0140c4ff4f4c1a594a3a7472ccb8f237a0ea1c3d881aa8d014254"),
+        ("SAT", None, (35, 9, 32), "4b007220edf0140c4ff4f4c1a594a3a7472ccb8f237a0ea1c3d881aa8d014254"),
+        ("COVERING", (1, 2, 3), (30, 9, 27), "3a0cac77d354395cb48f736525c1b5f2af1fb6537c77e6108720079271108e71"),
     ),
 }
 
@@ -143,13 +143,13 @@ def threshold_formula(n: int, seed: int, bias: str):
 
 
 THRESHOLD_PINS = {
-    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), (1191989, 8281, 90867), "101e7211d9097c45a7eae2681dd37a316b60d41955ccfe9d409802fbf7bd0dce"),
-    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), (1636517, 9019, 177878), "849bf1bfacd7a8f08d23326f73491bf5016db63d2e93a03063e05a86a33b5567"),
-    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), (4980515, 18254, 328315), "358d591dba70358c7acb846eb4e3e1f3be4d13a4c25ac9c5fd01faa42c68a547"),
-    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), (6035318, 19404, 481641), "de4d1f472530835682459eea64b605da46787bea9c82806bb3d4fff7a23d24c7"),
-    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), (629311, 5169, 78345), "8c31bb95a6fbc88ec42bf5a4ce83140191a0944db18427365adced41a6e1a272"),
-    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), (3272954, 15215, 228961), "f3b9ea4e67da336de0a05c99e0beb7d05cec0f6619a3f4844a9d1d4ee4ced02a"),
-    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (8632141, 25272, 502241), "5d3ebaf762c214bc5a91f9354eb24a0952215a76711ac4be7c7a2999217136ba"),
+    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), (3411, 1980, 3494), "190342bea87aaf95e806aeffb52801129bf2337d17e42ba4b45b26a64db42ae3"),
+    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), (4703, 2360, 4619), "cf8588dffb14b29794bd1132f75464553477e89c59c4e8d07c04c17077ae556d"),
+    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), (6303, 3427, 6346), "9ed9b70846a8a0bfa0027930a722f98099c175261304ab612f57630b7606f814"),
+    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), (7583, 3768, 7454), "286da4b019e0dd12db040a098a28daab363d246807c47a44589bade7a849cde6"),
+    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), (2987, 1469, 2942), "da84e0fd7a399824b266d03abef4a56614c6f1611dccacd07cc95d69194c9465"),
+    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), (5210, 3001, 5310), "03028bfcd65455adcc62827f308df1d7cfdb4a5f81e7eb63304e946eeb449296"),
+    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (7728, 4082, 7751), "89ba1745c9f1a4b7534b526b57768d5936182c6ad6f3c4fc95a7e414fdfb0bb9"),
 }
 
 THRESHOLD_BEHAVIOUR = {
@@ -167,7 +167,7 @@ THRESHOLD_BEHAVIOUR = {
 # duplicate entries when it is popped
 HEAP_PIN = (
     (2000, 608, "none"),
-    ("UNSAT", ("unreachable-column", 1638), (15010426332, 3181765, 86284662), "404b1d89440c74edf3eb6c13d717de06ef2fe83c76c7b4122b1e129be4846998"),
+    ("UNSAT", ("unreachable-column", 1638), (101644, 52782, 100857), "a07a533271c6ce87651faa17ce98c7a4158b2a4c3f1ac7588d44a1a04d576af4"),
 )
 
 HEAP_BEHAVIOUR = ("UNSAT", ("unreachable-column", 1638), "04a850ea51c531438b99ea03d2d4028259da8e5054c56b107273653851a9fc7c")
@@ -184,7 +184,7 @@ RANDOM_BATCHES = tuple(
     for seed, bias in ((20261018, "none"), (20261019, "planted"))
 )
 RANDOM_TALLY = {"UNSAT": 109, "SAT": 131}
-RANDOM_DIGEST = "8feb364800944c7e7f46433c0b1251557f2535c7288c5ea1b6f82a286d41f0bd"
+RANDOM_DIGEST = "c880b3c97de55e7f13c53f5c11301564da90d001893e1430a11a7b892ac4aa69"
 RANDOM_BEHAVIOUR_DIGEST = "53a8cd3de0bbec44960588b858bfa2c188b759587e26a2295f575ebb0c3d5cab"
 
 

@@ -154,10 +154,9 @@ class TestColumnCounts:
     def test_operation_charges(self, e1_pair):
         ops = OpCounter()
         column_counts(e1_pair, ops=ops)
-        n, m = e1_pair.n, e1_pair.m
-        assert ops.comparisons == 2 * n * m
-        assert ops.arithmetic == naive_input_length(e1_pair)
-        assert ops.assignments == 2 * m
+        # one length read and one count written per column of each matrix
+        m = e1_pair.m
+        assert (ops.assignments, ops.arithmetic, ops.comparisons) == (2 * m, 0, 2 * m)
 
 
 class TestSwaps:

@@ -70,18 +70,28 @@ class TestSnapshot:
         assert len(graph.trail) == snap.mark
         assert graph.live_vertices() == [1, 3]
 
-    def test_cell_count_is_the_full_state_size(self):
-        # what a copy of every mutable field of the former dense state held:
-        # the vertex order, the main-column lists, six flag arrays, indegree,
-        # multiplicity, and n x n, m x n and n x m edge arrays
-        graph = built(E5_TEXT)
-        n, m = graph.n, graph.m
-        main_entries = sum(len(cols) for cols in graph.main_columns)
-        expected = len(graph.vertex_order) + main_entries + 7 * n + m + n * n + 2 * n * m
-        assert graph.main_column_total == main_entries
-        assert StateSnapshot.capture(graph).cell_count() == expected
+    def test_cell_count_is_the_last_charge(self):
+        # capture and commit charge nothing; a restore charges one
+        # assignment per trail entry it pops, and cell_count() reads it
+        pair = pair_of(E5_TEXT)
+        graph = find_main_vertices(pair, column_counts(pair), Trace(OpCounter()))
+        construct(graph)
+        ops = graph.trace.ops
+        charged = ops.total
+        snap = StateSnapshot.capture(graph)
+        assert snap.cell_count() == 0 and ops.total == charged
         removal_procedure(graph, 2)
-        assert StateSnapshot.capture(graph).cell_count() == expected
+        written = len(graph.trail) - snap.mark
+        assert written > 0
+        charged = ops.total
+        snap.restore(graph)
+        assert snap.cell_count() == written
+        assert ops.total == charged + written
+        snap = StateSnapshot.capture(graph)
+        removal_procedure(graph, 2)
+        charged = ops.total
+        snap.commit(graph)
+        assert snap.cell_count() == 0 and ops.total == charged
 
 
 class TestRemovalProcedure:
