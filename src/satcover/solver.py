@@ -267,21 +267,22 @@ def solve_sat(
 
     Reason indices are reported in the formula's own numbering (variables as
     given; clauses by position) unless ``clause_labels`` supplies original
-    file numbering.  A satisfying verdict is emitted only after the
-    assignment passes evaluation; a failing assignment becomes EngineError.
+    file numbering, one label per clause.  A satisfying verdict is emitted
+    only after the assignment passes evaluation; a failing assignment
+    becomes EngineError.
     """
     check_alpha(alpha)
+    m = len(formula.clauses)
+    if clause_labels is None:
+        clause_labels = range(1, m + 1)
+    elif len(clause_labels) != m:
+        raise StructuralError(f"clause_labels has {len(clause_labels)} labels for {m} clauses")
     trace = Trace(OpCounter() if count_ops else DISABLED_OPS)
-
-    def clause_label(j: int) -> int:
-        if clause_labels is not None:
-            return clause_labels[j - 1]
-        return j
 
     for idx, clause in enumerate(formula.clauses, start=1):
         if not clause:
             trace.emit("verdict", 1, idx)
-            return SolveRun(Unsat(Reason(EMPTY_CLAUSE, clause_label(idx))), trace, 0)
+            return SolveRun(Unsat(Reason(EMPTY_CLAUSE, clause_labels[idx - 1])), trace, 0)
     if not formula.clauses:
         trace.emit("verdict", 0, 0)
         return SolveRun(Sat((False,) * formula.num_vars), trace, 0)
@@ -300,12 +301,10 @@ def solve_sat(
             verdict = Sat(assignment)
     elif isinstance(verdict, NoCovering):
         reason = verdict.reason
-        if reason.kind in (NON_REMOVABLE_USELESS_VERTEX, BOTH_COMPONENTS_SINGLE):
-            index = used[reason.index - 1]  # decomposition row -> variable
-        elif reason.kind == UNREACHABLE_COLUMN:
-            index = clause_label(reason.index)
-        else:
-            index = reason.index
+        if reason.kind == UNREACHABLE_COLUMN:
+            index = clause_labels[reason.index - 1]
+        else:  # a vertex: decomposition row -> variable
+            index = used[reason.index - 1]
         verdict = Unsat(Reason(reason.kind, index))
     return SolveRun(verdict, trace, extensions)
 

@@ -117,6 +117,15 @@ class TestSolveSat:
         run = solve_sat(formula, clause_labels=[7, 9])
         assert typed(run.verdict) == typed(Unsat(Reason("empty-clause", 9)))
 
+    @pytest.mark.parametrize(
+        "clauses,labels", [([[]], []), ([[]], [7, 9]), ([[1], [-2]], [7]), ([[1], [-2]], [7, 9, 11])]
+    )
+    def test_clause_labels_of_another_length_refused(self, clauses, labels):
+        # one label per clause, checked before solving: a short list used to
+        # end in an IndexError when the empty clause looked up its label
+        with pytest.raises(StructuralError, match="clause_labels"):
+            solve_sat(CnfFormula(2, clauses), clause_labels=labels)
+
     def test_no_clauses_trivially_sat(self):
         run = solve_sat(CnfFormula(3, []))
         assert typed(run.verdict) == typed(Sat((False, False, False)))
