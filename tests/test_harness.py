@@ -1,5 +1,9 @@
 """Oracles, generators, differential adjudication, shrinking, probing."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from satcover import (
     CnfFormula,
     FuzzConfig,
+    Reason,
     Unsat,
     assignment_from_swaps,
     brute_covering,
@@ -21,6 +26,7 @@ from satcover import (
     parse_dimacs,
     random_cnf,
     shrink_disagreement,
+    solve_sat,
     to_decomposition,
 )
 from satcover import harness
@@ -39,6 +45,7 @@ from conftest import (
     pair_of,
     reference_brute_sat,
     reference_random_cnf,
+    typed,
 )
 
 
@@ -499,6 +506,11 @@ class TestShrink:
         assert shrink_disagreement(formula, exact).clauses == formula.clauses
 
 
+# sha256 of the minimized DIMACS texts of the 316 n = 4 disagreements,
+# concatenated in report order
+N4_MINIMIZED_SHA256 = "4503e50960f94b2b02a2282999808d6573847cfa06b16c0d785696f15d8ae864"
+
+
 class TestDiffExhaustive:
     def test_tiny_space_clean(self):
         report = diff_exhaustive(2, 2, 2)
@@ -511,8 +523,6 @@ class TestDiffExhaustive:
         # (x2)(x1 v x3)(-x1 v -x3)(-x2 v -x3), which the (3, 3, 3) space does
         # not: they land in disagreements, each with a minimized instance that
         # still disagrees, while the gate stays clean
-        from satcover import solve_sat
-
         report = diff_exhaustive(3, 4, 2)
         assert report.disagreements
         for item in report.disagreements:
@@ -541,6 +551,24 @@ class TestDiffExhaustive:
         )
         assert diff_exhaustive(2, 2, 2).extra["reduction_check_passed"]
         assert calls == [(2, 2, 2)]
+
+    def test_n4_counterexamples_replay(self):
+        # the minimized false negatives of the n = 4 space, recorded from
+        # ``satcover diff-exhaustive --max-n 4 --json`` with the engine's
+        # reason on each; the exhaustive-n4 CI job sweeps the space and
+        # checks the same digest of their concatenation
+        doc = json.loads((Path(__file__).parent / "n4_counterexamples.json").read_text())
+        items = doc["counterexamples"]
+        assert len(items) == 316
+        minimized = "".join(item["minimized"] for item in items).encode("ascii")
+        assert hashlib.sha256(minimized).hexdigest() == N4_MINIMIZED_SHA256
+        for item in items:
+            formula, removed = parse_dimacs(item["minimized"])
+            assert removed == () and formula.num_vars <= 4 and len(formula.clauses) <= 4
+            verdict = solve_sat(formula).verdict
+            assert verdict.status == item["engine"]
+            assert typed(verdict) == typed(Unsat(Reason(*item["reason"])))
+            assert oracle_status(formula) == "SAT"
 
     @pytest.mark.parametrize("bounds", [(5, 2, 1), (0, 2, 1), (2, 0, 1), (2, 2, 0)])
     def test_bad_bounds_refused_before_any_solve(self, bounds, monkeypatch):
