@@ -121,8 +121,8 @@ class TestSolveSat:
         "clauses,labels", [([[]], []), ([[]], [7, 9]), ([[1], [-2]], [7]), ([[1], [-2]], [7, 9, 11])]
     )
     def test_clause_labels_of_another_length_refused(self, clauses, labels):
-        # one label per clause, checked before solving: a short list used to
-        # end in an IndexError when the empty clause looked up its label
+        # one label per clause, checked before solving; a short list would
+        # otherwise fail on the lookup of the empty clause's label
         with pytest.raises(StructuralError, match="clause_labels"):
             solve_sat(CnfFormula(2, clauses), clause_labels=labels)
 
