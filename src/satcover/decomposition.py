@@ -15,7 +15,13 @@ Key choices:
     tuples so no caller can change a pair after the check;
   * all public row/column indices are 1-based to match the report formats,
     while the occurrence lists hold 0-based indices; conversion happens at
-    function boundaries only.
+    function boundaries only;
+  * a tuple is built from a list, whose length is known, never from a map
+    or a generator: ``tuple()`` of an iterator takes a 10-slot tuple and
+    resizes it, which moves it off CPython's size-10 free list onto the
+    list of its final size, where up to 2,000 freed tuples of each size
+    then stay parked, so a long harness run's memory would grow with the
+    instances it has run.
 """
 from __future__ import annotations
 
@@ -36,7 +42,7 @@ def _occurrences(rows: List[List[int]], n: int, m: int, side: str):
     if len(rows) != n:
         raise StructuralError(f"{side} has {len(rows)} rows, expected {n}")
     try:
-        frozen = tuple(map(tuple, rows))
+        frozen = tuple(list(map(tuple, rows)))
     except TypeError:
         raise StructuralError(f"{side} must be a list of rows of column indices") from None
     cols: List[List[int]] = [[] for _ in range(m)]
@@ -53,7 +59,7 @@ def _occurrences(rows: List[List[int]], n: int, m: int, side: str):
                 last = j
     except TypeError:
         raise StructuralError(f"{side} row {i + 1}: column {j!r} is not an integer") from None
-    return frozen, tuple(map(tuple, cols))
+    return frozen, tuple(list(map(tuple, cols)))
 
 
 class DecompositionPair:
@@ -126,8 +132,8 @@ def validate(pair: DecompositionPair) -> Tuple[Violation, ...]:
 
 def column_counts(pair: DecompositionPair, *, ops: OpCounter = DISABLED_OPS) -> ColumnCounts:
     """Count the 1s of every column of both matrices."""
-    m_alpha = tuple(map(len, pair.alpha_cols))
-    m_alpha_bar = tuple(map(len, pair.bar_cols))
+    m_alpha = tuple(list(map(len, pair.alpha_cols)))
+    m_alpha_bar = tuple(list(map(len, pair.bar_cols)))
     # a column's count is the length of its occurrence list: 2m reads and
     # 2m writes
     ops.cmp(2 * pair.m)

@@ -16,6 +16,7 @@ import math
 import random
 import statistics
 import time
+from array import array
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .cnf import (
@@ -93,7 +94,7 @@ def brute_sat(
                     break
         if live:
             a = (high << k) | ((live & -live).bit_length() - 1)
-            return True, tuple(bool((a >> i) & 1) for i in range(n))
+            return True, tuple([bool((a >> i) & 1) for i in range(n)])
     return False, None
 
 
@@ -165,7 +166,7 @@ def dpll(
                     return None, None
                 if not clauses:
                     n = formula.num_vars
-                    return True, tuple(assignment.get(v, False) for v in range(1, n + 1))
+                    return True, tuple([assignment.get(v, False) for v in range(1, n + 1)])
                 unit = next((c[0] for c in clauses if len(c) == 1), None)
                 if unit is None:
                     var = min(abs(l) for clause in clauses for l in clause)
@@ -386,16 +387,30 @@ class DifferentialReport(_DifferentialReportFields):
         return self.gate_failures > 0 or self.extra.get("reduction_check_passed") is False
 
 
-def _op_stats(points: List[Tuple[int, int]]) -> dict:
-    """Max op_total / N^3 ratio and the fitted log-log exponent."""
-    usable = [(N, ops) for N, ops in points if N > 0 and ops > 0]
-    stats: dict = {"points": len(usable), "max_ratio_cubic": None, "fitted_exponent": None}
-    if usable:
-        stats["max_ratio_cubic"] = max(ops / N**3 for N, ops in usable)
-    if len({N for N, _ in usable}) >= 2:
-        slope, _ = statistics.linear_regression(
-            [math.log10(N) for N, _ in usable], [math.log10(ops) for _, ops in usable]
+def _op_stats(lengths: array, totals: array) -> dict:
+    """Max op_total / N^3 ratio and the fitted log-log exponent over the
+    points (N = lengths[i], op_total = totals[i]) with N > 0 and op_total > 0.
+
+    A sweep keeps one point per formula (814,384 at max-n 4), so the points
+    are two int64 arrays and each log10 list refers to one float per
+    distinct value; a tuple and two fresh floats per point took about 175 MB
+    there.  The lists' elements equal those of fresh floats, so the stats do.
+    """
+    log_n: Dict[int, float] = {}
+    log_ops: Dict[int, float] = {}
+    xs: List[float] = []
+    ys: List[float] = []
+    for N, ops in zip(lengths, totals):
+        if N > 0 and ops > 0:
+            xs.append(log_n.setdefault(N, math.log10(N)))
+            ys.append(log_ops.setdefault(ops, math.log10(ops)))
+    stats: dict = {"points": len(xs), "max_ratio_cubic": None, "fitted_exponent": None}
+    if xs:
+        stats["max_ratio_cubic"] = max(
+            ops / N**3 for N, ops in zip(lengths, totals) if N > 0 and ops > 0
         )
+    if len(log_n) >= 2:
+        slope, _ = statistics.linear_regression(xs, ys)
         stats["fitted_exponent"] = round(slope, 4)
     return stats
 
@@ -444,7 +459,8 @@ def _adjudicate(
     engine_errors: List[dict] = []
     unknown = 0
     generated = 0
-    op_points: List[Tuple[int, int]] = []
+    lengths = array("q")  # N and op_total of each solve, for _op_stats
+    totals = array("q")
 
     def engine_of(f: CnfFormula) -> Tuple[str, SolveRun]:
         run = solve_sat(f, count_ops=True, invariant_checks=True)
@@ -456,7 +472,8 @@ def _adjudicate(
     for label, formula in labeled_formulas:
         generated += 1
         status, run = engine_of(formula)
-        op_points.append((sum(len(c) for c in formula.clauses), run.ops.total))
+        lengths.append(sum(len(c) for c in formula.clauses))
+        totals.append(run.ops.total)
         if status == "ERROR":
             detail = run.verdict.detail
         elif status == "SAT" and not evaluate(formula, run.verdict.assignment):
@@ -503,7 +520,7 @@ def _adjudicate(
         gate_failures=gate_failures,
         engine_errors=engine_errors,
         unknown=unknown,
-        op_stats=_op_stats(op_points),
+        op_stats=_op_stats(lengths, totals),
     )
 
 
@@ -614,6 +631,8 @@ def complexity_probe(
     if instances_per_size < 1:
         raise ValueError(f"instances-per-size must be positive, got {instances_per_size}")
     rows: List[dict] = []
+    lengths = array("q")  # the rows' input_length and op_total, for _op_stats
+    totals = array("q")
     for target in sizes:
         n, m = probe_shape(int(target), width)
         cfg = FuzzConfig(
@@ -631,6 +650,8 @@ def complexity_probe(
                 run = solve_sat(formula, count_ops=True)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
             nnz = sum(len(c) for c in formula.clauses)
+            lengths.append(nnz)
+            totals.append(run.ops.total)
             rows.append(
                 {
                     "target": int(target),
@@ -643,7 +664,7 @@ def complexity_probe(
                     "elapsed_ms": round(elapsed_ms, 3),
                 }
             )
-    stats = _op_stats([(row["input_length"], row["op_total"]) for row in rows])
+    stats = _op_stats(lengths, totals)
     gate_failures = sum(1 for row in rows if row["verdict"] == "ERROR")
     return {
         "mode": "probe",

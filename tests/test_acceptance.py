@@ -8,7 +8,9 @@ fatal.
 import copy
 import hashlib
 import itertools
+import math
 import random
+import statistics
 import time
 
 import numpy as np
@@ -462,6 +464,42 @@ def test_criterion_09_differential_deliverable(exhaustive_report, fuzz_reports):
         "re-runnable minimized counterexample (false negatives: the search gives "
         "up on some satisfiable instances; soundness gate stayed clean)",
     )
+
+
+def _tuple_op_stats(points):
+    """op_stats as the harness first computed it: a list of (N, op_total)
+    tuples, then a regression over fresh lists of floats."""
+    usable = [(N, ops) for N, ops in points if N > 0 and ops > 0]
+    stats = {"points": len(usable), "max_ratio_cubic": None, "fitted_exponent": None}
+    if usable:
+        stats["max_ratio_cubic"] = max(ops / N**3 for N, ops in usable)
+    if len({N for N, _ in usable}) >= 2:
+        slope, _ = statistics.linear_regression(
+            [math.log10(N) for N, _ in usable], [math.log10(ops) for _, ops in usable]
+        )
+        stats["fitted_exponent"] = round(slope, 4)
+    return stats
+
+
+def _solve_points(formulas):
+    """(N, op_total) of each formula, solved as the differential runs do."""
+    points = []
+    for formula in formulas:
+        run = solve_sat(formula, count_ops=True, invariant_checks=True)
+        points.append((sum(len(c) for c in formula.clauses), run.ops.total))
+    return points
+
+
+def test_op_stats_equal_the_tuple_formula(exhaustive_report, fuzz_reports):
+    # the compact point store gives the same dict, floats included
+    ex, _ = exhaustive_report
+    assert ex.op_stats == _tuple_op_stats(_solve_points(enumerate_formulas(3, 4, 3)))
+    cfg, report = FUZZ_BATCHES[1], fuzz_reports[0][1]
+    formulas = (random_cnf(cfg, i) for i in range(cfg.num_instances))
+    assert report.op_stats == _tuple_op_stats(_solve_points(formulas))
+    doc = complexity_probe([60, 120], seed=5)
+    rows = [(row["input_length"], row["op_total"]) for row in doc["rows"]]
+    assert doc["op_stats"] == _tuple_op_stats(rows)
 
 
 # sha256 of every check the shrinker made, in order (candidate DIMACS and
