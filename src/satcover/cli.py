@@ -21,6 +21,15 @@ there it costs nothing measurable.
 
 ``solve`` and ``covering`` load only the engine: the harness subcommands
 import ``satcover.harness`` (and ``decimal``) when they run.
+
+``fuzz`` and ``diff-exhaustive`` split their instances into contiguous
+ranges, one per usable CPU with at least ``harness.MIN_SHARD_ITEMS`` each,
+and run all but the first in forked children; the report is the same bytes
+for every split.  They run in one process on one usable CPU (``taskset -c
+0``), off Linux, or while another thread is alive.  A shard that dies
+without a result (a signal, the OOM killer) exits 2 with an ``error:``
+line.  ``probe`` always runs in one process: contention would distort its
+per-row ``elapsed_ms``.
 """
 from __future__ import annotations
 
@@ -393,6 +402,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _fail_input("out of memory")
     except OverflowError:  # a SAT answer for a header past the index range
         return _fail_input("declared size too large")
+    except ChildProcessError as exc:  # a harness shard killed, e.g. by the OOM killer
+        return _fail_input(str(exc))
 
 
 if __name__ == "__main__":

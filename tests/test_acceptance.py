@@ -9,6 +9,7 @@ import copy
 import hashlib
 import itertools
 import math
+import os
 import random
 import statistics
 import time
@@ -42,6 +43,7 @@ from satcover import (
     solve_sat,
     to_decomposition,
 )
+from satcover import harness
 from satcover.cnf import to_matrix
 from satcover.harness import enumerate_formulas, oracle_status
 from satcover.procedures import StateSnapshot, removal_procedure
@@ -500,6 +502,24 @@ def test_op_stats_equal_the_tuple_formula(exhaustive_report, fuzz_reports):
     doc = complexity_probe([60, 120], seed=5)
     rows = [(row["input_length"], row["op_total"]) for row in doc["rows"]]
     assert doc["op_stats"] == _tuple_op_stats(rows)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_reports_are_the_same_for_every_shard_count(exhaustive_report, fuzz_reports, cpus, monkeypatch):
+    # the fixtures ran with one shard per usable CPU; 1, 2 and 3 shards give
+    # the same reports, the 53 disagreements with their minimized texts and
+    # the op_stats floats included
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(harness, "MIN_SHARD_ITEMS", 1)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    assert diff_exhaustive(3, 4, 3).as_dict() == exhaustive_report[0].as_dict()
+    for cfg, report in zip(FUZZ_BATCHES, fuzz_reports[0]):
+        assert differential_run(cfg, brute_limit=ORACLE_BRUTE_LIMIT).as_dict() == report.as_dict()
+    assert len(forks) == 3 * (cpus - 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # sha256 of every check the shrinker made, in order (candidate DIMACS and

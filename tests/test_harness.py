@@ -1,11 +1,15 @@
 """Oracles, generators, differential adjudication, shrinking, probing."""
 
+import errno
 import hashlib
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -34,6 +38,7 @@ from satcover import (
     to_decomposition,
 )
 from satcover import harness
+from satcover.cli import main
 from satcover.harness import (
     _dpll_simplify,
     enumerate_clause_universe,
@@ -551,7 +556,9 @@ class TestDiffExhaustive:
         calls = []
         real_enumerate = harness.enumerate_formulas
         monkeypatch.setattr(
-            harness, "enumerate_formulas", lambda *b: calls.append(b) or real_enumerate(*b)
+            harness,
+            "enumerate_formulas",
+            lambda *b, **k: calls.append(b) or real_enumerate(*b, **k),
         )
         assert diff_exhaustive(2, 2, 2).extra["reduction_check_passed"]
         assert calls == [(2, 2, 2)]
@@ -584,6 +591,138 @@ class TestDiffExhaustive:
         with pytest.raises(ValueError):
             diff_exhaustive(*bounds)
         assert solves == []
+
+
+SHARDED = FuzzConfig(seed=11, num_instances=9, var_range=(1, 8), clause_range=(1, 20))
+
+
+def split_into(monkeypatch, cpus):
+    """Make a harness run use ``cpus`` shards of at least one item each."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(harness, "MIN_SHARD_ITEMS", 1)
+
+
+def sharded_reports():
+    return differential_run(SHARDED).as_dict(), diff_exhaustive(2, 2, 2).as_dict()
+
+
+class TestSharding:
+    @pytest.fixture(autouse=True)
+    def no_child_outlives_the_call(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def serial(self, monkeypatch):
+        with monkeypatch.context() as m:
+            split_into(m, 1)
+            return sharded_reports()
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real_fork())
+        return calls
+
+    def test_shards_merge_to_the_serial_report(self, serial, forks, monkeypatch):
+        split_into(monkeypatch, 3)
+        assert sharded_reports() == serial
+        assert len(forks) == 4  # two children per call
+
+    def test_one_cpu_runs_in_process(self, serial, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+        split_into(monkeypatch, 1)
+        assert sharded_reports() == serial
+
+    def test_no_affinity_call_runs_in_process(self, serial, monkeypatch):
+        split_into(monkeypatch, 3)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without sched_getaffinity"))
+        assert sharded_reports() == serial
+
+    def test_a_live_thread_prevents_the_fork(self, serial, monkeypatch):
+        split_into(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with a second thread alive"))
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert sharded_reports() == serial
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+
+    def test_a_refused_fork_runs_in_process(self, serial, monkeypatch):
+        # the second fork of each call fails: its first child is killed and
+        # reaped, and the whole range runs here
+        split_into(monkeypatch, 3)
+        real_fork = os.fork
+        calls = []
+
+        def second_refused():
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", second_refused)
+        assert sharded_reports() == serial
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("error", [ValueError, MemoryError])
+    def test_an_error_in_a_child_is_raised_with_its_type(self, error, monkeypatch):
+        # shards hold indices 0..2, 3..5 and 6..8; index 7 is the third's
+        split_into(monkeypatch, 3)
+        real_random_cnf = harness.random_cnf
+
+        def failing(cfg, index):
+            if index == 7:
+                raise error("index 7")
+            return real_random_cnf(cfg, index)
+
+        monkeypatch.setattr(harness, "random_cnf", failing)
+        with pytest.raises(error, match="index 7"):
+            differential_run(SHARDED)
+
+    def test_a_killed_child_is_an_input_error(self, monkeypatch, capsys):
+        split_into(monkeypatch, 3)
+        real_random_cnf = harness.random_cnf
+
+        def killed_at_4(cfg, index):
+            if index == 4:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_random_cnf(cfg, index)
+
+        monkeypatch.setattr(harness, "random_cnf", killed_at_4)
+        with pytest.raises(ChildProcessError, match=r"shard 2 of 3 \(items 3\.\.5\) was killed by signal 9"):
+            differential_run(SHARDED)
+        capsys.readouterr()
+        argv = ["fuzz", "--seed", "11", "--count", "9", "--vars", "1..8", "--clauses", "1..20"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: harness shard 2 of 3") and "Traceback" not in err
+
+    def test_an_error_here_kills_the_children(self, monkeypatch):
+        # the children would sleep for a minute: the caller's error must
+        # not wait for them
+        split_into(monkeypatch, 3)
+        real_random_cnf = harness.random_cnf
+
+        def slow_children(cfg, index):
+            if index == 0:
+                raise ValueError("index 0")
+            if index >= 3:
+                time.sleep(60)
+            return real_random_cnf(cfg, index)
+
+        monkeypatch.setattr(harness, "random_cnf", slow_children)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="index 0"):
+            differential_run(SHARDED)
+        assert time.monotonic() - start < 30
 
 
 class TestProbe:
