@@ -22,16 +22,7 @@ import threading
 import time
 from array import array
 from typing import (
-    BinaryIO,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Tuple,
-    TypeVar,
+    BinaryIO, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar,
 )
 
 from .cnf import (

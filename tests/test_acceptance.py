@@ -505,7 +505,9 @@ def test_op_stats_equal_the_tuple_formula(exhaustive_report, fuzz_reports):
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_reports_are_the_same_for_every_shard_count(exhaustive_report, fuzz_reports, cpus, monkeypatch):
+def test_reports_are_the_same_for_every_shard_count(
+    exhaustive_report, fuzz_reports, cpus, monkeypatch
+):
     # the fixtures ran with one shard per usable CPU; 1, 2 and 3 shards give
     # the same reports, the 53 disagreements with their minimized texts and
     # the op_stats floats included

@@ -697,7 +697,8 @@ class TestSharding:
             return real_random_cnf(cfg, index)
 
         monkeypatch.setattr(harness, "random_cnf", killed_at_4)
-        with pytest.raises(ChildProcessError, match=r"shard 2 of 3 \(items 3\.\.5\) was killed by signal 9"):
+        killed = r"shard 2 of 3 \(items 3\.\.5\) was killed by signal 9"
+        with pytest.raises(ChildProcessError, match=killed):
             differential_run(SHARDED)
         capsys.readouterr()
         argv = ["fuzz", "--seed", "11", "--count", "9", "--vars", "1..8", "--clauses", "1..20"]
