@@ -91,7 +91,6 @@ __all__ = [
     "dpll",
     "enumerate_clause_universe",
     "enumerate_formulas",
-    "exhaustive_reduction_check",
     "random_cnf",
     "shrink_disagreement",
     "DISABLED_OPS",

@@ -234,15 +234,11 @@ def _cmd_covering(args) -> int:
 
 def _parse_range(text: str) -> Tuple[int, int]:
     """``a..b`` or ``a`` as ``(a, b)``; ``FuzzConfig`` holds the range rule."""
-    from .harness import FuzzConfig
-
     lo_text, dots, hi_text = text.partition("..")
     try:
-        bounds = (int(lo_text), int(hi_text if dots else lo_text))
-        FuzzConfig(seed=0, var_range=bounds)
+        return int(lo_text), int(hi_text if dots else lo_text)
     except ValueError:
         raise ValueError(f"bad range {text!r}") from None
-    return bounds
 
 
 def _parse_sizes(text: str) -> List[int]:

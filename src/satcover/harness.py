@@ -147,60 +147,49 @@ def dpll(
 
     Returns (True, witness), (False, None), or (None, None) when the budget
     runs out.  Branching picks the smallest unassigned variable, true first,
-    so the witness is deterministic.  Each pass of the propagation loop costs
-    one step.
+    so the witness is deterministic; unassigned variables read False.  Each
+    pass of the propagation loop costs one step.
 
     The search is iterative (Davis, Logemann & Loveland 1962): a stack holds
-    one frame per open decision, and one assignment dict with a trail of the
-    variables set since each decision replaces per-node copies, so the depth
-    of the search is not bounded by Python's recursion limit.
+    the untried branches, each as the clauses it starts from, the literal it
+    assumes and the literals set on the path to it (a linked ``(lit,
+    parent)`` tuple), so the depth of the search is not bounded by Python's
+    recursion limit.  A branch whose literal empties a clause is dropped
+    without a step.
     """
     if any(len(clause) == 0 for clause in formula.clauses):
         return False, None
     budget = step_budget
-    assignment: Dict[int, bool] = {}
-    trail: List[int] = []
-    # open decisions: [clauses before the decision, variable, next value
-    # index into (True, False), trail length before the decision]
-    stack: List[list] = []
-    clauses: Optional[List[List[int]]] = [list(c) for c in formula.clauses]
-    while True:
-        if clauses is not None:  # a new node: propagate, then branch
-            while True:
-                budget -= 1
-                if budget <= 0:
-                    return None, None
-                if not clauses:
-                    n = formula.num_vars
-                    return True, tuple([assignment.get(v, False) for v in range(1, n + 1)])
-                unit = next((c[0] for c in clauses if len(c) == 1), None)
-                if unit is None:
-                    var = min(abs(l) for clause in clauses for l in clause)
-                    stack.append([clauses, var, 0, len(trail)])
-                    break
-                assignment[abs(unit)] = unit > 0
-                trail.append(abs(unit))
-                clauses = _dpll_simplify(clauses, unit)
-                if clauses is None:
-                    break  # conflict: this node is unsatisfiable
-        # take the next untried branch of the innermost open decision
-        clauses = None
-        while stack and clauses is None:
-            frame = stack[-1]
-            parent, var, k, mark = frame
-            if k == 2:
-                stack.pop()
+    # (clauses, literal assumed or None at the root, path)
+    stack: List[tuple] = [([list(c) for c in formula.clauses], None, None)]
+    while stack:
+        clauses, lit, path = stack.pop()
+        if lit is not None:
+            clauses = _dpll_simplify(clauses, lit)
+            if clauses is None:
                 continue
-            frame[2] = k + 1
-            while len(trail) > mark:
-                del assignment[trail.pop()]
-            value = k == 0
-            clauses = _dpll_simplify(parent, var if value else -var)
-            if clauses is not None:
-                assignment[var] = value
-                trail.append(var)
-        if clauses is None:
-            return False, None
+            path = (lit, path)
+        while True:
+            budget -= 1
+            if budget <= 0:
+                return None, None
+            if not clauses:
+                witness = [False] * formula.num_vars
+                while path is not None:
+                    lit, path = path
+                    witness[abs(lit) - 1] = lit > 0
+                return True, tuple(witness)
+            unit = next((c[0] for c in clauses if len(c) == 1), None)
+            if unit is None:
+                var = min(abs(l) for clause in clauses for l in clause)
+                stack.append((clauses, -var, path))
+                stack.append((clauses, var, path))  # popped first: true before false
+                break
+            path = (unit, path)
+            clauses = _dpll_simplify(clauses, unit)
+            if clauses is None:
+                break  # conflict: this branch is unsatisfiable
+    return False, None
 
 
 def oracle_status(
@@ -715,13 +704,6 @@ def _reduction_holds(formula: CnfFormula) -> bool:
     if not covered:
         return not sat
     return sat and evaluate(formula, assignment_from_swaps(swaps, used, formula.num_vars, "neg"))
-
-
-def exhaustive_reduction_check(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> bool:
-    """Oracle-vs-oracle reduction check over the full bounded formula space:
-    True iff ``_reduction_holds`` on every formula."""
-    _check_space(max_n, max_m, max_width)
-    return all(map(_reduction_holds, enumerate_formulas(max_n, max_m, max_width)))
 
 
 def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> DifferentialReport:

@@ -31,10 +31,8 @@ class OpCounter:
 
     __slots__ = ("assignments", "arithmetic", "comparisons")
 
-    def __init__(self, assignments: int = 0, arithmetic: int = 0, comparisons: int = 0):
-        self.assignments = assignments
-        self.arithmetic = arithmetic
-        self.comparisons = comparisons
+    def __init__(self):
+        self.assignments = self.arithmetic = self.comparisons = 0
 
     @property
     def total(self) -> int:

@@ -53,7 +53,6 @@ class Unreachable(NamedTuple):
 
 class _SnapshotFields(NamedTuple):
     mark: int
-    cells: int
 
 
 class StateSnapshot(_SnapshotFields):
@@ -66,8 +65,7 @@ class StateSnapshot(_SnapshotFields):
     nothing but cascades ran in between.  ``capture`` and ``restore`` emit
     a ``snapshot`` or ``restore`` trace event.  Only ``restore`` charges:
     one assignment per trail entry it pops, kept in the instance dict for
-    ``cell_count()`` (``cells``, the capture's charge, is 0).  No attribute
-    can be set.
+    ``cell_count()``.  No attribute can be set.
     """
 
     def __setattr__(self, name, value):
@@ -76,7 +74,7 @@ class StateSnapshot(_SnapshotFields):
     @classmethod
     def capture(cls, graph: PointingGraph) -> "StateSnapshot":
         graph.trace.emit("snapshot")
-        return cls(mark=len(graph.trail), cells=0)
+        return cls(mark=len(graph.trail))
 
     def restore(self, graph: PointingGraph) -> None:
         trail = graph.trail
@@ -92,8 +90,8 @@ class StateSnapshot(_SnapshotFields):
         del graph.trail[self.mark:]
 
     def cell_count(self) -> int:
-        """The op charge of the snapshot's last capture or restore."""
-        return self.__dict__.get("restored", self.cells)
+        """The op charge of the snapshot's last restore, or 0 before one."""
+        return self.__dict__.get("restored", 0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ E5 adds two main vertices and one disjunctive fan-out of two edges.
 """
 from __future__ import annotations
 
+import os
+
+# before anything imports numpy: its OpenBLAS pool would start a native
+# thread, and a harness run forks its shards beside it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import itertools
 import random
 from typing import List, Tuple

@@ -31,7 +31,7 @@ from conftest import typed
 
 class TestNames:
     def test_every_name_resolves_and_is_listed(self):
-        assert len(satcover.__all__) == 57
+        assert len(satcover.__all__) == 56
         listed = dir(satcover)
         for name in satcover.__all__:
             assert getattr(satcover, name) is not None, name
@@ -102,9 +102,7 @@ VALUES = {
         "ExtensionPlan(new_main_vertices=[4], columns=[2])",
     ),
     "Unreachable": (Unreachable, {"column": 5}, "Unreachable(column=5)"),
-    "StateSnapshot": (
-        StateSnapshot, {"mark": 0, "cells": 12}, "StateSnapshot(mark=0, cells=12)",
-    ),
+    "StateSnapshot": (StateSnapshot, {"mark": 0}, "StateSnapshot(mark=0)"),
     "FuzzConfig": (
         FuzzConfig, {"seed": 1, "var_range": (2, 3)},
         "FuzzConfig(seed=1, num_instances=100, var_range=(2, 3), clause_range=(1, 30), "

@@ -642,6 +642,21 @@ class TestHarnessCommands:
         assert main(["fuzz", "--seed", "1", "--vars", "5..2"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--width", "3..2"], "error: width_range must be a pair of ints 1 <= lo <= hi, got (3, 2)"),
+            (["--clauses", "0..4"], "error: clause_range must be a pair of ints 1 <= lo <= hi, got (0, 4)"),
+            (["--vars", "1..x"], "error: bad range '1..x'"),
+        ],
+        ids=["width-reversed", "clauses-zero", "not-a-number"],
+    )
+    def test_fuzz_range_errors_name_the_field(self, argv, message, capsys):
+        assert main(["fuzz", "--seed", "1", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == message
+        assert "Traceback" not in captured.err
+
     def test_diff_exhaustive_tiny(self, capsys):
         code = main(["diff-exhaustive", "--max-n", "2", "--max-m", "2", "--max-width", "2"])
         assert code == 0

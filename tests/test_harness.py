@@ -2,6 +2,7 @@
 
 import errno
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -30,7 +31,6 @@ from satcover import (
     dpll,
     emit_dimacs,
     evaluate,
-    exhaustive_reduction_check,
     parse_dimacs,
     random_cnf,
     shrink_disagreement,
@@ -99,6 +99,47 @@ def recursive_dpll(formula, step_budget):
     if result is False:
         return False, None
     return True, tuple(result.get(v, False) for v in range(1, formula.num_vars + 1))
+
+
+def pigeonhole(pigeons, holes):
+    """PHP(pigeons, holes): variable (p - 1) * holes + h puts pigeon p in
+    hole h; each pigeon sits somewhere and no hole holds two."""
+    var = lambda p, h: (p - 1) * holes + h  # noqa: E731
+    clauses = [[var(p, h) for h in range(1, holes + 1)] for p in range(1, pigeons + 1)]
+    for h in range(1, holes + 1):
+        for p, q in itertools.combinations(range(1, pigeons + 1), 2):
+            clauses.append([-var(p, h), -var(q, h)])
+    return CnfFormula(pigeons * holes, clauses)
+
+
+def refuted_at_the_root(formula):
+    """True iff unit propagation alone, before any decision, meets an empty
+    clause."""
+    clauses = [list(c) for c in formula.clauses]
+    while clauses:
+        unit = next((c[0] for c in clauses if len(c) == 1), None)
+        if unit is None:
+            return False
+        clauses = _dpll_simplify(clauses, unit)
+        if clauses is None:
+            return True
+    return False
+
+
+def threshold_3sat(seed):
+    """Random 3-SAT at m = round(4.26 n) for n = 8, 12, 16 and 20, ten
+    formulas each."""
+    corpus = []
+    for n in (8, 12, 16, 20):
+        m = round(4.26 * n)
+        cfg = FuzzConfig(
+            seed=seed, num_instances=10, var_range=(n, n), clause_range=(m, m), width_range=(3, 3)
+        )
+        corpus += [random_cnf(cfg, i) for i in range(cfg.num_instances)]
+    return corpus
+
+
+DPLL_BUDGETS = (3, 40, 200, 2_000_000)
 
 
 class TestBruteSat:
@@ -224,6 +265,42 @@ class TestDpll:
         assert sat and evaluate(chain, witness)
         assert witness == tuple(v % 2 == 1 for v in range(1, 3001))
         assert oracle_status(chain) == "SAT"
+
+    @pytest.mark.parametrize(
+        "formula",
+        [
+            CnfFormula(2, [[1, 2], [1, -2], [-1, 2], [-1, -2]]),
+            pigeonhole(3, 2),
+            pigeonhole(4, 3),
+        ],
+        ids=["four-sign-patterns", "php-3-2", "php-4-3"],
+    )
+    def test_refutes_both_branches_of_a_decision(self, formula):
+        # unsatisfiable, but not by propagation at the root: the search must
+        # take a decision, refute its true branch and then its false one
+        assert not refuted_at_the_root(formula)
+        assert brute_sat(formula) == (False, None)
+        for budget in DPLL_BUDGETS:
+            assert dpll(formula, step_budget=budget) == recursive_dpll(formula, budget)
+        assert dpll(formula) == (False, None)
+
+    def test_backtracks_on_threshold_3sat(self):
+        corpus = threshold_3sat(seed=4260)
+        needs_decisions = [
+            f for f in corpus if not brute_sat(f)[0] and not refuted_at_the_root(f)
+        ]
+        assert needs_decisions, "the corpus holds no UNSAT formula that needs a decision"
+        outcomes = set()
+        for formula in corpus:
+            for budget in DPLL_BUDGETS:
+                got = dpll(formula, step_budget=budget)
+                assert got == recursive_dpll(formula, budget)
+                outcomes.add(got[0])
+            sat, witness = dpll(formula)
+            assert sat == brute_sat(formula)[0]
+            if sat:
+                assert evaluate(formula, witness)
+        assert outcomes == {True, False, None}
 
     @given(formulas(max_vars=25, max_clauses=100))
     @settings(max_examples=150, deadline=None)
@@ -414,9 +491,6 @@ def distinct_variable_formulas(draw):
 
 
 class TestReductionCheck:
-    def test_small_space_passes(self):
-        assert exhaustive_reduction_check(2, 2, 2)
-
     @given(distinct_variable_formulas())
     @settings(max_examples=300, deadline=None)
     def test_reduction_is_sound_on_random_formulas(self, formula):
@@ -433,7 +507,7 @@ class TestReductionCheck:
 
     def test_refuses_large_space(self):
         with pytest.raises(ValueError):
-            exhaustive_reduction_check(5, 1, 1)
+            diff_exhaustive(5, 1, 1)
 
 
 class TestDifferentialRun:
@@ -627,6 +701,10 @@ class TestSharding:
         return calls
 
     def test_shards_merge_to_the_serial_report(self, serial, forks, monkeypatch):
+        if sys.platform.startswith("linux"):
+            # no native thread (numpy's OpenBLAS pool, say) runs beside the
+            # fork, which copies only the calling thread
+            assert len(os.listdir("/proc/self/task")) == 1
         split_into(monkeypatch, 3)
         assert sharded_reports() == serial
         assert len(forks) == 4  # two children per call
