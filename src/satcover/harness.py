@@ -154,8 +154,7 @@ def dpll(
     the untried branches, each as the clauses it starts from, the literal it
     assumes and the literals set on the path to it (a linked ``(lit,
     parent)`` tuple), so the depth of the search is not bounded by Python's
-    recursion limit.  A branch whose literal empties a clause is dropped
-    without a step.
+    recursion limit.  A branch's literal is set like the units after it.
     """
     if any(len(clause) == 0 for clause in formula.clauses):
         return False, None
@@ -164,12 +163,12 @@ def dpll(
     stack: List[tuple] = [([list(c) for c in formula.clauses], None, None)]
     while stack:
         clauses, lit, path = stack.pop()
-        if lit is not None:
-            clauses = _dpll_simplify(clauses, lit)
-            if clauses is None:
-                continue
-            path = (lit, path)
         while True:
+            if lit is not None:
+                path = (lit, path)
+                clauses = _dpll_simplify(clauses, lit)
+                if clauses is None:
+                    break  # conflict: this branch is unsatisfiable
             budget -= 1
             if budget <= 0:
                 return None, None
@@ -179,16 +178,12 @@ def dpll(
                     lit, path = path
                     witness[abs(lit) - 1] = lit > 0
                 return True, tuple(witness)
-            unit = next((c[0] for c in clauses if len(c) == 1), None)
-            if unit is None:
+            lit = next((c[0] for c in clauses if len(c) == 1), None)
+            if lit is None:
                 var = min(abs(l) for clause in clauses for l in clause)
                 stack.append((clauses, -var, path))
                 stack.append((clauses, var, path))  # popped first: true before false
                 break
-            path = (unit, path)
-            clauses = _dpll_simplify(clauses, unit)
-            if clauses is None:
-                break  # conflict: this branch is unsatisfiable
     return False, None
 
 

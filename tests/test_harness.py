@@ -104,39 +104,12 @@ def recursive_dpll(formula, step_budget):
 def pigeonhole(pigeons, holes):
     """PHP(pigeons, holes): variable (p - 1) * holes + h puts pigeon p in
     hole h; each pigeon sits somewhere and no hole holds two."""
-    var = lambda p, h: (p - 1) * holes + h  # noqa: E731
-    clauses = [[var(p, h) for h in range(1, holes + 1)] for p in range(1, pigeons + 1)]
-    for h in range(1, holes + 1):
-        for p, q in itertools.combinations(range(1, pigeons + 1), 2):
-            clauses.append([-var(p, h), -var(q, h)])
+    rows = [list(range((p - 1) * holes + 1, p * holes + 1)) for p in range(1, pigeons + 1)]
+    clauses = [*rows]
+    for h in range(holes):
+        for a, b in itertools.combinations(rows, 2):
+            clauses.append([-a[h], -b[h]])
     return CnfFormula(pigeons * holes, clauses)
-
-
-def refuted_at_the_root(formula):
-    """True iff unit propagation alone, before any decision, meets an empty
-    clause."""
-    clauses = [list(c) for c in formula.clauses]
-    while clauses:
-        unit = next((c[0] for c in clauses if len(c) == 1), None)
-        if unit is None:
-            return False
-        clauses = _dpll_simplify(clauses, unit)
-        if clauses is None:
-            return True
-    return False
-
-
-def threshold_3sat(seed):
-    """Random 3-SAT at m = round(4.26 n) for n = 8, 12, 16 and 20, ten
-    formulas each."""
-    corpus = []
-    for n in (8, 12, 16, 20):
-        m = round(4.26 * n)
-        cfg = FuzzConfig(
-            seed=seed, num_instances=10, var_range=(n, n), clause_range=(m, m), width_range=(3, 3)
-        )
-        corpus += [random_cnf(cfg, i) for i in range(cfg.num_instances)]
-    return corpus
 
 
 DPLL_BUDGETS = (3, 40, 200, 2_000_000)
@@ -276,22 +249,26 @@ class TestDpll:
         ids=["four-sign-patterns", "php-3-2", "php-4-3"],
     )
     def test_refutes_both_branches_of_a_decision(self, formula):
-        # unsatisfiable, but not by propagation at the root: the search must
-        # take a decision, refute its true branch and then its false one
-        assert not refuted_at_the_root(formula)
+        # unsatisfiable with no unit clause, so propagation at the root
+        # refutes nothing: the search must take a decision, refute its true
+        # branch and then its false one
+        assert min(len(clause) for clause in formula.clauses) >= 2
         assert brute_sat(formula) == (False, None)
-        for budget in DPLL_BUDGETS:
+        # also at the smallest budget the reference answers with, and one
+        # step below it
+        need = next(b for b in itertools.count(1) if recursive_dpll(formula, b)[0] is not None)
+        for budget in (*DPLL_BUDGETS, need - 1, need):
             assert dpll(formula, step_budget=budget) == recursive_dpll(formula, budget)
         assert dpll(formula) == (False, None)
 
-    def test_backtracks_on_threshold_3sat(self):
-        corpus = threshold_3sat(seed=4260)
-        needs_decisions = [
-            f for f in corpus if not brute_sat(f)[0] and not refuted_at_the_root(f)
-        ]
-        assert needs_decisions, "the corpus holds no UNSAT formula that needs a decision"
+    @pytest.mark.parametrize("n", [8, 12, 16, 20])
+    def test_backtracks_on_threshold_3sat(self, n):
+        # random 3-SAT at m = 4.26 n: every clause has three literals, so
+        # each UNSAT formula here is refuted only after decisions
+        m = round(4.26 * n)
+        cfg = FuzzConfig(seed=4260, var_range=(n, n), clause_range=(m, m), width_range=(3, 3))
         outcomes = set()
-        for formula in corpus:
+        for formula in (random_cnf(cfg, i) for i in range(10)):
             for budget in DPLL_BUDGETS:
                 got = dpll(formula, step_budget=budget)
                 assert got == recursive_dpll(formula, budget)
