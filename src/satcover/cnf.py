@@ -8,7 +8,9 @@ in the package because the benchmark's tracer patches it where ``solver``
 and ``harness`` import it.  The reduction to a decomposition pair puts,
 for each variable that occurs, the clauses holding its negative literal on
 the alpha side and the clauses holding its positive literal on the other
-side; a row swap then corresponds to assigning the variable true.
+side; a row swap then corresponds to assigning the variable true.  The
+mirrored orientation (``solve_sat``'s ``alpha="pos"``) is this reduction of
+the formula with every literal negated.
 """
 from __future__ import annotations
 
@@ -261,21 +263,20 @@ def check_alpha(alpha: str) -> None:
 
 
 def to_decomposition(
-    formula: CnfFormula, *, alpha: str = "neg", ops: OpCounter = DISABLED_OPS
+    formula: CnfFormula, *, ops: OpCounter = DISABLED_OPS
 ) -> Tuple[DecompositionPair, List[int]]:
     """Turn the formula into a decomposition pair, one row per used variable
     and one column per clause; return it with ``used``.
 
     ``used`` lists the variables that occur, ascending, and row r of the
     pair stands for variable ``used[r - 1]``: a variable that occurs in no
-    clause gets no row, and the header's num_vars sizes nothing.  With
-    ``alpha="neg"`` (default) the alpha side of a variable's row holds the
-    clauses containing its negative literal; ``alpha="pos"`` mirrors the
-    orientation.  An empty clause is refused.  The occurrence lists are
-    filled in one pass, keyed by literal: a clause names each variable once,
-    so every row is strictly ascending and its two sides are disjoint.
+    clause gets no row, and the header's num_vars sizes nothing.  The alpha
+    side of a variable's row holds the clauses containing its negative
+    literal, the other side those containing its positive literal.  An empty
+    clause is refused.  The occurrence lists are filled in one pass, keyed
+    by literal: a clause names each variable once, so every row is strictly
+    ascending and its two sides are disjoint.
     """
-    check_alpha(alpha)
     m = len(formula.clauses)
     if m == 0:
         raise StructuralError("formula has no clauses")
@@ -287,31 +288,25 @@ def to_decomposition(
         for lit in clause:
             occ[lit].append(j)
     used = sorted({abs(lit) for lit in occ})
-    n = len(used)
     pos_rows = [occ.get(v, ()) for v in used]
     neg_rows = [occ.get(-v, ()) for v in used]
     filed = sum(map(len, occ.values()))  # N: each literal read and filed once
     ops.cmp(filed)
     ops.assign(filed)
-    if alpha == "neg":
-        return DecompositionPair(n, m, neg_rows, pos_rows), used
-    return DecompositionPair(n, m, pos_rows, neg_rows), used
+    return DecompositionPair(len(used), m, neg_rows, pos_rows), used
 
 
-def assignment_from_swaps(swaps, used: List[int], num_vars: int, alpha: str) -> Assignment:
+def assignment_from_swaps(swaps, used: List[int], num_vars: int) -> Assignment:
     """The assignment a swap set of the reduced pair encodes.
 
-    Row r of the pair ``to_decomposition(f, alpha=alpha)`` returns stands
-    for variable ``used[r - 1]`` of f, ``used`` being the list it returns
-    alongside.  With ``alpha="neg"`` a swapped row's variable is true, with
-    ``"pos"`` an unswapped one's; variables outside ``used`` are false.
+    Row r of the pair ``to_decomposition(f)`` returns stands for variable
+    ``used[r - 1]`` of f, ``used`` being the list it returns alongside.  A
+    swapped row's variable is true; variables outside ``used`` are false.
     """
-    check_alpha(alpha)
     swapped = swap_set(swaps, len(used))
-    true_when_swapped = alpha == "neg"
     assignment = [False] * num_vars
     for r, v in enumerate(used, start=1):
-        assignment[v - 1] = (r in swapped) == true_when_swapped
+        assignment[v - 1] = r in swapped
     return tuple(assignment)
 
 

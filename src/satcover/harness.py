@@ -4,7 +4,9 @@ The engine's verdicts are treated as hypotheses.  Brute-force enumeration
 and a budgeted DPLL solver act as independent oracles; seeded generators
 produce deterministic corpora; disagreements are archived with a shrunken
 re-runnable instance.  The exhaustive sweep walks its space once and judges
-each formula there by the oracle-vs-oracle reduction check too.
+each formula there by the oracle-vs-oracle reduction check too, from the
+oracle's one verdict on it.  A run keeps its op-count points as counts of
+the distinct (N, op_total) pairs.
 Disagreement with the oracle is a reportable finding, not a harness failure:
 only soundness-gate and invariant violations are fatal.
 """
@@ -17,12 +19,11 @@ import os
 import pickle
 import random
 import signal
-import statistics
 import threading
 import time
-from array import array
+from collections import Counter
 from typing import (
-    BinaryIO, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar,
+    BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar,
 )
 
 from .cnf import (
@@ -503,31 +504,28 @@ class DifferentialReport(_DifferentialReportFields):
         return self.gate_failures > 0 or self.extra.get("reduction_check_passed") is False
 
 
-def _op_stats(lengths: array, totals: array) -> dict:
+def _op_stats(points: Counter) -> dict:
     """Max op_total / N^3 ratio and the fitted log-log exponent over the
-    points (N = lengths[i], op_total = totals[i]) with N > 0 and op_total > 0.
+    op-count points with N > 0 and op_total > 0.
 
-    A sweep keeps one point per formula (814,384 at max-n 4), so the points
-    are two int64 arrays and each log10 list refers to one float per
-    distinct value; a tuple and two fresh floats per point took about 175 MB
-    there.  The lists' elements equal those of fresh floats, so the stats do.
+    ``points`` counts each distinct (N, op_total) pair, so its size is the
+    number of distinct pairs (635 of the 27,404 formulas of the 3/4/3
+    space), not of formulas.  The fit is least squares over the distinct
+    (log10 N, log10 op_total) points weighted by their counts, summed with
+    ``math.fsum``.
     """
-    log_n: Dict[int, float] = {}
-    log_ops: Dict[int, float] = {}
-    xs: List[float] = []
-    ys: List[float] = []
-    for N, ops in zip(lengths, totals):
-        if N > 0 and ops > 0:
-            xs.append(log_n.setdefault(N, math.log10(N)))
-            ys.append(log_ops.setdefault(ops, math.log10(ops)))
-    stats: dict = {"points": len(xs), "max_ratio_cubic": None, "fitted_exponent": None}
-    if xs:
-        stats["max_ratio_cubic"] = max(
-            ops / N**3 for N, ops in zip(lengths, totals) if N > 0 and ops > 0
-        )
-    if len(log_n) >= 2:
-        slope, _ = statistics.linear_regression(xs, ys)
-        stats["fitted_exponent"] = round(slope, 4)
+    usable = [(N, ops, k) for (N, ops), k in points.items() if N > 0 and ops > 0]
+    count = sum(k for _, _, k in usable)
+    stats: dict = {"points": count, "max_ratio_cubic": None, "fitted_exponent": None}
+    if usable:
+        stats["max_ratio_cubic"] = max(ops / N**3 for N, ops, _ in usable)
+    if len({N for N, _, _ in usable}) >= 2:
+        logs = [(math.log10(N), math.log10(ops), k) for N, ops, k in usable]
+        x_bar = math.fsum(k * x for x, _, k in logs) / count
+        y_bar = math.fsum(k * y for _, y, k in logs) / count
+        sxy = math.fsum(k * (x - x_bar) * (y - y_bar) for x, y, k in logs)
+        sxx = math.fsum(k * (x - x_bar) ** 2 for x, _, k in logs)
+        stats["fitted_exponent"] = round(sxy / sxx, 4)
     return stats
 
 
@@ -570,22 +568,26 @@ class _Tally(NamedTuple):
     unknown: int
     disagreements: List[dict]
     engine_errors: List[dict]
-    lengths: array  # N and op_total of each solve, for _op_stats
-    totals: array
+    points: Counter  # (N, op_total) of each solve, counted, for _op_stats
+    reduction_holds: bool  # True unless a checked formula failed _reduction_holds
 
 
 def _tally(
-    labeled_formulas: Iterable[Tuple[str, CnfFormula]], brute_limit: int = BRUTE_VAR_LIMIT
+    labeled_formulas: Iterable[Tuple[str, CnfFormula]],
+    brute_limit: int = BRUTE_VAR_LIMIT,
+    check_reduction: bool = False,
 ) -> _Tally:
     """Engine (ops counted, invariant checks on) against the oracle on every
-    formula; each disagreement is archived with a minimized instance."""
+    formula; each disagreement is archived with a minimized instance.  With
+    ``check_reduction`` the oracle's verdict on each formula also feeds
+    ``_reduction_holds``, until a formula fails it."""
     agreements = 0
     disagreements: List[dict] = []
     engine_errors: List[dict] = []
     unknown = 0
     generated = 0
-    lengths = array("q")
-    totals = array("q")
+    points: Counter = Counter()
+    holds = True
 
     def engine_of(f: CnfFormula) -> Tuple[str, SolveRun]:
         run = solve_sat(f, count_ops=True, invariant_checks=True)
@@ -597,8 +599,10 @@ def _tally(
     for label, formula in labeled_formulas:
         generated += 1
         status, run = engine_of(formula)
-        lengths.append(sum(len(c) for c in formula.clauses))
-        totals.append(run.ops.total)
+        points[sum(len(c) for c in formula.clauses), run.ops.total] += 1
+        oracle = oracle_of(formula)
+        if check_reduction:
+            holds = holds and _reduction_holds(formula, oracle == "SAT")
         if status == "ERROR":
             detail = run.verdict.detail
         elif status == "SAT" and not evaluate(formula, run.verdict.assignment):
@@ -611,7 +615,6 @@ def _tally(
                 {"label": label, "instance": emit_dimacs(formula), "detail": detail}
             )
             continue
-        oracle = oracle_of(formula)
         if oracle == "UNKNOWN":
             unknown += 1
             continue
@@ -634,24 +637,18 @@ def _tally(
                 "minimized": emit_dimacs(shrink_disagreement(formula, still_disagrees)),
             }
         )
-    return _Tally(generated, agreements, unknown, disagreements, engine_errors, lengths, totals)
+    return _Tally(generated, agreements, unknown, disagreements, engine_errors, points, holds)
 
 
 def _merge(tallies: List[_Tally], config: dict) -> DifferentialReport:
-    """One report from the tallies of consecutive ranges: counts summed, lists
-    and op-count points joined in range order, ``op_stats`` fitted once.
-
-    The first tally's lists and arrays take the others' items, whose points
-    are emptied as they are joined, so every point is held once."""
+    """One report from the tallies of consecutive ranges: counts and op-count
+    points summed, lists joined in range order, ``op_stats`` fitted once."""
     first, *rest = tallies
-    disagreements, engine_errors = first.disagreements, first.engine_errors
-    lengths, totals = first.lengths, first.totals
+    disagreements, engine_errors, points = first.disagreements, first.engine_errors, first.points
     for tally in rest:
         disagreements += tally.disagreements
         engine_errors += tally.engine_errors
-        lengths += tally.lengths
-        totals += tally.totals
-        del tally.lengths[:], tally.totals[:]
+        points.update(tally.points)
     agreements = sum(tally.agreements for tally in tallies)
     gate_failures = len(engine_errors)
     return DifferentialReport(
@@ -663,7 +660,7 @@ def _merge(tallies: List[_Tally], config: dict) -> DifferentialReport:
         gate_failures=gate_failures,
         engine_errors=engine_errors,
         unknown=sum(tally.unknown for tally in tallies),
-        op_stats=_op_stats(lengths, totals),
+        op_stats=_op_stats(points),
     )
 
 
@@ -689,44 +686,37 @@ def _check_space(max_n: int, max_m: int, max_width: int) -> int:
     return sum(math.comb(u + m - 1, m) for m in range(1, max_m + 1))
 
 
-def _reduction_holds(formula: CnfFormula) -> bool:
-    """Oracle-vs-oracle equivalence on one formula: exhaustive satisfiability
-    equals exhaustive covering existence of the reduced pair, and a covering
-    witness maps to a satisfying assignment."""
-    sat, _ = brute_sat(formula)
+def _reduction_holds(formula: CnfFormula, sat: bool) -> bool:
+    """Oracle-vs-oracle equivalence on one formula whose satisfiability the
+    oracle gave as ``sat``: it equals exhaustive covering existence of the
+    reduced pair, and a covering witness maps to a satisfying assignment."""
     pair, used = to_decomposition(formula)
     covered, swaps = brute_covering(pair)
     if not covered:
         return not sat
-    return sat and evaluate(formula, assignment_from_swaps(swaps, used, formula.num_vars, "neg"))
+    return sat and evaluate(formula, assignment_from_swaps(swaps, used, formula.num_vars))
 
 
 def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> DifferentialReport:
     """Engine vs brute force over the full bounded formula space, walked
-    once and sharded over formula positions (``_sharded``): each formula is
-    also judged by ``_reduction_holds``, the oracle-vs-oracle reduction
-    check.  The bounds are checked before anything is solved."""
+    once and sharded over formula positions (``_sharded``): the oracle's
+    verdict on each formula also feeds ``_reduction_holds``, the
+    oracle-vs-oracle reduction check.  The bounds are checked before
+    anything is solved."""
     size = _check_space(max_n, max_m, max_width)
 
-    def work(lo: int, hi: int) -> Tuple[_Tally, bool]:
-        holds = True
+    def work(lo: int, hi: int) -> _Tally:
+        formulas = enumerate_formulas(max_n, max_m, max_width, start=lo, stop=hi)
+        return _tally(
+            ((f"exhaustive-{i}", formula) for i, formula in enumerate(formulas, lo)),
+            check_reduction=True,
+        )
 
-        def corpus() -> Iterator[Tuple[str, CnfFormula]]:
-            nonlocal holds
-            formulas = enumerate_formulas(max_n, max_m, max_width, start=lo, stop=hi)
-            for i, formula in enumerate(formulas, lo):
-                holds = holds and _reduction_holds(formula)
-                yield f"exhaustive-{i}", formula
-
-        tally = _tally(corpus())
-        return tally, holds
-
-    shards = _sharded(work, size)
+    tallies = _sharded(work, size)
     report = _merge(
-        [tally for tally, _ in shards],
-        {"mode": "exhaustive", "max_n": max_n, "max_m": max_m, "max_width": max_width},
+        tallies, {"mode": "exhaustive", "max_n": max_n, "max_m": max_m, "max_width": max_width}
     )
-    report.extra["reduction_check_passed"] = all(holds for _, holds in shards)
+    report.extra["reduction_check_passed"] = all(tally.reduction_holds for tally in tallies)
     return report
 
 
@@ -769,8 +759,7 @@ def complexity_probe(
     if instances_per_size < 1:
         raise ValueError(f"instances-per-size must be positive, got {instances_per_size}")
     rows: List[dict] = []
-    lengths = array("q")  # the rows' input_length and op_total, for _op_stats
-    totals = array("q")
+    points: Counter = Counter()  # the rows' (input_length, op_total), for _op_stats
     for target in sizes:
         n, m = probe_shape(int(target), width)
         cfg = FuzzConfig(
@@ -788,8 +777,7 @@ def complexity_probe(
                 run = solve_sat(formula, count_ops=True)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
             nnz = sum(len(c) for c in formula.clauses)
-            lengths.append(nnz)
-            totals.append(run.ops.total)
+            points[nnz, run.ops.total] += 1
             rows.append(
                 {
                     "target": int(target),
@@ -802,7 +790,7 @@ def complexity_probe(
                     "elapsed_ms": round(elapsed_ms, 3),
                 }
             )
-    stats = _op_stats(lengths, totals)
+    stats = _op_stats(points)
     gate_failures = sum(1 for row in rows if row["verdict"] == "ERROR")
     return {
         "mode": "probe",

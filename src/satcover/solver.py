@@ -267,9 +267,11 @@ def solve_sat(
 
     Reason indices are reported in the formula's own numbering (variables as
     given; clauses by position) unless ``clause_labels`` supplies original
-    file numbering, one label per clause.  A satisfying verdict is emitted
-    only after the assignment passes evaluation; a failing assignment
-    becomes EngineError.
+    file numbering, one label per clause.  ``alpha="pos"`` mirrors the
+    reduction's orientation: it reduces the formula with every literal
+    negated and reads a variable as true when its row is left unswapped.  A
+    satisfying verdict is emitted only after the assignment passes
+    evaluation; a failing assignment becomes EngineError.
     """
     check_alpha(alpha)
     m = len(formula.clauses)
@@ -287,14 +289,21 @@ def solve_sat(
         trace.emit("verdict", 0, 0)
         return SolveRun(Sat((False,) * formula.num_vars), trace, 0)
 
-    pair, used = to_decomposition(formula, alpha=alpha, ops=trace.ops)
+    if alpha == "pos":  # the mirrored orientation is the negated formula's
+        reduced = CnfFormula(formula.num_vars, [[-lit for lit in c] for c in formula.clauses])
+    else:
+        reduced = formula
+    pair, used = to_decomposition(reduced, ops=trace.ops)
 
     verdict, extensions = _run_covering(
         pair, trace, shortcut=shortcut, invariant_checks=invariant_checks
     )
 
     if isinstance(verdict, CoveringFound):
-        assignment = assignment_from_swaps(verdict.swaps, used, formula.num_vars, alpha)
+        swaps = verdict.swaps
+        if alpha == "pos":  # a row left unswapped makes its variable true
+            swaps = set(range(1, pair.n + 1)) - swaps
+        assignment = assignment_from_swaps(swaps, used, formula.num_vars)
         if not evaluate(formula, assignment):
             verdict = EngineError("covering produced a non-satisfying assignment")
         else:

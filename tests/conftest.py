@@ -48,6 +48,12 @@ def pair_of(text: str) -> DecompositionPair:
     return to_decomposition(formula_of(text))[0]
 
 
+def negated(formula: CnfFormula) -> CnfFormula:
+    """The formula with every literal negated: its reduction is the one
+    ``solve_sat(formula, alpha="pos")`` runs."""
+    return CnfFormula(formula.num_vars, [[-lit for lit in c] for c in formula.clauses])
+
+
 @pytest.fixture
 def e1() -> CnfFormula:
     return formula_of(E1_TEXT)

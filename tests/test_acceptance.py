@@ -503,13 +503,18 @@ def test_op_stats_equal_the_tuple_formula(exhaustive_report, fuzz_reports):
     assert doc["op_stats"] == _tuple_op_stats(rows)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+# the fixtures ran with one shard per usable CPU; these counts differ from it
+# on any host with more than one
+USABLE_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.parametrize("cpus", [1, USABLE_CPUS + 1], ids=["1", "cpus+1"])
 def test_reports_are_the_same_for_every_shard_count(
     exhaustive_report, fuzz_reports, cpus, monkeypatch
 ):
-    # the fixtures ran with one shard per usable CPU; 1, 2 and 3 shards give
-    # the same reports, the 53 disagreements with their minimized texts and
-    # the op_stats floats included
+    # one shard, and one more than the fixtures' split, give the same
+    # reports, the 53 disagreements with their minimized texts and the
+    # op_stats floats included
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(harness, "MIN_SHARD_ITEMS", 1)
     forks = []

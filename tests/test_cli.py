@@ -557,8 +557,8 @@ class TestStdlibOnly:
 
 class TestColdStart:
     """A solve loads the engine only: not the harness, not the stdlib modules
-    only the harness subcommands use (``statistics``, ``decimal``,
-    ``fractions``), and not ``dataclasses`` and its ``inspect``."""
+    a solve has no use for (``statistics``, ``decimal``, ``fractions``), and
+    not ``dataclasses`` and its ``inspect``."""
 
     NOT_ON_SOLVE = ("satcover.harness", "dataclasses", "inspect", "statistics", "decimal", "fractions")
 

@@ -24,7 +24,7 @@ from satcover import cnf
 from satcover.cnf import to_matrix
 from satcover.decomposition import validate
 
-from conftest import formulas, naive_input_length
+from conftest import formulas, naive_input_length, negated
 from satcover import input_length
 
 
@@ -431,21 +431,24 @@ class TestToDecomposition:
     @given(raw_formulas())
     @settings(max_examples=200, deadline=None)
     def test_output_is_a_valid_decomposition(self, formula):
-        # solve_sat relies on this and does not validate the pair it builds
-        for alpha in ("neg", "pos"):
-            assert validate(to_decomposition(formula, alpha=alpha)[0]) == ()
+        # solve_sat relies on this and does not validate the pair it builds;
+        # alpha="pos" reduces the negated formula
+        for reduced in (formula, negated(formula)):
+            assert validate(to_decomposition(reduced)[0]) == ()
 
     @given(raw_formulas())
     @settings(max_examples=200, deadline=None)
     def test_matches_the_renumbered_signed_matrix(self, formula):
         # row i's alpha side is the clauses with -1 in column i of the
-        # renumbered formula's signed matrix for "neg", +1 for "pos"
+        # renumbered formula's signed matrix, and the negated formula's
+        # alpha side the clauses with +1
         sub, used = restrict_to_used(formula)
         matrix = to_matrix(sub)
         neg_rows = tuple(tuple(np.flatnonzero(col == -1).tolist()) for col in matrix.T)
         pos_rows = tuple(tuple(np.flatnonzero(col == 1).tolist()) for col in matrix.T)
-        for alpha, sides in (("neg", (neg_rows, pos_rows)), ("pos", (pos_rows, neg_rows))):
-            pair, got_used = to_decomposition(formula, alpha=alpha)
+        mirrored = (negated(formula), (pos_rows, neg_rows))
+        for reduced, sides in ((formula, (neg_rows, pos_rows)), mirrored):
+            pair, got_used = to_decomposition(reduced)
             assert got_used == used
             assert (pair.n, pair.m) == matrix.shape[::-1]
             assert (pair.alpha_rows, pair.bar_rows) == sides
@@ -457,13 +460,10 @@ class TestToDecomposition:
         assert pair.bar_rows == ((1,), (0,))
 
     def test_pos_orientation(self, e1):
-        pair, _ = to_decomposition(e1, alpha="pos")
+        # the negated formula's pair mirrors e1's
+        pair, _ = to_decomposition(negated(e1))
         assert pair.alpha_rows == ((1,), (0,))
         assert pair.bar_rows == ((0,), ())
-
-    def test_unknown_orientation_rejected(self, e1):
-        with pytest.raises(ValueError):
-            to_decomposition(e1, alpha="both")
 
     def test_empty_clause_row_rejected(self):
         with pytest.raises(StructuralError) as info:
@@ -517,27 +517,22 @@ class TestEvaluate:
 
 class TestAssignmentFromSwaps:
     def test_basic(self):
-        assert assignment_from_swaps({1}, [1, 2, 3], 3, "neg") == (True, False, False)
-        assert assignment_from_swaps(set(), [1, 2], 2, "neg") == (False, False)
+        assert assignment_from_swaps({1}, [1, 2, 3], 3) == (True, False, False)
+        assert assignment_from_swaps(set(), [1, 2], 2) == (False, False)
 
     def test_rows_map_through_used_variables(self):
         # rows 1 and 2 stand for x2 and x4; x1, x3 and x5 stay false
-        assert assignment_from_swaps({2}, [2, 4], 5, "neg") == (False, False, False, True, False)
-        assert assignment_from_swaps({2}, [2, 4], 5, "pos") == (False, True, False, False, False)
+        assert assignment_from_swaps({2}, [2, 4], 5) == (False, False, False, True, False)
+        assert assignment_from_swaps({1}, [2, 4], 5) == (False, True, False, False, False)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(StructuralError):
-            assignment_from_swaps({4}, [1, 2, 3], 3, "neg")
+            assignment_from_swaps({4}, [1, 2, 3], 3)
         with pytest.raises(StructuralError):
-            assignment_from_swaps({0}, [1, 2, 3], 3, "neg")
+            assignment_from_swaps({0}, [1, 2, 3], 3)
 
     @pytest.mark.parametrize("index", [1.5, "1"])
     def test_non_integer_rejected(self, index):
         # 1.5 used to be dropped silently, "1" to fail a bare comparison
         with pytest.raises(StructuralError, match="must be integers"):
-            assignment_from_swaps({index}, [1, 2], 2, "neg")
-
-    def test_unknown_orientation_rejected(self):
-        # "bogus" used to read as "pos"
-        with pytest.raises(StructuralError, match="alpha must be"):
-            assignment_from_swaps({1}, [1, 2], 2, "bogus")
+            assignment_from_swaps({index}, [1, 2], 2)

@@ -4,13 +4,16 @@ import errno
 import hashlib
 import itertools
 import json
+import math
 import os
 import platform
 import signal
+import statistics
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,7 @@ from conftest import (
     formula_of,
     formulas,
     naive_sat,
+    negated,
     pair_of,
     reference_brute_sat,
     reference_random_cnf,
@@ -471,20 +475,39 @@ class TestReductionCheck:
     @given(distinct_variable_formulas())
     @settings(max_examples=300, deadline=None)
     def test_reduction_is_sound_on_random_formulas(self, formula):
-        # beyond the exhaustive space, in both orientations: satisfiable
-        # iff the pair has a covering, and a covering encodes a model
-        sat, _ = brute_sat(formula)
-        for alpha in ("neg", "pos"):
-            pair, used = to_decomposition(formula, alpha=alpha)
+        # beyond the exhaustive space, for the formula and its negation (the
+        # reduction alpha="pos" runs): satisfiable iff the pair has a
+        # covering, and a covering encodes a model
+        for reduced in (formula, negated(formula)):
+            sat, _ = brute_sat(reduced)
+            pair, used = to_decomposition(reduced)
             covered, swaps = brute_covering(pair)
             assert covered == sat
             if covered:
-                assignment = assignment_from_swaps(swaps, used, formula.num_vars, alpha)
-                assert evaluate(formula, assignment)
+                assert evaluate(reduced, assignment_from_swaps(swaps, used, reduced.num_vars))
 
     def test_refuses_large_space(self):
         with pytest.raises(ValueError):
             diff_exhaustive(5, 1, 1)
+
+
+class TestOpStats:
+    def test_a_counted_point_weighs_as_that_many_points(self):
+        # points with N or op_total 0 are left out of the count and the fit
+        points = Counter({(10, 100): 3, (20, 900): 1, (40, 5000): 2, (0, 7): 4, (5, 0): 1})
+        usable = [(N, ops) for (N, ops), k in points.items() if N and ops for _ in range(k)]
+        slope, _ = statistics.linear_regression(
+            [math.log10(N) for N, _ in usable], [math.log10(ops) for _, ops in usable]
+        )
+        assert harness._op_stats(points) == {
+            "points": 6,
+            "max_ratio_cubic": 900 / 20**3,
+            "fitted_exponent": round(slope, 4),
+        }
+
+    def test_one_distinct_length_fits_no_line(self):
+        stats = harness._op_stats(Counter({(10, 100): 2, (10, 300): 1}))
+        assert stats == {"points": 3, "max_ratio_cubic": 0.3, "fitted_exponent": None}
 
 
 class TestDifferentialRun:
@@ -603,6 +626,17 @@ class TestDiffExhaustive:
         assert report.extra["reduction_check_passed"] is False
         assert report.violation
 
+    def test_one_failed_formula_fails_the_check(self, monkeypatch):
+        # the first formula, (x1), is satisfiable: a covering oracle that
+        # finds nothing on it alone fails the whole one-shard sweep
+        split_into(monkeypatch, 1)
+        real_brute_covering = harness.brute_covering
+        answers = iter([(False, None)])
+        monkeypatch.setattr(
+            harness, "brute_covering", lambda pair: next(answers, None) or real_brute_covering(pair)
+        )
+        assert diff_exhaustive(1, 2, 1).extra["reduction_check_passed"] is False
+
     def test_walks_the_space_once(self, monkeypatch):
         calls = []
         real_enumerate = harness.enumerate_formulas
@@ -613,6 +647,19 @@ class TestDiffExhaustive:
         )
         assert diff_exhaustive(2, 2, 2).extra["reduction_check_passed"]
         assert calls == [(2, 2, 2)]
+
+    def test_one_oracle_call_per_formula(self, monkeypatch):
+        # the reduction check is given the oracle's verdict instead of
+        # running brute_sat again: the 44 formulas make 44 calls, not 88
+        split_into(monkeypatch, 1)
+        calls = []
+        real_brute_sat = harness.brute_sat
+        monkeypatch.setattr(
+            harness, "brute_sat", lambda *a, **k: calls.append(a) or real_brute_sat(*a, **k)
+        )
+        report = diff_exhaustive(2, 2, 2)
+        assert report.extra["reduction_check_passed"]
+        assert (report.generated, len(calls)) == (44, 44)
 
     def test_n4_counterexamples_replay(self):
         # the minimized false negatives of the n = 4 space, recorded from
