@@ -22,14 +22,17 @@ there it costs nothing measurable.
 ``solve`` and ``covering`` load only the engine: the harness subcommands
 import ``satcover.harness`` (and ``decimal``) when they run.
 
-``fuzz`` and ``diff-exhaustive`` split their instances into contiguous
-ranges, one per usable CPU with at least ``harness.MIN_SHARD_ITEMS`` each,
-and run all but the first in forked children; the report is the same bytes
-for every split.  They run in one process on one usable CPU (``taskset -c
-0``), off Linux, or while another thread is alive.  A shard that dies
-without a result (a signal, the OOM killer) exits 2 with an ``error:``
-line.  ``probe`` always runs in one process: contention would distort its
-per-row ``elapsed_ms``.
+``fuzz`` and ``diff-exhaustive`` run one shard per usable CPU, with at
+least ``harness.MIN_SHARD_ITEMS`` items each: this process and forked
+children pull small chunks of the instances from one queue until none is
+left, and the report is the same bytes for every shard count and every
+order the chunks finish in.  They run in one process on one usable CPU
+(``taskset -c 0``), off Linux, or while another thread is alive.  A shard
+that dies without a result (a signal, the OOM killer) exits 2 with an
+``error:`` line.  ``probe`` always runs in one process: contention would
+distort its per-row ``elapsed_ms``.  Neither the harness nor the probe
+keeps trace events; ``solve`` and ``covering`` keep them for
+``trace_hash`` and ``--trace``.
 """
 from __future__ import annotations
 

@@ -16,15 +16,11 @@ import functools
 import itertools
 import math
 import os
-import pickle
 import random
-import signal
 import threading
 import time
 from collections import Counter
-from typing import (
-    BinaryIO, Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar,
-)
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
 
 from .cnf import (
     CnfFormula,
@@ -37,6 +33,7 @@ from .cnf import (
 from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .decomposition import DecompositionPair
 from .instrument import collector_paused
+from .shards import run_shards
 from .solver import SolveRun, solve_sat
 
 BRUTE_VAR_LIMIT = 25
@@ -65,20 +62,24 @@ def brute_sat(
     """Exhaustive satisfiability check by enumerating all assignments.
 
     Assignments are scanned in ascending bitmask order (bit i-1 holds x_i),
-    so the witness is deterministic.  The low k = min(n, 16) variables are
-    evaluated at once as 2^k-bit truth tables over Python ints (broadword
-    evaluation, Knuth TAOCP 4A 7.1.3): bit a of table i is bit i of a, a
-    clause is the OR of its low literals' tables, and a block of 2^k
+    so the witness is deterministic.  The low k = min(n, 16, max(12, n - 4))
+    variables are evaluated at once as 2^k-bit truth tables over Python ints
+    (broadword evaluation, Knuth TAOCP 4A 7.1.3): bit a of table i is bit i
+    of a, a clause is the OR of its low literals' tables, and a block of 2^k
     assignments sharing the high bits ``high`` survives where the AND of
     the clauses ``high`` leaves open is set.  Refuses formulas above the
     variable limit.
+
+    Each clause's low table is built and ANDed at 2^k bits.  On fuzz-shaped
+    formulas (m up to 120) narrower tables were faster up to n = 20; above
+    that the 2^(n - k) passes over the clauses cost more than they saved.
     """
     n = formula.num_vars
     if n > limit_vars:
         raise ValueError(f"brute_sat refuses n={n} > {limit_vars}")
     if any(len(clause) == 0 for clause in formula.clauses):
         return False, None
-    k = min(n, 16)
+    k = min(n, 16, max(12, n - 4))
     tables, negated = _truth_tables(k)
     parts = []  # per clause: (low table, high bits true in it, high bits false in it)
     for clause in formula.clauses:
@@ -352,10 +353,11 @@ def enumerate_formulas(
 # sharding
 # ---------------------------------------------------------------------------
 
-# Fewest items a shard is given.  On a 2-core x86-64 VM a second shard's
-# fork, pipe and merge cost about 6 ms, against 0.09-0.16 ms per formula of
-# a small exhaustive space and 0.7-0.8 ms per fuzz instance: two shards broke
-# even at about 160 exhaustive formulas and 20 fuzz instances.
+# Fewest items a shard is given, on average: the shard count is the usable
+# CPUs, capped at count // MIN_SHARD_ITEMS.  On a 2-core x86-64 VM a second
+# shard's fork, pipe and merge cost about 6 ms, against 0.09-0.16 ms per
+# formula of a small exhaustive space and 0.7-0.8 ms per fuzz instance: two
+# shards broke even at about 160 exhaustive formulas and 20 fuzz instances.
 MIN_SHARD_ITEMS = 64
 
 _T = TypeVar("_T")
@@ -370,95 +372,22 @@ def _shard_count(count: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), count // MIN_SHARD_ITEMS))
 
 
-def _fork_shard(work: Callable[[int, int], _T], lo: int, hi: int) -> Tuple[int, BinaryIO]:
-    """Fork a child that pickles ``(True, work(lo, hi))``, or ``(False,
-    exception)``, into a pipe and leaves by ``os._exit``: no atexit handler
-    runs and no inherited buffer is flushed.  Returns (pid, pipe reader)."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            try:
-                result = (True, work(lo, hi))
-            except Exception as exc:  # sent to the parent, which raises it
-                result = (False, exc)
-            with open(write_fd, "wb") as fh:
-                pickle.dump(result, fh, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _stop(children: List[Tuple[int, BinaryIO]]) -> None:
-    """Kill and reap every listed child."""
-    while children:
-        pid, reader = children.pop()
-        reader.close()
-        os.kill(pid, signal.SIGKILL)  # a child that has exited is a zombie until reaped
-        os.waitpid(pid, 0)
-
-
 def _sharded(work: Callable[[int, int], _T], count: int) -> List[_T]:
-    """``work(lo, hi)`` over contiguous ranges that cover ``0..count - 1``,
-    the results in range order.
+    """``work(lo, hi)`` over consecutive chunks that cover ``0..count - 1``,
+    the results in chunk order.
 
-    The ranges are one per shard (``_shard_count``).  This process runs the
-    first and forked children the others, each sending its result back
-    through a pipe.  With one shard, or when a fork or a pipe is refused,
-    ``work(0, count)`` runs here alone.  An exception in a child is raised
-    here again with its type (its traceback stays in the child: a run under
-    ``taskset -c 0`` shows it); a child that ends without a result, killed
-    by a signal for one, raises ``ChildProcessError``.  No child outlives
-    the call.
+    With one shard (``_shard_count``), or when a fork or a pipe is refused,
+    ``work(0, count)`` runs here alone.  Otherwise this process and K - 1
+    forked children pull the chunks from one queue (``shards.run_shards``),
+    so a shard that finishes early takes the work a slow one would have
+    held, and the results come back in chunk order whichever process ran
+    which chunk.  An exception in a child is raised here again with its
+    type; a child that ends without a result raises ``ChildProcessError``
+    naming its shard and the items it took.  No child outlives the call.
     """
     shards = _shard_count(count)
-    if shards == 1:
-        return [work(0, count)]
-    bounds = [count * s // shards for s in range(shards + 1)]
-    children: List[Tuple[int, BinaryIO]] = []  # of shards 2..K, in order
-    try:
-        try:
-            for s in range(1, shards):
-                children.append(_fork_shard(work, bounds[s], bounds[s + 1]))
-        except OSError:  # no process or pipe to spare
-            _stop(children)
-            return [work(0, count)]
-        results = [work(bounds[0], bounds[1])]
-        for s in range(1, shards):
-            pid, reader = children[0]
-            with reader:  # read as it arrives: the bytes are never held whole
-                try:
-                    sent = pickle.load(reader)
-                except (EOFError, pickle.UnpicklingError):  # cut short: the child died
-                    sent = None
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if code != 0:
-                how = (
-                    f"was killed by signal {-code} ({signal.strsignal(-code)})"
-                    if code < 0
-                    else f"exited with status {code}"
-                )
-                raise ChildProcessError(
-                    f"harness shard {s + 1} of {shards} (items {bounds[s]}..{bounds[s + 1] - 1}) "
-                    f"{how} before sending its result"
-                )
-            ok, value = sent
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        _stop(children)
+    results = run_shards(work, count, shards) if shards > 1 else None
+    return [work(0, count)] if results is None else results
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +490,7 @@ def shrink_disagreement(
 
 
 class _Tally(NamedTuple):
-    """What one contiguous range of a differential run found, in index order."""
+    """What one chunk of a differential run's items found, in index order."""
 
     generated: int
     agreements: int
@@ -577,8 +506,9 @@ def _tally(
     brute_limit: int = BRUTE_VAR_LIMIT,
     check_reduction: bool = False,
 ) -> _Tally:
-    """Engine (ops counted, invariant checks on) against the oracle on every
-    formula; each disagreement is archived with a minimized instance.  With
+    """Engine (ops counted, invariant checks on, no trace events kept)
+    against the oracle on every formula; each disagreement is archived with a
+    minimized instance.  With
     ``check_reduction`` the oracle's verdict on each formula also feeds
     ``_reduction_holds``, until a formula fails it."""
     agreements = 0
@@ -590,7 +520,7 @@ def _tally(
     holds = True
 
     def engine_of(f: CnfFormula) -> Tuple[str, SolveRun]:
-        run = solve_sat(f, count_ops=True, invariant_checks=True)
+        run = solve_sat(f, count_ops=True, invariant_checks=True, keep_trace=False)
         return run.verdict.status, run
 
     def oracle_of(f: CnfFormula) -> str:
@@ -641,8 +571,8 @@ def _tally(
 
 
 def _merge(tallies: List[_Tally], config: dict) -> DifferentialReport:
-    """One report from the tallies of consecutive ranges: counts and op-count
-    points summed, lists joined in range order, ``op_stats`` fitted once."""
+    """One report from the tallies of consecutive chunks: counts and op-count
+    points summed, lists joined in chunk order, ``op_stats`` fitted once."""
     first, *rest = tallies
     disagreements, engine_errors, points = first.disagreements, first.engine_errors, first.points
     for tally in rest:
@@ -750,7 +680,7 @@ def complexity_probe(
     nothing about the growth.  No sizes, or a size, ``width`` or
     ``instances_per_size`` below 1, raise ValueError before anything is
     solved.  Each instance is generated and solved with the cyclic garbage
-    collector paused (``collector_paused``).
+    collector paused (``collector_paused``), keeping no trace events.
     """
     if not sizes or any(int(size) < 1 for size in sizes):
         raise ValueError(f"sizes must be a non-empty list of positive sizes, got {list(sizes)}")
@@ -774,7 +704,7 @@ def complexity_probe(
             with collector_paused():
                 formula = random_cnf(cfg, index)
                 start = time.perf_counter()
-                run = solve_sat(formula, count_ops=True)
+                run = solve_sat(formula, count_ops=True, keep_trace=False)
                 elapsed_ms = (time.perf_counter() - start) * 1000.0
             nnz = sum(len(c) for c in formula.clauses)
             points[nnz, run.ops.total] += 1

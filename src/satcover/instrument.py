@@ -12,7 +12,8 @@ entries the O(N) engine touches.
 
 The trace is an append-only list of (kind, payload ints..., counter reading)
 events; identical input and configuration yield byte-identical serialized
-traces.
+traces.  Events are kept unless the caller opts out (``UnkeptTrace``), as
+the harness and the probe do: they read only verdicts and op totals.
 
 ``collector_paused`` holds off the cyclic garbage collector while one input
 is parsed, solved and reported.
@@ -108,6 +109,21 @@ class Trace:
 
     def events_without_readings(self) -> List[Tuple]:
         return [(kind, payload) for kind, payload, _ in self.events]
+
+
+class UnkeptTrace(Trace):
+    """A trace whose caller asked for no events: ``emit`` records nothing and
+    ``events`` stays empty.  There is nothing to serialize or digest, so
+    ``serialize`` and ``sha256`` raise ValueError rather than describe a
+    solve that emitted no event."""
+
+    __slots__ = ()
+
+    def emit(self, kind: str, *payload: int) -> None:  # noqa: ARG002
+        pass
+
+    def serialize(self) -> bytes:
+        raise ValueError("this solve kept no trace events")
 
 
 @contextlib.contextmanager

@@ -36,7 +36,7 @@ from .graph import (
     find_forced_conflict_row,
     find_main_vertices,
 )
-from .instrument import DISABLED_OPS, OpCounter, Trace
+from .instrument import DISABLED_OPS, OpCounter, Trace, UnkeptTrace
 from .procedures import (
     Unreachable,
     clean,
@@ -262,6 +262,7 @@ def solve_sat(
     alpha: str = "neg",
     invariant_checks: bool = False,
     clause_labels: Optional[List[int]] = None,
+    keep_trace: bool = True,
 ) -> SolveRun:
     """Decide satisfiability through the covering reduction.
 
@@ -271,7 +272,9 @@ def solve_sat(
     reduction's orientation: it reduces the formula with every literal
     negated and reads a variable as true when its row is left unswapped.  A
     satisfying verdict is emitted only after the assignment passes
-    evaluation; a failing assignment becomes EngineError.
+    evaluation; a failing assignment becomes EngineError.  With
+    ``keep_trace=False`` the run's trace is an ``UnkeptTrace``: the verdict,
+    the ops and the extensions are the same, but no event is kept.
     """
     check_alpha(alpha)
     m = len(formula.clauses)
@@ -279,7 +282,7 @@ def solve_sat(
         clause_labels = range(1, m + 1)
     elif len(clause_labels) != m:
         raise StructuralError(f"clause_labels has {len(clause_labels)} labels for {m} clauses")
-    trace = Trace(OpCounter() if count_ops else DISABLED_OPS)
+    trace = (Trace if keep_trace else UnkeptTrace)(OpCounter() if count_ops else DISABLED_OPS)
 
     for idx, clause in enumerate(formula.clauses, start=1):
         if not clause:

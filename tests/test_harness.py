@@ -40,7 +40,7 @@ from satcover import (
     solve_sat,
     to_decomposition,
 )
-from satcover import harness
+from satcover import harness, shards
 from satcover.cli import main
 from satcover.harness import (
     _dpll_simplify,
@@ -144,11 +144,19 @@ class TestBruteSat:
     @pytest.mark.parametrize(
         "formula",
         [
-            # the first witness sets x17, the lowest high variable: block 1
-            CnfFormula(18, [[17], [-18], [-1]]),
+            # the first witness sets x(k+1), the lowest high variable, with
+            # k = 12 for n = 13..16, n - 4 for n = 17..20 and 16 above: block 1
+            CnfFormula(13, [[13], [-1]]),
+            CnfFormula(16, [[13], [-12]]),
+            CnfFormula(17, [[14], [-1]]),
+            CnfFormula(20, [[17], [-16]]),
             CnfFormula(22, [[22], [21, -3], [-1, 2], [-21]]),
+            # a later block
+            CnfFormula(18, [[17], [-18], [-1]]),
             # block 1 passes the high tests but its low tables AND to 0;
             # the witness is in block 3
+            CnfFormula(15, [[13], [-13, -1], [14, 1, 2], [-13, -2]]),
+            CnfFormula(18, [[15], [-15, -1], [16, 1, 2], [-15, -2]]),
             CnfFormula(18, [[17], [-17, -1], [18, 1, 2], [-17, -2]]),
             CnfFormula(25, [[v] for v in range(17, 26)] + [[-16, -17]]),
             # no block survives: a high contradiction, then a low one
@@ -159,11 +167,12 @@ class TestBruteSat:
     def test_later_blocks_match_reference(self, formula):
         assert brute_sat(formula) == reference_brute_sat(formula)
 
-    @given(formulas(max_vars=22, max_clauses=12), st.lists(st.integers(14, 22), max_size=4))
+    @given(formulas(max_vars=22, max_clauses=12), st.lists(st.integers(12, 22), max_size=4))
     @settings(max_examples=120, deadline=None)
     def test_matches_numpy_reference(self, formula, forced):
-        # unit clauses on variables near and past the 2^16 block boundary
-        # push the first witness into later blocks
+        # unit clauses on variables near and past the block boundary (x13
+        # at n = 13..16, up to x17 above) push the first witness into later
+        # blocks
         units = [[v] for v in forced if v <= formula.num_vars]
         formula = CnfFormula(formula.num_vars, formula.clauses + units)
         assert brute_sat(formula) == reference_brute_sat(formula)
@@ -774,58 +783,125 @@ class TestSharding:
         assert sharded_reports() == serial
         assert len(calls) == 4
 
+    def test_chunks_finishing_out_of_order_merge_in_order(self, serial, monkeypatch):
+        # whichever process takes chunk 0 finishes it last
+        with monkeypatch.context() as m:
+            split_into(m, 1)
+            serial_sweep = diff_exhaustive(3, 4, 2).as_dict()  # 8 disagreements
+        split_into(monkeypatch, 3)
+
+        def work(lo, hi):
+            if lo == 0:
+                time.sleep(0.3)
+            return lo, hi, os.getpid()
+
+        results = harness._sharded(work, 100)
+        assert len(results) == 3 * shards.CHUNKS_PER_SHARD
+        assert [lo for lo, _, _ in results] == [0] + [hi for _, hi, _ in results[:-1]]
+        assert results[-1][1] == 100
+        assert len({pid for _, _, pid in results}) > 1
+        real_random_cnf, real_enumerate = harness.random_cnf, harness.enumerate_formulas
+
+        def late_fuzz(cfg, index):
+            if index == 0:
+                time.sleep(0.3)
+            return real_random_cnf(cfg, index)
+
+        def late_sweep(*bounds, start, stop):
+            if start == 0:
+                time.sleep(0.3)
+            return real_enumerate(*bounds, start=start, stop=stop)
+
+        monkeypatch.setattr(harness, "random_cnf", late_fuzz)
+        monkeypatch.setattr(harness, "enumerate_formulas", late_sweep)
+        assert sharded_reports() == serial
+        assert diff_exhaustive(3, 4, 2).as_dict() == serial_sweep
+
     @pytest.mark.parametrize("error", [ValueError, MemoryError])
-    def test_an_error_in_a_child_is_raised_with_its_type(self, error, monkeypatch):
-        # shards hold indices 0..2, 3..5 and 6..8; index 7 is the third's
+    def test_an_error_in_a_child_is_raised_with_its_type(self, error, tmp_path, monkeypatch):
+        # every chunk a child takes fails; this process takes no item before
+        # a child has failed, so a child surely takes one
         split_into(monkeypatch, 3)
+        caller = os.getpid()
+        failed = tmp_path / "failed"
         real_random_cnf = harness.random_cnf
 
-        def failing(cfg, index):
-            if index == 7:
-                raise error("index 7")
+        def failing_in_children(cfg, index):
+            if os.getpid() != caller:
+                failed.touch()
+                raise error(f"index {index} in a child")
+            wait_for(failed)
             return real_random_cnf(cfg, index)
 
-        monkeypatch.setattr(harness, "random_cnf", failing)
-        with pytest.raises(error, match="index 7"):
+        monkeypatch.setattr(harness, "random_cnf", failing_in_children)
+        with pytest.raises(error, match="in a child"):
             differential_run(SHARDED)
 
-    def test_a_killed_child_is_an_input_error(self, monkeypatch, capsys):
+    def test_a_killed_child_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        # shard 2 dies in the first chunk it takes (of one item), and the
+        # other two shards take no item before that, so shard 2 takes one
         split_into(monkeypatch, 3)
+        forks, shard = [], [1]  # shard[0]: the shard this process runs
+        real_fork = os.fork
+
+        def numbered_fork():
+            forks.append(1)
+            pid = real_fork()
+            if pid == 0:  # each call forks shards 2 and 3, in that order
+                shard[0] = (len(forks) - 1) % 2 + 2
+            return pid
+
+        taken = tmp_path / "taken"
         real_random_cnf = harness.random_cnf
 
-        def killed_at_4(cfg, index):
-            if index == 4:
+        def killed_in_shard_2(cfg, index):
+            if shard[0] == 2:
+                taken.write_text(str(index))
                 os.kill(os.getpid(), signal.SIGKILL)
+            wait_for(taken)
             return real_random_cnf(cfg, index)
 
-        monkeypatch.setattr(harness, "random_cnf", killed_at_4)
-        killed = r"shard 2 of 3 \(items 3\.\.5\) was killed by signal 9"
-        with pytest.raises(ChildProcessError, match=killed):
+        monkeypatch.setattr(os, "fork", numbered_fork)
+        monkeypatch.setattr(harness, "random_cnf", killed_in_shard_2)
+        with pytest.raises(ChildProcessError) as raised:
             differential_run(SHARDED)
+        assert str(raised.value) == (
+            f"harness shard 2 of 3 was killed by signal 9 ({signal.strsignal(9)}) before "
+            f"sending its result (items {taken.read_text()} never came back)"
+        )
+        taken.unlink()
         capsys.readouterr()
         argv = ["fuzz", "--seed", "11", "--count", "9", "--vars", "1..8", "--clauses", "1..20"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: harness shard 2 of 3") and "Traceback" not in err
+        assert len(forks) == 4
 
     def test_an_error_here_kills_the_children(self, monkeypatch):
-        # the children would sleep for a minute: the caller's error must
-        # not wait for them
+        # the children sleep for a minute in the first chunk each takes, and
+        # the others are left to this process: its error must not wait for them
         split_into(monkeypatch, 3)
+        caller = os.getpid()
         real_random_cnf = harness.random_cnf
 
         def slow_children(cfg, index):
-            if index == 0:
-                raise ValueError("index 0")
-            if index >= 3:
-                time.sleep(60)
+            if os.getpid() == caller:
+                raise ValueError(f"index {index} here")
+            time.sleep(60)
             return real_random_cnf(cfg, index)
 
         monkeypatch.setattr(harness, "random_cnf", slow_children)
         start = time.monotonic()
-        with pytest.raises(ValueError, match="index 0"):
+        with pytest.raises(ValueError, match="here"):
             differential_run(SHARDED)
         assert time.monotonic() - start < 30
+
+
+def wait_for(path: Path) -> None:
+    """Poll until ``path`` exists, for at most 10 s."""
+    deadline = time.monotonic() + 10
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
 
 
 class TestProbe:
@@ -875,6 +951,18 @@ class TestProbe:
         with pytest.raises(ValueError, match=f"^{named} "):
             complexity_probe(sizes, **kwargs)
         assert solves == []
+
+    def test_rows_are_pinned(self):
+        # the probe keeps no trace events; its rows are those of a kept solve
+        keys = ("target", "input_length", "n", "m", "verdict", "op_total", "extensions")
+        rows = complexity_probe([60, 120], seed=5)["rows"]
+        assert all(set(row) == {*keys, "elapsed_ms"} for row in rows)
+        assert [tuple(row[k] for k in keys) for row in rows] == [
+            (60, 60, 8, 20, "UNSAT", 690, 0),
+            (60, 60, 8, 20, "UNSAT", 708, 0),
+            (120, 120, 11, 40, "UNSAT", 1231, 0),
+            (120, 120, 11, 40, "UNSAT", 1228, 0),
+        ]
 
     def test_deterministic(self):
         first = complexity_probe([50, 100], seed=6, instances_per_size=1)

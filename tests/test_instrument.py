@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from satcover import DISABLED_OPS, OpCounter, Trace
+from satcover.instrument import UnkeptTrace
 
 
 class TestOpCounter:
@@ -83,3 +84,13 @@ class TestTrace:
     def test_empty_trace(self):
         trace = Trace()
         assert json.loads(trace.serialize()) == []
+
+    def test_an_unkept_trace_records_nothing_and_has_no_digest(self):
+        ops = OpCounter()
+        trace = UnkeptTrace(ops)
+        trace.emit("step", 1, 2)
+        ops.assign(3)
+        assert trace.events == [] and trace.kinds() == [] and trace.ops.total == 3
+        for digest in (trace.serialize, trace.sha256):
+            with pytest.raises(ValueError, match="kept no trace events"):
+                digest()

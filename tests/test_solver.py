@@ -202,6 +202,24 @@ class TestOneCounter:
         assert (runs[0].ops.total > 0) == count_ops
 
 
+class TestUnkeptTrace:
+    @pytest.mark.parametrize("alpha", ["neg", "pos"])
+    def test_same_answer_and_ops_without_events(self, alpha):
+        corpus = seeded_corpus(27, 300, var_range=(1, 12), clause_range=(1, 40))
+        corpus += [CnfFormula(2, []), CnfFormula(2, [[1], []])]
+        for formula in corpus:
+            kept = solve_sat(formula, count_ops=True, alpha=alpha, invariant_checks=True)
+            unkept = solve_sat(
+                formula, count_ops=True, alpha=alpha, invariant_checks=True, keep_trace=False
+            )
+            assert typed(unkept.verdict) == typed(kept.verdict)
+            assert unkept.ops.as_dict() == kept.ops.as_dict()
+            assert unkept.extensions == kept.extensions
+            assert kept.trace.events and unkept.trace.events == []
+            with pytest.raises(ValueError, match="kept no trace events"):
+                unkept.trace.sha256()
+
+
 class TestGateDowngrades:
     def test_failed_evaluation_becomes_engine_error(self, e1, monkeypatch):
         monkeypatch.setattr(solver_mod, "evaluate", lambda f, a: False)
