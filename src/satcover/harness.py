@@ -507,10 +507,9 @@ def _tally(
     check_reduction: bool = False,
 ) -> _Tally:
     """Engine (ops counted, invariant checks on, no trace events kept)
-    against the oracle on every formula; each disagreement is archived with a
-    minimized instance.  With
-    ``check_reduction`` the oracle's verdict on each formula also feeds
-    ``_reduction_holds``, until a formula fails it."""
+    against the oracle on every formula; each disagreement is archived with
+    a minimized instance.  With ``check_reduction`` the oracle's verdict on
+    each formula also feeds ``_reduction_holds``, until a formula fails it."""
     agreements = 0
     disagreements: List[dict] = []
     engine_errors: List[dict] = []

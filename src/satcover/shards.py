@@ -3,15 +3,14 @@ forked children that pull chunks of them from one queue.
 
 The items are cut into ``CHUNKS_PER_SHARD`` consecutive chunks per shard (at
 most one per item and 1,024 in all), and the chunk indices go into one pipe
-before any fork.
-Every process pulls one index at a time until the pipe is empty, so a shard
-that finishes early takes the work a slow one would have held
-(self-scheduling with equal chunks; Polychronopoulos & Kuck, IEEE Trans.
-Computers C-36, 1987, shrink them as the queue drains).  Each child sends
-its ``[(index, result), ...]`` back through its own pipe, and the results
-are put back in chunk order, so what the caller gets does not depend on
-which process ran which chunk.  The harness (``harness._sharded``) decides
-how many shards to run.
+before any fork.  Every process pulls one index at a time until the pipe is
+empty, so a shard that finishes early takes the work a slow one would have
+held.  This is self-scheduling with equal chunks; the guided form of
+Polychronopoulos & Kuck (IEEE Trans. Computers C-36, 1987) shrinks them as
+the queue drains.  Each child sends its ``[(index, result), ...]`` back
+through its own pipe, and the results are put back in chunk order, so what
+the caller gets does not depend on which process ran which chunk.  The
+harness (``harness._sharded``) decides how many shards to run.
 """
 from __future__ import annotations
 
