@@ -23,10 +23,10 @@ there it costs nothing measurable.
 import ``satcover.harness`` (and ``decimal``) when they run.
 
 ``fuzz`` and ``diff-exhaustive`` run one shard per usable CPU, with at
-least ``harness.MIN_SHARD_ITEMS`` items each: this process and forked
-children pull small chunks of the instances from one queue until none is
-left, and the report is the same bytes for every shard count and every
-order the chunks finish in.  They run in one process on one usable CPU
+least ``shards.MIN_SHARD_ITEMS`` items each (``shards.run``): this process
+and forked children pull small chunks of the instances from one queue
+until none is left, and the report is the same bytes for every shard count
+and every order the chunks finish in.  They run in one process on one usable CPU
 (``taskset -c 0``), off Linux, or while another thread is alive.  A shard
 that dies without a result (a signal, the OOM killer) exits 2 with an
 ``error:`` line.  ``probe`` always runs in one process: contention would

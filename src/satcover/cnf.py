@@ -256,12 +256,6 @@ def to_matrix(formula: CnfFormula) -> "numpy.ndarray":
     return entries
 
 
-def check_alpha(alpha: str) -> None:
-    """Refuse an orientation other than ``"neg"`` and ``"pos"``."""
-    if alpha not in ("neg", "pos"):
-        raise StructuralError(f"alpha must be 'neg' or 'pos', got {alpha!r}")
-
-
 def to_decomposition(
     formula: CnfFormula, *, ops: OpCounter = DISABLED_OPS
 ) -> Tuple[DecompositionPair, List[int]]:

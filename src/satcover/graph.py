@@ -115,18 +115,6 @@ class PointingGraph:
         """Formed and not removed vertices, ascending: the rows to swap."""
         return [i + 1 for i, (f, r) in enumerate(zip(self.formed, self.removed)) if f and not r]
 
-    def live_edges(self) -> List[tuple]:
-        """All live edges as (source, target, column), sorted."""
-        out = []
-        for j0, source in enumerate(self.col_single_row):
-            if source:
-                base = self.edge_base[j0]
-                for k, t0 in enumerate(self.targets[j0]):
-                    if self.edge_live[base + k]:
-                        out.append((source, t0 + 1, j0 + 1))
-        out.sort()
-        return out
-
 
 # ---------------------------------------------------------------------------
 # pure queries

@@ -15,12 +15,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import random
-import threading
 import time
 from collections import Counter
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .cnf import (
     CnfFormula,
@@ -33,7 +31,7 @@ from .cnf import (
 from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .decomposition import DecompositionPair
 from .instrument import collector_paused
-from .shards import run_shards
+from . import shards
 from .solver import SolveRun, solve_sat
 
 BRUTE_VAR_LIMIT = 25
@@ -350,47 +348,6 @@ def enumerate_formulas(
 
 
 # ---------------------------------------------------------------------------
-# sharding
-# ---------------------------------------------------------------------------
-
-# Fewest items a shard is given, on average: the shard count is the usable
-# CPUs, capped at count // MIN_SHARD_ITEMS.  On a 2-core x86-64 VM a second
-# shard's fork, pipe and merge cost about 6 ms, against 0.09-0.16 ms per
-# formula of a small exhaustive space and 0.7-0.8 ms per fuzz instance: two
-# shards broke even at about 160 exhaustive formulas and 20 fuzz instances.
-MIN_SHARD_ITEMS = 64
-
-_T = TypeVar("_T")
-
-
-def _shard_count(count: int) -> int:
-    """One shard per usable CPU, each with at least ``MIN_SHARD_ITEMS``
-    items; 1 (run in this process) off Linux or while another Python
-    thread is alive, since a fork copies only the calling thread."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), count // MIN_SHARD_ITEMS))
-
-
-def _sharded(work: Callable[[int, int], _T], count: int) -> List[_T]:
-    """``work(lo, hi)`` over consecutive chunks that cover ``0..count - 1``,
-    the results in chunk order.
-
-    With one shard (``_shard_count``), or when a fork or a pipe is refused,
-    ``work(0, count)`` runs here alone.  Otherwise this process and K - 1
-    forked children pull the chunks from one queue (``shards.run_shards``),
-    so a shard that finishes early takes the work a slow one would have
-    held, and the results come back in chunk order whichever process ran
-    which chunk.  An exception in a child is raised here again with its
-    type; a child that ends without a result raises ``ChildProcessError``
-    naming its shard and the items it took.  No child outlives the call.
-    """
-    shards = _shard_count(count)
-    results = run_shards(work, count, shards) if shards > 1 else None
-    return [work(0, count)] if results is None else results
-
-
-# ---------------------------------------------------------------------------
 # differential adjudication
 # ---------------------------------------------------------------------------
 
@@ -595,24 +552,30 @@ def _merge(tallies: List[_Tally], config: dict) -> DifferentialReport:
 
 def differential_run(cfg: FuzzConfig, *, brute_limit: int = BRUTE_VAR_LIMIT) -> DifferentialReport:
     """Engine vs oracle over the seeded corpus described by ``cfg``, sharded
-    over instance indices (``_sharded``)."""
+    over instance indices (``shards.run``)."""
 
     def work(lo: int, hi: int) -> _Tally:
         corpus = ((f"seed-{cfg.seed}-{i}", random_cnf(cfg, i)) for i in range(lo, hi))
         return _tally(corpus, brute_limit)
 
-    return _merge(_sharded(work, cfg.num_instances), {"mode": "fuzz", **cfg._asdict()})
+    return _merge(shards.run(work, cfg.num_instances), {"mode": "fuzz", **cfg._asdict()})
 
 
 def _check_space(max_n: int, max_m: int, max_width: int) -> int:
     """The number of formulas in a bounded formula space; refuses a space
-    that is empty or too large to sweep."""
+    that is empty or too large to sweep: more than 2**32 formulas, the
+    index range of a fuzz corpus."""
     if not 1 <= max_n <= 4:
         raise ValueError(f"max-n must be in 1..4, got {max_n}")
     if max_m < 1 or max_width < 1:
         raise ValueError(f"max-m and max-width must be positive, got {max_m} and {max_width}")
+    if max_m > 2**32:  # too many formulas in any universe, and a count too long to print
+        raise ValueError(f"max-m must be at most 2**32, got {max_m}")
     u = len(enumerate_clause_universe(max_n, max_width))
-    return sum(math.comb(u + m - 1, m) for m in range(1, max_m + 1))
+    size = math.comb(u + max_m, max_m) - 1  # multisets of 1..max_m of the u clauses
+    if size > 2**32:
+        raise ValueError(f"the space holds {size:,} formulas, more than the 2**32 a sweep takes")
+    return size
 
 
 def _reduction_holds(formula: CnfFormula, sat: bool) -> bool:
@@ -628,7 +591,7 @@ def _reduction_holds(formula: CnfFormula, sat: bool) -> bool:
 
 def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> DifferentialReport:
     """Engine vs brute force over the full bounded formula space, walked
-    once and sharded over formula positions (``_sharded``): the oracle's
+    once and sharded over formula positions (``shards.run``): the oracle's
     verdict on each formula also feeds ``_reduction_holds``, the
     oracle-vs-oracle reduction check.  The bounds are checked before
     anything is solved."""
@@ -641,7 +604,7 @@ def diff_exhaustive(max_n: int = 3, max_m: int = 4, max_width: int = 3) -> Diffe
             check_reduction=True,
         )
 
-    tallies = _sharded(work, size)
+    tallies = shards.run(work, size)
     report = _merge(
         tallies, {"mode": "exhaustive", "max_n": max_n, "max_m": max_m, "max_width": max_width}
     )

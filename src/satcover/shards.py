@@ -1,6 +1,9 @@
 """Run ``work(lo, hi)`` over the items ``0..count - 1`` in this process and
-forked children that pull chunks of them from one queue.
+forked children that pull chunks of them from one queue (``run``).
 
+``run`` decides how many shards to run: one per usable CPU, each with at
+least ``MIN_SHARD_ITEMS`` items, and one (this process alone) off Linux,
+while another Python thread is alive, or when a fork or a pipe is refused.
 The items are cut into ``CHUNKS_PER_SHARD`` consecutive chunks per shard (at
 most one per item and 1,024 in all), and the chunk indices go into one pipe
 before any fork.  Every process pulls one index at a time until the pipe is
@@ -9,14 +12,14 @@ held.  This is self-scheduling with equal chunks; the guided form of
 Polychronopoulos & Kuck (IEEE Trans. Computers C-36, 1987) shrinks them as
 the queue drains.  Each child sends its ``[(index, result), ...]`` back
 through its own pipe, and the results are put back in chunk order, so what
-the caller gets does not depend on which process ran which chunk.  The
-harness (``harness._sharded``) decides how many shards to run.
+the caller gets does not depend on which process ran which chunk.
 """
 from __future__ import annotations
 
 import os
 import pickle
 import signal
+import threading
 from array import array
 from typing import BinaryIO, Callable, List, Optional, Tuple, TypeVar
 
@@ -27,6 +30,13 @@ from typing import BinaryIO, Callable, List, Optional, Tuple, TypeVar
 # 7.10-7.57 s at 8 and 6.99-7.42 s at 16 chunks per shard, over three runs.
 CHUNKS_PER_SHARD = 16
 
+# Fewest items a shard is given, on average: the shard count is the usable
+# CPUs, capped at count // MIN_SHARD_ITEMS.  On a 2-core x86-64 VM a second
+# shard's fork, pipe and merge cost about 6 ms, against 0.09-0.16 ms per
+# formula of a small exhaustive space and 0.7-0.8 ms per fuzz instance: two
+# shards broke even at about 160 exhaustive formulas and 20 fuzz instances.
+MIN_SHARD_ITEMS = 64
+
 _T = TypeVar("_T")
 _INDEX = array("I").itemsize  # bytes of one chunk index on the queue
 # a pipe holds at least one 4 KiB page, so a queue this long is written
@@ -34,18 +44,29 @@ _INDEX = array("I").itemsize  # bytes of one chunk index on the queue
 _QUEUE_CHUNKS = 4096 // _INDEX
 
 
-def run_shards(work: Callable[[int, int], _T], count: int, shards: int) -> Optional[List[_T]]:
-    """The results of ``work`` on every chunk, in chunk order, from this
-    process and ``shards - 1`` forked children; None when a fork or a pipe
-    is refused, by then with every child reaped and the queue closed.
+def run(work: Callable[[int, int], _T], count: int) -> List[_T]:
+    """``work(lo, hi)`` over consecutive chunks that cover ``0..count - 1``,
+    the results in chunk order.
 
-    An exception in a child is raised here again with its type (its
-    traceback stays in the child: a run under ``taskset -c 0`` shows it),
-    and that child pulls no more chunks.  A child that ends without a
-    result, killed by a signal for one, raises ``ChildProcessError`` naming
-    the items of the chunks that no result holds.  No child outlives the
-    call.
+    With one shard, or when a fork or a pipe is refused, ``work(0, count)``
+    runs here alone.  Otherwise this process and K - 1 forked children pull
+    the chunks from one queue.  An exception in a child is raised here
+    again with its type (its traceback stays in the child: a run under
+    ``taskset -c 0`` shows it), and that child pulls no more chunks.  A
+    child that ends without a result, killed by a signal for one, raises
+    ``ChildProcessError`` naming the items of the chunks that no result
+    holds.  No child outlives the call.
     """
+    shards = 1  # off Linux, or beside another thread: a fork copies only the calling one
+    if hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        shards = min(len(os.sched_getaffinity(0)), count // MIN_SHARD_ITEMS)
+    results = _run_shards(work, count, shards) if shards > 1 else None
+    return [work(0, count)] if results is None else results
+
+
+def _run_shards(work: Callable[[int, int], _T], count: int, shards: int) -> Optional[List[_T]]:
+    """``run`` over ``shards`` processes: None when a fork or a pipe is
+    refused, by then with every child reaped and the queue closed."""
     chunks = min(count, CHUNKS_PER_SHARD * shards, _QUEUE_CHUNKS)
     bounds = [count * c // chunks for c in range(chunks + 1)]
     try:

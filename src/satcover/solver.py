@@ -16,7 +16,6 @@ from typing import List, NamedTuple, Optional, Tuple
 from .cnf import (
     CnfFormula,
     assignment_from_swaps,
-    check_alpha,
     evaluate,
     to_decomposition,
 )
@@ -276,7 +275,8 @@ def solve_sat(
     ``keep_trace=False`` the run's trace is an ``UnkeptTrace``: the verdict,
     the ops and the extensions are the same, but no event is kept.
     """
-    check_alpha(alpha)
+    if alpha not in ("neg", "pos"):
+        raise StructuralError(f"alpha must be 'neg' or 'pos', got {alpha!r}")
     m = len(formula.clauses)
     if clause_labels is None:
         clause_labels = range(1, m + 1)

@@ -154,6 +154,20 @@ def naive_input_length(pair: DecompositionPair) -> int:
     )
 
 
+def live_edges(graph) -> List[tuple]:
+    """All live edges of a pointing graph as (source, target, column),
+    sorted."""
+    out = []
+    for j0, source in enumerate(graph.col_single_row):
+        if source:
+            base = graph.edge_base[j0]
+            for k, t0 in enumerate(graph.targets[j0]):
+                if graph.edge_live[base + k]:
+                    out.append((source, t0 + 1, j0 + 1))
+    out.sort()
+    return out
+
+
 def naive_sat(formula: CnfFormula) -> bool:
     if any(not clause for clause in formula.clauses):
         return False

@@ -42,7 +42,7 @@ from satcover import (
     solve_sat,
     to_decomposition,
 )
-from satcover import harness
+from satcover import shards
 from satcover.cnf import to_matrix
 from satcover.harness import enumerate_formulas, oracle_status
 from satcover.procedures import StateSnapshot, removal_procedure
@@ -516,7 +516,7 @@ def test_reports_are_the_same_for_every_shard_count(
     # reports, the 53 disagreements with their minimized texts and the
     # op_stats floats included
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(harness, "MIN_SHARD_ITEMS", 1)
+    monkeypatch.setattr(shards, "MIN_SHARD_ITEMS", 1)
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())

@@ -18,7 +18,7 @@ from satcover import (
 from satcover.graph import find_forced_conflict_row
 from satcover.solver import _check_graph_invariants
 
-from conftest import E5_TEXT, formulas, naive_single_columns, pair_of
+from conftest import E5_TEXT, formulas, live_edges, naive_single_columns, pair_of
 
 
 def single_columns(pair: DecompositionPair, i: int):
@@ -101,7 +101,7 @@ class TestConstruct:
         trace = Trace(OpCounter())
         graph = build("p cnf 2 2\n-1 2 0\n1 0\n", trace)
         construct(graph)
-        assert graph.live_edges() == [(1, 2, 1)]
+        assert live_edges(graph) == [(1, 2, 1)]
         assert graph.bar_count[0] == 1  # conjunctive: one row can re-cover column 1
         assert graph.indegree == [0, 1]
         assert graph.formed == [True, True]
@@ -113,7 +113,7 @@ class TestConstruct:
         trace = Trace(OpCounter())
         graph = build(E5_TEXT, trace)
         construct(graph)
-        assert graph.live_edges() == [(1, 2, 2), (1, 3, 2)]
+        assert live_edges(graph) == [(1, 2, 2), (1, 3, 2)]
         assert graph.bar_count[1] == 2  # disjunctive: two rows can re-cover column 2
         assert graph.live_targets == [0, 2]
         assert graph.indegree == [0, 1, 1]
@@ -126,7 +126,7 @@ class TestConstruct:
         graph = build("p cnf 1 2\n1 0\n-1 0\n")
         construct(graph)
         assert graph.useless == [True]
-        assert graph.live_edges() == []
+        assert live_edges(graph) == []
 
     def test_vertices_examined_once(self):
         graph = build(E5_TEXT, Trace(OpCounter()))
@@ -159,7 +159,7 @@ class TestConstruct:
         _check_graph_invariants(graph)
         # every live edge leaves a column-single vertex and lands on a
         # row whose complement side holds that column
-        for src, tgt, col in graph.live_edges():
+        for src, tgt, col in live_edges(graph):
             assert col in naive_single_columns(pair, src)
             assert col - 1 in pair.bar_rows[tgt - 1]
 
@@ -213,6 +213,6 @@ class TestStateSize:
         construct(graph)
         if clean(graph) is None:
             eliminate_incompatibilities(graph)
-        assert graph.live_edges()
+        assert live_edges(graph)
         sizes = {name: _cells(value) for name, value in vars(graph).items()}
         assert max(sizes.values()) < n * n, sizes

@@ -495,9 +495,19 @@ class TestReductionCheck:
             if covered:
                 assert evaluate(reduced, assignment_from_swaps(swaps, used, reduced.num_vars))
 
-    def test_refuses_large_space(self):
+    def test_refuses_large_space(self, monkeypatch):
         with pytest.raises(ValueError):
             diff_exhaustive(5, 1, 1)
+        # more formulas than 2**32, refused before anything forks; (4, 5, 3),
+        # with 11,238,512 formulas, stays accepted
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a refused space"))
+        with pytest.raises(ValueError, match="^the space holds 6,646,448,384,109,071 formulas"):
+            diff_exhaustive(3, 30, 3)
+        with pytest.raises(ValueError, match="more than the 2[*][*]32 a sweep takes$"):
+            diff_exhaustive(4, 40, 3)
+        with pytest.raises(ValueError, match="^max-m must be at most 2[*][*]32, got 9{200}$"):
+            diff_exhaustive(1, int("9" * 200), 1)
+        assert harness._check_space(4, 5, 3) == 11_238_512
 
 
 class TestOpStats:
@@ -706,7 +716,7 @@ SHARDED = FuzzConfig(seed=11, num_instances=9, var_range=(1, 8), clause_range=(1
 def split_into(monkeypatch, cpus):
     """Make a harness run use ``cpus`` shards of at least one item each."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(harness, "MIN_SHARD_ITEMS", 1)
+    monkeypatch.setattr(shards, "MIN_SHARD_ITEMS", 1)
 
 
 def sharded_reports():
@@ -741,6 +751,16 @@ class TestSharding:
         split_into(monkeypatch, 3)
         assert sharded_reports() == serial
         assert len(forks) == 4  # two children per call
+
+    def test_two_cpus_fork_from_128_items(self, forks, monkeypatch):
+        # two shards of at least MIN_SHARD_ITEMS items each, as README states
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for count, forked in [(127, 0), (128, 1)]:
+            forks.clear()
+            results = shards.run(lambda lo, hi: (lo, hi), count)
+            assert [lo for lo, _ in results] == [0] + [hi for _, hi in results[:-1]]
+            assert results[-1][1] == count
+            assert len(forks) == forked
 
     def test_one_cpu_runs_in_process(self, serial, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
@@ -795,7 +815,7 @@ class TestSharding:
                 time.sleep(0.3)
             return lo, hi, os.getpid()
 
-        results = harness._sharded(work, 100)
+        results = shards.run(work, 100)
         assert len(results) == 3 * shards.CHUNKS_PER_SHARD
         assert [lo for lo, _, _ in results] == [0] + [hi for _, hi, _ in results[:-1]]
         assert results[-1][1] == 100

@@ -24,7 +24,7 @@ from satcover import (
 from satcover import procedures
 from satcover.procedures import swapped_alpha_counts
 
-from conftest import E4_TEXT, E5_TEXT, pair_of
+from conftest import E4_TEXT, E5_TEXT, live_edges, pair_of
 
 
 def built(text: str):
@@ -42,7 +42,7 @@ class TestSnapshot:
         assert any(graph.removed)
         snap.restore(graph)
         assert not any(graph.removed)
-        assert graph.live_edges() == [(1, 2, 2), (1, 3, 2)]
+        assert live_edges(graph) == [(1, 2, 2), (1, 3, 2)]
         assert graph.multiplicity == [2, 0]
         assert graph.indegree == [0, 1, 1]
 
@@ -51,12 +51,12 @@ class TestSnapshot:
         snap = StateSnapshot.capture(graph)
         before = {
             "order": list(graph.vertex_order),
-            "edges": graph.live_edges(),
+            "edges": live_edges(graph),
         }
         removal_procedure(graph, 3)
         snap.restore(graph)
         assert graph.vertex_order == before["order"]
-        assert graph.live_edges() == before["edges"]
+        assert live_edges(graph) == before["edges"]
 
     def test_restore_empties_the_trail_and_commit_drops_it(self):
         graph = built(E5_TEXT)
@@ -107,7 +107,7 @@ class TestRemovalProcedure:
         outcome = removal_procedure(graph, 2)
         assert outcome.removable
         assert outcome.removed_vertices == (2,)
-        assert graph.live_edges() == [(1, 3, 2)]
+        assert live_edges(graph) == [(1, 3, 2)]
         assert graph.live_targets == [0, 1]
         assert graph.multiplicity == [1, 0]
 
@@ -127,7 +127,7 @@ class TestRemovalProcedure:
         outcome = removal_procedure(graph, 1)
         assert outcome.removable
         assert outcome.removed_vertices == (1, 3)
-        assert graph.live_edges() == []
+        assert live_edges(graph) == []
 
     def test_dead_start_vertex_rejected(self):
         graph = built(E5_TEXT)
@@ -282,10 +282,10 @@ class TestEliminate:
 
     def test_failed_attempts_restore_state(self):
         graph = built(E4_TEXT)
-        before_edges = graph.live_edges()
+        before_edges = live_edges(graph)
         before_live = graph.live_vertices()
         eliminate_incompatibilities(graph)
-        assert graph.live_edges() == before_edges
+        assert live_edges(graph) == before_edges
         assert graph.live_vertices() == before_live
 
     def test_tried_marks_persist(self):
