@@ -351,7 +351,16 @@ def enumerate_formulas(
 # differential adjudication
 # ---------------------------------------------------------------------------
 
-class _DifferentialReportFields(NamedTuple):
+class DifferentialReport(NamedTuple):
+    """Outcome tallies; total = agreements + disagreements + gate_failures.
+
+    A disagreement's ``minimized`` is the shrink of the generated formula
+    its ``label`` names (``random_cnf`` at that index, or that position of
+    ``enumerate_formulas``); its ``instance`` is that formula's canonical
+    DIMACS, whose sorted literals can shrink to another counterexample.
+    ``extra`` holds the run-specific fields ``as_dict`` adds at top level.
+    """
+
     config: dict
     generated: int
     total: int
@@ -361,23 +370,7 @@ class _DifferentialReportFields(NamedTuple):
     engine_errors: List[dict]
     unknown: int
     op_stats: dict
-    extra: Optional[dict] = None  # a fresh dict per report when not given
-
-
-class DifferentialReport(_DifferentialReportFields):
-    """Outcome tallies; total = agreements + disagreements + gate_failures.
-
-    A disagreement's ``minimized`` is the shrink of the generated formula
-    its ``label`` names (``random_cnf`` at that index, or that position of
-    ``enumerate_formulas``); its ``instance`` is that formula's canonical
-    DIMACS, whose sorted literals can shrink to another counterexample.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "DifferentialReport":
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.extra is not None else self._replace(extra={})
+    extra: dict
 
     def as_dict(self) -> dict:
         doc = self._asdict()
@@ -547,6 +540,7 @@ def _merge(tallies: List[_Tally], config: dict) -> DifferentialReport:
         engine_errors=engine_errors,
         unknown=sum(tally.unknown for tally in tallies),
         op_stats=_op_stats(points),
+        extra={},
     )
 
 
@@ -639,10 +633,11 @@ def complexity_probe(
 
     Reports one row per instance plus the fitted log-log exponent and the
     maximum op_total / N^3 ratio.  This measures and reports; it asserts
-    nothing about the growth.  No sizes, or a size, ``width`` or
-    ``instances_per_size`` below 1, raise ValueError before anything is
-    solved.  Each instance is generated and solved with the cyclic garbage
-    collector paused (``collector_paused``), keeping no trace events.
+    nothing about the growth.  No sizes, a size or ``width`` below 1, or an
+    ``instances_per_size`` outside ``1..2**32`` raise ValueError before
+    anything is solved.  Each instance is generated and solved with the
+    cyclic garbage collector paused (``collector_paused``), keeping no trace
+    events.
     """
     if not sizes or any(int(size) < 1 for size in sizes):
         raise ValueError(f"sizes must be a non-empty list of positive sizes, got {list(sizes)}")
@@ -650,6 +645,8 @@ def complexity_probe(
         raise ValueError(f"width must be positive, got {width}")
     if instances_per_size < 1:
         raise ValueError(f"instances-per-size must be positive, got {instances_per_size}")
+    if instances_per_size > 2**32:
+        raise ValueError(f"instances-per-size must be at most 2**32, got {instances_per_size}")
     rows: List[dict] = []
     points: Counter = Counter()  # the rows' (input_length, op_total), for _op_stats
     for target in sizes:

@@ -40,18 +40,12 @@ class OpCounter:
         return self.assignments + self.arithmetic + self.comparisons
 
     def assign(self, k: int = 1) -> None:
-        if k < 0:
-            raise ValueError("operation count must be non-negative")
         self.assignments += k
 
     def arith(self, k: int = 1) -> None:
-        if k < 0:
-            raise ValueError("operation count must be non-negative")
         self.arithmetic += k
 
     def cmp(self, k: int = 1) -> None:
-        if k < 0:
-            raise ValueError("operation count must be non-negative")
         self.comparisons += k
 
     def as_dict(self) -> dict:

@@ -51,11 +51,7 @@ class Unreachable(NamedTuple):
     column: int
 
 
-class _SnapshotFields(NamedTuple):
-    mark: int
-
-
-class StateSnapshot(_SnapshotFields):
+class StateSnapshot:
     """A mark on the graph's undo trail, taken before a removal cascade.
 
     ``restore`` pops the trail back to the mark, undoing every write the
@@ -64,12 +60,15 @@ class StateSnapshot(_SnapshotFields):
     trail, so a mark restores the graph as it was when taken as long as
     nothing but cascades ran in between.  ``capture`` and ``restore`` emit
     a ``snapshot`` or ``restore`` trace event.  Only ``restore`` charges:
-    one assignment per trail entry it pops, kept in the instance dict for
-    ``cell_count()``.  No attribute can be set.
+    one assignment per trail entry it pops, kept in ``restored`` for
+    ``cell_count()``.
     """
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is read-only")
+    __slots__ = ("mark", "restored")
+
+    def __init__(self, mark: int):
+        self.mark = mark
+        self.restored = 0
 
     @classmethod
     def capture(cls, graph: PointingGraph) -> "StateSnapshot":
@@ -82,7 +81,7 @@ class StateSnapshot(_SnapshotFields):
         del trail[self.mark:]
         for state, index, old in reversed(undone):
             state[index] = old
-        self.__dict__["restored"] = len(undone)
+        self.restored = len(undone)
         graph.trace.ops.assign(len(undone))
         graph.trace.emit("restore")
 
@@ -91,7 +90,7 @@ class StateSnapshot(_SnapshotFields):
 
     def cell_count(self) -> int:
         """The op charge of the snapshot's last restore, or 0 before one."""
-        return self.__dict__.get("restored", 0)
+        return self.restored
 
 
 # ---------------------------------------------------------------------------

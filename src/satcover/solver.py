@@ -43,36 +43,20 @@ from .procedures import (
     extend,
 )
 
-# reason kinds
+# reason kinds; every Reason is built in this module with one of them
 NON_REMOVABLE_USELESS_VERTEX = "non-removable-useless-vertex"
 UNREACHABLE_COLUMN = "unreachable-column"
 BOTH_COMPONENTS_SINGLE = "both-components-single"
 EMPTY_CLAUSE = "empty-clause"
-
-REASON_KINDS = (
-    NON_REMOVABLE_USELESS_VERTEX,
-    UNREACHABLE_COLUMN,
-    BOTH_COMPONENTS_SINGLE,
-    EMPTY_CLAUSE,
-)
 
 
 class EngineInvariantError(RuntimeError):
     """An internal contract of the covering loop was violated."""
 
 
-class _ReasonFields(NamedTuple):
+class Reason(NamedTuple):
     kind: str
     index: Optional[int] = None
-
-
-class Reason(_ReasonFields):
-    __slots__ = ()
-
-    def __new__(cls, kind: str, index: Optional[int] = None) -> "Reason":
-        if kind not in REASON_KINDS:
-            raise ValueError(f"unknown reason kind {kind!r}")
-        return super().__new__(cls, kind, index)
 
     def as_dict(self) -> dict:
         return {"kind": self.kind, "index": self.index}

@@ -24,6 +24,7 @@ from satcover import (
     CnfFormula,
     FuzzConfig,
     Reason,
+    Sat,
     Unsat,
     assignment_from_swaps,
     brute_covering,
@@ -554,6 +555,43 @@ class TestDifferentialRun:
         report = differential_run(cfg)
         assert report.gate_failures == 0
 
+    def test_unknown_oracle_answers_are_counted_apart(self, monkeypatch, capsys):
+        # n = 26 is past the brute-force limit: a DPLL run out of budget
+        # answers None, which counts as unknown, never as a verdict
+        monkeypatch.setattr(harness, "dpll", lambda formula: (None, None))
+        report = differential_run(FuzzConfig(seed=4, num_instances=6, var_range=(26, 26)))
+        assert (report.generated, report.unknown, report.total) == (6, 6, 0)
+        assert (report.agreements, report.disagreements, report.engine_errors) == (0, [], [])
+        assert main(["fuzz", "--seed", "4", "--count", "6", "--vars", "26..26"]) == 0
+        assert json.loads(capsys.readouterr().out)["unknown"] == 6
+
+    def test_external_recheck_catches_a_failing_sat_assignment(self, monkeypatch, capsys):
+        # the first SAT answer carries an assignment that falsifies clause 1
+        real_solve = harness.solve_sat
+        forged = []
+
+        def forging_solve(formula, **kwargs):
+            run = real_solve(formula, **kwargs)
+            if run.verdict.status != "SAT" or forged:
+                return run
+            forged.append(formula)
+            assignment = [True] * formula.num_vars
+            for lit in formula.clauses[0]:
+                assignment[abs(lit) - 1] = lit < 0
+            return run._replace(verdict=Sat(tuple(assignment)))
+
+        monkeypatch.setattr(harness, "solve_sat", forging_solve)
+        report = differential_run(FuzzConfig(seed=5, num_instances=8, var_range=(2, 6)))
+        assert len(forged) == 1
+        assert [e["detail"] for e in report.engine_errors] == [
+            "external recheck: Sat assignment fails evaluate"
+        ]
+        assert report.engine_errors[0]["instance"] == emit_dimacs(forged[0])
+        assert report.gate_failures == 1 and report.violation
+        forged.clear()
+        assert main(["fuzz", "--seed", "5", "--count", "8", "--vars", "2..6"]) == 3
+        assert json.loads(capsys.readouterr().out)["gate_failures"] == 1
+
     def test_disagreements_ship_minimized_instances(self):
         # a corpus region known to contain engine incompleteness
         cfg = FuzzConfig(seed=11, num_instances=600, var_range=(1, 20), clause_range=(1, 120))
@@ -949,6 +987,7 @@ class TestProbe:
             ([100, 0], {}, "sizes"),
             ([], {}, "sizes"),
             ([100], {"instances_per_size": 0}, "instances-per-size"),
+            ([100], {"instances_per_size": 2**32 + 1}, "instances-per-size"),
             ([100], {"seed": -1}, "seed"),
         ],
         ids=[
@@ -959,6 +998,7 @@ class TestProbe:
             "zero-size-after-a-good-one",
             "no-sizes",
             "no-instances",
+            "too-many-instances",
             "negative-seed",
         ],
     )
