@@ -284,6 +284,8 @@ def _cmd_fuzz(args) -> int:
 
     if args.count < 1:
         return _fail_input(f"count must be positive, got {args.count}")
+    if args.count > 2**32:
+        return _fail_input(f"count must be at most 2**32, got {args.count}")
     try:
         cfg = FuzzConfig(
             seed=args.seed,

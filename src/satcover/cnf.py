@@ -2,15 +2,13 @@
 
 A formula with n variables and m clauses can be viewed as an m x n matrix
 with entries in {-1, 0, +1} (one row per clause, one column per variable);
-``to_matrix`` builds it as a numpy array.  It is a test helper the
-reduction does not need, and it imports numpy only when called.  It stays
-in the package because the benchmark's tracer patches it where ``solver``
-and ``harness`` import it.  The reduction to a decomposition pair puts,
-for each variable that occurs, the clauses holding its negative literal on
-the alpha side and the clauses holding its positive literal on the other
-side; a row swap then corresponds to assigning the variable true.  The
-mirrored orientation (``solve_sat``'s ``alpha="pos"``) is this reduction of
-the formula with every literal negated.
+``to_matrix`` builds it for the tests, and stays in the package because the
+benchmark's tracer patches it where ``solver`` and ``harness`` import it.
+The reduction to a decomposition pair puts, for each variable that occurs,
+the clauses holding its negative literal on the alpha side and the clauses
+holding its positive literal on the other side; a row swap then corresponds
+to assigning the variable true.  The mirrored orientation (``solve_sat``'s
+``alpha="pos"``) is this reduction of the formula with every literal negated.
 """
 from __future__ import annotations
 
@@ -242,18 +240,14 @@ def restrict_to_used(formula: CnfFormula) -> Tuple[CnfFormula, List[int]]:
 # the reduction
 # ---------------------------------------------------------------------------
 
-def to_matrix(formula: CnfFormula) -> "numpy.ndarray":
-    """The read-only m x n int8 signed matrix; entry (j, i) is the sign of
-    x_i in clause j, 0 when x_i does not occur.  Needs numpy, imported here
-    so that importing the package does not."""
-    import numpy as np
-
-    entries = np.zeros((len(formula.clauses), formula.num_vars), dtype=np.int8)
-    for j, clause in enumerate(formula.clauses):
+def to_matrix(formula: CnfFormula) -> List[List[int]]:
+    """The m x n signed matrix as row lists; entry [j][i] is the sign of
+    x_i in clause j, 0 when x_i does not occur."""
+    rows = [[0] * formula.num_vars for _ in formula.clauses]
+    for row, clause in zip(rows, formula.clauses):
         for lit in clause:
-            entries[j, abs(lit) - 1] = 1 if lit > 0 else -1
-    entries.setflags(write=False)
-    return entries
+            row[abs(lit) - 1] = 1 if lit > 0 else -1
+    return rows
 
 
 def to_decomposition(

@@ -89,8 +89,9 @@ class Trace:
 
     def serialize(self) -> bytes:
         # tuples dump as JSON arrays; ``default`` sees only what JSON cannot
-        # encode itself, such as a numpy integer in a payload.  Events are
-        # flat tuples of ints and strings, so no cycle check is needed
+        # encode itself, such as an int-like value with ``__index__`` in a
+        # payload.  Events are flat tuples of ints and strings, so no cycle
+        # check is needed
         return json.dumps(
             self.events, separators=(",", ":"), default=int, check_circular=False
         ).encode("ascii")

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import os
 
-# before anything imports numpy: its OpenBLAS pool would start a native
-# thread, and a harness run forks its shards beside it
+# before anything imports numpy (``reference_brute_sat`` here, and the
+# benchmark's tracer that test_perfbench_names.py loads): its OpenBLAS pool
+# would start a native thread, and a harness run forks its shards beside it
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import itertools
@@ -98,6 +99,17 @@ def typed(value):
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         return (type(value).__name__, tuple(typed(v) for v in value))
     return value
+
+
+class IntLike:
+    """An int-like value that is not an int: it converts only through
+    ``__index__``."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def run_capped(script, path):
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=SRC)
     return subprocess.run(
         [sys.executable, "-c", script, path],
         capture_output=True,
@@ -355,7 +355,7 @@ class TestClosedStdout:
         # interpreter's own flush at exit must not fail again
         if text is not None:
             args = args + [write(tmp_path, "in.cnf", text)]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+        env = dict(os.environ, PYTHONPATH=SRC)
         env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as a pipe is by default
         child = subprocess.Popen(
             [sys.executable, "-m", "satcover", *args],
@@ -536,7 +536,7 @@ class TestStdlibOnly:
             ["probe", "--sizes", "1e2,1e3"],
             ["diff-exhaustive", "--max-n", "2"],
         ]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+        env = dict(os.environ, PYTHONPATH=SRC)
         done = subprocess.run(
             [sys.executable, "-c", script, json.dumps(runs)],
             capture_output=True,
@@ -563,7 +563,7 @@ class TestColdStart:
     NOT_ON_SOLVE = ("satcover.harness", "dataclasses", "inspect", "statistics", "decimal", "fractions")
 
     def fresh(self, *args):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+        env = dict(os.environ, PYTHONPATH=SRC)
         return subprocess.run(
             [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
         )
@@ -776,11 +776,16 @@ class TestHarnessCommands:
         assert captured.err == "error: seed must be an int >= 0, got -1\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("count", ["0", "-1"])
-    def test_fuzz_bad_count_is_input_error(self, count, capsys):
+    # the messages name --count, not FuzzConfig's num_instances field
+    @pytest.mark.parametrize(
+        "count, problem",
+        [("0", "must be positive"), ("-1", "must be positive"), ("5000000000", "must be at most 2**32")],
+        ids=["0", "-1", "5000000000"],
+    )
+    def test_fuzz_bad_count_is_input_error(self, count, problem, capsys):
         assert main(["fuzz", "--seed", "1", "--count", count]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: count must be positive, got {count}\n"
+        assert captured.err == f"error: count {problem}, got {count}\n"
         assert captured.out == ""
 
 

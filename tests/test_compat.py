@@ -1,5 +1,6 @@
-"""The package declares Python >= 3.10: its syntax and its regular
-expressions must use nothing newer, though the suite may run on 3.11."""
+"""The package declares Python >= 3.10 and no dependencies: its syntax and
+its regular expressions must use nothing newer, though the suite may run on
+3.11, and none of its modules may load numpy, a test and benchmark extra."""
 import ast
 import importlib
 import pkgutil
@@ -15,6 +16,19 @@ SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*
 def test_sources_parse_as_python_3_10():
     for path in SOURCES:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_package_imports_no_numpy():
+    # an import inside a function counts too: ast.walk reaches every node
+    imported = set()
+    for path in sorted((ROOT / "src" / "satcover").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add((path.name, node.module))
+    assert any(name == "json" for _, name in imported)  # the scan saw the imports
+    assert [(f, name) for f, name in imported if name.split(".")[0] == "numpy"] == []
 
 
 def test_patterns_use_no_3_11_regex_syntax(capsys):

@@ -209,9 +209,9 @@ def worked_runs(name: str) -> tuple:
         dense.n, dense.m, [list(r) for r in dense.alpha_rows], [list(r) for r in dense.bar_rows]
     )
     return (
-        solve_sat(formula_of(text), count_ops=True),
+        solve_sat(formula_of(text), count_ops=True, invariant_checks=True),
         solve_sat(formula_of(text), count_ops=True, shortcut=True),
-        solve_covering(rebuilt, count_ops=True, invariant_checks=True),
+        solve_covering(rebuilt, count_ops=True),
     )
 
 

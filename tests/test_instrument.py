@@ -1,11 +1,12 @@
 """Operation counting and trace recording."""
 import json
 
-import numpy as np
 import pytest
 
 from satcover import DISABLED_OPS, OpCounter, Trace
 from satcover.instrument import UnkeptTrace
+
+from conftest import IntLike
 
 
 class TestOpCounter:
@@ -69,9 +70,9 @@ class TestTrace:
         assert build().sha256() == build().sha256()
         assert len(build().sha256()) == 64
 
-    def test_serialization_handles_numpy_ints(self):
+    def test_serialization_handles_int_like_payloads(self):
         trace = Trace()
-        trace.emit("x", np.int64(7), np.int32(8))
+        trace.emit("x", IntLike(7), IntLike(8))
         doc = json.loads(trace.serialize())
         assert doc == [["x", [7, 8], 0]]
 

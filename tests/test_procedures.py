@@ -1,5 +1,9 @@
 """Removal, cleaning, incompatibility elimination, and graph extension."""
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satcover import (
     ExtensionPlan,
@@ -23,8 +27,9 @@ from satcover import (
 )
 from satcover import procedures
 from satcover.procedures import swapped_alpha_counts
+from satcover.solver import _check_graph_invariants
 
-from conftest import E4_TEXT, E5_TEXT, live_edges, pair_of
+from conftest import E4_TEXT, E5_TEXT, formulas, live_edges, pair_of
 
 
 def built(text: str):
@@ -141,6 +146,39 @@ class TestRemovalProcedure:
         removal_procedure(graph, 1)
         removed = [e[1][0] for e in trace.events_without_readings() if e[0] == "vertex-removed"]
         assert len(removed) == len(set(removed))
+
+
+def undone_state(graph) -> dict:
+    """Every graph field a restore must bring back: all but the trace, which
+    keeps the attempt's events, and ``tried``, which keeps elimination's
+    marks across restores."""
+    return {k: v for k, v in vars(graph).items() if k not in ("trace", "tried")}
+
+
+class TestUndoTrail:
+    @given(formulas(max_vars=8, max_clauses=16), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_cascades_restore_or_commit_exactly(self, formula, data):
+        pair = to_decomposition(formula)[0]
+        graph = find_main_vertices(pair, column_counts(pair), Trace())
+        if graph is None:
+            return
+        construct(graph)
+        for _ in range(data.draw(st.integers(1, 8), label="steps")):
+            live = graph.live_vertices()
+            if not live:
+                break
+            before = copy.deepcopy(undone_state(graph))
+            snap = StateSnapshot.capture(graph)
+            outcome = removal_procedure(graph, data.draw(st.sampled_from(live), label="vertex"))
+            if outcome.removable and data.draw(st.booleans(), label="commit"):
+                snap.commit(graph)
+                _check_graph_invariants(graph)
+                assert all(graph.removed[v - 1] for v in outcome.removed_vertices)
+            else:
+                snap.restore(graph)
+                assert undone_state(graph) == before
+            assert graph.trail == []
 
 
 class TestClean:
