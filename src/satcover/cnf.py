@@ -1,5 +1,7 @@
 """CNF frontend: DIMACS parsing, the signed clause matrix, and the reduction.
 
+``parse_dimacs`` checks the grammar and the range, ``CnfFormula`` that no
+clause repeats a variable; the reader repairs clauses only when it refuses.
 A formula with n variables and m clauses can be viewed as an m x n matrix
 with entries in {-1, 0, +1} (one row per clause, one column per variable);
 ``to_matrix`` builds it for the tests, and stays in the package because the
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
-from operator import neg
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .decomposition import DecompositionPair, StructuralError, swap_set
@@ -42,10 +43,10 @@ class CnfFormula(_CnfFormulaFields):
 
     A clause names each variable at most once: a repeated literal or a
     tautology (x and not x) is refused, which the reduction needs to be
-    sound.  ``parse_dimacs`` dedupes and drops tautologies before it builds
-    one.  Clauses are otherwise kept as given; an empty clause is retained
-    (it makes the formula unsatisfiable) so every consumer sees the same
-    semantics.
+    sound.  ``parse_dimacs`` checks the grammar and the range only, and
+    repairs the clauses when this refuses them.  Clauses are otherwise kept
+    as given; an empty clause is retained (it makes the formula
+    unsatisfiable) so every consumer sees the same semantics.
     """
 
     __slots__ = ()
@@ -54,9 +55,10 @@ class CnfFormula(_CnfFormulaFields):
         for idx, clause in enumerate(clauses, start=1):
             variables = set()
             for lit in clause:
-                if lit == 0 or abs(lit) > num_vars:
+                v = abs(lit)
+                if not 0 < v <= num_vars:
                     raise StructuralError(f"clause {idx}: literal {lit} outside +/-1..{num_vars}")
-                variables.add(abs(lit))
+                variables.add(v)
             if len(variables) < len(clause):
                 v = next(v for v, k in Counter(map(abs, clause)).items() if k > 1)
                 raise StructuralError(f"clause {idx}: variable {v} occurs twice")
@@ -88,23 +90,16 @@ def read_counts(text: str) -> Optional[Tuple[int, int]]:
         return None
 
 
-def _cut(clause: dict, clauses: List[Clause], removed: List[int]) -> None:
-    """File a finished clause (an ordered set of literals): kept, or its
-    1-based position recorded when it is a tautology."""
-    if clause.keys().isdisjoint(map(neg, clause)):
-        clauses.append(list(clause))
-    else:
-        removed.append(len(clauses) + len(removed) + 1)
-
-
 def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
     """Parse DIMACS CNF text into a preprocessed formula and the 1-based
     file positions of the clauses dropped as tautologies.
 
     Comment lines start with 'c'; the header is ``p cnf <vars> <clauses>``;
     clauses are 0-terminated literal runs (the final terminator and newline
-    are optional).  Each clause is deduplicated (first occurrences kept, in
-    order) and dropped as a tautology when it is cut.
+    are optional).  The reader checks the grammar and the range, and
+    ``CnfFormula`` that no clause repeats a variable: only when it refuses
+    the clauses as cut is each deduplicated (first occurrences kept, in
+    order) or dropped as a tautology, and the formula built again.
 
     The header and the lines before it are read one by one.  The clause data
     after it is read ``BLOCK_LINES`` lines at a time, with every per-token
@@ -123,7 +118,6 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
     declared range, then the clause count.
     """
     lines = text.splitlines()
-    last_line = max(len(lines), 1)
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
@@ -138,10 +132,9 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
         body_start = lineno
         break
     else:
-        raise ParseError("missing 'p cnf' header", last_line)
+        raise ParseError("missing 'p cnf' header", max(len(lines), 1))
 
     clauses: List[Clause] = []
-    removed_tautologies: List[int] = []
     carry: List[int] = []  # the unfinished clause of the previous block
     for first in range(body_start, len(lines), BLOCK_LINES):
         block = lines[first:first + BLOCK_LINES]
@@ -159,18 +152,27 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
         start = 0
         for _ in range(literals.count(0)):
             end = literals.index(0, start)
-            clause = literals[start:end]
-            if len(set(map(abs, clause))) < len(clause):
-                _cut(dict.fromkeys(clause), clauses, removed_tautologies)
-            else:
-                clauses.append(clause)
+            clauses.append(literals[start:end])
             start = end + 1
         carry = literals[start:]
     if carry:
-        _cut(dict.fromkeys(carry), clauses, removed_tautologies)  # unterminated final clause
-    if len(clauses) + len(removed_tautologies) != declared_clauses:
+        clauses.append(carry)  # unterminated final clause
+    if len(clauses) != declared_clauses:
         raise _body_error(lines, body_start, num_vars, declared_clauses)
-    return CnfFormula(num_vars=num_vars, clauses=clauses), tuple(removed_tautologies)
+    try:
+        return CnfFormula(num_vars=num_vars, clauses=clauses), ()
+    except StructuralError:  # the range is checked, so a variable repeats
+        kept: List[Clause] = []
+        removed_tautologies: List[int] = []
+        for position, clause in enumerate(clauses, start=1):
+            distinct = len(set(map(abs, clause)))
+            if distinct < len(clause):
+                clause = list(dict.fromkeys(clause))  # first occurrences, in order
+            if distinct == len(clause):
+                kept.append(clause)
+            else:  # x and not x
+                removed_tautologies.append(position)
+        return CnfFormula(num_vars=num_vars, clauses=kept), tuple(removed_tautologies)
 
 
 def _body_error(

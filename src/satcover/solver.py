@@ -116,12 +116,10 @@ def _check_graph_invariants(graph) -> None:
     per_column = [0] * g.m
     dead_endpoint = False
     for j0, source in enumerate(g.col_single_row):
-        base = edge_base[j0]
-        if not source:  # a column with no single row has no edges
-            dead_endpoint = dead_endpoint or edge_live.find(1, base, edge_base[j0 + 1]) >= 0
+        if not source:  # no edges: a live byte under it fails the count below
             continue
         s0 = source - 1
-        for edge, t0 in enumerate(g.targets[j0], base):
+        for edge, t0 in enumerate(g.targets[j0], edge_base[j0]):
             if edge_live[edge]:
                 dead_endpoint = dead_endpoint or not formed[s0] or removed[s0] or not formed[t0] or removed[t0]
                 indegree[t0] += 1
@@ -131,7 +129,7 @@ def _check_graph_invariants(graph) -> None:
         raise EngineInvariantError(
             f"edge bound violated: {edges} > (n-1)*m = {(g.n - 1) * g.m}"
         )
-    if dead_endpoint:
+    if dead_endpoint or edges != len(edge_live) - edge_live.count(0):
         raise EngineInvariantError("live edge touches a removed or unformed vertex")
     if indegree != g.indegree:
         raise EngineInvariantError("indegree does not match live incoming edge counts")

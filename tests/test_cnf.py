@@ -310,8 +310,15 @@ class TestParse:
             ({4500: "1 7 0", 4800: "2 --1 0"}, "line 4800: non-integer token '--1'"),
             ({4500: "c 1 -0 x", 4800: "p cnf 6 1"}, "line 4800: duplicate header"),
             ({4800: "2 -1 -00"}, "line 4800: non-integer token '-00'"),
+            # a clause to repair that holds an out-of-range literal is
+            # refused: the range is checked before any clause is repaired
+            ({4500: "1 -1 7 0"}, "line 4500: literal 7 outside declared range 1..6"),
+            ({4500: "2 2 7 0"}, "line 4500: literal 7 outside declared range 1..6"),
         ],
-        ids=["valid", "out-of-range", "refused-token-first", "duplicate-header", "negative-zero"],
+        ids=[
+            "valid", "out-of-range", "refused-token-first", "duplicate-header", "negative-zero",
+            "tautology-out-of-range", "repeat-out-of-range",
+        ],
     )
     def test_text_longer_than_a_block(self, edits, error):
         # 5,000 lines; the first block is lines 2-4097, and the clause on
