@@ -57,11 +57,13 @@ class CnfFormula(_CnfFormulaFields):
             for lit in clause:
                 v = abs(lit)
                 if not 0 < v <= num_vars:
-                    raise StructuralError(f"clause {idx}: literal {lit} outside +/-1..{num_vars}")
+                    raise StructuralError(
+                        f"clause {idx}: literal {lit} outside +/-1..{num_vars}", clause=idx
+                    )
                 variables.add(v)
             if len(variables) < len(clause):
                 v = next(v for v, k in Counter(map(abs, clause)).items() if k > 1)
-                raise StructuralError(f"clause {idx}: variable {v} occurs twice")
+                raise StructuralError(f"clause {idx}: variable {v} occurs twice", clause=idx)
         return super().__new__(cls, num_vars, clauses)
 
 
@@ -98,8 +100,9 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
     clauses are 0-terminated literal runs (the final terminator and newline
     are optional).  The reader checks the grammar and the range, and
     ``CnfFormula`` that no clause repeats a variable: only when it refuses
-    the clauses as cut is each deduplicated (first occurrences kept, in
-    order) or dropped as a tautology, and the formula built again.
+    the clauses as cut is each clause from the refused one on deduplicated
+    (first occurrences kept, in order) or dropped as a tautology, and the
+    formula built again over every clause.
 
     The header and the lines before it are read one by one.  The clause data
     after it is read ``BLOCK_LINES`` lines at a time, with every per-token
@@ -161,18 +164,19 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
         raise _body_error(lines, body_start, num_vars, declared_clauses)
     try:
         return CnfFormula(num_vars=num_vars, clauses=clauses), ()
-    except StructuralError:  # the range is checked, so a variable repeats
-        kept: List[Clause] = []
-        removed_tautologies: List[int] = []
-        for position, clause in enumerate(clauses, start=1):
-            distinct = len(set(map(abs, clause)))
-            if distinct < len(clause):
-                clause = list(dict.fromkeys(clause))  # first occurrences, in order
-            if distinct == len(clause):
-                kept.append(clause)
-            else:  # x and not x
-                removed_tautologies.append(position)
-        return CnfFormula(num_vars=num_vars, clauses=kept), tuple(removed_tautologies)
+    except StructuralError as refused:  # the range is checked, so a variable repeats
+        first = refused.clause - 1  # the clauses before the refused one stay as cut
+    kept = clauses[:first]
+    removed_tautologies: List[int] = []
+    for position, clause in enumerate(clauses[first:], start=first + 1):
+        distinct = len(set(map(abs, clause)))
+        if distinct < len(clause):
+            clause = list(dict.fromkeys(clause))  # first occurrences, in order
+        if distinct == len(clause):
+            kept.append(clause)
+        else:  # x and not x
+            removed_tautologies.append(position)
+    return CnfFormula(num_vars=num_vars, clauses=kept), tuple(removed_tautologies)
 
 
 def _body_error(

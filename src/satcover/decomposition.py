@@ -32,7 +32,14 @@ from .instrument import DISABLED_OPS, OpCounter
 
 
 class StructuralError(ValueError):
-    """Raised when matrices, rows, or indices break the structural contract."""
+    """Raised when matrices, rows, or indices break the structural contract.
+
+    ``clause`` is the 1-based index of the clause a ``CnfFormula`` refused,
+    and None for every other refusal."""
+
+    def __init__(self, message: str, clause: Optional[int] = None):
+        super().__init__(message)
+        self.clause = clause
 
 
 def _occurrences(rows: List[List[int]], n: int, m: int, side: str):

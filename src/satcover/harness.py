@@ -18,7 +18,7 @@ import math
 import random
 import time
 from collections import Counter
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .cnf import (
     CnfFormula,
@@ -43,15 +43,17 @@ DEFAULT_DPLL_BUDGET = 2_000_000
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _truth_tables(k: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The truth tables of x_1..x_k and of their negations as 2^k-bit ints:
-    bit a of table i is bit i of a.  Cached per k: at k = 16 the divisions
-    cost more than evaluating a typical formula."""
+def _literal_tables(k: int) -> Dict[int, int]:
+    """The truth tables of the literals of x_1..x_k as 2^k-bit ints, keyed by
+    literal: bit a of x_i's table is bit i - 1 of a, and -i's table is its
+    complement.  Cached per k: at k = 16 the divisions cost more than
+    evaluating a typical formula."""
     full = (1 << (1 << k)) - 1
-    tables = tuple(
-        full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(k)
-    )
-    return tables, tuple(full ^ t for t in tables)
+    tables = {}
+    for i in range(k):
+        table = full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        tables[i + 1], tables[-i - 1] = table, full ^ table
+    return tables
 
 
 def brute_sat(
@@ -62,11 +64,14 @@ def brute_sat(
     Assignments are scanned in ascending bitmask order (bit i-1 holds x_i),
     so the witness is deterministic.  The low k = min(n, 16, max(12, n - 4))
     variables are evaluated at once as 2^k-bit truth tables over Python ints
-    (broadword evaluation, Knuth TAOCP 4A 7.1.3): bit a of table i is bit i
-    of a, a clause is the OR of its low literals' tables, and a block of 2^k
-    assignments sharing the high bits ``high`` survives where the AND of
-    the clauses ``high`` leaves open is set.  Refuses formulas above the
-    variable limit.
+    (broadword evaluation, Knuth TAOCP 4A 7.1.3): a clause's low table is
+    the OR of its low literals' tables, and a block of 2^k assignments
+    sharing the high bits ``high`` survives where the AND of the clauses
+    ``high`` leaves open is set.  A clause with no high literal leaves the
+    same table open in every block, so those clauses are ANDed once, and a
+    formula whose fixed table is 0 is unsatisfiable before any block is
+    walked; each block then ANDs only the clauses with a high literal.
+    Refuses formulas above the variable limit.
 
     Each clause's low table is built and ANDed at 2^k bits.  On fuzz-shaped
     formulas (m up to 120) narrower tables were faster up to n = 20; above
@@ -78,21 +83,27 @@ def brute_sat(
     if any(len(clause) == 0 for clause in formula.clauses):
         return False, None
     k = min(n, 16, max(12, n - 4))
-    tables, negated = _truth_tables(k)
-    parts = []  # per clause: (low table, high bits true in it, high bits false in it)
+    tables = _literal_tables(k)
+    fixed = -1  # all ones: the AND of the clauses with no high literal
+    parts = []  # per other clause: (low table, high bits true in it, high bits false in it)
     for clause in formula.clauses:
         low = pos = neg = 0
         for lit in clause:
-            v = abs(lit) - 1
-            if v < k:
-                low |= tables[v] if lit > 0 else negated[v]
+            table = tables.get(lit)
+            if table is not None:
+                low |= table
             elif lit > 0:
-                pos |= 1 << (v - k)
+                pos |= 1 << (lit - 1 - k)
             else:
-                neg |= 1 << (v - k)
-        parts.append((low, pos, neg))
+                neg |= 1 << (-lit - 1 - k)
+        if pos or neg:
+            parts.append((low, pos, neg))
+        else:
+            fixed &= low
+            if not fixed:
+                return False, None
     for high in range(1 << (n - k)):
-        live = -1  # all ones: every low assignment is open
+        live = fixed
         for low, pos, neg in parts:
             if not (high & pos or ~high & neg):
                 live &= low

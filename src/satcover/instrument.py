@@ -10,10 +10,13 @@ checks around the search (input validation, the forced-conflict shortcut,
 the covering gate) are free, so totals are deterministic and follow the
 entries the O(N) engine touches.
 
-The trace is an append-only list of (kind, payload ints..., counter reading)
-events; identical input and configuration yield byte-identical serialized
-traces.  Events are kept unless the caller opts out (``UnkeptTrace``), as
-the harness and the probe do: they read only verdicts and op totals.
+The trace is an append-only log of (kind, payload ints..., counter reading)
+events, stored flat: one list of payload lengths and one of the events'
+kinds, payloads and readings laid end to end.  Kinds are plain ASCII names,
+so the JSON of the events is written with one %-format call and no escaping;
+identical input and configuration yield byte-identical serialized traces.
+Events are kept unless the caller opts out (``UnkeptTrace``), as the harness
+and the probe do: they read only verdicts and op totals.
 
 ``collector_paused`` holds off the cyclic garbage collector while one input
 is parsed, solved and reported.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
-import json
+import itertools
 from typing import Iterator, List, Tuple
 
 
@@ -76,34 +79,66 @@ DISABLED_OPS = _DisabledOpCounter()
 
 class Trace:
     """Deterministic event log; each event snapshots the total of ``ops``,
-    the solve's one op counter."""
+    the solve's one op counter.
 
-    __slots__ = ("events", "ops")
+    An event is a kind, a payload of ints and a reading.  A kind is a plain
+    ASCII name (letters, digits and '-'), which JSON writes unescaped; a
+    payload value is an int (or int-like, converted through ``__index__``),
+    never a bool, which JSON would write as ``true``.  ``_lengths`` holds each
+    event's payload length and ``_values`` its kind, payload and reading, one
+    event after another; ``events``, ``kinds()`` and
+    ``events_without_readings()`` are built from them on demand."""
+
+    __slots__ = ("_lengths", "_values", "ops")
 
     def __init__(self, ops: OpCounter = DISABLED_OPS):
-        self.events: List[Tuple] = []
+        self._lengths: List[int] = []
+        self._values: list = []
         self.ops = ops
 
     def emit(self, kind: str, *payload: int) -> None:
-        self.events.append((kind, payload, self.ops.total))
+        self._lengths.append(len(payload))
+        values = self._values
+        values.append(kind)
+        values.extend(payload)
+        values.append(self.ops.total)
+
+    def _spans(self) -> Iterator[Tuple[int, int]]:
+        """(start in ``_values``, payload length) of each event."""
+        lengths = self._lengths
+        return zip(itertools.accumulate((k + 2 for k in lengths), initial=0), lengths)
 
     def serialize(self) -> bytes:
-        # tuples dump as JSON arrays; ``default`` sees only what JSON cannot
-        # encode itself, such as an int-like value with ``__index__`` in a
-        # payload.  Events are flat tuples of ints and strings, so no cycle
-        # check is needed
-        return json.dumps(
-            self.events, separators=(",", ":"), default=int, check_circular=False
-        ).encode("ascii")
+        """The events as ``json.dumps(events, separators=(",", ":"),
+        default=int)`` writes them: one template per payload length, such as
+        ``'["%s",[%d,%d],%d]'``, joined in event order and filled by one %
+        call.  ``%d`` writes an int as JSON does and an int-like through
+        ``__index__``, as ``default=int`` does."""
+        templates = {
+            k: '["%s",[' + ",".join(["%d"] * k) + "],%d]" for k in set(self._lengths)
+        }
+        template = "[" + ",".join(map(templates.__getitem__, self._lengths)) + "]"
+        return (template % tuple(self._values)).encode("ascii")
 
     def sha256(self) -> str:
         return hashlib.sha256(self.serialize()).hexdigest()
 
-    def kinds(self) -> List[str]:
-        return [kind for kind, _, _ in self.events]
+    @property
+    def events(self) -> List[Tuple[str, Tuple[int, ...], int]]:
+        """(kind, payload, reading) per event."""
+        values = self._values
+        return [
+            (values[i], tuple(values[i + 1:i + 1 + k]), values[i + 1 + k])
+            for i, k in self._spans()
+        ]
 
-    def events_without_readings(self) -> List[Tuple]:
-        return [(kind, payload) for kind, payload, _ in self.events]
+    def kinds(self) -> List[str]:
+        values = self._values
+        return [values[i] for i, _ in self._spans()]
+
+    def events_without_readings(self) -> List[Tuple[str, Tuple[int, ...]]]:
+        values = self._values
+        return [(values[i], tuple(values[i + 1:i + 1 + k])) for i, k in self._spans()]
 
 
 class UnkeptTrace(Trace):

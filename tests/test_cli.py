@@ -1,6 +1,7 @@
 """Command line surface: exit codes, output formats, file round-trips."""
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from satcover import solver as solver_mod
 from satcover.cli import emit_decomp, main, parse_decomp
 from satcover.solver import solve_covering, solve_sat
 
-from conftest import E1_TEXT, E2_TEXT, decomposition_pairs, formulas
+from conftest import E1_TEXT, E2_TEXT, E3_TEXT, E4_TEXT, E5_TEXT, decomposition_pairs, formulas
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 E1_DECOMP = "2 2\n10\n00\n\n01\n10\n"
@@ -96,6 +97,24 @@ class TestSolve:
         capsys.readouterr()
         events = json.loads(trace_path.read_text())
         assert events[-1][0] == "verdict"
+
+    @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5", "threshold"])
+    def test_trace_file_matches_the_report_hash(self, name, tmp_path, capsys):
+        # the --trace file is the byte string the report's trace_hash digests
+        if name == "threshold":
+            n, m = 300, 1278  # random 3-SAT at the threshold ratio m = 4.26 n
+            cfg = FuzzConfig(seed=33, var_range=(n, n), clause_range=(m, m), width_range=(3, 3))
+            text = emit_dimacs(random_cnf(cfg, 0))
+        else:
+            text = {"E1": E1_TEXT, "E2": E2_TEXT, "E3": E3_TEXT, "E4": E4_TEXT, "E5": E5_TEXT}[name]
+        path = write(tmp_path, "in.cnf", text)
+        trace_path, report_path = tmp_path / "run.trace", tmp_path / "report.json"
+        argv = ["solve", path, "--count-ops", "--trace", str(trace_path), "--json", str(report_path)]
+        assert main(argv) in (10, 20)
+        capsys.readouterr()
+        report = json.loads(report_path.read_text())
+        assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == report["trace_hash"]
+        assert json.loads(trace_path.read_bytes())[-1][0] == "verdict"
 
     def test_shortcut_flag(self, tmp_path, capsys):
         path = write(tmp_path, "e2.cnf", E2_TEXT)

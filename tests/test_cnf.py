@@ -339,6 +339,28 @@ class TestParse:
             assert got[:2] == ("error", error)
         assert_reads_as_the_reference(text)
 
+    @pytest.mark.parametrize(
+        "edits, removed",
+        [
+            ({1: "2 5 -2 0"}, (1,)),
+            ({2500: "2 5 -2 0"}, (2500,)),
+            ({5000: "2 5 -2 0"}, (5000,)),
+            ({2500: "2 5 -2 0", 4999: "3 3 -4 0"}, (2500,)),
+        ],
+        ids=["first", "middle", "last", "middle-and-a-repeat-after-it"],
+    )
+    def test_repair_from_the_refused_clause(self, edits, removed):
+        # 5,000 one-line clauses, over a block; the repair starts at the
+        # clause the formula refuses and keeps the clauses before it as cut
+        lines = [f"{k % 6 + 1} -{(k + 1) % 6 + 1} 0" for k in range(5000)]
+        for position, line in edits.items():
+            lines[position - 1] = line
+        text = "p cnf 6 5000\n" + "\n".join(lines) + "\n"
+        formula, got_removed = parse_dimacs(text)
+        assert got_removed == removed
+        assert len(formula.clauses) == 4999
+        assert (formula, got_removed) == reference_parse_dimacs(text)
+
 
 class TestFormula:
     def test_literal_zero_rejected(self):
@@ -363,6 +385,8 @@ class TestFormula:
         with pytest.raises(StructuralError) as info:
             CnfFormula(num_vars, clauses)
         assert str(info.value) == message
+        # the refusal names its clause, 1-based, for the reader's repair
+        assert info.value.clause == int(message.split()[1].rstrip(":"))
 
 
 class TestEmit:

@@ -2,11 +2,36 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satcover import DISABLED_OPS, OpCounter, Trace
 from satcover.instrument import UnkeptTrace
 
 from conftest import IntLike
+from test_contract_pin import WORKED, random_batch_runs, worked_runs
+
+# the kinds the engine emits, and one other plain ASCII name
+ENGINE_KINDS = (
+    "clean-result", "construct-result", "covering-already", "edge-formed", "edge-removed",
+    "extend", "extension-planned", "final-marked", "incompat-eliminated", "incompat-found",
+    "restore", "rp-result", "rp-start", "shortcut-hit", "snapshot", "unreachable-column",
+    "useless-marked", "verdict", "vertex-examined", "vertex-formed", "vertex-removed",
+)
+PAYLOAD_VALUES = st.one_of(
+    st.integers(-(2**40), 2**40),
+    st.integers(2**31, 2**80),
+    st.builds(IntLike, st.integers(-(2**63), 2**63)),
+)
+# per event: kind, payload, and the ops charged before it is emitted
+EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(ENGINE_KINDS + ("Other_kind-2",)),
+        st.lists(PAYLOAD_VALUES, max_size=4),
+        st.integers(0, 3),
+    ),
+    max_size=40,
+)
 
 
 class TestOpCounter:
@@ -89,3 +114,33 @@ class TestTrace:
         for digest in (trace.serialize, trace.sha256):
             with pytest.raises(ValueError, match="kept no trace events"):
                 digest()
+
+
+class TestFlatStorage:
+    @given(EVENTS)
+    @settings(max_examples=300, deadline=None)
+    def test_serialize_and_views_match_the_emitted_events(self, emitted):
+        ops = OpCounter()
+        trace = Trace(ops)
+        expected = []
+        for kind, payload, charge in emitted:
+            ops.assign(charge)
+            ops.cmp(charge)
+            trace.emit(kind, *payload)
+            expected.append((kind, tuple(payload), ops.total))
+        # the definition the flat template must reproduce byte for byte
+        old = json.dumps(expected, separators=(",", ":"), default=int).encode("ascii")
+        assert trace.serialize() == old
+        assert trace.events == expected
+        assert trace.kinds() == [kind for kind, _, _ in expected]
+        assert trace.events_without_readings() == [(kind, payload) for kind, payload, _ in expected]
+
+    def test_engine_payloads_are_ints_and_not_bools(self):
+        # '%d' writes True as 1 where JSON writes true: every value the
+        # engine emits must be a plain int
+        runs = [run for name in sorted(WORKED) for run in worked_runs(name)]
+        runs += random_batch_runs()
+        for run in runs:
+            for kind, payload, reading in run.trace.events:
+                for value in payload + (reading,):
+                    assert isinstance(value, int) and not isinstance(value, bool), (kind, payload)
