@@ -7,16 +7,13 @@ The four canonical instances exercise every driver exit:
   E3 unsatisfiable through an unreachable stuck column,
   E4 satisfiable only after a graph extension.
 E5 adds two main vertices and one disjunctive fan-out of two edges.
+
+Every helper is plain Python: the suite needs only pytest and hypothesis.
+numpy is an extra of the benchmark (``perfbench/``) alone.
 """
 from __future__ import annotations
 
-import os
-
-# before anything imports numpy (``reference_brute_sat`` here, and the
-# benchmark's tracer that test_perfbench_names.py loads): its OpenBLAS pool
-# would start a native thread, and a harness run forks its shards beside it
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
+import functools
 import itertools
 import random
 from typing import List, Tuple
@@ -194,37 +191,41 @@ def naive_sat(formula: CnfFormula) -> bool:
     return False
 
 
-def reference_brute_sat(formula: CnfFormula):
-    """The numpy oracle ``brute_sat`` replaced, kept as its reference:
-    assignments in ascending bitmask order, 2^16 at a time."""
-    import numpy as np
+@functools.lru_cache(maxsize=None)
+def chunk_patterns(width: int) -> Tuple[int, ...]:
+    """Bit a of entry i is bit i of a, for a < 2^width: 2^i ones then 2^i
+    zeros, repeated, read as a binary string (its last digit is bit 0)."""
+    return tuple(
+        int(("1" * (1 << i) + "0" * (1 << i)) * (1 << (width - 1 - i)), 2)
+        for i in range(width)
+    )
 
+
+def reference_brute_sat(formula: CnfFormula):
+    """The oracle ``brute_sat`` replaced, kept as its reference: assignments
+    in ascending bitmask order, 2^16 at a time, each chunk's assignments the
+    bits of one int.  It takes none of ``brute_sat``'s shortcuts: a chunk
+    tests the clauses in order until none of its assignments is left."""
     n = formula.num_vars
     if any(len(clause) == 0 for clause in formula.clauses):
         return False, None
     if not formula.clauses:
         return True, tuple(False for _ in range(n))
-    m = len(formula.clauses)
-    pos = np.zeros(m, dtype=np.int64)
-    neg = np.zeros(m, dtype=np.int64)
-    for j, clause in enumerate(formula.clauses):
-        for lit in clause:
-            if lit > 0:
-                pos[j] |= 1 << (lit - 1)
-            else:
-                neg[j] |= 1 << (-lit - 1)
-    total = 1 << n
-    chunk = 1 << min(16, n)
-    for start in range(0, total, chunk):
-        block = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        alive = np.ones(block.size, dtype=bool)
-        for j in range(m):
-            alive &= ((block & pos[j]) != 0) | ((~block & neg[j]) != 0)
-            if not alive.any():
+    width = min(16, n)
+    full = (1 << (1 << width)) - 1
+    for start in range(0, 1 << n, 1 << width):
+        # bit a of value[i] is x_(i+1) in assignment start + a
+        value = chunk_patterns(width) + tuple(full if start >> i & 1 else 0 for i in range(width, n))
+        alive = full
+        for clause in formula.clauses:
+            hit = 0
+            for lit in clause:
+                hit |= value[lit - 1] if lit > 0 else full ^ value[-lit - 1]
+            alive &= hit
+            if not alive:
                 break
-        hits = np.nonzero(alive)[0]
-        if hits.size:
-            a = int(block[hits[0]])
+        if alive:
+            a = start + (alive & -alive).bit_length() - 1
             return True, tuple(bool((a >> i) & 1) for i in range(n))
     return False, None
 

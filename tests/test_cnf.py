@@ -499,6 +499,10 @@ class TestToDecomposition:
             to_decomposition(CnfFormula(1, [[1], []]))
         assert "2" in str(info.value)
 
+    def test_no_clauses_rejected(self):
+        with pytest.raises(StructuralError, match="^formula has no clauses$"):
+            to_decomposition(CnfFormula(2, []))
+
     def test_unused_variable_gets_no_row(self):
         # x1 and x3 occur in no clause; rows stand for x2 and x4
         pair, used = to_decomposition(CnfFormula(5, [[-4, 2], [2]]))

@@ -1,6 +1,7 @@
 """The package declares Python >= 3.10 and no dependencies: its syntax and
 its regular expressions must use nothing newer, though the suite may run on
-3.11, and none of its modules may load numpy, a test and benchmark extra."""
+3.11.  numpy is a benchmark extra: no module of the package, the tests or
+the demos may load it."""
 import ast
 import importlib
 import pkgutil
@@ -18,16 +19,20 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
-def test_package_imports_no_numpy():
+def test_only_the_benchmark_imports_numpy():
     # an import inside a function counts too: ast.walk reaches every node
     imported = set()
-    for path in sorted((ROOT / "src" / "satcover").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if isinstance(node, ast.Import):
-                imported.update((path.name, alias.name) for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                imported.add((path.name, node.module))
-    assert any(name == "json" for _, name in imported)  # the scan saw the imports
+    for folder in ("src/satcover", "tests", "demos"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            name = f"{folder}/{path.name}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+                if isinstance(node, ast.Import):
+                    imported.update((name, alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imported.add((name, node.module))
+    # the scan saw the imports of every folder
+    assert {("src/satcover/cli.py", "json"), ("tests/conftest.py", "satcover")} <= imported
+    assert ("demos/04_complexity_probe.py", "satcover") in imported
     assert [(f, name) for f, name in imported if name.split(".")[0] == "numpy"] == []
 
 

@@ -104,6 +104,10 @@ class TestConstruction:
         clone = make([[1, 0], [0, 0]], [[0, 1], [1, 0]])
         assert clone == e1_pair
         assert make([[1, 0], [0, 0]], [[0, 1], [0, 1]]) != e1_pair
+        assert repr(e1_pair) == "DecompositionPair(n=2, m=2)"
+        # __eq__ leaves a non-pair to the other operand, so they differ
+        assert e1_pair.__eq__((2, 2)) is NotImplemented
+        assert e1_pair != (2, 2)
 
 
 class TestValidate:

@@ -170,7 +170,7 @@ class TestBruteSat:
 
     @given(formulas(max_vars=22, max_clauses=12), st.lists(st.integers(12, 22), max_size=4))
     @settings(max_examples=120, deadline=None)
-    def test_matches_numpy_reference(self, formula, forced):
+    def test_matches_reference(self, formula, forced):
         # unit clauses on variables near and past the block boundary (x13
         # at n = 13..16, up to x17 above) push the first witness into later
         # blocks
@@ -783,8 +783,8 @@ class TestSharding:
 
     def test_shards_merge_to_the_serial_report(self, serial, forks, monkeypatch):
         if sys.platform.startswith("linux"):
-            # no native thread (numpy's OpenBLAS pool, say) runs beside the
-            # fork, which copies only the calling thread
+            # no other thread (a native library's worker pool, say) runs
+            # beside the fork, which copies only the calling thread
             assert len(os.listdir("/proc/self/task")) == 1
         split_into(monkeypatch, 3)
         assert sharded_reports() == serial

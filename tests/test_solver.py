@@ -242,6 +242,15 @@ class TestGateDowngrades:
         assert "covering gate" in run.verdict.detail
         assert run.extensions == 0
 
+    @pytest.mark.parametrize("invariant_checks", [False, True])
+    def test_extension_cap_becomes_engine_error(self, e4, monkeypatch, invariant_checks):
+        # an extension that adds nothing leaves E4 stuck where it was, so
+        # the loop runs into its cap of n = 3 extensions
+        monkeypatch.setattr(solver_mod, "extend", lambda graph, result: None)
+        run = solve_sat(e4, invariant_checks=invariant_checks)
+        assert typed(run.verdict) == typed(EngineError("extension count exceeded n=3"))
+        assert run.extensions == 0
+
 
 class TestGraphInvariantChecks:
     """Each check of ``_check_graph_invariants`` fires, with its message, on
