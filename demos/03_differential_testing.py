@@ -8,7 +8,7 @@ engine/oracle disagreements are archived as findings with a minimized
 reproduction, because the covering search is a greedy procedure and is
 not expected to be complete.
 """
-from satcover import FuzzConfig, differential_run, enumerate_formulas
+from satcover.harness import FuzzConfig, differential_run, enumerate_formulas
 
 cfg = FuzzConfig(
     seed=11,

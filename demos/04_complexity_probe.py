@@ -6,7 +6,7 @@ input lengths, fits a log-log line through (input length, operations),
 and reports the exponent together with the largest ratio of operations to
 the cube of the input length.  The numbers are reported, not judged.
 """
-from satcover import complexity_probe
+from satcover.harness import complexity_probe
 
 doc = complexity_probe([100, 1000, 10000], instances_per_size=2)
 

@@ -235,13 +235,16 @@ def _cmd_covering(args) -> int:
 # harness subcommands
 # ---------------------------------------------------------------------------
 
-def _parse_range(text: str) -> Tuple[int, int]:
-    """``a..b`` or ``a`` as ``(a, b)``; ``FuzzConfig`` holds the range rule."""
+def _parse_range(text: str, flag: str) -> Tuple[int, int]:
+    """``a..b`` or ``a`` as ``(a, b)`` with ``1 <= a <= b``; an error names ``flag``."""
     lo_text, dots, hi_text = text.partition("..")
     try:
-        return int(lo_text), int(hi_text if dots else lo_text)
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
     except ValueError:
         raise ValueError(f"bad range {text!r}") from None
+    if not 1 <= lo <= hi:
+        raise ValueError(f"{flag} must be lo..hi with 1 <= lo <= hi, got {text}")
+    return lo, hi
 
 
 def _parse_sizes(text: str) -> List[int]:
@@ -290,9 +293,9 @@ def _cmd_fuzz(args) -> int:
         cfg = FuzzConfig(
             seed=args.seed,
             num_instances=args.count,
-            var_range=_parse_range(args.vars),
-            clause_range=_parse_range(args.clauses),
-            width_range=_parse_range(args.width),
+            var_range=_parse_range(args.vars, "vars"),
+            clause_range=_parse_range(args.clauses, "clauses"),
+            width_range=_parse_range(args.width, "width"),
             satisfiable_bias="planted" if args.planted else "none",
         )
     except ValueError as exc:

@@ -21,14 +21,8 @@ from typing import List, Tuple
 import pytest
 from hypothesis import strategies as st
 
-from satcover import (
-    CnfFormula,
-    DecompositionPair,
-    FuzzConfig,
-    parse_dimacs,
-    random_cnf,
-    to_decomposition,
-)
+from satcover import CnfFormula, DecompositionPair, parse_dimacs, to_decomposition
+from satcover.harness import FuzzConfig, random_cnf
 
 E1_TEXT = "p cnf 2 2\n-1 2 0\n1 0\n"
 E2_TEXT = "p cnf 1 2\n1 0\n-1 0\n"

@@ -18,33 +18,34 @@ import pytest
 
 from satcover import (
     CnfFormula,
-    FuzzConfig,
     Reason,
     Sat,
-    Trace,
     Unsat,
     build_sat_report,
-    clean,
     column_counts,
-    complexity_probe,
-    construct,
-    diff_exhaustive,
-    differential_run,
     emit_dimacs,
-    find_main_vertices,
     input_length,
     parse_dimacs,
-    random_cnf,
     report_json,
     restrict_to_used,
-    shrink_disagreement,
     solve_sat,
     to_decomposition,
 )
 from satcover import shards
 from satcover.cnf import to_matrix
-from satcover.harness import enumerate_formulas, oracle_status
-from satcover.procedures import StateSnapshot, removal_procedure
+from satcover.graph import construct, find_main_vertices
+from satcover.harness import (
+    FuzzConfig,
+    complexity_probe,
+    diff_exhaustive,
+    differential_run,
+    enumerate_formulas,
+    oracle_status,
+    random_cnf,
+    shrink_disagreement,
+)
+from satcover.instrument import Trace
+from satcover.procedures import StateSnapshot, clean, removal_procedure
 
 from conftest import E1_TEXT, E2_TEXT, E3_TEXT, formula_of, record_criterion, typed
 

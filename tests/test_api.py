@@ -1,40 +1,89 @@
-"""The package's public surface: every ``__all__`` name, the harness names
-served on first use, and the value classes, which are NamedTuples."""
+"""The package's public surface: the front door that ``__all__`` lists, the
+names that live only in their own modules, and the value classes, which are
+NamedTuples."""
 import copy
 
 import pytest
 
 import satcover
+from satcover import cnf, decomposition, graph, harness, instrument, procedures, solver
 from satcover import (
     CnfFormula,
     ColumnCounts,
     CoveringFound,
-    DifferentialReport,
     EngineError,
-    ExtensionPlan,
-    FuzzConfig,
     NoCovering,
     Reason,
-    RemovalOutcome,
     Sat,
     SolveRun,
     StructuralError,
-    Trace,
-    Unreachable,
     Unsat,
     Violation,
 )
+from satcover.harness import DifferentialReport, FuzzConfig
+from satcover.instrument import Trace
+from satcover.procedures import ExtensionPlan, RemovalOutcome, Unreachable
 
 from conftest import typed
 
 
+# the front door, by home module; __version__ is the one other name
+FRONT_DOOR = {
+    cnf: (
+        "CnfFormula", "ParseError", "assignment_from_swaps", "emit_dimacs",
+        "evaluate", "parse_dimacs", "restrict_to_used", "to_decomposition",
+    ),
+    decomposition: (
+        "ColumnCounts", "DecompositionPair", "StructuralError", "Violation",
+        "apply_swaps", "column_counts", "input_length", "is_alpha_covering",
+        "validate",
+    ),
+    solver: (
+        "CoveringFound", "EngineError", "NoCovering", "Reason", "Sat",
+        "SolveRun", "Unsat", "build_covering_report", "build_sat_report",
+        "report_json", "solve_covering", "solve_sat",
+    ),
+}
+
+# public where they are defined, and not in the package namespace
+ELSEWHERE = {
+    graph: ("PointingGraph", "construct", "find_main_vertices"),
+    procedures: (
+        "ExtensionPlan", "RemovalOutcome", "StateSnapshot", "Unreachable",
+        "clean", "eliminate_incompatibilities", "extend", "removal_procedure",
+    ),
+    instrument: ("DISABLED_OPS", "OpCounter", "Trace"),
+    harness: (
+        "DifferentialReport", "FuzzConfig", "brute_covering", "brute_sat",
+        "complexity_probe", "diff_exhaustive", "differential_run", "dpll",
+        "enumerate_clause_universe", "enumerate_formulas", "random_cnf",
+        "shrink_disagreement",
+    ),
+}
+
+
 class TestNames:
     def test_every_name_resolves_and_is_listed(self):
-        assert len(satcover.__all__) == 56
+        assert sorted(satcover.__all__) == [
+            "CnfFormula", "ColumnCounts", "CoveringFound", "DecompositionPair",
+            "EngineError", "NoCovering", "ParseError", "Reason", "Sat",
+            "SolveRun", "StructuralError", "Unsat", "Violation", "__version__",
+            "apply_swaps", "assignment_from_swaps", "build_covering_report",
+            "build_sat_report", "column_counts", "emit_dimacs", "evaluate",
+            "input_length", "is_alpha_covering", "parse_dimacs", "report_json",
+            "restrict_to_used", "solve_covering", "solve_sat",
+            "to_decomposition", "validate",
+        ]
         listed = dir(satcover)
         for name in satcover.__all__:
             assert getattr(satcover, name) is not None, name
             assert name in listed, name
+
+    def test_each_name_is_its_home_modules_object(self):
+        for module, names in FRONT_DOOR.items():
+            for name in names:
+                assert getattr(satcover, name) is getattr(module, name), name
+        assert sum(map(len, FRONT_DOOR.values())) + 1 == len(satcover.__all__)
 
     def test_star_import_binds_every_name(self):
         namespace = {}
@@ -42,11 +91,16 @@ class TestNames:
         del namespace["__builtins__"]
         assert sorted(namespace) == sorted(satcover.__all__)
 
-    def test_harness_names_are_the_harness_objects(self):
-        from satcover import harness
-
-        assert satcover.FuzzConfig is harness.FuzzConfig
-        assert satcover.differential_run is harness.differential_run
+    def test_steps_instruments_and_harness_live_in_their_modules(self):
+        # no PEP 562 layer: a name the package does not bind is not served
+        assert "__getattr__" not in vars(satcover)
+        assert "__dir__" not in vars(satcover)
+        for module, names in ELSEWHERE.items():
+            for name in names:
+                assert getattr(module, name) is not None, name
+                assert not hasattr(satcover, name), name
+        with pytest.raises(AttributeError, match="has no attribute 'FuzzConfig'"):
+            satcover.FuzzConfig
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):

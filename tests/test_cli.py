@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satcover import FuzzConfig, ParseError, emit_dimacs, random_cnf, to_decomposition
+from satcover import ParseError, emit_dimacs, to_decomposition
 from satcover import cli, harness
 from satcover import solver as solver_mod
 from satcover.cli import emit_decomp, main, parse_decomp
+from satcover.harness import FuzzConfig, random_cnf
 from satcover.solver import solve_covering, solve_sat
 
 from conftest import E1_TEXT, E2_TEXT, E3_TEXT, E4_TEXT, E5_TEXT, decomposition_pairs, formulas
@@ -664,11 +665,13 @@ class TestHarnessCommands:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--width", "3..2"], "error: width_range must be a pair of ints 1 <= lo <= hi, got (3, 2)"),
-            (["--clauses", "0..4"], "error: clause_range must be a pair of ints 1 <= lo <= hi, got (0, 4)"),
+            (["--width", "3..2"], "error: width must be lo..hi with 1 <= lo <= hi, got 3..2"),
+            (["--clauses", "0..4"], "error: clauses must be lo..hi with 1 <= lo <= hi, got 0..4"),
+            (["--vars", "0..2"], "error: vars must be lo..hi with 1 <= lo <= hi, got 0..2"),
+            (["--vars", "0"], "error: vars must be lo..hi with 1 <= lo <= hi, got 0"),
             (["--vars", "1..x"], "error: bad range '1..x'"),
         ],
-        ids=["width-reversed", "clauses-zero", "not-a-number"],
+        ids=["width-reversed", "clauses-zero", "vars-zero", "vars-single-zero", "not-a-number"],
     )
     def test_fuzz_range_errors_name_the_field(self, argv, message, capsys):
         assert main(["fuzz", "--seed", "1", *argv]) == 2

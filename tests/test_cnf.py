@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from satcover import (
     CnfFormula,
-    OpCounter,
     ParseError,
     StructuralError,
     assignment_from_swaps,
     emit_dimacs,
     evaluate,
+    input_length,
     parse_dimacs,
     restrict_to_used,
     to_decomposition,
@@ -22,9 +22,9 @@ from satcover import (
 from satcover import cnf
 from satcover.cnf import to_matrix
 from satcover.decomposition import validate
+from satcover.instrument import OpCounter
 
 from conftest import formulas, naive_input_length, negated
-from satcover import input_length
 
 
 def _preprocess_clause(raw):

@@ -32,7 +32,7 @@ def test_only_the_benchmark_imports_numpy():
                     imported.add((name, node.module))
     # the scan saw the imports of every folder
     assert {("src/satcover/cli.py", "json"), ("tests/conftest.py", "satcover")} <= imported
-    assert ("demos/04_complexity_probe.py", "satcover") in imported
+    assert ("demos/04_complexity_probe.py", "satcover.harness") in imported
     assert [(f, name) for f, name in imported if name.split(".")[0] == "numpy"] == []
 
 

@@ -19,14 +19,13 @@ import pytest
 from satcover import (
     CoveringFound,
     DecompositionPair,
-    FuzzConfig,
     NoCovering,
     Sat,
     Unsat,
-    random_cnf,
     solve_covering,
     solve_sat,
 )
+from satcover.harness import FuzzConfig, random_cnf
 
 from conftest import E1_TEXT, E2_TEXT, E3_TEXT, E4_TEXT, E5_TEXT, formula_of, pair_of
 

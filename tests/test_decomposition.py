@@ -4,7 +4,6 @@ from hypothesis import given, settings
 
 from satcover import (
     DecompositionPair,
-    OpCounter,
     StructuralError,
     apply_swaps,
     column_counts,
@@ -13,6 +12,7 @@ from satcover import (
     validate,
 )
 from satcover.decomposition import Violation
+from satcover.instrument import OpCounter
 
 from conftest import (
     IntLike,

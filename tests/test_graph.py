@@ -1,21 +1,11 @@
 """Pointing graph: main vertex discovery and edge construction."""
 from hypothesis import given, settings
 
-from satcover import (
-    DecompositionPair,
-    FuzzConfig,
-    OpCounter,
-    PointingGraph,
-    Trace,
-    clean,
-    column_counts,
-    construct,
-    eliminate_incompatibilities,
-    find_main_vertices,
-    random_cnf,
-    to_decomposition,
-)
-from satcover.graph import find_forced_conflict_row
+from satcover import DecompositionPair, column_counts, to_decomposition
+from satcover.graph import PointingGraph, construct, find_forced_conflict_row, find_main_vertices
+from satcover.harness import FuzzConfig, random_cnf
+from satcover.instrument import OpCounter, Trace
+from satcover.procedures import clean, eliminate_incompatibilities
 from satcover.solver import _check_graph_invariants
 
 from conftest import E5_TEXT, formulas, live_edges, naive_single_columns, pair_of

@@ -22,33 +22,33 @@ from hypothesis import strategies as st
 
 from satcover import (
     CnfFormula,
-    FuzzConfig,
     Reason,
     Sat,
     Unsat,
     assignment_from_swaps,
-    brute_covering,
-    brute_sat,
-    complexity_probe,
-    diff_exhaustive,
-    differential_run,
-    dpll,
     emit_dimacs,
     evaluate,
     parse_dimacs,
-    random_cnf,
-    shrink_disagreement,
     solve_sat,
     to_decomposition,
 )
 from satcover import harness, shards
 from satcover.cli import main
 from satcover.harness import (
+    FuzzConfig,
     _dpll_simplify,
+    brute_covering,
+    brute_sat,
+    complexity_probe,
+    diff_exhaustive,
+    differential_run,
+    dpll,
     enumerate_clause_universe,
     enumerate_formulas,
     oracle_status,
     probe_shape,
+    random_cnf,
+    shrink_disagreement,
 )
 
 from conftest import (
@@ -1039,8 +1039,8 @@ class TestProbe:
 DRIFT_SCRIPT = """
 import sys
 
-from satcover import FuzzConfig, random_cnf, solve_sat
-from satcover.harness import oracle_status
+from satcover import solve_sat
+from satcover.harness import FuzzConfig, oracle_status, random_cnf
 
 cfg = FuzzConfig(seed=7, num_instances=2400, var_range=(1, 19), clause_range=(1, 19))
 indices = iter(range(cfg.num_instances))

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satcover import DISABLED_OPS, OpCounter, Trace
-from satcover.instrument import UnkeptTrace
+from satcover.instrument import DISABLED_OPS, OpCounter, Trace, UnkeptTrace
 
 from conftest import IntLike
 from test_contract_pin import WORKED, random_batch_runs, worked_runs

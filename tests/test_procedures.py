@@ -5,28 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satcover import (
+from satcover import StructuralError, apply_swaps, column_counts, solve_sat, to_decomposition
+from satcover import procedures
+from satcover.graph import construct, find_main_vertices
+from satcover.harness import FuzzConfig, random_cnf
+from satcover.instrument import OpCounter, Trace
+from satcover.procedures import (
     ExtensionPlan,
-    FuzzConfig,
-    OpCounter,
     StateSnapshot,
-    StructuralError,
-    Trace,
     Unreachable,
-    apply_swaps,
     clean,
-    column_counts,
-    construct,
     eliminate_incompatibilities,
     extend,
-    find_main_vertices,
-    random_cnf,
     removal_procedure,
-    solve_sat,
-    to_decomposition,
+    swapped_alpha_counts,
 )
-from satcover import procedures
-from satcover.procedures import swapped_alpha_counts
 from satcover.solver import _check_graph_invariants
 
 from conftest import E4_TEXT, E5_TEXT, formulas, live_edges, pair_of

@@ -277,7 +277,9 @@ class TestGraphInvariantChecks:
         ],
     )
     def test_corrupted_state_is_caught(self, field, index, value, message):
-        from satcover import Trace, column_counts, construct, find_main_vertices
+        from satcover import column_counts
+        from satcover.graph import construct, find_main_vertices
+        from satcover.instrument import Trace
 
         # E5: main vertices 1 and 2, live edges 1 -> 2 and 1 -> 3 labelled 2,
         # so indegree [0, 1, 1], live_targets [0, 2], multiplicity [2, 0];
@@ -290,8 +292,9 @@ class TestGraphInvariantChecks:
         self.assert_caught(graph, message)
 
     def test_edge_bound(self):
-        from satcover import DecompositionPair, Trace, column_counts, construct
-        from satcover import find_main_vertices
+        from satcover import DecompositionPair, column_counts
+        from satcover.graph import construct, find_main_vertices
+        from satcover.instrument import Trace
 
         # an invalid pair: row 1 holds column 1 on both sides, so the graph
         # gets a self-loop, one edge past (n - 1) * m = 0
@@ -388,7 +391,8 @@ class TestSparsePath:
     def test_solve_sat_never_builds_the_dense_matrices(self, monkeypatch):
         # the SAT path reads the occurrence lists only; the pair has no dense
         # form, and the signed m x n matrix of to_matrix is never built
-        from satcover import FuzzConfig, cnf, random_cnf
+        from satcover import cnf
+        from satcover.harness import FuzzConfig, random_cnf
 
         def refuse(formula):
             raise AssertionError("dense matrix built on the SAT path")
