@@ -353,7 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     solve = sub.add_parser("solve", parents=[answer], help="solve a DIMACS CNF file")
-    solve.add_argument("--alpha", choices=("neg", "pos"), default="neg")
+    solve.add_argument(
+        "--alpha",
+        choices=("neg", "pos"),
+        default="neg",
+        help="pos swaps every row of the reduced pair: a variable whose row stays unswapped is true",
+    )
     solve.set_defaults(func=_cmd_solve)
 
     covering = sub.add_parser("covering", parents=[answer], help="solve a raw decomposition file")

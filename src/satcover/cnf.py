@@ -10,7 +10,9 @@ The reduction to a decomposition pair puts, for each variable that occurs,
 the clauses holding its negative literal on the alpha side and the clauses
 holding its positive literal on the other side; a row swap then corresponds
 to assigning the variable true.  The mirrored orientation (``solve_sat``'s
-``alpha="pos"``) is this reduction of the formula with every literal negated.
+``alpha="pos"``) is the reduced pair with every row swapped
+(``decomposition.apply_swaps``), which is the reduction of the formula with
+every literal negated.
 """
 from __future__ import annotations
 
@@ -41,20 +43,37 @@ class _CnfFormulaFields(NamedTuple):
 class CnfFormula(_CnfFormulaFields):
     """A CNF formula as a clause list over variables 1..num_vars.
 
-    A clause names each variable at most once: a repeated literal or a
-    tautology (x and not x) is refused, which the reduction needs to be
-    sound.  ``parse_dimacs`` checks the grammar and the range only, and
-    repairs the clauses when this refuses them.  Clauses are otherwise kept
-    as given; an empty clause is retained (it makes the formula
-    unsatisfiable) so every consumer sees the same semantics.
+    ``num_vars`` is an int >= 0, ``clauses`` and each clause a list or
+    tuple (read more than once, so never a one-shot iterator), and every
+    literal an int in +/-1..num_vars (exactly an int: a bool or other int
+    subclass is refused); anything else raises StructuralError.  A clause
+    names each variable at most once: a repeated literal or a tautology
+    (x and not x) is refused, which the reduction needs to be sound.
+    ``parse_dimacs`` checks the grammar and the range only, and repairs the
+    clauses when this refuses them.  Clauses are otherwise kept as given;
+    an empty clause is retained (it makes the formula unsatisfiable) so
+    every consumer sees the same semantics.
     """
 
     __slots__ = ()
 
     def __new__(cls, num_vars: int, clauses: List[Clause]) -> "CnfFormula":
+        if type(num_vars) is not int or num_vars < 0:
+            raise StructuralError(f"num_vars must be an int >= 0, got {num_vars!r}")
+        sequence = (list, tuple)  # built once: a literal tuple of names is built per use
+        if not isinstance(clauses, sequence):
+            raise StructuralError(f"clauses must be a list or tuple, got {type(clauses).__name__}")
         for idx, clause in enumerate(clauses, start=1):
+            if not isinstance(clause, sequence):
+                raise StructuralError(
+                    f"clause {idx} must be a list or tuple, got {type(clause).__name__}", clause=idx
+                )
             variables = set()
             for lit in clause:
+                if type(lit) is not int:
+                    raise StructuralError(
+                        f"clause {idx}: literal {lit!r} is not an int", clause=idx
+                    )
                 v = abs(lit)
                 if not 0 < v <= num_vars:
                     raise StructuralError(

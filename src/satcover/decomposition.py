@@ -166,7 +166,10 @@ def apply_swaps(pair: DecompositionPair, swaps: Iterable[int]) -> DecompositionP
     """Exchange the selected rows (1-based; a repeated index counts once)
     between the two matrices.
 
-    Applying the same swap set twice returns the original pair.
+    Applying the same swap set twice returns the original pair.  Swapping
+    every row exchanges the two sides: on a reduced pair it is the mirrored
+    orientation, the reduction of the formula with every literal negated
+    (``solve_sat``'s ``alpha="pos"``).
     """
     alpha = list(pair.alpha_rows)
     bar = list(pair.bar_rows)

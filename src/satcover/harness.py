@@ -570,6 +570,9 @@ def _check_space(max_n: int, max_m: int, max_width: int) -> int:
     """The number of formulas in a bounded formula space; refuses a space
     that is empty or too large to sweep: more than 2**32 formulas, the
     index range of a fuzz corpus."""
+    for name, bound in (("max-n", max_n), ("max-m", max_m), ("max-width", max_width)):
+        if not isinstance(bound, int):
+            raise ValueError(f"{name} must be an int, got {bound!r}")
     if not 1 <= max_n <= 4:
         raise ValueError(f"max-n must be in 1..4, got {max_n}")
     if max_m < 1 or max_width < 1:
@@ -644,14 +647,23 @@ def complexity_probe(
 
     Reports one row per instance plus the fitted log-log exponent and the
     maximum op_total / N^3 ratio.  This measures and reports; it asserts
-    nothing about the growth.  No sizes, a size or ``width`` below 1, or an
-    ``instances_per_size`` outside ``1..2**32`` raise ValueError before
-    anything is solved.  Each instance is generated and solved with the
-    cyclic garbage collector paused (``collector_paused``), keeping no trace
-    events.
+    nothing about the growth.  No sizes, a size that is not a whole number
+    (an int, or a float such as ``1e2`` that holds one) or is below 1, a
+    ``width`` or ``instances_per_size`` that is not an int, a ``width``
+    below 1, or an ``instances_per_size`` outside ``1..2**32`` raise
+    ValueError before anything is solved.  Each instance is generated and
+    solved with the cyclic garbage collector paused (``collector_paused``),
+    keeping no trace events.
     """
-    if not sizes or any(int(size) < 1 for size in sizes):
+    for size in sizes:
+        if not (isinstance(size, int) or isinstance(size, float) and size.is_integer()):
+            raise ValueError(f"sizes must be whole numbers, got {size!r}")
+    targets = [int(size) for size in sizes]
+    if not targets or min(targets) < 1:
         raise ValueError(f"sizes must be a non-empty list of positive sizes, got {list(sizes)}")
+    for name, bound in (("width", width), ("instances-per-size", instances_per_size)):
+        if not isinstance(bound, int):
+            raise ValueError(f"{name} must be an int, got {bound!r}")
     if width < 1:
         raise ValueError(f"width must be positive, got {width}")
     if instances_per_size < 1:
@@ -660,8 +672,8 @@ def complexity_probe(
         raise ValueError(f"instances-per-size must be at most 2**32, got {instances_per_size}")
     rows: List[dict] = []
     points: Counter = Counter()  # the rows' (input_length, op_total), for _op_stats
-    for target in sizes:
-        n, m = probe_shape(int(target), width)
+    for target in targets:
+        n, m = probe_shape(target, width)
         cfg = FuzzConfig(
             seed=seed,
             num_instances=instances_per_size,
@@ -680,7 +692,7 @@ def complexity_probe(
             points[nnz, run.ops.total] += 1
             rows.append(
                 {
-                    "target": int(target),
+                    "target": target,
                     "input_length": nnz,
                     "n": formula.num_vars,
                     "m": len(formula.clauses),
@@ -695,7 +707,7 @@ def complexity_probe(
     return {
         "mode": "probe",
         "seed": seed,
-        "sizes": [int(s) for s in sizes],
+        "sizes": targets,
         "instances_per_size": instances_per_size,
         "width": width,
         "rows": rows,

@@ -247,10 +247,11 @@ def solve_sat(
     Reason indices are reported in the formula's own numbering (variables as
     given; clauses by position) unless ``clause_labels`` supplies original
     file numbering, one label per clause.  ``alpha="pos"`` mirrors the
-    reduction's orientation: it reduces the formula with every literal
-    negated and reads a variable as true when its row is left unswapped.  A
-    satisfying verdict is emitted only after the assignment passes
-    evaluation; a failing assignment becomes EngineError.  With
+    reduction's orientation: it swaps every row of the reduced pair
+    (``apply_swaps``), which is the reduction of the formula with every
+    literal negated, and reads a variable as true when its row is left
+    unswapped.  A satisfying verdict is emitted only after the assignment
+    passes evaluation; a failing assignment becomes EngineError.  With
     ``keep_trace=False`` the run's trace is an ``UnkeptTrace``: the verdict,
     the ops and the extensions are the same, but no event is kept.
     """
@@ -271,11 +272,9 @@ def solve_sat(
         trace.emit("verdict", 0, 0)
         return SolveRun(Sat((False,) * formula.num_vars), trace, 0)
 
-    if alpha == "pos":  # the mirrored orientation is the negated formula's
-        reduced = CnfFormula(formula.num_vars, [[-lit for lit in c] for c in formula.clauses])
-    else:
-        reduced = formula
-    pair, used = to_decomposition(reduced, ops=trace.ops)
+    pair, used = to_decomposition(formula, ops=trace.ops)
+    if alpha == "pos":  # the mirrored orientation: every row swapped, at no charge
+        pair = apply_swaps(pair, range(1, pair.n + 1))
 
     verdict, extensions = _run_covering(
         pair, trace, shortcut=shortcut, invariant_checks=invariant_checks

@@ -41,8 +41,9 @@ def pair_of(text: str) -> DecompositionPair:
 
 
 def negated(formula: CnfFormula) -> CnfFormula:
-    """The formula with every literal negated: its reduction is the one
-    ``solve_sat(formula, alpha="pos")`` runs."""
+    """The formula with every literal negated: its reduction is the pair
+    ``solve_sat(formula, alpha="pos")`` gets by swapping every row, and the
+    tests keep it as that pair's independent reference."""
     return CnfFormula(formula.num_vars, [[-lit for lit in c] for c in formula.clauses])
 
 

@@ -388,6 +388,33 @@ class TestFormula:
         # the refusal names its clause, 1-based, for the reader's repair
         assert info.value.clause == int(message.split()[1].rstrip(":"))
 
+    @pytest.mark.parametrize(
+        "num_vars, clauses, message",
+        [
+            (-1, [], "num_vars must be an int >= 0, got -1"),
+            (2.5, [[1]], "num_vars must be an int >= 0, got 2.5"),
+            (True, [[1]], "num_vars must be an int >= 0, got True"),
+            ("3", [[1]], "num_vars must be an int >= 0, got '3'"),
+            (3, [[1.0]], "clause 1: literal 1.0 is not an int"),
+            (1, [[1], [True]], "clause 2: literal True is not an int"),
+            (3, [[1, "2"]], "clause 1: literal '2' is not an int"),
+            (1, (c for c in [[1]]), "clauses must be a list or tuple, got generator"),
+            (1, {(1,)}, "clauses must be a list or tuple, got set"),
+            (1, [[1], iter([-1])], "clause 2 must be a list or tuple, got list_iterator"),
+        ],
+    )
+    def test_field_of_another_type_rejected(self, num_vars, clauses, message):
+        # unchecked, 2.5 and 1.0 escape solve_sat as TypeError, -1 is reported
+        # as the formula's n, True is emitted as "True 0", and a one-shot
+        # iterator is used up by the check itself
+        with pytest.raises(StructuralError) as info:
+            CnfFormula(num_vars, clauses)
+        assert str(info.value) == message
+
+    def test_zero_variables_accepted(self):
+        assert CnfFormula(0, []).num_vars == 0
+        assert CnfFormula(0, [[]]).clauses == [[]]
+
 
 class TestEmit:
     def test_canonical_order(self):
@@ -461,7 +488,7 @@ class TestToDecomposition:
     @settings(max_examples=200, deadline=None)
     def test_output_is_a_valid_decomposition(self, formula):
         # solve_sat relies on this and does not validate the pair it builds;
-        # alpha="pos" reduces the negated formula
+        # alpha="pos" swaps every row, which is the negated formula's pair
         for reduced in (formula, negated(formula)):
             assert validate(to_decomposition(reduced)[0]) == ()
 

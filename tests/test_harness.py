@@ -747,6 +747,14 @@ class TestDiffExhaustive:
             diff_exhaustive(*bounds)
         assert solves == []
 
+    @pytest.mark.parametrize(
+        "bounds, named", [((3.0, 2, 2), "max-n"), ((2, "2", 2), "max-m"), ((2, 2, 2.5), "max-width")]
+    )
+    def test_bound_that_is_not_an_int_refused(self, bounds, named, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a refused space"))
+        with pytest.raises(ValueError, match=f"^{named} must be an int, got "):
+            diff_exhaustive(*bounds)
+
 
 SHARDED = FuzzConfig(seed=11, num_instances=9, var_range=(1, 8), clause_range=(1, 20))
 
@@ -989,6 +997,11 @@ class TestProbe:
             ([100], {"instances_per_size": 0}, "instances-per-size"),
             ([100], {"instances_per_size": 2**32 + 1}, "instances-per-size"),
             ([100], {"seed": -1}, "seed"),
+            ([150.7], {}, "sizes"),
+            (["100"], {}, "sizes"),
+            ([100, float("nan")], {}, "sizes"),
+            ([100], {"width": 2.5}, "width"),
+            ([100], {"instances_per_size": 2.0}, "instances-per-size"),
         ],
         ids=[
             "zero-width",
@@ -1000,6 +1013,11 @@ class TestProbe:
             "no-instances",
             "too-many-instances",
             "negative-seed",
+            "fractional-size",
+            "size-as-text",
+            "nan-size",
+            "fractional-width",
+            "float-instances",
         ],
     )
     def test_bad_arguments_refused_before_any_solve(self, sizes, kwargs, named, monkeypatch):
@@ -1011,6 +1029,12 @@ class TestProbe:
         with pytest.raises(ValueError, match=f"^{named} "):
             complexity_probe(sizes, **kwargs)
         assert solves == []
+
+    def test_whole_float_sizes_accepted(self):
+        # the CLI reads 1e2 as a float; the report names the int
+        doc = complexity_probe([1e2, 60], instances_per_size=1)
+        assert doc["sizes"] == [100, 60]
+        assert [row["target"] for row in doc["rows"]] == [100, 60]
 
     def test_rows_are_pinned(self):
         # the probe keeps no trace events; its rows are those of a kept solve

@@ -13,6 +13,7 @@ from satcover import (
     Sat,
     StructuralError,
     Unsat,
+    apply_swaps,
     build_covering_report,
     build_sat_report,
     evaluate,
@@ -20,10 +21,12 @@ from satcover import (
     report_json,
     solve_covering,
     solve_sat,
+    to_decomposition,
 )
 from satcover import solver as solver_mod
+from satcover.harness import enumerate_formulas
 
-from conftest import E5_TEXT, formulas, naive_sat, pair_of, seeded_corpus, typed
+from conftest import E5_TEXT, formulas, naive_sat, negated, pair_of, seeded_corpus, typed
 
 
 class TestCoveringDriver:
@@ -187,6 +190,50 @@ class TestSolveSat:
         run = solve_sat(formula)
         if isinstance(run.verdict, Sat):
             assert naive_sat(formula)
+
+
+class TestMirroredOrientation:
+    """``alpha="pos"`` swaps every row of the reduced pair; ``negated`` in
+    conftest is the independent reference, the formula it reduces to."""
+
+    def test_every_row_swapped_is_the_negated_reduction(self):
+        for formula in enumerate_formulas(3, 4, 3):
+            pair, used = to_decomposition(formula)
+            negated_pair, negated_used = to_decomposition(negated(formula))
+            assert apply_swaps(pair, range(1, pair.n + 1)) == negated_pair, formula
+            assert used == negated_used
+
+    def test_pos_solve_builds_no_formula(self, e1, e2, e3, e4, monkeypatch):
+        corpus = [e1, e2, e3, e4] + seeded_corpus(36, 40)
+        built = []
+        real_new = CnfFormula.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CnfFormula, "__new__", staticmethod(counting_new))
+        negated(e1)  # the count sees a formula being built
+        assert len(built) == 1
+        built.clear()
+        for formula in corpus:
+            solve_sat(formula, alpha="pos", count_ops=True, invariant_checks=True)
+        assert built == []
+
+    def test_pos_solve_is_the_negated_formula_solve(self):
+        for formula in list(enumerate_formulas(3, 4, 3))[::20]:
+            pos = solve_sat(formula, alpha="pos", count_ops=True)
+            neg = solve_sat(negated(formula), count_ops=True)
+            assert pos.trace.serialize() == neg.trace.serialize(), formula
+            assert pos.verdict.status == neg.verdict.status
+            assert getattr(pos.verdict, "reason", None) == getattr(neg.verdict, "reason", None)
+            if isinstance(pos.verdict, Sat):
+                # a used variable's value flips; an unused one is false in both
+                _, used = to_decomposition(formula)
+                flipped = tuple(
+                    value != (v in used) for v, value in enumerate(neg.verdict.assignment, 1)
+                )
+                assert pos.verdict.assignment == flipped
 
 
 class TestOneCounter:
