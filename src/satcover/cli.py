@@ -88,16 +88,17 @@ _ANSWERS = {
 }
 
 
-def _answer(args, run, report: dict) -> int:
+def _answer(args, report: dict, trace_bytes: Optional[bytes]) -> int:
     """Write the requested report and trace files, print the answer lines of
-    ``solve`` and ``covering`` and return the exit code."""
+    ``solve`` and ``covering`` and return the exit code.  ``trace_bytes`` is
+    the serialized trace under ``--trace``, the bytes ``trace_hash`` digests."""
     try:
         if args.json:
             with open(args.json, "w", encoding="ascii") as fh:
                 fh.write(report_json(report) + "\n")
         if args.trace:
             with open(args.trace, "wb") as fh:
-                fh.write(run.trace.serialize())
+                fh.write(trace_bytes)
     except OSError as exc:
         return _fail_input(f"cannot write output: {exc}")
 
@@ -148,7 +149,11 @@ def _cmd_solve(args) -> int:
         clause_labels=labels,
     )
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    return _answer(args, run, build_sat_report(args.file, formula, run, elapsed_ms=elapsed_ms))
+    trace_bytes = run.trace.serialize() if args.trace else None
+    report = build_sat_report(
+        args.file, formula, run, elapsed_ms=elapsed_ms, trace_bytes=trace_bytes
+    )
+    return _answer(args, report, trace_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +233,11 @@ def _cmd_covering(args) -> int:
     except StructuralError as exc:
         return _fail_input(str(exc))
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    return _answer(args, run, build_covering_report(args.file, pair, run, elapsed_ms=elapsed_ms))
+    trace_bytes = run.trace.serialize() if args.trace else None
+    report = build_covering_report(
+        args.file, pair, run, elapsed_ms=elapsed_ms, trace_bytes=trace_bytes
+    )
+    return _answer(args, report, trace_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,9 @@ _LITERAL = re.compile(r"-?0*[1-9][0-9]*|0+")
 _COUNTS = re.compile(r"([0-9]+)\s+([0-9]+)")
 # clause data read a block at a time: a block holding a character outside
 # the literal alphabet or a negative zero is refused before int() reads it
+# (``_outside_literal_grammar``).  The translate table deletes the ASCII part
+# of the alphabet: the characters \s matches below 128, the digits and '-'
+_ASCII_LITERAL_ALPHABET = str.maketrans("", "", " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f0123456789-")
 _NON_LITERAL_CHAR = re.compile(r"[^\s0-9-]")
 _NEGATIVE_ZERO = re.compile(r"-0+(?![0-9])")
 BLOCK_LINES = 4096
@@ -126,8 +129,8 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
     The header and the lines before it are read one by one.  The clause data
     after it is read ``BLOCK_LINES`` lines at a time, with every per-token
     step in C: a block's lines are joined (comment lines dropped when the
-    block holds a 'c'), two regex searches refuse any character other than
-    whitespace, ASCII digits and '-' and any negative zero, so a token
+    block holds a 'c'), ``_outside_literal_grammar`` refuses any character
+    other than whitespace, ASCII digits and '-' and any negative zero, so a token
     ``int()`` then reads is a literal of ``_LITERAL``'s grammar; one
     ``max``/``min`` checks the range, and the literals are cut into clauses
     at their zeros, an unfinished clause carrying into the next block.
@@ -163,7 +166,7 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
         body = "\n".join(block)
         if "c" in body:
             body = "\n".join(line for line in block if not line.lstrip().startswith("c"))
-        if _NON_LITERAL_CHAR.search(body) or _NEGATIVE_ZERO.search(body):
+        if _outside_literal_grammar(body):
             raise _body_error(lines, body_start, num_vars, declared_clauses)
         try:
             literals = carry + list(map(int, body.split()))
@@ -196,6 +199,16 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
         else:  # x and not x
             removed_tautologies.append(position)
     return CnfFormula(num_vars=num_vars, clauses=kept), tuple(removed_tautologies)
+
+
+def _outside_literal_grammar(body: str) -> bool:
+    """Whether clause data holds a character other than whitespace, ASCII
+    digits and '-', or a negative zero: the regexes read only what one
+    ``str.translate`` leaves of the text, and only a text holding "-0"."""
+    return bool(
+        _NON_LITERAL_CHAR.search(body.translate(_ASCII_LITERAL_ALPHABET))
+        or ("-0" in body and _NEGATIVE_ZERO.search(body))
+    )
 
 
 def _body_error(

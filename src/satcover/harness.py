@@ -46,12 +46,18 @@ DEFAULT_DPLL_BUDGET = 2_000_000
 def _literal_tables(k: int) -> Dict[int, int]:
     """The truth tables of the literals of x_1..x_k as 2^k-bit ints, keyed by
     literal: bit a of x_i's table is bit i - 1 of a, and -i's table is its
-    complement.  Cached per k: at k = 16 the divisions cost more than
-    evaluating a typical formula."""
-    full = (1 << (1 << k)) - 1
+    complement.  x_i's table is one period, 2^(i-1) zeros under 2^(i-1)
+    ones, doubled by shift and OR until it spans 2^k bits.  Cached per k,
+    and rebuilt by a forked shard whose parent had not built it."""
+    size = 1 << k
+    full = (1 << size) - 1
     tables = {}
     for i in range(k):
-        table = full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+        width = 2 << i
+        table = ((1 << (1 << i)) - 1) << (1 << i)
+        while width < size:
+            table |= table << width
+            width *= 2
         tables[i + 1], tables[-i - 1] = table, full ^ table
     return tables
 

@@ -29,6 +29,7 @@ the attempt wrote, not a copy of the whole state.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import compress
 from typing import Dict, List, NamedTuple, Optional, Set, Union
 
 from .decomposition import DecompositionPair, StructuralError
@@ -284,13 +285,21 @@ def _swap_rows(
 
 
 def swapped_alpha_counts(graph: PointingGraph) -> List[int]:
-    """Column counts of alpha after swapping every live vertex row."""
+    """Column counts of alpha after swapping every live vertex row.
+
+    The counts start from whichever side has fewer rows to swap: alpha's
+    own counts with the live rows swapped, or the second side's counts
+    (alpha with every row swapped) with the other rows swapped back.
+    """
     ops = graph.trace.ops
-    counts = list(graph.counts.m_alpha)
-    # the zeros of a fresh count come from ``zero_columns``, not the pushes
-    changed = _swap_rows(counts, graph.pair, [i - 1 for i in graph.live_vertices()], 1, [])
+    live = [f and not r for f, r in zip(graph.formed, graph.removed)]
     ops.cmp(graph.n)  # each vertex's flags
-    ops.arith(changed)
+    if 2 * sum(live) <= graph.n:
+        counts, sign, swap = list(graph.counts.m_alpha), 1, live
+    else:
+        counts, sign, swap = list(graph.counts.m_alpha_bar), -1, [not keep for keep in live]
+    # the zeros of a fresh count come from ``zero_columns``, not the pushes
+    ops.arith(_swap_rows(counts, graph.pair, compress(range(graph.n), swap), sign, []))
     ops.assign(graph.m)  # the copied counts
     return counts
 

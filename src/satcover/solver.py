@@ -10,6 +10,7 @@ error and never reported as satisfiable.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -308,11 +309,16 @@ def _assignment_literals(assignment: Tuple[bool, ...]) -> List[int]:
 
 
 def _report(
-    instance: str, run: SolveRun, n: int, m: int, length: int, elapsed_ms: Optional[float], **answer
+    instance: str, run: SolveRun, n: int, m: int, length: int, elapsed_ms: Optional[float],
+    trace_bytes: Optional[bytes], **answer
 ) -> dict:
     """The report both front ends write; ``answer`` adds the front end's own
-    answer field (``assignment`` or ``swaps``), None unless it answered yes."""
+    answer field (``assignment`` or ``swaps``), None unless it answered yes.
+    ``trace_hash`` digests ``trace_bytes``, the run's serialized trace, when
+    the caller has serialized it already, so the trace is serialized once."""
     verdict = run.verdict
+    if trace_bytes is None:
+        trace_bytes = run.trace.serialize()
     reason = getattr(verdict, "reason", None)
     report = {
         "instance": instance,
@@ -326,7 +332,7 @@ def _report(
         "op_by_kind": run.ops.as_dict(),
         "extensions": run.extensions,
         "elapsed_ms": elapsed_ms,
-        "trace_hash": run.trace.sha256(),
+        "trace_hash": hashlib.sha256(trace_bytes).hexdigest(),
         **answer,
     }
     if isinstance(verdict, EngineError):
@@ -340,11 +346,13 @@ def build_sat_report(
     run: SolveRun,
     *,
     elapsed_ms: Optional[float] = None,
+    trace_bytes: Optional[bytes] = None,
 ) -> dict:
     verdict = run.verdict
     clauses = formula.clauses
     return _report(
-        instance, run, formula.num_vars, len(clauses), sum(map(len, clauses)), elapsed_ms,
+        instance, run, formula.num_vars, len(clauses), sum(map(len, clauses)),
+        elapsed_ms, trace_bytes,
         assignment=_assignment_literals(verdict.assignment) if isinstance(verdict, Sat) else None,
     )
 
@@ -355,10 +363,11 @@ def build_covering_report(
     run: SolveRun,
     *,
     elapsed_ms: Optional[float] = None,
+    trace_bytes: Optional[bytes] = None,
 ) -> dict:
     verdict = run.verdict
     return _report(
-        instance, run, pair.n, pair.m, input_length(pair), elapsed_ms,
+        instance, run, pair.n, pair.m, input_length(pair), elapsed_ms, trace_bytes,
         swaps=sorted(verdict.swaps) if isinstance(verdict, CoveringFound) else None,
     )
 

@@ -158,6 +158,20 @@ def naive_input_length(pair: DecompositionPair) -> int:
     )
 
 
+def reference_swapped_alpha_counts(graph) -> List[int]:
+    """Column counts of alpha after swapping every live vertex row, recounted
+    from alpha's own counts: each live row's alpha ones leave and its second
+    ones arrive."""
+    counts = list(graph.counts.m_alpha)
+    for i in range(graph.n):
+        if graph.formed[i] and not graph.removed[i]:
+            for j in graph.pair.alpha_rows[i]:
+                counts[j] -= 1
+            for j in graph.pair.bar_rows[i]:
+                counts[j] += 1
+    return counts
+
+
 def live_edges(graph) -> List[tuple]:
     """All live edges of a pointing graph as (source, target, column),
     sorted."""

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satcover import ParseError, emit_dimacs, to_decomposition
+from satcover import ParseError, emit_dimacs, parse_dimacs, to_decomposition
 from satcover import cli, harness
 from satcover import solver as solver_mod
 from satcover.cli import emit_decomp, main, parse_decomp
 from satcover.harness import FuzzConfig, random_cnf
+from satcover.instrument import Trace
 from satcover.solver import solve_covering, solve_sat
 
 from conftest import E1_TEXT, E2_TEXT, E3_TEXT, E4_TEXT, E5_TEXT, decomposition_pairs, formulas
@@ -100,22 +101,34 @@ class TestSolve:
         assert events[-1][0] == "verdict"
 
     @pytest.mark.parametrize("name", ["E1", "E2", "E3", "E4", "E5", "threshold"])
-    def test_trace_file_matches_the_report_hash(self, name, tmp_path, capsys):
-        # the --trace file is the byte string the report's trace_hash digests
+    def test_trace_file_matches_the_report_hash(self, name, tmp_path, capsys, monkeypatch):
+        # the --trace file is the byte string the report's trace_hash
+        # digests, serialized once per run, by solve and by covering alike
         if name == "threshold":
             n, m = 300, 1278  # random 3-SAT at the threshold ratio m = 4.26 n
             cfg = FuzzConfig(seed=33, var_range=(n, n), clause_range=(m, m), width_range=(3, 3))
             text = emit_dimacs(random_cnf(cfg, 0))
         else:
             text = {"E1": E1_TEXT, "E2": E2_TEXT, "E3": E3_TEXT, "E4": E4_TEXT, "E5": E5_TEXT}[name]
-        path = write(tmp_path, "in.cnf", text)
-        trace_path, report_path = tmp_path / "run.trace", tmp_path / "report.json"
-        argv = ["solve", path, "--count-ops", "--trace", str(trace_path), "--json", str(report_path)]
-        assert main(argv) in (10, 20)
-        capsys.readouterr()
-        report = json.loads(report_path.read_text())
-        assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == report["trace_hash"]
-        assert json.loads(trace_path.read_bytes())[-1][0] == "verdict"
+        calls = []
+        serialize = Trace.serialize
+        monkeypatch.setattr(Trace, "serialize", lambda trace: calls.append(1) or serialize(trace))
+        pair, _ = to_decomposition(parse_dimacs(text)[0])
+        inputs = {
+            "solve": write(tmp_path, "in.cnf", text),
+            "covering": write(tmp_path, "in.decomp", emit_decomp(pair)),
+        }
+        for command, path in inputs.items():
+            calls.clear()
+            trace_path, report_path = tmp_path / "run.trace", tmp_path / "report.json"
+            argv = [command, path, "--count-ops", "--trace", str(trace_path)]
+            argv += ["--json", str(report_path)]
+            assert main(argv) in (10, 20)
+            capsys.readouterr()
+            assert len(calls) == 1, command
+            report = json.loads(report_path.read_text())
+            assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == report["trace_hash"]
+            assert json.loads(trace_path.read_bytes())[-1][0] == "verdict"
 
     def test_shortcut_flag(self, tmp_path, capsys):
         path = write(tmp_path, "e2.cnf", E2_TEXT)

@@ -339,6 +339,44 @@ class TestParse:
             assert got[:2] == ("error", error)
         assert_reads_as_the_reference(text)
 
+    # the two searches the reader ran over every whole block before it
+    # screened with str.translate, kept as the screen's reference
+    SCREEN_REFERENCE = (re.compile(r"[^\s0-9-]"), re.compile(r"-0+(?![0-9])"))
+    # single characters (every whitespace class \s knows near ASCII, digits,
+    # '-', characters outside the alphabet) and the negative-zero shapes
+    SCREEN_PIECES = (
+        *" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0　 ",
+        *"0123456789-",
+        *"+_.xc\x00\x7f٣１",
+        "-0", "--0", "1-0", "-00", "-01", "0-", "- 0",
+    )
+
+    @settings(max_examples=3000, deadline=None)
+    @given(st.lists(st.sampled_from(SCREEN_PIECES), max_size=12).map("".join))
+    def test_screen_refuses_what_the_bare_regexes_refuse(self, text):
+        expected = any(regex.search(text) for regex in self.SCREEN_REFERENCE)
+        assert cnf._outside_literal_grammar(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            ("1 -2 0\n3 0", False),
+            ("1\x1c2\x1d3\x1e4\x1f0", False),
+            ("1\x852\xa03　0", False),
+            ("1 -0", True),
+            ("1 --0", True),
+            ("1-0", True),
+            ("-00 1", True),
+            ("-01 0", False),
+            ("--1 0", False),  # a misplaced '-' is int()'s refusal, not the screen's
+            ("1 +2 0", True),
+            ("1 ٣ 0", True),
+        ],
+    )
+    def test_screen_on_its_edge_cases(self, text, refused):
+        assert cnf._outside_literal_grammar(text) is refused
+        assert any(regex.search(text) for regex in self.SCREEN_REFERENCE) is refused
+
     @pytest.mark.parametrize(
         "edits, removed",
         [

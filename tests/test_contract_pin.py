@@ -73,9 +73,9 @@ WORKED = {"E1": E1_TEXT, "E2": E2_TEXT, "E3": E3_TEXT, "E4": E4_TEXT, "E5": E5_T
 # the pair rebuilt through the public dense constructor
 WORKED_PINS = {
     "E1": (
-        ("SAT", None, (26, 5, 24), "e771d053af5b5a58099ed109b219a1ec1dd347f7af6613ba6339816fa8d4c352"),
-        ("SAT", None, (26, 5, 24), "e771d053af5b5a58099ed109b219a1ec1dd347f7af6613ba6339816fa8d4c352"),
-        ("COVERING", (1, 2), (23, 5, 21), "6b0524f16e6af4747d68975f0c3ab46843d330f2d8274910b7c1479f70e1f4be"),
+        ("SAT", None, (26, 2, 24), "446dbfcfca7672c4e5015d2c30bc6999864a4a60fac44a59b366ad8d9fe50adb"),
+        ("SAT", None, (26, 2, 24), "446dbfcfca7672c4e5015d2c30bc6999864a4a60fac44a59b366ad8d9fe50adb"),
+        ("COVERING", (1, 2), (23, 2, 21), "77d587f27cb8b09112db02dcb9595071631ccb6f33346503f504688543dc7e91"),
     ),
     "E2": (
         ("UNSAT", ("non-removable-useless-vertex", 1), (21, 0, 18), "9a3e78dbd36a3fd8df9d28e2b7756ead1458cf00e41c4304d4c89d98e5909782"),
@@ -83,19 +83,19 @@ WORKED_PINS = {
         ("NO_COVERING", ("non-removable-useless-vertex", 1), (19, 0, 16), "64bccd6953ef83dc05600bd82dfeda0d318e2527e17fdcbe5535e856ab53c17c"),
     ),
     "E3": (
-        ("UNSAT", ("unreachable-column", 1), (38, 4, 36), "f4c106c0718287044a510a6faf2cf21c95c4c7460eb8ed78d7e1f3254ad04209"),
-        ("UNSAT", ("unreachable-column", 1), (38, 4, 36), "f4c106c0718287044a510a6faf2cf21c95c4c7460eb8ed78d7e1f3254ad04209"),
-        ("NO_COVERING", ("unreachable-column", 1), (34, 4, 32), "2623265254a226aaff6b333c91bfedc52cf22ecf8092ca70bbad84b8838801b2"),
+        ("UNSAT", ("unreachable-column", 1), (38, 0, 36), "610943bb75a7588239f60ccec8367f2fcadeb1714e72604e6aab4654b11c08bf"),
+        ("UNSAT", ("unreachable-column", 1), (38, 0, 36), "610943bb75a7588239f60ccec8367f2fcadeb1714e72604e6aab4654b11c08bf"),
+        ("NO_COVERING", ("unreachable-column", 1), (34, 0, 32), "03e74bf4630799867a22834791d84850f1cd98cccebf90d7b7883cd228972ff0"),
     ),
     "E4": (
-        ("SAT", None, (49, 10, 57), "b580e56696dd54ed0fb28484e2ce1f5c3f5fc9a2d49dfa449647a07827f55144"),
-        ("SAT", None, (49, 10, 57), "b580e56696dd54ed0fb28484e2ce1f5c3f5fc9a2d49dfa449647a07827f55144"),
-        ("COVERING", (1, 2, 3), (44, 10, 52), "596c74cd6ad3e97d326f4dcc72b7c97aa3d9cd88acfd8e1f79a508638606c9a2"),
+        ("SAT", None, (49, 2, 57), "d14ffd9a07ac779e2dbd0887e81c27c6279158650aa9c0f18b8eb7ce9f8976e2"),
+        ("SAT", None, (49, 2, 57), "d14ffd9a07ac779e2dbd0887e81c27c6279158650aa9c0f18b8eb7ce9f8976e2"),
+        ("COVERING", (1, 2, 3), (44, 2, 52), "efe3049e7e4c9e7791088cdbd2e93aed0531a19e2e775db1987d8e2451039bcc"),
     ),
     "E5": (
-        ("SAT", None, (35, 9, 32), "4b007220edf0140c4ff4f4c1a594a3a7472ccb8f237a0ea1c3d881aa8d014254"),
-        ("SAT", None, (35, 9, 32), "4b007220edf0140c4ff4f4c1a594a3a7472ccb8f237a0ea1c3d881aa8d014254"),
-        ("COVERING", (1, 2, 3), (30, 9, 27), "3a0cac77d354395cb48f736525c1b5f2af1fb6537c77e6108720079271108e71"),
+        ("SAT", None, (35, 4, 32), "732e28017a886a2cc18e79e4445042e6b140094c478b1f41b4cc8073483546f8"),
+        ("SAT", None, (35, 4, 32), "732e28017a886a2cc18e79e4445042e6b140094c478b1f41b4cc8073483546f8"),
+        ("COVERING", (1, 2, 3), (30, 4, 27), "c6781423cf23fd348fd786fbe194dc7422d336f9119c45b92692750bd46141fd"),
     ),
 }
 
@@ -142,13 +142,13 @@ def threshold_formula(n: int, seed: int, bias: str):
 
 
 THRESHOLD_PINS = {
-    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), (3411, 1980, 3494), "190342bea87aaf95e806aeffb52801129bf2337d17e42ba4b45b26a64db42ae3"),
-    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), (4703, 2360, 4619), "cf8588dffb14b29794bd1132f75464553477e89c59c4e8d07c04c17077ae556d"),
-    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), (6303, 3427, 6346), "9ed9b70846a8a0bfa0027930a722f98099c175261304ab612f57630b7606f814"),
-    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), (7583, 3768, 7454), "286da4b019e0dd12db040a098a28daab363d246807c47a44589bade7a849cde6"),
-    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), (2987, 1469, 2942), "da84e0fd7a399824b266d03abef4a56614c6f1611dccacd07cc95d69194c9465"),
-    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), (5210, 3001, 5310), "03028bfcd65455adcc62827f308df1d7cfdb4a5f81e7eb63304e946eeb449296"),
-    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (7728, 4082, 7751), "89ba1745c9f1a4b7534b526b57768d5936182c6ad6f3c4fc95a7e414fdfb0bb9"),
+    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), (3411, 1212, 3494), "371465af080b8af14519565115dc01864591273cd74426f84a3644f591f18c91"),
+    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), (4703, 1223, 4619), "7180179e9cc570696e12467b2b48325c9dd74c682d463e9ade9b679fd55bff2f"),
+    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), (6303, 1894, 6346), "313402474b514c0348a3892abeefb7f66915627ba0c55709e3285b0e2d26f163"),
+    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), (7583, 1851, 7454), "41e148aede7d50f4afa0f0a2bafd6bf65ff2c056152343e32ebfd2f9d2d6e54d"),
+    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), (2987, 701, 2942), "aed0ed1673f082660a3ee556bf1d5761142cd608f3dc8b566072e1a15c8358a7"),
+    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), (5210, 1765, 5310), "4faae4487c53b6a02e725de4da036975c7df1f2c635624d8018042d0b19360b8"),
+    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (7728, 2165, 7751), "d373be423aa6a7fdb93562c33989c7522c42fea829ecf11d70de97512bf87d3b"),
 }
 
 THRESHOLD_BEHAVIOUR = {
@@ -166,7 +166,7 @@ THRESHOLD_BEHAVIOUR = {
 # duplicate entries when it is popped
 HEAP_PIN = (
     (2000, 608, "none"),
-    ("UNSAT", ("unreachable-column", 1638), (101644, 52782, 100857), "a07a533271c6ce87651faa17ce98c7a4158b2a4c3f1ac7588d44a1a04d576af4"),
+    ("UNSAT", ("unreachable-column", 1638), (101644, 27456, 100857), "ddeb908de8b7c16fdfdfe8acf5812f00ef02f8e437c701ebb8e427745c73fd65"),
 )
 
 HEAP_BEHAVIOUR = ("UNSAT", ("unreachable-column", 1638), "04a850ea51c531438b99ea03d2d4028259da8e5054c56b107273653851a9fc7c")
@@ -183,7 +183,7 @@ RANDOM_BATCHES = tuple(
     for seed, bias in ((20261018, "none"), (20261019, "planted"))
 )
 RANDOM_TALLY = {"UNSAT": 109, "SAT": 131}
-RANDOM_DIGEST = "c880b3c97de55e7f13c53f5c11301564da90d001893e1430a11a7b892ac4aa69"
+RANDOM_DIGEST = "3a5d66771aa92e1a2304a8580f9339e8f37545ee995cbe30bd79a5d3594ffe57"
 RANDOM_BEHAVIOUR_DIGEST = "53a8cd3de0bbec44960588b858bfa2c188b759587e26a2295f575ebb0c3d5cab"
 
 

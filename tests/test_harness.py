@@ -142,6 +142,17 @@ class TestBruteSat:
         with pytest.raises(ValueError):
             brute_sat(CnfFormula(26, [[1]]))
 
+    def test_literal_tables_match_the_division_formula(self):
+        # the reference: x_i's table is the 2^k-bit all-ones int divided by
+        # one period's all-ones and multiplied by the period's pattern
+        for k in range(17):
+            full = (1 << (1 << k)) - 1
+            reference = {}
+            for i in range(k):
+                table = full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i))
+                reference[i + 1], reference[-i - 1] = table, full ^ table
+            assert harness._literal_tables(k) == reference, k
+
     @pytest.mark.parametrize(
         "formula",
         [
@@ -1042,10 +1053,10 @@ class TestProbe:
         rows = complexity_probe([60, 120], seed=5)["rows"]
         assert all(set(row) == {*keys, "elapsed_ms"} for row in rows)
         assert [tuple(row[k] for k in keys) for row in rows] == [
-            (60, 60, 8, 20, "UNSAT", 690, 0),
-            (60, 60, 8, 20, "UNSAT", 708, 0),
-            (120, 120, 11, 40, "UNSAT", 1231, 0),
-            (120, 120, 11, 40, "UNSAT", 1228, 0),
+            (60, 60, 8, 20, "UNSAT", 630, 0),
+            (60, 60, 8, 20, "UNSAT", 648, 0),
+            (120, 120, 11, 40, "UNSAT", 1111, 0),
+            (120, 120, 11, 40, "UNSAT", 1126, 0),
         ]
 
     def test_deterministic(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from satcover import StructuralError, apply_swaps, column_counts, solve_sat, to_decomposition
 from satcover import procedures
-from satcover.graph import construct, find_main_vertices
+from satcover.graph import PointingGraph, construct, find_main_vertices
 from satcover.harness import FuzzConfig, random_cnf
 from satcover.instrument import OpCounter, Trace
 from satcover.procedures import (
@@ -22,7 +22,15 @@ from satcover.procedures import (
 )
 from satcover.solver import _check_graph_invariants
 
-from conftest import E4_TEXT, E5_TEXT, formulas, live_edges, pair_of
+from conftest import (
+    E4_TEXT,
+    E5_TEXT,
+    decomposition_pairs,
+    formulas,
+    live_edges,
+    pair_of,
+    reference_swapped_alpha_counts,
+)
 
 
 def built(text: str):
@@ -225,6 +233,33 @@ class TestSwappedCounts:
         assert swapped.alpha_rows == ((1,), (2,))
         counts = [sum(j in row for row in swapped.alpha_rows) for j in range(swapped.m)]
         assert swapped_alpha_counts(graph) == counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(decomposition_pairs(max_rows=9, max_cols=8), st.booleans(), st.data())
+    def test_counts_match_a_recount_from_either_side(self, pair, swapped_side, data):
+        # the counts start from alpha's when at most half the rows are live
+        # and from the second side's otherwise; draw a live set on the side
+        # asked for, and make each other row unformed or removed
+        n = pair.n
+        if swapped_side:
+            live_count = data.draw(st.integers(n // 2 + 1, n), label="live rows")
+        else:
+            live_count = data.draw(st.integers(0, n // 2), label="live rows")
+        order = data.draw(st.permutations(range(n)), label="row order")
+        graph = PointingGraph(pair, column_counts(pair), Trace(OpCounter()))
+        for position, i in enumerate(order):
+            graph.formed[i] = position < live_count or data.draw(st.booleans(), label="removed")
+            graph.removed[i] = position >= live_count and graph.formed[i]
+        live = set(order[:live_count])
+        swapped = live if not swapped_side else set(range(n)) - live
+        before = graph.trace.ops.as_dict()
+        assert swapped_alpha_counts(graph) == reference_swapped_alpha_counts(graph)
+        after = graph.trace.ops.as_dict()
+        # one arithmetic op per count changed: the entries of the rows swapped
+        entries = sum(len(pair.alpha_rows[i]) + len(pair.bar_rows[i]) for i in swapped)
+        assert after["arithmetic"] - before["arithmetic"] == entries
+        assert after["comparisons"] - before["comparisons"] == n
+        assert after["assignments"] - before["assignments"] == pair.m
 
     def test_kept_counts_match_fresh_counts_after_every_commit(self, monkeypatch):
         # eliminate computes the swapped counts and the heap of their zero
