@@ -19,10 +19,10 @@ pair itself never changes during a solve.
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import List, Optional, Set
 
-from .decomposition import ColumnCounts, DecompositionPair
+from .decomposition import ColumnCounts, DecompositionPair, StructuralError
 from .instrument import Trace
 
 
@@ -37,8 +37,10 @@ class PointingGraph:
     Mutable state, all plain Python lists and a bytearray (vertex ids
     1-based, stored 0-based internally):
       vertex_order   formation order of vertices (rows), append-only
-      formed/removed/main/useless/examined   per-vertex bool lists
-      main_columns   per-vertex list of associated columns (main vertices)
+      examined       how far ``construct`` has walked ``vertex_order``:
+                     every vertex before it is examined or was removed
+      formed/removed/useless   per-vertex bool lists
+      main_columns   per-vertex associated columns, non-empty on main vertices
       indegree       per-vertex int list: count of live incoming edges
       multiplicity   per-column int list: count of live main vertices
                      associated with the column
@@ -52,11 +54,9 @@ class PointingGraph:
       targets        ``pair.bar_cols``: the rows an edge labelled j can reach
       bar_count      per-column count of the second matrix: the counts' tuple
       edge_base      per-column offset into ``edge_live`` (m + 1 entries)
-      col_single_row the unique alpha-side row per single column, 1-based
-                     (0 = not single)
-      single_cols    per-row ascending single columns
-      out_cols       per-row single columns that the second matrix can
-                     re-cover: the labels of the row's possible out-edges
+      single_cols    per-row ascending single columns: the labels of the
+                     row's possible out-edges (a column's source row is
+                     ``pair.alpha_cols[j][0]``)
       in_slots       per-row (column, edge byte) of every possible in-edge,
                      ascending by column
 
@@ -77,9 +77,8 @@ class PointingGraph:
         self.vertex_order: List[int] = []
         self.formed: List[bool] = [False] * n
         self.removed: List[bool] = [False] * n
-        self.main: List[bool] = [False] * n
         self.useless: List[bool] = [False] * n
-        self.examined: List[bool] = [False] * n
+        self.examined = 0
         self.main_columns: List[List[int]] = [[] for _ in range(n)]
         self.indegree: List[int] = [0] * n
         self.multiplicity: List[int] = [0] * m
@@ -90,22 +89,14 @@ class PointingGraph:
         self.edge_base: List[int] = list(accumulate(map(len, self.targets), initial=0))
         self.edge_live = bytearray(self.edge_base[m])
         self.live_targets: List[int] = [0] * m
-        self.col_single_row: List[int] = [0] * m
         self.single_cols: List[List[int]] = [[] for _ in range(n)]
-        self.out_cols: List[List[int]] = [[] for _ in range(n)]
         self.in_slots: List[List[tuple]] = [[] for _ in range(n)]
-        in_slots = self.in_slots
         filed = m + 1  # the edge offsets
         for j0 in [j for j, c in enumerate(counts.m_alpha) if c == 1]:
-            q0 = pair.alpha_cols[j0][0]
-            self.col_single_row[j0] = q0 + 1
-            self.single_cols[q0].append(j0)
-            filed += 2
-            if self.targets[j0]:
-                self.out_cols[q0].append(j0)
-                for edge, r0 in enumerate(self.targets[j0], self.edge_base[j0]):
-                    in_slots[r0].append((j0, edge))
-                filed += 1 + len(self.targets[j0])
+            self.single_cols[pair.alpha_cols[j0][0]].append(j0)
+            for edge, r0 in enumerate(self.targets[j0], self.edge_base[j0]):
+                self.in_slots[r0].append((j0, edge))
+            filed += 1 + len(self.targets[j0])
         trace.ops.cmp(m)  # the alpha counts
         trace.ops.assign(filed)
 
@@ -159,16 +150,15 @@ def find_main_vertices(
         trace.emit("covering-already")
         return None
     graph = PointingGraph(pair, counts, trace)
-    formed, main, main_columns = graph.formed, graph.main, graph.main_columns
+    formed, main_columns = graph.formed, graph.main_columns
     for j0 in zero_cols:
         rows = pair.bar_cols[j0]
         fresh = [r0 for r0 in rows if not formed[r0]]
-        # the formed flags; three writes per new vertex, a column entry per row, the multiplicity
+        # the formed flags; two writes per new vertex, a column entry per row, the multiplicity
         ops.cmp(len(rows))
-        ops.assign(3 * len(fresh) + len(rows) + 1)
+        ops.assign(2 * len(fresh) + len(rows) + 1)
         for r0 in fresh:
             formed[r0] = True
-            main[r0] = True
             graph.vertex_order.append(r0 + 1)
             trace.emit("vertex-formed", r0 + 1, 1)
         for r0 in rows:
@@ -180,32 +170,33 @@ def find_main_vertices(
 def construct(graph: PointingGraph) -> bool:
     """Explore formed vertices once each, creating edges and new vertices.
 
-    Walks the formation order, skipping vertices already examined or removed.
-    For each single column of the vertex under examination: if no row can
-    re-cover it the vertex is marked useless and its remaining columns are
-    skipped; otherwise an edge is created to every live candidate row,
-    forming rows not yet in the graph.  Previously removed rows are never
-    re-formed and never receive edges.  Returns True iff any vertex or edge
-    was added.  The work, and the charge, is O(degree) per examined vertex.
+    Walks the formation order on from ``graph.examined``, where the last call
+    stopped, skipping removed vertices.  Only a restore brings a removed
+    vertex back, so a graph with an open snapshot (a non-empty ``trail``) is
+    refused.  For each single column of the vertex under examination: if no
+    row can re-cover it the vertex is marked useless and its remaining
+    columns are skipped; otherwise an edge is created to every live
+    candidate row, forming rows not yet in the graph.  Previously removed
+    rows are never re-formed and never receive edges.  Returns True iff any
+    vertex or edge was added.  The work, and the charge, is O(degree) per
+    examined vertex.
     """
     g = graph
-    formed, removed, examined, indegree = g.formed, g.removed, g.examined, g.indegree
+    if g.trail:
+        raise StructuralError("construct needs an empty undo trail (no open snapshot)")
+    formed, removed, indegree = g.formed, g.removed, g.indegree
     order, targets, bar_count = g.vertex_order, g.targets, g.bar_count
     edge_base, edge_live, live_targets = g.edge_base, g.edge_live, g.live_targets
     ops, emit = g.trace.ops, g.trace.emit
     added = False
-    idx = 0
-    while idx < len(order):
-        q = order[idx]
-        idx += 1
+    start = g.examined
+    for q in islice(order, start, None):  # grows while it is walked
         q0 = q - 1
-        if examined[q0] or removed[q0]:
+        if removed[q0]:
             continue
-        examined[q0] = True
         emit("vertex-examined", q)
         singles = g.single_cols[q0]
         if not singles:
-            ops.assign(1)  # the examined flag
             emit("final-marked", q)
             continue
         reads = edges = writes = 0
@@ -234,11 +225,13 @@ def construct(graph: PointingGraph) -> bool:
                 edges += 1
                 emit("edge-formed", q, r, j, conjunctive)
         # the columns and rows read; per edge its byte, live-target count and
-        # indegree; the examined flag, a useless flag, two writes per new vertex
+        # indegree; a useless flag, two writes per new vertex
         ops.cmp(reads)
         ops.arith(2 * edges)
-        ops.assign(1 + edges + writes)
+        ops.assign(edges + writes)
         added = added or edges > 0  # a vertex is only formed with an edge into it
-    ops.cmp(len(order))  # each vertex's flags, once
+    g.examined = len(order)
+    ops.cmp(g.examined - start)  # each vertex's removed flag, once per solve
+    ops.assign(1)  # the cursor
     emit("construct-result", 1 if added else 0)
     return added

@@ -117,8 +117,8 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
     log = g.trail.append
     ops, emit = g.trace.ops, g.trace.emit
     live = g.edge_live
-    live_targets = g.live_targets
-    indegree, removed, main, bar_count = g.indegree, g.removed, g.main, g.bar_count
+    live_targets, alpha_cols = g.live_targets, g.pair.alpha_cols
+    indegree, removed, main_columns, bar_count = g.indegree, g.removed, g.main_columns, g.bar_count
     s0 = start_vertex - 1
     if not (0 <= s0 < g.n) or not g.formed[s0] or removed[s0]:
         raise StructuralError(f"vertex {start_vertex} is not a live graph vertex")
@@ -126,8 +126,7 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
 
     anc: List[int] = [start_vertex]
     anc_marked: Set[int] = {start_vertex}
-    gen: List[int] = []
-    gen_queued: Set[int] = set()
+    gen: List[int] = []  # a target's indegree reaches 0 once, so no vertex is queued twice
     removed_order: List[int] = []
 
     def drop_edges(source: int, target: int, edges: List[tuple]) -> None:
@@ -150,7 +149,7 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
         # live out-edges grouped by target: (column, byte)
         by_target: Dict[int, List[tuple]] = {}
         visited = 0
-        for j0 in g.out_cols[p - 1]:
+        for j0 in g.single_cols[p - 1]:  # a column with no targets visits nothing
             visited += len(g.targets[j0])
             for edge, t0 in enumerate(g.targets[j0], g.edge_base[j0]):
                 if live[edge]:
@@ -159,8 +158,7 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
         for t0 in sorted(by_target):
             t = t0 + 1
             drop_edges(p, t, by_target[t0])
-            if indegree[t0] == 0 and not main[t0] and not removed[t0] and t not in gen_queued:
-                gen_queued.add(t)
+            if indegree[t0] == 0 and not main_columns[t0] and not removed[t0]:
                 gen.append(t)
                 ops.assign(1)
 
@@ -180,8 +178,8 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
     for p in anc:  # grows while it is walked; only its own take removes p
         take(p, 1)
         p0 = p - 1
-        if main[p0]:
-            cols = g.main_columns[p0]
+        cols = main_columns[p0]
+        if cols:
             multiplicity = g.multiplicity
             ops.cmp(len(cols))
             if any(multiplicity[c - 1] == 1 for c in cols):
@@ -197,7 +195,7 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
         bundles: Dict[int, List[tuple]] = {}
         for j0, edge in slots:
             if live[edge]:
-                bundles.setdefault(g.col_single_row[j0], []).append((j0, edge))
+                bundles.setdefault(alpha_cols[j0][0] + 1, []).append((j0, edge))
         for r in sorted(bundles):
             edges = bundles[r]
             # the source must go too when it loses an obligatory edge or
@@ -417,34 +415,41 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
 def extend(graph: PointingGraph, plan: ExtensionPlan) -> None:
     """Form the planned rows as additional main vertices.
 
-    Every planned row must be unformed (removed rows never come back).  A
-    new main vertex is associated with, and bumps the multiplicity of, every
-    planned column where its second-component row has a 1.
+    Every planned row must be unformed (removed rows never come back), every
+    planned column within 1..m, and every row's second component must hold
+    one of the planned columns.  A new main vertex is associated with, and
+    bumps the multiplicity of, every planned column where its
+    second-component row has a 1.
     """
     rows = list(dict.fromkeys(plan.new_main_vertices))  # first occurrences, in order
     cols = list(dict.fromkeys(plan.columns))
     if not rows:
         raise StructuralError("extension plan is empty")
+    for c in cols:
+        if not 1 <= c <= graph.m:
+            raise StructuralError(f"plan column {c} outside 1..{graph.m}")
+    assocs = []
     for p in rows:
         if not 1 <= p <= graph.n:
             raise StructuralError(f"plan row {p} outside 1..{graph.n}")
         if graph.formed[p - 1] or graph.removed[p - 1]:
             raise StructuralError(f"plan row {p} is already part of the graph")
+        second = set(graph.pair.bar_rows[p - 1])
+        assocs.append([c for c in cols if c - 1 in second])
+        if not assocs[-1]:
+            raise StructuralError(f"plan row {p} holds none of the plan's columns on its second side")
     trace, ops = graph.trace, graph.trace.ops
-    for p in rows:
+    for p, assoc in zip(rows, assocs):
         p0 = p - 1
         graph.formed[p0] = True
-        graph.main[p0] = True
         graph.vertex_order.append(p)
-        second = set(graph.pair.bar_rows[p0])
-        assoc = [c for c in cols if c - 1 in second]
         for c in assoc:
             graph.main_columns[p0].append(c)
             graph.multiplicity[c - 1] += 1
         # the row's second side and the planned columns read; the
-        # multiplicities; three flag and order writes and the column entries
-        ops.cmp(len(second) + len(cols))
+        # multiplicities; the formed flag, the order and the column entries
+        ops.cmp(len(graph.pair.bar_rows[p0]) + len(cols))
         ops.arith(len(assoc))
-        ops.assign(3 + len(assoc))
+        ops.assign(2 + len(assoc))
         trace.emit("vertex-formed", p, 1)
     trace.emit("extend", len(rows))

@@ -116,15 +116,14 @@ def _check_graph_invariants(graph) -> None:
     indegree = [0] * g.n
     per_column = [0] * g.m
     dead_endpoint = False
-    for j0, source in enumerate(g.col_single_row):
-        if not source:  # no edges: a live byte under it fails the count below
-            continue
-        s0 = source - 1
-        for edge, t0 in enumerate(g.targets[j0], edge_base[j0]):
-            if edge_live[edge]:
-                dead_endpoint = dead_endpoint or not formed[s0] or removed[s0] or not formed[t0] or removed[t0]
-                indegree[t0] += 1
-                per_column[j0] += 1
+    # only single columns have edges: a live byte under another fails the count below
+    for s0, columns in enumerate(g.single_cols):
+        for j0 in columns:
+            for edge, t0 in enumerate(g.targets[j0], edge_base[j0]):
+                if edge_live[edge]:
+                    dead_endpoint = dead_endpoint or not formed[s0] or removed[s0] or not formed[t0] or removed[t0]
+                    indegree[t0] += 1
+                    per_column[j0] += 1
     edges = sum(per_column)
     if edges > (g.n - 1) * g.m:
         raise EngineInvariantError(
@@ -138,7 +137,7 @@ def _check_graph_invariants(graph) -> None:
         raise EngineInvariantError("live-target counts do not match the live edges")
     mult = [0] * g.m
     for v0, columns in enumerate(g.main_columns):
-        if g.main[v0] and formed[v0] and not removed[v0]:
+        if formed[v0] and not removed[v0]:
             for c in columns:
                 mult[c - 1] += 1
     if mult != g.multiplicity:
@@ -246,10 +245,10 @@ def solve_sat(
     """Decide satisfiability through the covering reduction.
 
     Reason indices are reported in the formula's own numbering (variables as
-    given; clauses by position) unless ``clause_labels`` supplies original
-    file numbering, one label per clause.  ``alpha="pos"`` mirrors the
-    reduction's orientation: it swaps every row of the reduced pair
-    (``apply_swaps``), which is the reduction of the formula with every
+    given; clauses by position) unless ``clause_labels``, a list or tuple,
+    supplies original file numbering, one label per clause.  ``alpha="pos"``
+    mirrors the reduction's orientation: it swaps every row of the reduced
+    pair (``apply_swaps``), which is the reduction of the formula with every
     literal negated, and reads a variable as true when its row is left
     unswapped.  A satisfying verdict is emitted only after the assignment
     passes evaluation; a failing assignment becomes EngineError.  With
@@ -261,6 +260,8 @@ def solve_sat(
     m = len(formula.clauses)
     if clause_labels is None:
         clause_labels = range(1, m + 1)
+    elif not isinstance(clause_labels, (list, tuple)):
+        raise StructuralError(f"clause_labels must be a list or tuple, got {type(clause_labels).__name__}")
     elif len(clause_labels) != m:
         raise StructuralError(f"clause_labels has {len(clause_labels)} labels for {m} clauses")
     trace = (Trace if keep_trace else UnkeptTrace)(OpCounter() if count_ops else DISABLED_OPS)

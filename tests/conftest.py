@@ -176,12 +176,12 @@ def live_edges(graph) -> List[tuple]:
     """All live edges of a pointing graph as (source, target, column),
     sorted."""
     out = []
-    for j0, source in enumerate(graph.col_single_row):
-        if source:
+    for s0, columns in enumerate(graph.single_cols):
+        for j0 in columns:
             base = graph.edge_base[j0]
             for k, t0 in enumerate(graph.targets[j0]):
                 if graph.edge_live[base + k]:
-                    out.append((source, t0 + 1, j0 + 1))
+                    out.append((s0 + 1, t0 + 1, j0 + 1))
     out.sort()
     return out
 

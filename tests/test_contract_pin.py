@@ -73,29 +73,29 @@ WORKED = {"E1": E1_TEXT, "E2": E2_TEXT, "E3": E3_TEXT, "E4": E4_TEXT, "E5": E5_T
 # the pair rebuilt through the public dense constructor
 WORKED_PINS = {
     "E1": (
-        ("SAT", None, (26, 2, 24), "446dbfcfca7672c4e5015d2c30bc6999864a4a60fac44a59b366ad8d9fe50adb"),
-        ("SAT", None, (26, 2, 24), "446dbfcfca7672c4e5015d2c30bc6999864a4a60fac44a59b366ad8d9fe50adb"),
-        ("COVERING", (1, 2), (23, 2, 21), "77d587f27cb8b09112db02dcb9595071631ccb6f33346503f504688543dc7e91"),
+        ("SAT", None, (22, 2, 24), "31119211f246cf8d7272d5257e0ba30a19eb1f8159224c110ed4cfbbf34d441b"),
+        ("SAT", None, (22, 2, 24), "31119211f246cf8d7272d5257e0ba30a19eb1f8159224c110ed4cfbbf34d441b"),
+        ("COVERING", (1, 2), (19, 2, 21), "647e700a3783b1faed70585ca75e48f4d6ed8741d8a925cb82713ac6b537c0b0"),
     ),
     "E2": (
-        ("UNSAT", ("non-removable-useless-vertex", 1), (21, 0, 18), "9a3e78dbd36a3fd8df9d28e2b7756ead1458cf00e41c4304d4c89d98e5909782"),
+        ("UNSAT", ("non-removable-useless-vertex", 1), (19, 0, 18), "d36bc8bf0f9241c2185ec9d09c4c078fa1243008f2f7f330a773ab6efd0aa7e9"),
         ("UNSAT", ("both-components-single", 1), (6, 0, 6), "834fa167cd3e78e20fb428a2377a1b1ac67a7b8524152e0f1f53191a7d89c950"),
-        ("NO_COVERING", ("non-removable-useless-vertex", 1), (19, 0, 16), "64bccd6953ef83dc05600bd82dfeda0d318e2527e17fdcbe5535e856ab53c17c"),
+        ("NO_COVERING", ("non-removable-useless-vertex", 1), (17, 0, 16), "9b324b7da286ee0a196c3cc246723f5c4a691b69696aa8319437739ffc8ec8d3"),
     ),
     "E3": (
-        ("UNSAT", ("unreachable-column", 1), (38, 0, 36), "610943bb75a7588239f60ccec8367f2fcadeb1714e72604e6aab4654b11c08bf"),
-        ("UNSAT", ("unreachable-column", 1), (38, 0, 36), "610943bb75a7588239f60ccec8367f2fcadeb1714e72604e6aab4654b11c08bf"),
-        ("NO_COVERING", ("unreachable-column", 1), (34, 0, 32), "03e74bf4630799867a22834791d84850f1cd98cccebf90d7b7883cd228972ff0"),
+        ("UNSAT", ("unreachable-column", 1), (35, 0, 36), "f97ed637a81417cc9bef3aaa00dbd6d02536b8db734cfc68c92641c30ef0ea9a"),
+        ("UNSAT", ("unreachable-column", 1), (35, 0, 36), "f97ed637a81417cc9bef3aaa00dbd6d02536b8db734cfc68c92641c30ef0ea9a"),
+        ("NO_COVERING", ("unreachable-column", 1), (31, 0, 32), "59f6fa0fa3090321710eab19e7f715de3c9f1e52bed0e42f773be2108b5d0f52"),
     ),
     "E4": (
-        ("SAT", None, (49, 2, 57), "d14ffd9a07ac779e2dbd0887e81c27c6279158650aa9c0f18b8eb7ce9f8976e2"),
-        ("SAT", None, (49, 2, 57), "d14ffd9a07ac779e2dbd0887e81c27c6279158650aa9c0f18b8eb7ce9f8976e2"),
-        ("COVERING", (1, 2, 3), (44, 2, 52), "efe3049e7e4c9e7791088cdbd2e93aed0531a19e2e775db1987d8e2451039bcc"),
+        ("SAT", None, (45, 2, 55), "21824e0485ea95540ad14f13151718406401098d99434c4bf286947c661182f8"),
+        ("SAT", None, (45, 2, 55), "21824e0485ea95540ad14f13151718406401098d99434c4bf286947c661182f8"),
+        ("COVERING", (1, 2, 3), (40, 2, 50), "1906f41f79deb59b4d756e36a32ceb6c5216bbc19d36e98b3697581a672bb165"),
     ),
     "E5": (
-        ("SAT", None, (35, 4, 32), "732e28017a886a2cc18e79e4445042e6b140094c478b1f41b4cc8073483546f8"),
-        ("SAT", None, (35, 4, 32), "732e28017a886a2cc18e79e4445042e6b140094c478b1f41b4cc8073483546f8"),
-        ("COVERING", (1, 2, 3), (30, 4, 27), "c6781423cf23fd348fd786fbe194dc7422d336f9119c45b92692750bd46141fd"),
+        ("SAT", None, (29, 4, 32), "4669c484111c0f879123a14eef0b51ecdb441433921dd42ab182caa83889be9f"),
+        ("SAT", None, (29, 4, 32), "4669c484111c0f879123a14eef0b51ecdb441433921dd42ab182caa83889be9f"),
+        ("COVERING", (1, 2, 3), (24, 4, 27), "5aa046bda3b5c6f06ad13333c342c54ede0639a46c6c49661ebf6dbdd9c7e1a8"),
     ),
 }
 
@@ -142,13 +142,13 @@ def threshold_formula(n: int, seed: int, bias: str):
 
 
 THRESHOLD_PINS = {
-    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), (3411, 1212, 3494), "371465af080b8af14519565115dc01864591273cd74426f84a3644f591f18c91"),
-    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), (4703, 1223, 4619), "7180179e9cc570696e12467b2b48325c9dd74c682d463e9ade9b679fd55bff2f"),
-    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), (6303, 1894, 6346), "313402474b514c0348a3892abeefb7f66915627ba0c55709e3285b0e2d26f163"),
-    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), (7583, 1851, 7454), "41e148aede7d50f4afa0f0a2bafd6bf65ff2c056152343e32ebfd2f9d2d6e54d"),
-    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), (2987, 701, 2942), "aed0ed1673f082660a3ee556bf1d5761142cd608f3dc8b566072e1a15c8358a7"),
-    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), (5210, 1765, 5310), "4faae4487c53b6a02e725de4da036975c7df1f2c635624d8018042d0b19360b8"),
-    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (7728, 2165, 7751), "d373be423aa6a7fdb93562c33989c7522c42fea829ecf11d70de97512bf87d3b"),
+    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), (3111, 1212, 3494), "d62940778a22438bb3c77f2b63d28cfb125f7070bf051485c20bc1a8a6ecdf2a"),
+    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), (4260, 1223, 4619), "7240f3f4aab422c5a82182dc006387285d1506a147ea0b82dc455a6ebeeed2ab"),
+    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), (5707, 1894, 6346), "b520c41bf0d8d01fd35b9d18d7e34119373ff3f0e3aaff3a902f01a1d620ebf5"),
+    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), (6817, 1851, 7454), "de88e4f622b90bcb450831eb6840f3bc0f3e4a1d46cd9bd721f50aa9fa172b6b"),
+    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), (2689, 701, 2942), "f4c48aa7e7f8cbed848392e2aaa0a92bd4eff6468902a0793c9c1125c8ebeb20"),
+    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), (4713, 1765, 5310), "f965a27798e8bd0c5f18d9c8320a4f9b115bb46ea08c80e3316bc19d2cccde62"),
+    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (6994, 2165, 7751), "de453156fdae5344469793bf0a9e67c78533747b280e8896b80fbb0df16116c3"),
 }
 
 THRESHOLD_BEHAVIOUR = {
@@ -166,7 +166,7 @@ THRESHOLD_BEHAVIOUR = {
 # duplicate entries when it is popped
 HEAP_PIN = (
     (2000, 608, "none"),
-    ("UNSAT", ("unreachable-column", 1638), (101644, 27456, 100857), "ddeb908de8b7c16fdfdfe8acf5812f00ef02f8e437c701ebb8e427745c73fd65"),
+    ("UNSAT", ("unreachable-column", 1638), (91697, 27456, 100857), "89d4a144c2e7c08365bf46be5bd9845d177866690ee225a4887f4b669dd07378"),
 )
 
 HEAP_BEHAVIOUR = ("UNSAT", ("unreachable-column", 1638), "04a850ea51c531438b99ea03d2d4028259da8e5054c56b107273653851a9fc7c")
@@ -183,7 +183,7 @@ RANDOM_BATCHES = tuple(
     for seed, bias in ((20261018, "none"), (20261019, "planted"))
 )
 RANDOM_TALLY = {"UNSAT": 109, "SAT": 131}
-RANDOM_DIGEST = "3a5d66771aa92e1a2304a8580f9339e8f37545ee995cbe30bd79a5d3594ffe57"
+RANDOM_DIGEST = "a9b71760efd5b58ba43168140a3a443b62c98e449cb1f3d269cbb9cfd5e2c4b6"
 RANDOM_BEHAVIOUR_DIGEST = "53a8cd3de0bbec44960588b858bfa2c188b759587e26a2295f575ebb0c3d5cab"
 
 

@@ -1,11 +1,12 @@
 """Pointing graph: main vertex discovery and edge construction."""
+import pytest
 from hypothesis import given, settings
 
-from satcover import DecompositionPair, column_counts, to_decomposition
+from satcover import DecompositionPair, StructuralError, column_counts, to_decomposition
 from satcover.graph import PointingGraph, construct, find_forced_conflict_row, find_main_vertices
 from satcover.harness import FuzzConfig, random_cnf
 from satcover.instrument import OpCounter, Trace
-from satcover.procedures import clean, eliminate_incompatibilities
+from satcover.procedures import StateSnapshot, clean, eliminate_incompatibilities, removal_procedure
 from satcover.solver import _check_graph_invariants
 
 from conftest import E5_TEXT, formulas, live_edges, naive_single_columns, pair_of
@@ -33,8 +34,7 @@ class TestFindMainVertices:
         counts = column_counts(e1_pair)
         graph = find_main_vertices(e1_pair, counts, Trace())
         assert graph.vertex_order == [1]
-        assert graph.main == [True, False]
-        assert graph.main_columns == [[2], []]
+        assert graph.main_columns == [[2], []]  # main exactly where non-empty
         assert graph.multiplicity == [0, 1]
 
     def test_e3_two_mains(self, e3_pair):
@@ -109,7 +109,7 @@ class TestConstruct:
         assert graph.indegree == [0, 1, 1]
         # row 3 was formed by the edge, not as a main vertex
         assert graph.formed == [True, True, True]
-        assert not graph.main[2]
+        assert graph.main_columns[2] == []
         assert final_marked(trace) == [2, 3]
 
     def test_e2_useless_vertex(self, e2_pair):
@@ -129,11 +129,27 @@ class TestConstruct:
         assert not added2
         assert "vertex-examined" not in graph.trace.kinds()
 
+    def test_open_snapshot_refused(self):
+        # the walk never goes back over a removed vertex, and a restore could
+        # bring one back, so construct waits for the snapshot to close
+        graph = build(E5_TEXT, Trace(OpCounter()))
+        construct(graph)
+        snap = StateSnapshot.capture(graph)
+        removal_procedure(graph, 2)
+        with pytest.raises(StructuralError, match="open snapshot"):
+            construct(graph)
+        snap.restore(graph)
+        graph.trace = Trace(graph.trace.ops)
+        assert not construct(graph)
+        assert "vertex-examined" not in graph.trace.kinds()
+
     def test_outgoing_columns(self):
         graph = build(E5_TEXT)
         construct(graph)
-        # 0-based labels of the edges each row could create
-        assert graph.out_cols == [[1], [], []]
+        # 0-based labels of the edges each row could create: its single
+        # columns that the second matrix can re-cover
+        out_cols = [[j0 for j0 in cols if graph.targets[j0]] for cols in graph.single_cols]
+        assert out_cols == [[1], [], []]
 
     @given(formulas(max_vars=5, max_clauses=6))
     @settings(max_examples=80, deadline=None)

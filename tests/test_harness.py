@@ -1053,10 +1053,10 @@ class TestProbe:
         rows = complexity_probe([60, 120], seed=5)["rows"]
         assert all(set(row) == {*keys, "elapsed_ms"} for row in rows)
         assert [tuple(row[k] for k in keys) for row in rows] == [
-            (60, 60, 8, 20, "UNSAT", 630, 0),
-            (60, 60, 8, 20, "UNSAT", 648, 0),
-            (120, 120, 11, 40, "UNSAT", 1111, 0),
-            (120, 120, 11, 40, "UNSAT", 1126, 0),
+            (60, 60, 8, 20, "UNSAT", 607, 0),
+            (60, 60, 8, 20, "UNSAT", 623, 0),
+            (120, 120, 11, 40, "UNSAT", 1070, 0),
+            (120, 120, 11, 40, "UNSAT", 1084, 0),
         ]
 
     def test_deterministic(self):

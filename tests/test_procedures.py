@@ -402,7 +402,7 @@ class TestExtend:
         graph = built(E4_TEXT)
         extend(graph, eliminate_incompatibilities(graph))
         assert graph.formed == [True, True, True]
-        assert graph.main == [True, True, True]
+        assert all(graph.main_columns)  # every vertex is main
         assert graph.main_columns[2] == [3]
         assert graph.multiplicity == [1, 1, 1]
         assert graph.vertex_order == [1, 2, 3]
@@ -421,6 +421,31 @@ class TestExtend:
         graph = built(E4_TEXT)
         with pytest.raises(StructuralError):
             extend(graph, ExtensionPlan([9], [3]))
+
+    # (x1 v x2)(-x1 v x3)(-x2 v -x3): rows 1 and 2 are main on column 1, row 3
+    # is unformed and holds only column 2 on its second side
+    PLAN_TEXT = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
+
+    def unextended(self):
+        pair = pair_of(self.PLAN_TEXT)
+        graph = find_main_vertices(pair, column_counts(pair), Trace())
+        assert graph.main_columns == [[1], [1], []] and not graph.formed[2]
+        return graph
+
+    @pytest.mark.parametrize("column", [0, 8])
+    def test_out_of_range_column_rejected(self, column):
+        graph = self.unextended()
+        with pytest.raises(StructuralError, match=f"plan column {column} outside 1..3"):
+            extend(graph, ExtensionPlan([3], [column]))
+        assert graph.main_columns == [[1], [1], []] and not graph.formed[2]
+
+    def test_row_holding_no_planned_column_rejected(self):
+        graph = self.unextended()
+        with pytest.raises(StructuralError, match="plan row 3 holds none of the plan's columns"):
+            extend(graph, ExtensionPlan([3], [1]))
+        assert graph.main_columns == [[1], [1], []] and not graph.formed[2]
+        extend(graph, ExtensionPlan([3], [2]))
+        assert graph.main_columns == [[1], [1], [2]]
 
     def test_plan_deduplicated(self):
         graph = built(E4_TEXT)
@@ -452,3 +477,70 @@ class TestOneInstrument:
         extend(graph, plan)
         charged()
         assert all(a < b for a, b in zip(readings, readings[1:])), readings
+
+
+def driven(formula, alpha: str):
+    """The graph after the covering loop's steps, run the way
+    ``solver._run_covering`` runs them with invariant checks, or None when
+    the pair needs no graph."""
+    pair, _ = to_decomposition(formula)
+    if alpha == "pos":
+        pair = apply_swaps(pair, range(1, pair.n + 1))
+    graph = find_main_vertices(pair, column_counts(pair), Trace())
+    if graph is None:
+        return None
+    while True:
+        construct(graph)
+        _check_graph_invariants(graph)
+        blocking = clean(graph)
+        _check_graph_invariants(graph)
+        if blocking is not None:
+            return graph
+        result = eliminate_incompatibilities(graph)
+        _check_graph_invariants(graph)
+        if not isinstance(result, ExtensionPlan):
+            return graph
+        extend(graph, result)
+
+
+class TestGraphFacts:
+    """The facts the graph state rests on instead of storing them: a vertex
+    is main exactly when it has columns, ``construct`` examines a vertex once
+    per solve, and a cascade removes a vertex once."""
+
+    @pytest.mark.parametrize("alpha", ["neg", "pos"])
+    def test_facts_hold_over_fuzz_shaped_formulas(self, alpha):
+        # small fuzz-shaped formulas, where elimination gets stuck and
+        # extends the graph most often
+        cfg = FuzzConfig(
+            seed=20261020,
+            num_instances=3000,
+            var_range=(4, 12),
+            clause_range=(4, 30),
+            width_range=(1, 3),
+        )
+        extensions = cascades = 0
+        for i in range(cfg.num_instances):
+            graph = driven(random_cnf(cfg, i), alpha)
+            if graph is None:
+                continue
+            events = graph.trace.events_without_readings()
+            formed = [payload for kind, payload in events if kind == "vertex-formed"]
+            assert len({v for v, _ in formed}) == len(formed), i
+            assert sorted(v for v, _ in formed) == sorted(graph.vertex_order), i
+            for v, main in formed:
+                assert bool(graph.main_columns[v - 1]) == (main == 1), (i, v)
+            assert not any(graph.main_columns[v0] for v0 in range(graph.n) if not graph.formed[v0])
+            examined = [payload[0] for kind, payload in events if kind == "vertex-examined"]
+            assert len(set(examined)) == len(examined), i
+            taken = set()
+            for kind, payload in events:
+                if kind == "rp-start":
+                    taken = set()
+                    cascades += 1
+                elif kind == "vertex-removed":
+                    assert payload[0] not in taken, (i, payload)
+                    taken.add(payload[0])
+            extensions += sum(kind == "extend" for kind, _ in events)
+        # the corpus really extends graphs and runs cascades
+        assert extensions >= 20 and cascades >= 1000, (extensions, cascades)

@@ -16,6 +16,7 @@ from satcover import (
     apply_swaps,
     build_covering_report,
     build_sat_report,
+    emit_dimacs,
     evaluate,
     parse_dimacs,
     report_json,
@@ -24,7 +25,7 @@ from satcover import (
     to_decomposition,
 )
 from satcover import solver as solver_mod
-from satcover.harness import enumerate_formulas
+from satcover.harness import brute_sat, enumerate_formulas
 
 from conftest import E5_TEXT, formulas, naive_sat, negated, pair_of, seeded_corpus, typed
 
@@ -128,6 +129,13 @@ class TestSolveSat:
         # otherwise fail on the lookup of the empty clause's label
         with pytest.raises(StructuralError, match="clause_labels"):
             solve_sat(CnfFormula(2, clauses), clause_labels=labels)
+
+    @pytest.mark.parametrize("labels", [iter([7, 9]), range(7, 9), {7: 0, 9: 1}, "79"])
+    def test_clause_labels_of_another_type_refused(self, labels):
+        # as CnfFormula refuses its clauses: a one-shot iterator used to
+        # raise TypeError from len()
+        with pytest.raises(StructuralError, match="clause_labels must be a list or tuple"):
+            solve_sat(CnfFormula(2, [[1], [-2]]), clause_labels=labels)
 
     def test_no_clauses_trivially_sat(self):
         run = solve_sat(CnfFormula(3, []))
@@ -234,6 +242,29 @@ class TestMirroredOrientation:
                     value != (v in used) for v, value in enumerate(neg.verdict.assignment, 1)
                 )
                 assert pos.verdict.assignment == flipped
+
+
+class TestHornCompleteness:
+    """No false negative on Horn input: every satisfiable Horn formula (each
+    clause at most one positive literal) and dual-Horn formula (at most one
+    negative literal) of the (3, 4, 3) space gets SAT in both orientations.
+    Every known false negative is renamable Horn but not Horn."""
+
+    def test_every_satisfiable_horn_and_dual_horn_formula_gets_sat(self):
+        satisfiable = {1: 0, -1: 0}  # Horn, dual-Horn
+        for formula in enumerate_formulas(3, 4, 3):
+            signs = [
+                sign for sign in satisfiable
+                if all(sum(sign * lit > 0 for lit in clause) <= 1 for clause in formula.clauses)
+            ]
+            if not signs or not brute_sat(formula)[0]:
+                continue
+            for sign in signs:
+                satisfiable[sign] += 1
+            for alpha in ("neg", "pos"):
+                run = solve_sat(formula, alpha=alpha, keep_trace=False)
+                assert isinstance(run.verdict, Sat), (emit_dimacs(formula), alpha, run.verdict)
+        assert satisfiable == {1: 7884, -1: 7884}
 
 
 class TestOneCounter:
