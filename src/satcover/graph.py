@@ -25,6 +25,12 @@ from typing import List, Optional, Set
 from .decomposition import ColumnCounts, DecompositionPair, StructuralError
 from .instrument import Trace
 
+# a vertex's status: formed vertices are never UNFORMED again, and only a
+# restore brings a REMOVED one back to LIVE or USELESS
+UNFORMED, REMOVED, LIVE, USELESS = 0, 1, 2, 3
+# why a snapshot or ``construct`` refuses a graph whose undo trail is not empty
+TRAIL_IN_USE = "needs an empty undo trail: a snapshot is still open, or a cascade ran outside one"
+
 
 class PointingGraph:
     """All bookkeeping for one solve over a fixed decomposition pair.
@@ -34,12 +40,14 @@ class PointingGraph:
     reads them from here.  ``tried`` holds the vertices whose removal
     elimination has attempted, once per whole solve.
 
-    Mutable state, all plain Python lists and a bytearray (vertex ids
+    Mutable state, all plain Python lists and bytearrays (vertex ids
     1-based, stored 0-based internally):
       vertex_order   formation order of vertices (rows), append-only
       examined       how far ``construct`` has walked ``vertex_order``:
                      every vertex before it is examined or was removed
-      formed/removed/useless   per-vertex bool lists
+      status         one byte per vertex: UNFORMED until it is formed, then
+                     LIVE, USELESS once ``construct`` marks it useless (still
+                     live), REMOVED once a cascade takes it out
       main_columns   per-vertex associated columns, non-empty on main vertices
       indegree       per-vertex int list: count of live incoming edges
       multiplicity   per-column int list: count of live main vertices
@@ -60,10 +68,9 @@ class PointingGraph:
       in_slots       per-row (column, edge byte) of every possible in-edge,
                      ascending by column
 
-    ``trail`` is the undo log of removal cascades: (list, index, old value)
-    per write, appended before the write, so popping it back to a mark
-    restores the state the mark was taken in (see
-    ``procedures.StateSnapshot``).
+    ``trail`` is the undo log of removal cascades: (array, index, old value)
+    per write, appended before the write, so undoing it restores the state
+    it was empty in (see ``procedures.StateSnapshot``).
     """
 
     def __init__(self, pair: DecompositionPair, counts: ColumnCounts, trace: Trace):
@@ -75,9 +82,7 @@ class PointingGraph:
         self.trace = trace
         self.tried: Set[int] = set()
         self.vertex_order: List[int] = []
-        self.formed: List[bool] = [False] * n
-        self.removed: List[bool] = [False] * n
-        self.useless: List[bool] = [False] * n
+        self.status = bytearray(n)
         self.examined = 0
         self.main_columns: List[List[int]] = [[] for _ in range(n)]
         self.indegree: List[int] = [0] * n
@@ -104,7 +109,7 @@ class PointingGraph:
 
     def live_vertices(self) -> List[int]:
         """Formed and not removed vertices, ascending: the rows to swap."""
-        return [i + 1 for i, (f, r) in enumerate(zip(self.formed, self.removed)) if f and not r]
+        return [i + 1 for i, s in enumerate(self.status) if s >= LIVE]
 
 
 # ---------------------------------------------------------------------------
@@ -150,15 +155,15 @@ def find_main_vertices(
         trace.emit("covering-already")
         return None
     graph = PointingGraph(pair, counts, trace)
-    formed, main_columns = graph.formed, graph.main_columns
+    status, main_columns = graph.status, graph.main_columns
     for j0 in zero_cols:
         rows = pair.bar_cols[j0]
-        fresh = [r0 for r0 in rows if not formed[r0]]
-        # the formed flags; two writes per new vertex, a column entry per row, the multiplicity
+        fresh = [r0 for r0 in rows if not status[r0]]
+        # the statuses; two writes per new vertex, a column entry per row, the multiplicity
         ops.cmp(len(rows))
         ops.assign(2 * len(fresh) + len(rows) + 1)
         for r0 in fresh:
-            formed[r0] = True
+            status[r0] = LIVE
             graph.vertex_order.append(r0 + 1)
             trace.emit("vertex-formed", r0 + 1, 1)
         for r0 in rows:
@@ -172,19 +177,19 @@ def construct(graph: PointingGraph) -> bool:
 
     Walks the formation order on from ``graph.examined``, where the last call
     stopped, skipping removed vertices.  Only a restore brings a removed
-    vertex back, so a graph with an open snapshot (a non-empty ``trail``) is
-    refused.  For each single column of the vertex under examination: if no
-    row can re-cover it the vertex is marked useless and its remaining
-    columns are skipped; otherwise an edge is created to every live
-    candidate row, forming rows not yet in the graph.  Previously removed
-    rows are never re-formed and never receive edges.  Returns True iff any
-    vertex or edge was added.  The work, and the charge, is O(degree) per
-    examined vertex.
+    vertex back, so a graph with a non-empty ``trail`` (an open snapshot, or
+    a cascade run outside one) is refused.  For each single column of the
+    vertex under examination: if no row can re-cover it the vertex is
+    marked useless and its remaining columns are skipped; otherwise an edge
+    is created to every live candidate row (useless ones included), forming
+    rows not yet in the graph.  Previously removed rows are never re-formed
+    and never receive edges.  Returns True iff any vertex or edge was added.
+    The work, and the charge, is O(degree) per examined vertex.
     """
     g = graph
     if g.trail:
-        raise StructuralError("construct needs an empty undo trail (no open snapshot)")
-    formed, removed, indegree = g.formed, g.removed, g.indegree
+        raise StructuralError(f"construct {TRAIL_IN_USE}")
+    status, indegree = g.status, g.indegree
     order, targets, bar_count = g.vertex_order, g.targets, g.bar_count
     edge_base, edge_live, live_targets = g.edge_base, g.edge_live, g.live_targets
     ops, emit = g.trace.ops, g.trace.emit
@@ -192,7 +197,7 @@ def construct(graph: PointingGraph) -> bool:
     start = g.examined
     for q in islice(order, start, None):  # grows while it is walked
         q0 = q - 1
-        if removed[q0]:
+        if status[q0] == REMOVED:
             continue
         emit("vertex-examined", q)
         singles = g.single_cols[q0]
@@ -203,7 +208,7 @@ def construct(graph: PointingGraph) -> bool:
         for j0 in singles:
             reads += 1
             if bar_count[j0] == 0:
-                g.useless[q0] = True
+                status[q0] = USELESS
                 writes += 1
                 emit("useless-marked", q, j0 + 1)
                 break  # remaining columns of q are not processed
@@ -211,11 +216,12 @@ def construct(graph: PointingGraph) -> bool:
             j = j0 + 1
             reads += len(targets[j0])
             for edge, r0 in enumerate(targets[j0], edge_base[j0]):
-                if removed[r0]:
+                was = status[r0]
+                if was == REMOVED:
                     continue
                 r = r0 + 1
-                if not formed[r0]:
-                    formed[r0] = True
+                if not was:
+                    status[r0] = LIVE
                     order.append(r)
                     writes += 2
                     emit("vertex-formed", r, 0)
@@ -225,13 +231,13 @@ def construct(graph: PointingGraph) -> bool:
                 edges += 1
                 emit("edge-formed", q, r, j, conjunctive)
         # the columns and rows read; per edge its byte, live-target count and
-        # indegree; a useless flag, two writes per new vertex
+        # indegree; a useless mark, two writes per new vertex
         ops.cmp(reads)
         ops.arith(2 * edges)
         ops.assign(edges + writes)
         added = added or edges > 0  # a vertex is only formed with an edge into it
     g.examined = len(order)
-    ops.cmp(g.examined - start)  # each vertex's removed flag, once per solve
+    ops.cmp(g.examined - start)  # each vertex's status, once per solve
     ops.assign(1)  # the cursor
     emit("construct-result", 1 if added else 0)
     return added

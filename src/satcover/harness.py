@@ -237,9 +237,10 @@ class FuzzConfig(_FuzzConfigFields):
 
     ``seed`` is an int ``>= 0``, each range is a tuple ``(lo, hi)`` of ints
     with ``1 <= lo <= hi``, ``num_instances`` is an int in ``0..2**32`` and
-    ``satisfiable_bias`` is ``"none"`` or ``"planted"``; any other config
-    raises ``ValueError`` when it is built, so the generator's rejection
-    loops always end and no two (seed, index) pairs share an instance.
+    ``satisfiable_bias`` is ``"none"`` or ``"planted"``, where a bool is no
+    int; any other config raises ``ValueError`` when it is built, so the
+    generator's rejection loops always end and no two (seed, index) pairs
+    share an instance.
     """
 
     __slots__ = ()
@@ -248,18 +249,18 @@ class FuzzConfig(_FuzzConfigFields):
         self = super().__new__(cls, *args, **kwargs)
         # random.Random seeds from abs(), so a negative seed would repeat a
         # corpus; seed * 2**32 + index is one-to-one for index < 2**32
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (type(self.seed) is int and self.seed >= 0):
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         for name in ("var_range", "clause_range", "width_range"):
             bounds = getattr(self, name)
             if not (
                 isinstance(bounds, tuple)
                 and len(bounds) == 2
-                and all(isinstance(b, int) for b in bounds)
+                and all(type(b) is int for b in bounds)
                 and 1 <= bounds[0] <= bounds[1]
             ):
                 raise ValueError(f"{name} must be a pair of ints 1 <= lo <= hi, got {bounds!r}")
-        if not (isinstance(self.num_instances, int) and 0 <= self.num_instances <= 2**32):
+        if not (type(self.num_instances) is int and 0 <= self.num_instances <= 2**32):
             raise ValueError(f"num_instances must be in 0..2**32, got {self.num_instances!r}")
         if self.satisfiable_bias not in ("none", "planted"):
             raise ValueError(f"unknown satisfiable_bias {self.satisfiable_bias!r}")
@@ -577,7 +578,7 @@ def _check_space(max_n: int, max_m: int, max_width: int) -> int:
     that is empty or too large to sweep: more than 2**32 formulas, the
     index range of a fuzz corpus."""
     for name, bound in (("max-n", max_n), ("max-m", max_m), ("max-width", max_width)):
-        if not isinstance(bound, int):
+        if type(bound) is not int:
             raise ValueError(f"{name} must be an int, got {bound!r}")
     if not 1 <= max_n <= 4:
         raise ValueError(f"max-n must be in 1..4, got {max_n}")
@@ -662,13 +663,13 @@ def complexity_probe(
     keeping no trace events.
     """
     for size in sizes:
-        if not (isinstance(size, int) or isinstance(size, float) and size.is_integer()):
+        if not (type(size) is int or isinstance(size, float) and size.is_integer()):
             raise ValueError(f"sizes must be whole numbers, got {size!r}")
     targets = [int(size) for size in sizes]
     if not targets or min(targets) < 1:
         raise ValueError(f"sizes must be a non-empty list of positive sizes, got {list(sizes)}")
     for name, bound in (("width", width), ("instances-per-size", instances_per_size)):
-        if not isinstance(bound, int):
+        if type(bound) is not int:
             raise ValueError(f"{name} must be an int, got {bound!r}")
     if width < 1:
         raise ValueError(f"width must be positive, got {width}")

@@ -22,9 +22,9 @@ were 0 when it began, in ascending order, so the scan order and trace
 events are those of a full rescan of the m counts, without its O(m) cost
 per commit.
 
-A snapshot is a mark on the graph's undo trail, as in the same solver: the
-cascade logs every cell it writes, so undoing a failed attempt costs what
-the attempt wrote, not a copy of the whole state.
+A snapshot is the graph's undo trail, as in the same solver: the cascade
+logs every cell it writes, so undoing a failed attempt costs what the
+attempt wrote, not a copy of the whole state.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from itertools import compress
 from typing import Dict, List, NamedTuple, Optional, Set, Union
 
 from .decomposition import DecompositionPair, StructuralError
-from .graph import PointingGraph
+from .graph import LIVE, REMOVED, TRAIL_IN_USE, USELESS, PointingGraph
 
 
 class RemovalOutcome(NamedTuple):
@@ -53,41 +53,43 @@ class Unreachable(NamedTuple):
 
 
 class StateSnapshot:
-    """A mark on the graph's undo trail, taken before a removal cascade.
+    """The graph's undo trail, taken empty before a removal cascade.
 
-    ``restore`` pops the trail back to the mark, undoing every write the
-    cascade made, whether or not it was removable; ``commit`` keeps the
-    writes and drops their log.  Only removal cascades write through the
-    trail, so a mark restores the graph as it was when taken as long as
+    Snapshots never nest: ``capture`` refuses a non-empty trail, which
+    means a snapshot is still open or a cascade ran outside one.
+    ``restore`` undoes the whole trail, every write the cascade made,
+    whether or not it was removable; ``commit`` keeps the writes and
+    empties their log.  Only removal cascades write through the trail, so
+    a restore brings back the graph as it was when captured as long as
     nothing but cascades ran in between.  ``capture`` and ``restore`` emit
     a ``snapshot`` or ``restore`` trace event.  Only ``restore`` charges:
-    one assignment per trail entry it pops, kept in ``restored`` for
+    one assignment per trail entry it undoes, kept in ``restored`` for
     ``cell_count()``.
     """
 
-    __slots__ = ("mark", "restored")
+    __slots__ = ("restored",)
 
-    def __init__(self, mark: int):
-        self.mark = mark
+    def __init__(self):
         self.restored = 0
 
     @classmethod
     def capture(cls, graph: PointingGraph) -> "StateSnapshot":
+        if graph.trail:
+            raise StructuralError(f"a snapshot {TRAIL_IN_USE}")
         graph.trace.emit("snapshot")
-        return cls(mark=len(graph.trail))
+        return cls()
 
     def restore(self, graph: PointingGraph) -> None:
         trail = graph.trail
-        undone = trail[self.mark:]
-        del trail[self.mark:]
-        for state, index, old in reversed(undone):
+        for state, index, old in reversed(trail):
             state[index] = old
-        self.restored = len(undone)
-        graph.trace.ops.assign(len(undone))
+        self.restored = len(trail)
+        trail.clear()
+        graph.trace.ops.assign(self.restored)
         graph.trace.emit("restore")
 
     def commit(self, graph: PointingGraph) -> None:
-        del graph.trail[self.mark:]
+        graph.trail.clear()
 
     def cell_count(self) -> int:
         """The op charge of the snapshot's last restore, or 0 before one."""
@@ -110,17 +112,17 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
     Every write is logged on ``graph.trail`` before it is made.
 
     The work is O(degree) per removed vertex, and so is the charge: the
-    flags, multiplicities and edge bytes read, the counters changed and the
-    cells written.
+    statuses, multiplicities and edge bytes read, the counters changed and
+    the cells written.
     """
     g = graph
     log = g.trail.append
     ops, emit = g.trace.ops, g.trace.emit
     live = g.edge_live
     live_targets, alpha_cols = g.live_targets, g.pair.alpha_cols
-    indegree, removed, main_columns, bar_count = g.indegree, g.removed, g.main_columns, g.bar_count
+    indegree, status, main_columns, bar_count = g.indegree, g.status, g.main_columns, g.bar_count
     s0 = start_vertex - 1
-    if not (0 <= s0 < g.n) or not g.formed[s0] or removed[s0]:
+    if not (0 <= s0 < g.n) or status[s0] < LIVE:
         raise StructuralError(f"vertex {start_vertex} is not a live graph vertex")
     emit("rp-start", start_vertex)
 
@@ -158,7 +160,7 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
         for t0 in sorted(by_target):
             t = t0 + 1
             drop_edges(p, t, by_target[t0])
-            if indegree[t0] == 0 and not main_columns[t0] and not removed[t0]:
+            if indegree[t0] == 0 and not main_columns[t0] and status[t0] != REMOVED:
                 gen.append(t)
                 ops.assign(1)
 
@@ -166,10 +168,11 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
         """Remove ``v`` (1 = ancestor, 2 = generation) unless a cascade
         step has already removed it; True when it was taken."""
         ops.cmp(1)
-        if removed[v - 1]:
+        old = status[v - 1]
+        if old == REMOVED:
             return False
-        log((removed, v - 1, False))
-        removed[v - 1] = True
+        log((status, v - 1, old))
+        status[v - 1] = REMOVED
         removed_order.append(v)
         ops.assign(2)
         emit("vertex-removed", v, kind)
@@ -203,7 +206,7 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
             trigger = any(bar_count[j0] == 1 or live_targets[j0] <= 1 for j0, _ in edges)
             ops.cmp(len(edges) + 1)  # the edges' columns, and the source test below
             drop_edges(r, p, edges)
-            if trigger and r not in anc_marked and not removed[r - 1]:
+            if trigger and r not in anc_marked and status[r - 1] != REMOVED:
                 anc_marked.add(r)
                 anc.append(r)
                 ops.assign(1)
@@ -221,29 +224,21 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
 # cleaning
 # ---------------------------------------------------------------------------
 
-def clean(graph: PointingGraph, *, order: Optional[List[int]] = None) -> Optional[int]:
+def clean(graph: PointingGraph) -> Optional[int]:
     """Remove every live useless vertex; return the blocking vertex on failure.
 
-    Vertices are attempted in ascending index order (or the given order, used
-    by order-independence tests); ones already taken out by an earlier
-    cascade are skipped.  A non-removable useless vertex stops the procedure:
-    the snapshot taken just before that attempt is restored so the caller can
-    inspect the intact graph, and the vertex index is returned.  Returns None
-    when the graph is clean.
+    The USELESS vertices, one status read each, are attempted in ascending
+    index order; ones already taken out by an earlier cascade are skipped.  A non-removable useless vertex stops
+    the procedure: the snapshot taken just before that attempt is restored
+    so the caller can inspect the intact graph, and the vertex index is
+    returned.  Returns None when the graph is clean.
     """
-    trace, ops = graph.trace, graph.trace.ops
-    live = graph.live_vertices()
-    live_useless = [v for v in live if graph.useless[v - 1]]
-    ops.cmp(graph.n + len(live))  # each vertex's flags, and the useless flags of the live ones
-    if order is None:
-        candidates = live_useless
-    else:
-        candidates = list(order)
-        if set(candidates) != set(live_useless) or len(candidates) != len(live_useless):
-            raise StructuralError("clean order must be a permutation of the live useless vertices")
+    trace, ops, status = graph.trace, graph.trace.ops, graph.status
+    candidates = [i + 1 for i, s in enumerate(status) if s == USELESS]
+    ops.cmp(graph.n)  # each vertex's status
     for v in candidates:
         ops.cmp(1)
-        if graph.removed[v - 1]:
+        if status[v - 1] == REMOVED:
             continue
         snap = StateSnapshot.capture(graph)
         outcome = removal_procedure(graph, v)
@@ -290,8 +285,8 @@ def swapped_alpha_counts(graph: PointingGraph) -> List[int]:
     (alpha with every row swapped) with the other rows swapped back.
     """
     ops = graph.trace.ops
-    live = [f and not r for f, r in zip(graph.formed, graph.removed)]
-    ops.cmp(graph.n)  # each vertex's flags
+    live = [s >= LIVE for s in graph.status]
+    ops.cmp(graph.n)  # each vertex's status
     if 2 * sum(live) <= graph.n:
         counts, sign, swap = list(graph.counts.m_alpha), 1, live
     else:
@@ -350,7 +345,7 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
     zeros = zero_columns(swapped)
     ops.cmp(graph.m)  # the swapped counts scanned
     ops.assign(len(zeros))  # the heap they fill
-    formed = graph.formed
+    status = graph.status
     while True:
         visited: List[int] = []
         plan_rows: List[int] = []
@@ -393,7 +388,7 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
                 trace.emit("incompat-eliminated", j, committed)
                 break  # restart the scan with an empty plan
             # nothing removable: plan an extension for this column
-            candidates = [p0 + 1 for p0 in pair.bar_cols[j0] if not formed[p0]]
+            candidates = [p0 + 1 for p0 in pair.bar_cols[j0] if not status[p0]]
             ops.cmp(len(pair.bar_cols[j0]))
             ops.assign(2 * len(candidates))
             if not candidates:
@@ -432,7 +427,7 @@ def extend(graph: PointingGraph, plan: ExtensionPlan) -> None:
     for p in rows:
         if not 1 <= p <= graph.n:
             raise StructuralError(f"plan row {p} outside 1..{graph.n}")
-        if graph.formed[p - 1] or graph.removed[p - 1]:
+        if graph.status[p - 1]:
             raise StructuralError(f"plan row {p} is already part of the graph")
         second = set(graph.pair.bar_rows[p - 1])
         assocs.append([c for c in cols if c - 1 in second])
@@ -441,13 +436,13 @@ def extend(graph: PointingGraph, plan: ExtensionPlan) -> None:
     trace, ops = graph.trace, graph.trace.ops
     for p, assoc in zip(rows, assocs):
         p0 = p - 1
-        graph.formed[p0] = True
+        graph.status[p0] = LIVE
         graph.vertex_order.append(p)
         for c in assoc:
             graph.main_columns[p0].append(c)
             graph.multiplicity[c - 1] += 1
         # the row's second side and the planned columns read; the
-        # multiplicities; the formed flag, the order and the column entries
+        # multiplicities; the status, the order and the column entries
         ops.cmp(len(graph.pair.bar_rows[p0]) + len(cols))
         ops.arith(len(assoc))
         ops.assign(2 + len(assoc))

@@ -31,11 +31,7 @@ from .decomposition import (
     is_alpha_covering,
     validate,
 )
-from .graph import (
-    construct,
-    find_forced_conflict_row,
-    find_main_vertices,
-)
+from .graph import LIVE, construct, find_forced_conflict_row, find_main_vertices
 from .instrument import DISABLED_OPS, OpCounter, Trace, UnkeptTrace
 from .procedures import (
     Unreachable,
@@ -112,7 +108,7 @@ def _check_graph_invariants(graph) -> None:
     edges and vertices: the edge bound, live endpoints, indegree, live
     targets and multiplicity, checked in that order."""
     g = graph
-    formed, removed, edge_live, edge_base = g.formed, g.removed, g.edge_live, g.edge_base
+    status, edge_live, edge_base = g.status, g.edge_live, g.edge_base
     indegree = [0] * g.n
     per_column = [0] * g.m
     dead_endpoint = False
@@ -121,7 +117,7 @@ def _check_graph_invariants(graph) -> None:
         for j0 in columns:
             for edge, t0 in enumerate(g.targets[j0], edge_base[j0]):
                 if edge_live[edge]:
-                    dead_endpoint = dead_endpoint or not formed[s0] or removed[s0] or not formed[t0] or removed[t0]
+                    dead_endpoint = dead_endpoint or status[s0] < LIVE or status[t0] < LIVE
                     indegree[t0] += 1
                     per_column[j0] += 1
     edges = sum(per_column)
@@ -137,7 +133,7 @@ def _check_graph_invariants(graph) -> None:
         raise EngineInvariantError("live-target counts do not match the live edges")
     mult = [0] * g.m
     for v0, columns in enumerate(g.main_columns):
-        if formed[v0] and not removed[v0]:
+        if status[v0] >= LIVE:
             for c in columns:
                 mult[c - 1] += 1
     if mult != g.multiplicity:

@@ -16,13 +16,15 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from typing import List, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import strategies as st
 
 from satcover import CnfFormula, DecompositionPair, parse_dimacs, to_decomposition
+from satcover.graph import LIVE, REMOVED
 from satcover.harness import FuzzConfig, random_cnf
+from satcover.procedures import StateSnapshot, removal_procedure
 
 E1_TEXT = "p cnf 2 2\n-1 2 0\n1 0\n"
 E2_TEXT = "p cnf 1 2\n1 0\n-1 0\n"
@@ -164,12 +166,28 @@ def reference_swapped_alpha_counts(graph) -> List[int]:
     ones arrive."""
     counts = list(graph.counts.m_alpha)
     for i in range(graph.n):
-        if graph.formed[i] and not graph.removed[i]:
+        if graph.status[i] >= LIVE:
             for j in graph.pair.alpha_rows[i]:
                 counts[j] -= 1
             for j in graph.pair.bar_rows[i]:
                 counts[j] += 1
     return counts
+
+
+def clean_in_order(graph, order: Sequence[int]) -> Optional[int]:
+    """Reference cleaning loop over the vertices of ``order``: each one not
+    yet removed is tried under a snapshot; the first non-removable one is
+    restored and returned, every removable one committed.  None when every
+    attempt commits."""
+    for v in order:
+        if graph.status[v - 1] == REMOVED:
+            continue
+        snap = StateSnapshot.capture(graph)
+        if not removal_procedure(graph, v).removable:
+            snap.restore(graph)
+            return v
+        snap.commit(graph)
+    return None
 
 
 def live_edges(graph) -> List[tuple]:

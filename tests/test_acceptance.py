@@ -33,7 +33,7 @@ from satcover import (
 )
 from satcover import shards
 from satcover.cnf import to_matrix
-from satcover.graph import construct, find_main_vertices
+from satcover.graph import USELESS, construct, find_main_vertices
 from satcover.harness import (
     FuzzConfig,
     complexity_probe,
@@ -47,7 +47,7 @@ from satcover.harness import (
 from satcover.instrument import Trace
 from satcover.procedures import StateSnapshot, clean, removal_procedure
 
-from conftest import E1_TEXT, E2_TEXT, E3_TEXT, formula_of, record_criterion, typed
+from conftest import E1_TEXT, E2_TEXT, E3_TEXT, clean_in_order, formula_of, record_criterion, typed
 
 # 10,000 seeded instances, n <= 30 and m <= 120 throughout; variable counts
 # 21..25 are left out so the brute-force oracle stays affordable
@@ -330,18 +330,20 @@ def test_criterion_05_cleaning_order_independence():
         pair, graph = _build_graph(formula)
         if graph is None:
             continue
-        live_useless = [
-            v + 1
-            for v in range(graph.n)
-            if graph.useless[v] and graph.formed[v] and not graph.removed[v]
-        ]
+        live_useless = [v + 1 for v in range(graph.n) if graph.status[v] == USELESS]
         if len(live_useless) < 2:
             continue
         accepted += 1
         outcomes = []
+        # the first permutation is ascending: the reference loop in that
+        # order must be clean itself, down to the blocking vertex
+        blocking = clean(graph)
+        ascending = (blocking, tuple(graph.live_vertices()))
         for perm in itertools.islice(itertools.permutations(live_useless), 24):
             pair2, graph2 = _build_graph(formula)
-            blocking = clean(graph2, order=list(perm))
+            blocking = clean_in_order(graph2, perm)
+            if not outcomes and (blocking, tuple(graph2.live_vertices())) != ascending:
+                ok = False
             outcomes.append(
                 (
                     blocking is None,

@@ -73,29 +73,29 @@ WORKED = {"E1": E1_TEXT, "E2": E2_TEXT, "E3": E3_TEXT, "E4": E4_TEXT, "E5": E5_T
 # the pair rebuilt through the public dense constructor
 WORKED_PINS = {
     "E1": (
-        ("SAT", None, (22, 2, 24), "31119211f246cf8d7272d5257e0ba30a19eb1f8159224c110ed4cfbbf34d441b"),
-        ("SAT", None, (22, 2, 24), "31119211f246cf8d7272d5257e0ba30a19eb1f8159224c110ed4cfbbf34d441b"),
-        ("COVERING", (1, 2), (19, 2, 21), "647e700a3783b1faed70585ca75e48f4d6ed8741d8a925cb82713ac6b537c0b0"),
+        ("SAT", None, (22, 2, 22), "c3e61c72eeca4a8c368b7f5a4e6bcaa3c7e3823af8dde795b595f306556c3234"),
+        ("SAT", None, (22, 2, 22), "c3e61c72eeca4a8c368b7f5a4e6bcaa3c7e3823af8dde795b595f306556c3234"),
+        ("COVERING", (1, 2), (19, 2, 19), "f3bf3fb343a9b7675a02e716847a2ae793c9d545b613762aacbdbc63fa2daf98"),
     ),
     "E2": (
-        ("UNSAT", ("non-removable-useless-vertex", 1), (19, 0, 18), "d36bc8bf0f9241c2185ec9d09c4c078fa1243008f2f7f330a773ab6efd0aa7e9"),
+        ("UNSAT", ("non-removable-useless-vertex", 1), (19, 0, 17), "b803fcae97b9a160d8d7169ddb2c009ef6f6109748e9268d82980f6db8ed3154"),
         ("UNSAT", ("both-components-single", 1), (6, 0, 6), "834fa167cd3e78e20fb428a2377a1b1ac67a7b8524152e0f1f53191a7d89c950"),
-        ("NO_COVERING", ("non-removable-useless-vertex", 1), (17, 0, 16), "9b324b7da286ee0a196c3cc246723f5c4a691b69696aa8319437739ffc8ec8d3"),
+        ("NO_COVERING", ("non-removable-useless-vertex", 1), (17, 0, 15), "29a627fdd226745d0718cad0d74f892abef9f3922bc1ea63c608a30c0afe12ad"),
     ),
     "E3": (
-        ("UNSAT", ("unreachable-column", 1), (35, 0, 36), "f97ed637a81417cc9bef3aaa00dbd6d02536b8db734cfc68c92641c30ef0ea9a"),
-        ("UNSAT", ("unreachable-column", 1), (35, 0, 36), "f97ed637a81417cc9bef3aaa00dbd6d02536b8db734cfc68c92641c30ef0ea9a"),
-        ("NO_COVERING", ("unreachable-column", 1), (31, 0, 32), "59f6fa0fa3090321710eab19e7f715de3c9f1e52bed0e42f773be2108b5d0f52"),
+        ("UNSAT", ("unreachable-column", 1), (35, 0, 34), "939e7fb2531c7ea584b58835f5580cfb62900f2d7ca3c02d8e3131ef787f9cbe"),
+        ("UNSAT", ("unreachable-column", 1), (35, 0, 34), "939e7fb2531c7ea584b58835f5580cfb62900f2d7ca3c02d8e3131ef787f9cbe"),
+        ("NO_COVERING", ("unreachable-column", 1), (31, 0, 30), "c6c54942c07facdf04458e51d6718530be6fc55a897ef787c33522373c3541c2"),
     ),
     "E4": (
-        ("SAT", None, (45, 2, 55), "21824e0485ea95540ad14f13151718406401098d99434c4bf286947c661182f8"),
-        ("SAT", None, (45, 2, 55), "21824e0485ea95540ad14f13151718406401098d99434c4bf286947c661182f8"),
-        ("COVERING", (1, 2, 3), (40, 2, 50), "1906f41f79deb59b4d756e36a32ceb6c5216bbc19d36e98b3697581a672bb165"),
+        ("SAT", None, (45, 2, 50), "b31efeae624fbf2041482894bfe6c93f23f010414d85446bdef7465df23f9aaa"),
+        ("SAT", None, (45, 2, 50), "b31efeae624fbf2041482894bfe6c93f23f010414d85446bdef7465df23f9aaa"),
+        ("COVERING", (1, 2, 3), (40, 2, 45), "127795f7433057270bc21d8deef656b2f81ba871ab8e0eec7f92d2aa20bd0704"),
     ),
     "E5": (
-        ("SAT", None, (29, 4, 32), "4669c484111c0f879123a14eef0b51ecdb441433921dd42ab182caa83889be9f"),
-        ("SAT", None, (29, 4, 32), "4669c484111c0f879123a14eef0b51ecdb441433921dd42ab182caa83889be9f"),
-        ("COVERING", (1, 2, 3), (24, 4, 27), "5aa046bda3b5c6f06ad13333c342c54ede0639a46c6c49661ebf6dbdd9c7e1a8"),
+        ("SAT", None, (29, 4, 29), "63c566348af111b3d1972aa90092e79f5b6d02890c7c35c71ebd2a6c42ef5fa2"),
+        ("SAT", None, (29, 4, 29), "63c566348af111b3d1972aa90092e79f5b6d02890c7c35c71ebd2a6c42ef5fa2"),
+        ("COVERING", (1, 2, 3), (24, 4, 24), "279e55328770a1a583ff546325595fc89006ef87de5b5c819d156d56ab1999f9"),
     ),
 }
 
@@ -142,13 +142,13 @@ def threshold_formula(n: int, seed: int, bias: str):
 
 
 THRESHOLD_PINS = {
-    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), (3111, 1212, 3494), "d62940778a22438bb3c77f2b63d28cfb125f7070bf051485c20bc1a8a6ecdf2a"),
-    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), (4260, 1223, 4619), "7240f3f4aab422c5a82182dc006387285d1506a147ea0b82dc455a6ebeeed2ab"),
-    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), (5707, 1894, 6346), "b520c41bf0d8d01fd35b9d18d7e34119373ff3f0e3aaff3a902f01a1d620ebf5"),
-    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), (6817, 1851, 7454), "de88e4f622b90bcb450831eb6840f3bc0f3e4a1d46cd9bd721f50aa9fa172b6b"),
-    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), (2689, 701, 2942), "f4c48aa7e7f8cbed848392e2aaa0a92bd4eff6468902a0793c9c1125c8ebeb20"),
-    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), (4713, 1765, 5310), "f965a27798e8bd0c5f18d9c8320a4f9b115bb46ea08c80e3316bc19d2cccde62"),
-    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (6994, 2165, 7751), "de453156fdae5344469793bf0a9e67c78533747b280e8896b80fbb0df16116c3"),
+    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), (3111, 1212, 3434), "abc40ab55f1da0100b548ca87554e265ed99fb93bd94e7064ab3a3ae96ef09e8"),
+    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), (4260, 1223, 4530), "e5c96bfacf19e035404851d5cb443d50e069822dbc90656346d99a8b6497203e"),
+    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), (5707, 1894, 6226), "b8e7c5ce36c6bbc0d0263ad2824f0dc8d24490827443a9a2f178b12b8c3eb17a"),
+    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), (6817, 1851, 7304), "8e4759168e2e13efb6da8fcab7f66c3d8e09afba3ff0a9848e51c9c32b535b19"),
+    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), (2689, 701, 2882), "a1699f9d23b37a9f40c1c46388baccc510da661d9f3d92ca18394f7224995be4"),
+    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), (4713, 1765, 5212), "13c1918e5edba9338e2afb9eebef17b4d33e8fe419f727ac9f545c2b0c9fa395"),
+    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (6994, 2165, 7601), "cede1c02ac73b388541a26b47e536201a077c3067860f7e5ced4752e832b65a7"),
 }
 
 THRESHOLD_BEHAVIOUR = {
@@ -166,7 +166,7 @@ THRESHOLD_BEHAVIOUR = {
 # duplicate entries when it is popped
 HEAP_PIN = (
     (2000, 608, "none"),
-    ("UNSAT", ("unreachable-column", 1638), (91697, 27456, 100857), "89d4a144c2e7c08365bf46be5bd9845d177866690ee225a4887f4b669dd07378"),
+    ("UNSAT", ("unreachable-column", 1638), (91697, 27456, 98872), "fa7cc2e683b9f0d020dabc66e918bc90acd7cd6fdcce0bccff6d04a0971c872d"),
 )
 
 HEAP_BEHAVIOUR = ("UNSAT", ("unreachable-column", 1638), "04a850ea51c531438b99ea03d2d4028259da8e5054c56b107273653851a9fc7c")
@@ -183,7 +183,7 @@ RANDOM_BATCHES = tuple(
     for seed, bias in ((20261018, "none"), (20261019, "planted"))
 )
 RANDOM_TALLY = {"UNSAT": 109, "SAT": 131}
-RANDOM_DIGEST = "a9b71760efd5b58ba43168140a3a443b62c98e449cb1f3d269cbb9cfd5e2c4b6"
+RANDOM_DIGEST = "2b27220a7a5ef7fba23cea168319a35a7938f450eef99c12c66ed5b6ab16fae0"
 RANDOM_BEHAVIOUR_DIGEST = "53a8cd3de0bbec44960588b858bfa2c188b759587e26a2295f575ebb0c3d5cab"
 
 

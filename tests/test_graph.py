@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 
 from satcover import DecompositionPair, StructuralError, column_counts, to_decomposition
-from satcover.graph import PointingGraph, construct, find_forced_conflict_row, find_main_vertices
+from satcover.graph import (
+    LIVE,
+    USELESS,
+    PointingGraph,
+    construct,
+    find_forced_conflict_row,
+    find_main_vertices,
+)
 from satcover.harness import FuzzConfig, random_cnf
 from satcover.instrument import OpCounter, Trace
 from satcover.procedures import StateSnapshot, clean, eliminate_incompatibilities, removal_procedure
@@ -94,9 +101,8 @@ class TestConstruct:
         assert live_edges(graph) == [(1, 2, 1)]
         assert graph.bar_count[0] == 1  # conjunctive: one row can re-cover column 1
         assert graph.indegree == [0, 1]
-        assert graph.formed == [True, True]
+        assert list(graph.status) == [LIVE, LIVE]
         assert final_marked(trace) == [2]
-        assert not any(graph.useless)
         assert graph.live_targets == [1, 0]
 
     def test_e5_disjunctive_fan_out(self):
@@ -108,14 +114,14 @@ class TestConstruct:
         assert graph.live_targets == [0, 2]
         assert graph.indegree == [0, 1, 1]
         # row 3 was formed by the edge, not as a main vertex
-        assert graph.formed == [True, True, True]
+        assert list(graph.status) == [LIVE] * 3
         assert graph.main_columns[2] == []
         assert final_marked(trace) == [2, 3]
 
     def test_e2_useless_vertex(self, e2_pair):
         graph = build("p cnf 1 2\n1 0\n-1 0\n")
         construct(graph)
-        assert graph.useless == [True]
+        assert list(graph.status) == [USELESS]
         assert live_edges(graph) == []
 
     def test_vertices_examined_once(self):
@@ -136,7 +142,7 @@ class TestConstruct:
         construct(graph)
         snap = StateSnapshot.capture(graph)
         removal_procedure(graph, 2)
-        with pytest.raises(StructuralError, match="open snapshot"):
+        with pytest.raises(StructuralError, match="^construct needs an empty undo trail: a snapshot"):
             construct(graph)
         snap.restore(graph)
         graph.trace = Trace(graph.trace.ops)

@@ -399,13 +399,18 @@ class TestRandomCnf:
             ("seed", -1),
             ("seed", 1.0),
             ("seed", "1"),
+            ("seed", True),
+            ("num_instances", False),
+            ("var_range", (True, 3)),
         ],
     )
     def test_bad_config_rejected(self, field, value):
         # getrandbits(0) is 0, so a zero-width or reversed range would make
         # the generator's rejection loop spin forever; random.Random seeds
         # from abs(), so seed -1 would repeat seed 1's corpus, and an index
-        # past 2**32 would repeat the next seed's; the config refuses them
+        # past 2**32 would repeat the next seed's; True is 1 but no int
+        # here, or seed=True would repeat seed 1's corpus; the config
+        # refuses them all
         with pytest.raises(ValueError, match=field):
             FuzzConfig(**{"seed": 1, field: value})
 
@@ -759,7 +764,13 @@ class TestDiffExhaustive:
         assert solves == []
 
     @pytest.mark.parametrize(
-        "bounds, named", [((3.0, 2, 2), "max-n"), ((2, "2", 2), "max-m"), ((2, 2, 2.5), "max-width")]
+        "bounds, named",
+        [
+            ((3.0, 2, 2), "max-n"),
+            ((2, "2", 2), "max-m"),
+            ((2, 2, 2.5), "max-width"),
+            ((True, True, True), "max-n"),
+        ],
     )
     def test_bound_that_is_not_an_int_refused(self, bounds, named, monkeypatch):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a refused space"))
@@ -1013,6 +1024,10 @@ class TestProbe:
             ([100, float("nan")], {}, "sizes"),
             ([100], {"width": 2.5}, "width"),
             ([100], {"instances_per_size": 2.0}, "instances-per-size"),
+            ([True], {}, "sizes"),
+            ([100], {"width": True}, "width"),
+            ([100], {"instances_per_size": True}, "instances-per-size"),
+            ([100], {"seed": True}, "seed"),
         ],
         ids=[
             "zero-width",
@@ -1029,6 +1044,10 @@ class TestProbe:
             "nan-size",
             "fractional-width",
             "float-instances",
+            "bool-size",
+            "bool-width",
+            "bool-instances",
+            "bool-seed",
         ],
     )
     def test_bad_arguments_refused_before_any_solve(self, sizes, kwargs, named, monkeypatch):
@@ -1053,10 +1072,10 @@ class TestProbe:
         rows = complexity_probe([60, 120], seed=5)["rows"]
         assert all(set(row) == {*keys, "elapsed_ms"} for row in rows)
         assert [tuple(row[k] for k in keys) for row in rows] == [
-            (60, 60, 8, 20, "UNSAT", 607, 0),
-            (60, 60, 8, 20, "UNSAT", 623, 0),
-            (120, 120, 11, 40, "UNSAT", 1070, 0),
-            (120, 120, 11, 40, "UNSAT", 1084, 0),
+            (60, 60, 8, 20, "UNSAT", 599, 0),
+            (60, 60, 8, 20, "UNSAT", 615, 0),
+            (120, 120, 11, 40, "UNSAT", 1059, 0),
+            (120, 120, 11, 40, "UNSAT", 1074, 0),
         ]
 
     def test_deterministic(self):

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from satcover import StructuralError, apply_swaps, column_counts, solve_sat, to_decomposition
 from satcover import procedures
-from satcover.graph import PointingGraph, construct, find_main_vertices
+from satcover.graph import (
+    LIVE,
+    REMOVED,
+    UNFORMED,
+    USELESS,
+    PointingGraph,
+    construct,
+    find_main_vertices,
+)
 from satcover.harness import FuzzConfig, random_cnf
 from satcover.instrument import OpCounter, Trace
 from satcover.procedures import (
@@ -25,6 +33,7 @@ from satcover.solver import _check_graph_invariants
 from conftest import (
     E4_TEXT,
     E5_TEXT,
+    clean_in_order,
     decomposition_pairs,
     formulas,
     live_edges,
@@ -45,9 +54,9 @@ class TestSnapshot:
         graph = built(E5_TEXT)
         snap = StateSnapshot.capture(graph)
         removal_procedure(graph, 2)
-        assert any(graph.removed)
+        assert REMOVED in graph.status
         snap.restore(graph)
-        assert not any(graph.removed)
+        assert REMOVED not in graph.status
         assert live_edges(graph) == [(1, 2, 2), (1, 3, 2)]
         assert graph.multiplicity == [2, 0]
         assert graph.indegree == [0, 1, 1]
@@ -68,17 +77,34 @@ class TestSnapshot:
         graph = built(E5_TEXT)
         snap = StateSnapshot.capture(graph)
         removal_procedure(graph, 2)
-        assert len(graph.trail) > snap.mark
+        assert graph.trail
         snap.restore(graph)
-        assert len(graph.trail) == snap.mark
+        assert graph.trail == []
+        snap = StateSnapshot.capture(graph)
         removal_procedure(graph, 2)
         snap.commit(graph)
-        assert len(graph.trail) == snap.mark
+        assert graph.trail == []
         assert graph.live_vertices() == [1, 3]
+
+    def test_capture_refuses_a_non_empty_trail(self):
+        # snapshots never nest, and a cascade run outside one leaves its
+        # writes on the trail: the next capture says so instead of the next
+        # construct
+        why = "needs an empty undo trail: a snapshot is still open, or a cascade ran outside one"
+        graph = built(E5_TEXT)
+        removal_procedure(graph, 2)
+        assert len(graph.trail) == 5
+        with pytest.raises(StructuralError, match=f"^a snapshot {why}$"):
+            StateSnapshot.capture(graph)
+        graph = built(E5_TEXT)
+        StateSnapshot.capture(graph)
+        removal_procedure(graph, 3)
+        with pytest.raises(StructuralError, match=f"^a snapshot {why}$"):
+            StateSnapshot.capture(graph)
 
     def test_cell_count_is_the_last_charge(self):
         # capture and commit charge nothing; a restore charges one
-        # assignment per trail entry it pops, and cell_count() reads it
+        # assignment per trail entry it undoes, and cell_count() reads it
         pair = pair_of(E5_TEXT)
         graph = find_main_vertices(pair, column_counts(pair), Trace(OpCounter()))
         construct(graph)
@@ -87,7 +113,7 @@ class TestSnapshot:
         snap = StateSnapshot.capture(graph)
         assert snap.cell_count() == 0 and ops.total == charged
         removal_procedure(graph, 2)
-        written = len(graph.trail) - snap.mark
+        written = len(graph.trail)
         assert written > 0
         charged = ops.total
         snap.restore(graph)
@@ -175,7 +201,7 @@ class TestUndoTrail:
             if outcome.removable and data.draw(st.booleans(), label="commit"):
                 snap.commit(graph)
                 _check_graph_invariants(graph)
-                assert all(graph.removed[v - 1] for v in outcome.removed_vertices)
+                assert all(graph.status[v - 1] == REMOVED for v in outcome.removed_vertices)
             else:
                 snap.restore(graph)
                 assert undone_state(graph) == before
@@ -198,28 +224,23 @@ class TestClean:
     def test_removes_useless_vertex(self):
         # v2 is useless (negative unit on x2) and removable (column 1 keeps v1)
         graph = built("p cnf 2 2\n1 2 0\n-2 0\n")
-        assert graph.useless == [False, True]
+        assert list(graph.status) == [LIVE, USELESS]
         blocking = clean(graph)
         assert blocking is None
         assert graph.live_vertices() == [1]
 
-    def test_supplied_order_must_be_permutation(self):
-        graph = built("p cnf 2 2\n1 2 0\n-2 0\n")
-        with pytest.raises(StructuralError):
-            clean(graph, order=[1])
-        with pytest.raises(StructuralError):
-            clean(graph, order=[2, 2])
-
     def test_order_independence_on_two_useless(self):
+        # the reference loop in ascending order is clean itself; in either
+        # order it ends with the same live vertices
         text = "p cnf 3 3\n1 2 3 0\n-1 0\n-2 0\n"
-        results = []
+        graph = built(text)
+        assert list(graph.status) == [USELESS, USELESS, LIVE]
+        results = [(clean(graph), graph.live_vertices())]
         for order in ([1, 2], [2, 1]):
             graph = built(text)
-            assert graph.useless == [True, True, False]
-            blocking = clean(graph, order=order)
+            blocking = clean_in_order(graph, order)
             results.append((blocking, graph.live_vertices()))
-        assert results[0] == (None, [3])
-        assert results[1] == (None, [3])
+        assert results == [(None, [3])] * 3
 
 
 class TestSwappedCounts:
@@ -239,7 +260,8 @@ class TestSwappedCounts:
     def test_counts_match_a_recount_from_either_side(self, pair, swapped_side, data):
         # the counts start from alpha's when at most half the rows are live
         # and from the second side's otherwise; draw a live set on the side
-        # asked for, and make each other row unformed or removed
+        # asked for, each row of it live or useless, and make each other row
+        # unformed or removed
         n = pair.n
         if swapped_side:
             live_count = data.draw(st.integers(n // 2 + 1, n), label="live rows")
@@ -248,8 +270,10 @@ class TestSwappedCounts:
         order = data.draw(st.permutations(range(n)), label="row order")
         graph = PointingGraph(pair, column_counts(pair), Trace(OpCounter()))
         for position, i in enumerate(order):
-            graph.formed[i] = position < live_count or data.draw(st.booleans(), label="removed")
-            graph.removed[i] = position >= live_count and graph.formed[i]
+            if position < live_count:
+                graph.status[i] = data.draw(st.sampled_from([LIVE, USELESS]), label="live")
+            elif data.draw(st.booleans(), label="removed"):
+                graph.status[i] = REMOVED
         live = set(order[:live_count])
         swapped = live if not swapped_side else set(range(n)) - live
         before = graph.trace.ops.as_dict()
@@ -401,7 +425,7 @@ class TestExtend:
     def test_extends_with_new_main_vertices(self):
         graph = built(E4_TEXT)
         extend(graph, eliminate_incompatibilities(graph))
-        assert graph.formed == [True, True, True]
+        assert UNFORMED not in graph.status
         assert all(graph.main_columns)  # every vertex is main
         assert graph.main_columns[2] == [3]
         assert graph.multiplicity == [1, 1, 1]
@@ -429,7 +453,7 @@ class TestExtend:
     def unextended(self):
         pair = pair_of(self.PLAN_TEXT)
         graph = find_main_vertices(pair, column_counts(pair), Trace())
-        assert graph.main_columns == [[1], [1], []] and not graph.formed[2]
+        assert graph.main_columns == [[1], [1], []] and not graph.status[2]
         return graph
 
     @pytest.mark.parametrize("column", [0, 8])
@@ -437,13 +461,13 @@ class TestExtend:
         graph = self.unextended()
         with pytest.raises(StructuralError, match=f"plan column {column} outside 1..3"):
             extend(graph, ExtensionPlan([3], [column]))
-        assert graph.main_columns == [[1], [1], []] and not graph.formed[2]
+        assert graph.main_columns == [[1], [1], []] and not graph.status[2]
 
     def test_row_holding_no_planned_column_rejected(self):
         graph = self.unextended()
         with pytest.raises(StructuralError, match="plan row 3 holds none of the plan's columns"):
             extend(graph, ExtensionPlan([3], [1]))
-        assert graph.main_columns == [[1], [1], []] and not graph.formed[2]
+        assert graph.main_columns == [[1], [1], []] and not graph.status[2]
         extend(graph, ExtensionPlan([3], [2]))
         assert graph.main_columns == [[1], [1], [2]]
 
@@ -480,33 +504,56 @@ class TestOneInstrument:
 
 
 def driven(formula, alpha: str):
-    """The graph after the covering loop's steps, run the way
-    ``solver._run_covering`` runs them with invariant checks, or None when
+    """Yield the graph after each of the covering loop's steps, run the way
+    ``solver._run_covering`` runs them with invariant checks; nothing when
     the pair needs no graph."""
     pair, _ = to_decomposition(formula)
     if alpha == "pos":
         pair = apply_swaps(pair, range(1, pair.n + 1))
     graph = find_main_vertices(pair, column_counts(pair), Trace())
     if graph is None:
-        return None
+        return
     while True:
         construct(graph)
         _check_graph_invariants(graph)
+        yield graph
         blocking = clean(graph)
         _check_graph_invariants(graph)
+        yield graph
         if blocking is not None:
-            return graph
+            return
         result = eliminate_incompatibilities(graph)
         _check_graph_invariants(graph)
+        yield graph
         if not isinstance(result, ExtensionPlan):
-            return graph
+            return
         extend(graph, result)
+        yield graph
+
+
+def kept_removals(events) -> set:
+    """The vertices a trace leaves removed: every ``vertex-removed`` after a
+    ``snapshot``, unless the ``restore`` that follows undid it."""
+    kept, pending = set(), set()
+    for kind, payload in events:
+        if kind == "snapshot":
+            kept |= pending
+            pending = set()
+        elif kind == "vertex-removed":
+            pending.add(payload[0])
+        elif kind == "restore":
+            pending = set()
+    return kept | pending
 
 
 class TestGraphFacts:
     """The facts the graph state rests on instead of storing them: a vertex
     is main exactly when it has columns, ``construct`` examines a vertex once
-    per solve, and a cascade removes a vertex once."""
+    per solve, and a cascade removes a vertex once.  After every step a
+    vertex's status is UNFORMED exactly when it is not in the formation
+    order, USELESS exactly when it was marked useless and is not removed,
+    and REMOVED exactly when a cascade removed it and no restore undid
+    that: only a restore brings a removed vertex back."""
 
     @pytest.mark.parametrize("alpha", ["neg", "pos"])
     def test_facts_hold_over_fuzz_shaped_formulas(self, alpha):
@@ -521,7 +568,17 @@ class TestGraphFacts:
         )
         extensions = cascades = 0
         for i in range(cfg.num_instances):
-            graph = driven(random_cnf(cfg, i), alpha)
+            graph = None
+            for graph in driven(random_cnf(cfg, i), alpha):
+                unformed, removed, useless = (
+                    {v0 + 1 for v0, s in enumerate(graph.status) if s == which}
+                    for which in (UNFORMED, REMOVED, USELESS)
+                )
+                events = graph.trace.events_without_readings()
+                marked = {payload[0] for kind, payload in events if kind == "useless-marked"}
+                assert set(range(1, graph.n + 1)) - unformed == set(graph.vertex_order), i
+                assert useless == marked - removed, i
+                assert removed == kept_removals(events), i
             if graph is None:
                 continue
             events = graph.trace.events_without_readings()
@@ -530,7 +587,7 @@ class TestGraphFacts:
             assert sorted(v for v, _ in formed) == sorted(graph.vertex_order), i
             for v, main in formed:
                 assert bool(graph.main_columns[v - 1]) == (main == 1), (i, v)
-            assert not any(graph.main_columns[v0] for v0 in range(graph.n) if not graph.formed[v0])
+            assert not any(graph.main_columns[v0] for v0 in range(graph.n) if not graph.status[v0])
             examined = [payload[0] for kind, payload in events if kind == "vertex-examined"]
             assert len(set(examined)) == len(examined), i
             taken = set()

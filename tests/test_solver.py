@@ -3,6 +3,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satcover import (
     CnfFormula,
@@ -25,6 +26,7 @@ from satcover import (
     to_decomposition,
 )
 from satcover import solver as solver_mod
+from satcover.graph import REMOVED
 from satcover.harness import brute_sat, enumerate_formulas
 
 from conftest import E5_TEXT, formulas, naive_sat, negated, pair_of, seeded_corpus, typed
@@ -266,6 +268,27 @@ class TestHornCompleteness:
                 assert isinstance(run.verdict, Sat), (emit_dimacs(formula), alpha, run.verdict)
         assert satisfiable == {1: 7884, -1: 7884}
 
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_random_satisfiable_horn_and_dual_horn_formulas_get_sat(self, data):
+        # beyond the exhaustive space: n <= 12, m <= 40, widths 1..4; each
+        # clause has at most one positive literal, and a dual-Horn formula is
+        # a Horn one negated
+        n = data.draw(st.integers(1, 12), label="n")
+        clauses = []
+        for _ in range(data.draw(st.integers(1, 40), label="m")):
+            variables = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True))
+            positive = data.draw(st.integers(-1, len(variables) - 1))  # -1: none
+            clauses.append([v if k == positive else -v for k, v in enumerate(variables)])
+        formula = CnfFormula(n, clauses)
+        if data.draw(st.booleans(), label="dual"):
+            formula = negated(formula)
+        if not brute_sat(formula)[0]:
+            return
+        for alpha in ("neg", "pos"):
+            run = solve_sat(formula, alpha=alpha, keep_trace=False)
+            assert isinstance(run.verdict, Sat), (emit_dimacs(formula), alpha, run.verdict)
+
 
 class TestOneCounter:
     @pytest.mark.parametrize("count_ops", [False, True])
@@ -345,8 +368,8 @@ class TestGraphInvariantChecks:
             ("indegree", 2, 2, "indegree does not match live incoming edge counts"),
             ("live_targets", 1, 1, "live-target counts do not match the live edges"),
             ("multiplicity", 0, 3, "multiplicity does not match live main vertices"),
-            ("removed", 0, True, "live edge touches a removed or unformed vertex"),
-            ("removed", 2, True, "live edge touches a removed or unformed vertex"),
+            ("status", 0, REMOVED, "live edge touches a removed or unformed vertex"),
+            ("status", 2, REMOVED, "live edge touches a removed or unformed vertex"),
             ("edge_live", 0, 1, "live edge touches a removed or unformed vertex"),
         ],
         ids=[
