@@ -19,6 +19,7 @@ pair itself never changes during a solve.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate, islice
 from typing import List, Optional, Set
 
@@ -61,12 +62,13 @@ class PointingGraph:
     Static, precomputed once from the pair and its counts (0-based):
       targets        ``pair.bar_cols``: the rows an edge labelled j can reach
       bar_count      per-column count of the second matrix: the counts' tuple
-      edge_base      per-column offset into ``edge_live`` (m + 1 entries)
-      single_cols    per-row ascending single columns: the labels of the
-                     row's possible out-edges (a column's source row is
-                     ``pair.alpha_cols[j][0]``)
-      in_slots       per-row (column, edge byte) of every possible in-edge,
-                     ascending by column
+      edge_base      per-column offset into ``edge_live`` (m + 1 entries):
+                     the edge labelled j into row r is byte ``edge_base[j]``
+                     plus r's rank in ``targets[j]``
+
+    No table restates the pair per row: ``single_columns`` and ``in_edges``
+    read a row's possible out- and in-edges from its alpha and second-side
+    columns, keeping those whose alpha count is 1.
 
     ``trail`` is the undo log of removal cascades: (array, index, old value)
     per write, appended before the write, so undoing it restores the state
@@ -91,25 +93,30 @@ class PointingGraph:
 
         self.targets = pair.bar_cols
         self.bar_count = counts.m_alpha_bar
-        self.edge_base: List[int] = list(accumulate(map(len, self.targets), initial=0))
+        self.edge_base: List[int] = list(accumulate(self.bar_count, initial=0))
         self.edge_live = bytearray(self.edge_base[m])
         self.live_targets: List[int] = [0] * m
-        self.single_cols: List[List[int]] = [[] for _ in range(n)]
-        self.in_slots: List[List[tuple]] = [[] for _ in range(n)]
-        filed = m + 1  # the edge offsets
-        for j0 in [j for j, c in enumerate(counts.m_alpha) if c == 1]:
-            self.single_cols[pair.alpha_cols[j0][0]].append(j0)
-            for edge, r0 in enumerate(self.targets[j0], self.edge_base[j0]):
-                self.in_slots[r0].append((j0, edge))
-            filed += 1 + len(self.targets[j0])
-        trace.ops.cmp(m)  # the alpha counts
-        trace.ops.assign(filed)
+        trace.ops.assign(m + 1)  # the edge offsets
 
     # -- read helpers -----------------------------------------------------
 
     def live_vertices(self) -> List[int]:
         """Formed and not removed vertices, ascending: the rows to swap."""
         return [i + 1 for i, s in enumerate(self.status) if s >= LIVE]
+
+    def single_columns(self, v0: int) -> List[int]:
+        """Row ``v0``'s out-edge labels, ascending; charges the counts read."""
+        row, m_alpha = self.pair.alpha_rows[v0], self.counts.m_alpha
+        self.trace.ops.cmp(len(row))
+        return [j0 for j0 in row if m_alpha[j0] == 1]
+
+    def in_edges(self, v0: int) -> List[tuple]:
+        """Row ``v0``'s possible in-edges as (column, edge byte), ascending;
+        charges the counts read.  Bisection finds a byte in O(log k)."""
+        row, m_alpha = self.pair.bar_rows[v0], self.counts.m_alpha
+        base, targets = self.edge_base, self.targets
+        self.trace.ops.cmp(len(row))
+        return [(j0, base[j0] + bisect_left(targets[j0], v0)) for j0 in row if m_alpha[j0] == 1]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +207,7 @@ def construct(graph: PointingGraph) -> bool:
         if status[q0] == REMOVED:
             continue
         emit("vertex-examined", q)
-        singles = g.single_cols[q0]
+        singles = g.single_columns(q0)
         if not singles:
             emit("final-marked", q)
             continue

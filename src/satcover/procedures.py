@@ -111,7 +111,8 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
     when it needs the pre-call graph back.  No vertex is processed twice.
     Every write is logged on ``graph.trail`` before it is made.
 
-    The work is O(degree) per removed vertex, and so is the charge: the
+    The work is O(degree) per removed vertex (times log k per in-edge in a
+    column of k targets), and the charge is O(degree): the alpha counts,
     statuses, multiplicities and edge bytes read, the counters changed and
     the cells written.
     """
@@ -151,7 +152,7 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
         # live out-edges grouped by target: (column, byte)
         by_target: Dict[int, List[tuple]] = {}
         visited = 0
-        for j0 in g.single_cols[p - 1]:  # a column with no targets visits nothing
+        for j0 in g.single_columns(p - 1):  # a column with no targets visits nothing
             visited += len(g.targets[j0])
             for edge, t0 in enumerate(g.targets[j0], g.edge_base[j0]):
                 if live[edge]:
@@ -193,8 +194,8 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
                 multiplicity[c - 1] -= 1
             ops.arith(len(cols))
         # live in-edges grouped by source row, ascending
-        slots = g.in_slots[p0]
-        ops.cmp(len(slots))
+        slots = g.in_edges(p0)
+        ops.cmp(len(slots))  # the edge bytes
         bundles: Dict[int, List[tuple]] = {}
         for j0, edge in slots:
             if live[edge]:

@@ -14,12 +14,7 @@ import hashlib
 import json
 from typing import List, NamedTuple, Optional, Tuple
 
-from .cnf import (
-    CnfFormula,
-    assignment_from_swaps,
-    evaluate,
-    to_decomposition,
-)
+from .cnf import CnfFormula, assignment_from_swaps, evaluate, to_decomposition
 from .cnf import restrict_to_used  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
 from .decomposition import (
@@ -33,12 +28,7 @@ from .decomposition import (
 )
 from .graph import LIVE, construct, find_forced_conflict_row, find_main_vertices
 from .instrument import DISABLED_OPS, OpCounter, Trace, UnkeptTrace
-from .procedures import (
-    Unreachable,
-    clean,
-    eliminate_incompatibilities,
-    extend,
-)
+from .procedures import Unreachable, clean, eliminate_incompatibilities, extend
 
 # reason kinds; every Reason is built in this module with one of them
 NON_REMOVABLE_USELESS_VERTEX = "non-removable-useless-vertex"
@@ -112,14 +102,14 @@ def _check_graph_invariants(graph) -> None:
     indegree = [0] * g.n
     per_column = [0] * g.m
     dead_endpoint = False
-    # only single columns have edges: a live byte under another fails the count below
-    for s0, columns in enumerate(g.single_cols):
-        for j0 in columns:
-            for edge, t0 in enumerate(g.targets[j0], edge_base[j0]):
-                if edge_live[edge]:
-                    dead_endpoint = dead_endpoint or status[s0] < LIVE or status[t0] < LIVE
-                    indegree[t0] += 1
-                    per_column[j0] += 1
+    # only single columns have edges, leaving their one alpha row: a live
+    # byte under another column fails the count below
+    for j0, s0 in [(j, rows[0]) for j, rows in enumerate(g.pair.alpha_cols) if len(rows) == 1]:
+        for edge, t0 in enumerate(g.targets[j0], edge_base[j0]):
+            if edge_live[edge]:
+                dead_endpoint = dead_endpoint or status[s0] < LIVE or status[t0] < LIVE
+                indegree[t0] += 1
+                per_column[j0] += 1
     edges = sum(per_column)
     if edges > (g.n - 1) * g.m:
         raise EngineInvariantError(

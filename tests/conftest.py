@@ -192,16 +192,30 @@ def clean_in_order(graph, order: Sequence[int]) -> Optional[int]:
 
 def live_edges(graph) -> List[tuple]:
     """All live edges of a pointing graph as (source, target, column),
-    sorted."""
+    sorted.  Only a single column has edges, and they leave its one alpha
+    row."""
     out = []
-    for s0, columns in enumerate(graph.single_cols):
-        for j0 in columns:
+    for j0, sources in enumerate(graph.pair.alpha_cols):
+        if len(sources) == 1:
             base = graph.edge_base[j0]
             for k, t0 in enumerate(graph.targets[j0]):
                 if graph.edge_live[base + k]:
-                    out.append((s0 + 1, t0 + 1, j0 + 1))
+                    out.append((sources[0] + 1, t0 + 1, j0 + 1))
     out.sort()
     return out
+
+
+def reference_in_edges(graph) -> List[List[tuple]]:
+    """Every row's possible in-edges as (column, edge byte), ascending by
+    column, laid out in one pass over the single columns: column j's edges
+    take the bytes from ``edge_base[j]`` on, in the order of its second-side
+    rows."""
+    in_slots: List[List[tuple]] = [[] for _ in range(graph.n)]
+    for j0, count in enumerate(graph.counts.m_alpha):
+        if count == 1:
+            for edge, r0 in enumerate(graph.targets[j0], graph.edge_base[j0]):
+                in_slots[r0].append((j0, edge))
+    return in_slots
 
 
 def naive_sat(formula: CnfFormula) -> bool:

@@ -73,29 +73,29 @@ WORKED = {"E1": E1_TEXT, "E2": E2_TEXT, "E3": E3_TEXT, "E4": E4_TEXT, "E5": E5_T
 # the pair rebuilt through the public dense constructor
 WORKED_PINS = {
     "E1": (
-        ("SAT", None, (22, 2, 22), "c3e61c72eeca4a8c368b7f5a4e6bcaa3c7e3823af8dde795b595f306556c3234"),
-        ("SAT", None, (22, 2, 22), "c3e61c72eeca4a8c368b7f5a4e6bcaa3c7e3823af8dde795b595f306556c3234"),
-        ("COVERING", (1, 2), (19, 2, 19), "f3bf3fb343a9b7675a02e716847a2ae793c9d545b613762aacbdbc63fa2daf98"),
+        ("SAT", None, (20, 2, 21), "15a157f8dfb23cebb1e57c5ae28f59bc7c17c089603c641cb9cfd515cd07c73a"),
+        ("SAT", None, (20, 2, 21), "15a157f8dfb23cebb1e57c5ae28f59bc7c17c089603c641cb9cfd515cd07c73a"),
+        ("COVERING", (1, 2), (17, 2, 18), "f04132e8940d24b4e8672173501290023db1dd385eb9933ee00e8a323a0d7cb3"),
     ),
     "E2": (
-        ("UNSAT", ("non-removable-useless-vertex", 1), (19, 0, 17), "b803fcae97b9a160d8d7169ddb2c009ef6f6109748e9268d82980f6db8ed3154"),
+        ("UNSAT", ("non-removable-useless-vertex", 1), (18, 0, 16), "d2733a927858f4f42eb2e14d73422c6d2841480846e9a095da68f956bcb16aaf"),
         ("UNSAT", ("both-components-single", 1), (6, 0, 6), "834fa167cd3e78e20fb428a2377a1b1ac67a7b8524152e0f1f53191a7d89c950"),
-        ("NO_COVERING", ("non-removable-useless-vertex", 1), (17, 0, 15), "29a627fdd226745d0718cad0d74f892abef9f3922bc1ea63c608a30c0afe12ad"),
+        ("NO_COVERING", ("non-removable-useless-vertex", 1), (16, 0, 14), "124a701c2bbf8dce4dc56d4fd8c6453991863c1820f959a24cb4736138624a32"),
     ),
     "E3": (
-        ("UNSAT", ("unreachable-column", 1), (35, 0, 34), "939e7fb2531c7ea584b58835f5580cfb62900f2d7ca3c02d8e3131ef787f9cbe"),
-        ("UNSAT", ("unreachable-column", 1), (35, 0, 34), "939e7fb2531c7ea584b58835f5580cfb62900f2d7ca3c02d8e3131ef787f9cbe"),
-        ("NO_COVERING", ("unreachable-column", 1), (31, 0, 30), "c6c54942c07facdf04458e51d6718530be6fc55a897ef787c33522373c3541c2"),
+        ("UNSAT", ("unreachable-column", 1), (35, 0, 33), "fb654d781133bbc4df8a9e3b150f9ee3546c860622d412a6ddc7b427c42ec9fa"),
+        ("UNSAT", ("unreachable-column", 1), (35, 0, 33), "fb654d781133bbc4df8a9e3b150f9ee3546c860622d412a6ddc7b427c42ec9fa"),
+        ("NO_COVERING", ("unreachable-column", 1), (31, 0, 29), "db626f6cf1b6ad995dc40971f7510dc36b0bfb42089fd22ad618161272c4ce6d"),
     ),
     "E4": (
-        ("SAT", None, (45, 2, 50), "b31efeae624fbf2041482894bfe6c93f23f010414d85446bdef7465df23f9aaa"),
-        ("SAT", None, (45, 2, 50), "b31efeae624fbf2041482894bfe6c93f23f010414d85446bdef7465df23f9aaa"),
-        ("COVERING", (1, 2, 3), (40, 2, 45), "127795f7433057270bc21d8deef656b2f81ba871ab8e0eec7f92d2aa20bd0704"),
+        ("SAT", None, (45, 2, 49), "a09bda7b7319a750962aaf5fdd5804d51b725057ffedff2335d3364281c19ec2"),
+        ("SAT", None, (45, 2, 49), "a09bda7b7319a750962aaf5fdd5804d51b725057ffedff2335d3364281c19ec2"),
+        ("COVERING", (1, 2, 3), (40, 2, 44), "3edad586ca7ae50031a6c820af2046eaf65a05ae23422fc7b54d967f64b7b38b"),
     ),
     "E5": (
-        ("SAT", None, (29, 4, 29), "63c566348af111b3d1972aa90092e79f5b6d02890c7c35c71ebd2a6c42ef5fa2"),
-        ("SAT", None, (29, 4, 29), "63c566348af111b3d1972aa90092e79f5b6d02890c7c35c71ebd2a6c42ef5fa2"),
-        ("COVERING", (1, 2, 3), (24, 4, 24), "279e55328770a1a583ff546325595fc89006ef87de5b5c819d156d56ab1999f9"),
+        ("SAT", None, (26, 4, 28), "413e3ee52f26bc7f48bbd98cbf55b1109b2df20bdea0a4a0f869afc0e120eaab"),
+        ("SAT", None, (26, 4, 28), "413e3ee52f26bc7f48bbd98cbf55b1109b2df20bdea0a4a0f869afc0e120eaab"),
+        ("COVERING", (1, 2, 3), (21, 4, 23), "1dcc93739a7597ed2522dbd881602c55945ff0e31cd88eee933be9b7908aef43"),
     ),
 }
 
@@ -142,13 +142,13 @@ def threshold_formula(n: int, seed: int, bias: str):
 
 
 THRESHOLD_PINS = {
-    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), (3111, 1212, 3434), "abc40ab55f1da0100b548ca87554e265ed99fb93bd94e7064ab3a3ae96ef09e8"),
-    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), (4260, 1223, 4530), "e5c96bfacf19e035404851d5cb443d50e069822dbc90656346d99a8b6497203e"),
-    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), (5707, 1894, 6226), "b8e7c5ce36c6bbc0d0263ad2824f0dc8d24490827443a9a2f178b12b8c3eb17a"),
-    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), (6817, 1851, 7304), "8e4759168e2e13efb6da8fcab7f66c3d8e09afba3ff0a9848e51c9c32b535b19"),
-    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), (2689, 701, 2882), "a1699f9d23b37a9f40c1c46388baccc510da661d9f3d92ca18394f7224995be4"),
-    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), (4713, 1765, 5212), "13c1918e5edba9338e2afb9eebef17b4d33e8fe419f727ac9f545c2b0c9fa395"),
-    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (6994, 2165, 7601), "cede1c02ac73b388541a26b47e536201a077c3067860f7e5ced4752e832b65a7"),
+    (60, 601, "none"): ("UNSAT", ("unreachable-column", 217), (2814, 1212, 4094), "aea8e2c6ff8dd7b7e68e709b5bafe819534f1a4c7ee53750c0b436ca9abec005"),
+    (90, 602, "none"): ("UNSAT", ("unreachable-column", 7), (3831, 1223, 5113), "756fc816a7972f25002a8a0ee36ca6cb229d534f4e52d83057bd4dce647133bc"),
+    (120, 603, "none"): ("UNSAT", ("unreachable-column", 212), (5143, 1894, 7142), "54a81139d7a7f7dd2a7915597c5c16e270bde7512393e31d0d22f271df5c90a1"),
+    (150, 604, "none"): ("UNSAT", ("unreachable-column", 136), (6091, 1851, 8069), "7cf15a7ea2ab8f3fe96378b89f1cd640c598ce3b0143b1859e67719687984c74"),
+    (60, 605, "planted"): ("UNSAT", ("unreachable-column", 83), (2401, 701, 3180), "84b2d41b325ac80baca1b1de1125560c6c5334f6f687b0fe761535752d9af376"),
+    (100, 606, "planted"): ("UNSAT", ("unreachable-column", 195), (4215, 1765, 6044), "b5154fd5e5c59d88eea6158dafbf879d55184a6e2316b097161c328408db8185"),
+    (150, 607, "planted"): ("UNSAT", ("unreachable-column", 211), (6313, 2165, 8593), "320767b550f3bd25bbe1edd97e845cd507bcc32ecded191087ba1bc4f1b78d80"),
 }
 
 THRESHOLD_BEHAVIOUR = {
@@ -166,7 +166,7 @@ THRESHOLD_BEHAVIOUR = {
 # duplicate entries when it is popped
 HEAP_PIN = (
     (2000, 608, "none"),
-    ("UNSAT", ("unreachable-column", 1638), (91697, 27456, 98872), "fa7cc2e683b9f0d020dabc66e918bc90acd7cd6fdcce0bccff6d04a0971c872d"),
+    ("UNSAT", ("unreachable-column", 1638), (82118, 27456, 110917), "6984fc2a1a614e04255cd347275e5c367cca3ce0069dd507ff8d38d5ed88d848"),
 )
 
 HEAP_BEHAVIOUR = ("UNSAT", ("unreachable-column", 1638), "04a850ea51c531438b99ea03d2d4028259da8e5054c56b107273653851a9fc7c")
@@ -183,7 +183,7 @@ RANDOM_BATCHES = tuple(
     for seed, bias in ((20261018, "none"), (20261019, "planted"))
 )
 RANDOM_TALLY = {"UNSAT": 109, "SAT": 131}
-RANDOM_DIGEST = "2b27220a7a5ef7fba23cea168319a35a7938f450eef99c12c66ed5b6ab16fae0"
+RANDOM_DIGEST = "a017b3b5e28e7cc267bb9bdf6f45abb9304738d009aff12beac9d1435d155d06"
 RANDOM_BEHAVIOUR_DIGEST = "53a8cd3de0bbec44960588b858bfa2c188b759587e26a2295f575ebb0c3d5cab"
 
 

@@ -16,13 +16,21 @@ from satcover.instrument import OpCounter, Trace
 from satcover.procedures import StateSnapshot, clean, eliminate_incompatibilities, removal_procedure
 from satcover.solver import _check_graph_invariants
 
-from conftest import E5_TEXT, formulas, live_edges, naive_single_columns, pair_of
+from conftest import (
+    E5_TEXT,
+    decomposition_pairs,
+    formulas,
+    live_edges,
+    naive_single_columns,
+    pair_of,
+    reference_in_edges,
+)
 
 
 def single_columns(pair: DecompositionPair, i: int):
-    """Row i's single columns as the graph precomputes them, 1-based."""
+    """Row i's single columns as the graph reads them, 1-based."""
     graph = PointingGraph(pair, column_counts(pair), Trace())
-    return [j0 + 1 for j0 in graph.single_cols[i - 1]]
+    return [j0 + 1 for j0 in graph.single_columns(i - 1)]
 
 
 def build(text: str, trace=None):
@@ -93,6 +101,41 @@ class TestSingleColumns:
             assert single_columns(pair, i) == naive_single_columns(pair, i)
 
 
+def assert_edges_read_from_the_pair(pair: DecompositionPair) -> None:
+    """Every row's out-edge labels are its naive single columns, and its
+    in-edges are those of a layout built in one pass over the columns."""
+    graph = PointingGraph(pair, column_counts(pair), Trace())
+    expected = reference_in_edges(graph)
+    for v0 in range(pair.n):
+        assert [j0 + 1 for j0 in graph.single_columns(v0)] == naive_single_columns(pair, v0 + 1)
+        assert graph.in_edges(v0) == expected[v0]
+
+
+class TestEdgesReadFromThePair:
+    @given(decomposition_pairs(max_rows=8))
+    @settings(max_examples=150, deadline=None)
+    def test_pairs(self, pair):
+        assert_edges_read_from_the_pair(pair)
+
+    @given(formulas(max_vars=7, max_clauses=10))
+    @settings(max_examples=150, deadline=None)
+    def test_reduced_formulas(self, formula):
+        assert_edges_read_from_the_pair(to_decomposition(formula)[0])
+
+    def test_wide_single_columns(self):
+        # columns 1 and 3 are single (rows 1 and 8), with 7 and 5 rows on
+        # the second side, so a byte lies up to 6 places past its column's
+        # base, and column 3's bytes follow those of columns 1 and 2
+        alpha = [[0], [1], [1], [], [], [], [], [2]]
+        bar = [[], [0], [0, 2], [0, 2], [0, 2], [0, 2], [0, 1, 2], [0, 1]]
+        pair = DecompositionPair(8, 3, alpha, bar)
+        graph = PointingGraph(pair, column_counts(pair), Trace())
+        assert graph.edge_base == [0, 7, 9, 14]
+        assert graph.in_edges(6) == [(0, 5), (2, 13)]
+        assert graph.in_edges(7) == [(0, 6)]
+        assert_edges_read_from_the_pair(pair)
+
+
 class TestConstruct:
     def test_e1_conjunctive_edge(self, e1_pair):
         trace = Trace(OpCounter())
@@ -154,7 +197,9 @@ class TestConstruct:
         construct(graph)
         # 0-based labels of the edges each row could create: its single
         # columns that the second matrix can re-cover
-        out_cols = [[j0 for j0 in cols if graph.targets[j0]] for cols in graph.single_cols]
+        out_cols = [
+            [j0 for j0 in graph.single_columns(v0) if graph.targets[j0]] for v0 in range(graph.n)
+        ]
         assert out_cols == [[1], [], []]
 
     @given(formulas(max_vars=5, max_clauses=6))

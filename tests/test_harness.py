@@ -1072,10 +1072,10 @@ class TestProbe:
         rows = complexity_probe([60, 120], seed=5)["rows"]
         assert all(set(row) == {*keys, "elapsed_ms"} for row in rows)
         assert [tuple(row[k] for k in keys) for row in rows] == [
-            (60, 60, 8, 20, "UNSAT", 599, 0),
-            (60, 60, 8, 20, "UNSAT", 615, 0),
-            (120, 120, 11, 40, "UNSAT", 1059, 0),
-            (120, 120, 11, 40, "UNSAT", 1074, 0),
+            (60, 60, 8, 20, "UNSAT", 631, 0),
+            (60, 60, 8, 20, "UNSAT", 649, 0),
+            (120, 120, 11, 40, "UNSAT", 1105, 0),
+            (120, 120, 11, 40, "UNSAT", 1110, 0),
         ]
 
     def test_deterministic(self):
