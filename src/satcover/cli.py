@@ -292,16 +292,12 @@ def _emit_report(args, doc: dict, violated: bool) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from .harness import FuzzConfig, differential_run
+    from .harness import INDEX_BOUND, FuzzConfig, check_int, differential_run
 
-    if args.count < 1:
-        return _fail_input(f"count must be positive, got {args.count}")
-    if args.count > 2**32:
-        return _fail_input(f"count must be at most 2**32, got {args.count}")
     try:
         cfg = FuzzConfig(
             seed=args.seed,
-            num_instances=args.count,
+            num_instances=check_int("count", args.count, 1, INDEX_BOUND),
             var_range=_parse_range(args.vars, "vars"),
             clause_range=_parse_range(args.clauses, "clauses"),
             width_range=_parse_range(args.width, "width"),

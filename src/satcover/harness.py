@@ -223,6 +223,23 @@ def oracle_status(
 # generators
 # ---------------------------------------------------------------------------
 
+# random_cnf seeds instance ``index`` of corpus ``seed`` with seed * INDEX_BOUND + index,
+# one-to-one only for 0 <= index < INDEX_BOUND: no corpus, sweep or probe size holds more.
+INDEX_BOUND = 2**32
+
+
+def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
+    """``value`` if it is an int (a bool is not one) in ``lo..hi`` (no upper end
+    when ``hi`` is None); else ValueError naming ``name`` and ``value``."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be at least {lo}, got {value!r}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be at most {hi}, got {value!r}")
+    return value
+
+
 class _FuzzConfigFields(NamedTuple):
     seed: int
     num_instances: int = 100
@@ -235,22 +252,17 @@ class _FuzzConfigFields(NamedTuple):
 class FuzzConfig(_FuzzConfigFields):
     """Deterministic corpus description; instance i depends only on (seed, i).
 
-    ``seed`` is an int ``>= 0``, each range is a tuple ``(lo, hi)`` of ints
-    with ``1 <= lo <= hi``, ``num_instances`` is an int in ``0..2**32`` and
-    ``satisfiable_bias`` is ``"none"`` or ``"planted"``, where a bool is no
-    int; any other config raises ``ValueError`` when it is built, so the
-    generator's rejection loops always end and no two (seed, index) pairs
-    share an instance.
+    Building one refuses (``ValueError``) a ``seed`` or ``num_instances`` that
+    ``check_int`` refuses, a range that is not a pair of ints ``1 <= lo <=
+    hi`` and an unknown ``satisfiable_bias``, so the generator's rejection
+    loops always end and no two (seed, index) pairs share an instance.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> "FuzzConfig":
         self = super().__new__(cls, *args, **kwargs)
-        # random.Random seeds from abs(), so a negative seed would repeat a
-        # corpus; seed * 2**32 + index is one-to-one for index < 2**32
-        if not (type(self.seed) is int and self.seed >= 0):
-            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
+        check_int("seed", self.seed, 0)  # random.Random seeds from abs()
         for name in ("var_range", "clause_range", "width_range"):
             bounds = getattr(self, name)
             if not (
@@ -260,15 +272,14 @@ class FuzzConfig(_FuzzConfigFields):
                 and 1 <= bounds[0] <= bounds[1]
             ):
                 raise ValueError(f"{name} must be a pair of ints 1 <= lo <= hi, got {bounds!r}")
-        if not (type(self.num_instances) is int and 0 <= self.num_instances <= 2**32):
-            raise ValueError(f"num_instances must be in 0..2**32, got {self.num_instances!r}")
+        check_int("num_instances", self.num_instances, 0, INDEX_BOUND)
         if self.satisfiable_bias not in ("none", "planted"):
             raise ValueError(f"unknown satisfiable_bias {self.satisfiable_bias!r}")
         return self
 
 
 def random_cnf(cfg: FuzzConfig, index: int) -> CnfFormula:
-    """Instance ``index`` of the corpus: a pure function of (seed, index).
+    """Instance ``index`` (``0..INDEX_BOUND - 1``) of the corpus: a pure function of (seed, index).
 
     In planted mode a hidden assignment is drawn first and every clause gets
     one literal sign flipped if needed so the hidden assignment satisfies it.
@@ -278,9 +289,8 @@ def random_cnf(cfg: FuzzConfig, index: int) -> CnfFormula:
     and ``randrange`` (3.10 to 3.13), so a corpus depends only on MT19937's
     output and not on those methods' pure-Python internals.
     """
-    if not 0 <= index < 2**32:
-        raise ValueError(f"index must be in 0 <= index < 2**32, got {index}")
-    rng = random.Random(cfg.seed * (2**32) + index)
+    check_int("index", index, 0, INDEX_BOUND - 1)
+    rng = random.Random(cfg.seed * INDEX_BOUND + index)
     bits, coin = rng.getrandbits, rng.random
 
     def below(n: int) -> int:
@@ -574,21 +584,14 @@ def differential_run(cfg: FuzzConfig, *, brute_limit: int = BRUTE_VAR_LIMIT) -> 
 
 
 def _check_space(max_n: int, max_m: int, max_width: int) -> int:
-    """The number of formulas in a bounded formula space; refuses a space
-    that is empty or too large to sweep: more than 2**32 formulas, the
-    index range of a fuzz corpus."""
-    for name, bound in (("max-n", max_n), ("max-m", max_m), ("max-width", max_width)):
-        if type(bound) is not int:
-            raise ValueError(f"{name} must be an int, got {bound!r}")
-    if not 1 <= max_n <= 4:
-        raise ValueError(f"max-n must be in 1..4, got {max_n}")
-    if max_m < 1 or max_width < 1:
-        raise ValueError(f"max-m and max-width must be positive, got {max_m} and {max_width}")
-    if max_m > 2**32:  # too many formulas in any universe, and a count too long to print
-        raise ValueError(f"max-m must be at most 2**32, got {max_m}")
+    """The number of formulas in a bounded formula space; refuses a bound that
+    ``check_int`` refuses or a space of more than ``INDEX_BOUND`` formulas."""
+    check_int("max-n", max_n, 1, 4)
+    check_int("max-m", max_m, 1, INDEX_BOUND)  # before math.comb makes a count too long to print
+    check_int("max-width", max_width, 1)
     u = len(enumerate_clause_universe(max_n, max_width))
     size = math.comb(u + max_m, max_m) - 1  # multisets of 1..max_m of the u clauses
-    if size > 2**32:
+    if size > INDEX_BOUND:
         raise ValueError(f"the space holds {size:,} formulas, more than the 2**32 a sweep takes")
     return size
 
@@ -655,12 +658,10 @@ def complexity_probe(
     Reports one row per instance plus the fitted log-log exponent and the
     maximum op_total / N^3 ratio.  This measures and reports; it asserts
     nothing about the growth.  No sizes, a size that is not a whole number
-    (an int, or a float such as ``1e2`` that holds one) or is below 1, a
-    ``width`` or ``instances_per_size`` that is not an int, a ``width``
-    below 1, or an ``instances_per_size`` outside ``1..2**32`` raise
-    ValueError before anything is solved.  Each instance is generated and
-    solved with the cyclic garbage collector paused (``collector_paused``),
-    keeping no trace events.
+    (an int, or a float such as ``1e2`` that holds one) or is below 1, and a
+    ``width``, ``instances_per_size`` or ``seed`` that ``check_int`` refuses
+    raise ValueError before anything is solved.  Each instance is generated
+    and solved under ``collector_paused``, keeping no trace events.
     """
     for size in sizes:
         if not (type(size) is int or isinstance(size, float) and size.is_integer()):
@@ -668,15 +669,8 @@ def complexity_probe(
     targets = [int(size) for size in sizes]
     if not targets or min(targets) < 1:
         raise ValueError(f"sizes must be a non-empty list of positive sizes, got {list(sizes)}")
-    for name, bound in (("width", width), ("instances-per-size", instances_per_size)):
-        if type(bound) is not int:
-            raise ValueError(f"{name} must be an int, got {bound!r}")
-    if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
-    if instances_per_size < 1:
-        raise ValueError(f"instances-per-size must be positive, got {instances_per_size}")
-    if instances_per_size > 2**32:
-        raise ValueError(f"instances-per-size must be at most 2**32, got {instances_per_size}")
+    check_int("width", width, 1)
+    check_int("instances-per-size", instances_per_size, 1, INDEX_BOUND)
     rows: List[dict] = []
     points: Counter = Counter()  # the rows' (input_length, op_total), for _op_stats
     for target in targets:

@@ -245,11 +245,11 @@ def test_each_report_gets_its_own_extra():
          "clause 1: literal 2 outside +/-1..1"),
         (lambda: CnfFormula(2, [[1], [0]]), StructuralError, "clause 2: literal 0 outside +/-1..2"),
         (lambda: CnfFormula(2, [[1, -2, 1]]), StructuralError, "clause 1: variable 1 occurs twice"),
-        (lambda: FuzzConfig(seed=-1), ValueError, "seed must be an int >= 0, got -1"),
+        (lambda: FuzzConfig(seed=-1), ValueError, "seed must be at least 0, got -1"),
         (lambda: FuzzConfig(1, width_range=(3, 2)), ValueError,
          "width_range must be a pair of ints 1 <= lo <= hi, got (3, 2)"),
         (lambda: FuzzConfig(1, num_instances=2**32 + 1), ValueError,
-         "num_instances must be in 0..2**32, got 4294967297"),
+         "num_instances must be at most 4294967296, got 4294967297"),
         (lambda: FuzzConfig(1, satisfiable_bias="all"), ValueError,
          "unknown satisfiable_bias 'all'"),
     ],

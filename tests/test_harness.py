@@ -423,6 +423,12 @@ class TestRandomCnf:
         with pytest.raises(ValueError, match="index"):
             random_cnf(FuzzConfig(seed=5), 2**32 + 7)
 
+    @pytest.mark.parametrize("index", [True, 1.5, 2**32], ids=["bool", "fraction", "2**32"])
+    def test_index_is_an_int_below_2_32(self, index):
+        # True would draw instance 1 and 1.5 a formula no index names
+        with pytest.raises(ValueError, match="^index "):
+            random_cnf(FuzzConfig(seed=5), index)
+
     @pytest.mark.parametrize(
         "var_range, width_range",
         [
@@ -522,7 +528,7 @@ class TestReductionCheck:
             diff_exhaustive(3, 30, 3)
         with pytest.raises(ValueError, match="more than the 2[*][*]32 a sweep takes$"):
             diff_exhaustive(4, 40, 3)
-        with pytest.raises(ValueError, match="^max-m must be at most 2[*][*]32, got 9{200}$"):
+        with pytest.raises(ValueError, match="^max-m must be at most 4294967296, got 9{200}$"):
             diff_exhaustive(1, int("9" * 200), 1)
         assert harness._check_space(4, 5, 3) == 11_238_512
 
@@ -776,6 +782,73 @@ class TestDiffExhaustive:
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a refused space"))
         with pytest.raises(ValueError, match=f"^{named} must be an int, got "):
             diff_exhaustive(*bounds)
+
+
+# every whole-number argument of the harness and the CLI: the name its
+# refusal gives, its range lo..hi (hi None: no upper end), and the library
+# call and the command line that take it (None where there is none)
+WHOLE_NUMBER_ARGUMENTS = [
+    ("seed", 0, None, lambda v: FuzzConfig(seed=v), ["fuzz", "--seed"]),
+    ("num_instances", 0, 2**32, lambda v: FuzzConfig(1, num_instances=v), None),
+    ("count", 1, 2**32, None, ["fuzz", "--seed", "1", "--count"]),
+    ("index", 0, 2**32 - 1, lambda v: random_cnf(FuzzConfig(seed=1), v), None),
+    ("max-n", 1, 4, lambda v: diff_exhaustive(v, 1, 1), ["diff-exhaustive", "--max-n"]),
+    ("max-m", 1, 2**32, lambda v: diff_exhaustive(1, v, 1), ["diff-exhaustive", "--max-m"]),
+    ("max-width", 1, None, lambda v: diff_exhaustive(1, 1, v), ["diff-exhaustive", "--max-width"]),
+    ("width", 1, None, lambda v: complexity_probe([50], width=v), ["probe", "--sizes", "50", "--width"]),
+    (
+        "instances-per-size",
+        1,
+        2**32,
+        lambda v: complexity_probe([50], instances_per_size=v),
+        ["probe", "--sizes", "50", "--instances-per-size"],
+    ),
+]
+
+
+def whole_number_refusals(surface):
+    """For each argument ``surface`` (``"library"`` or ``"cli"``) takes: a
+    bool, a whole float, a value below its range and one above it, each with
+    the refusal's message."""
+    for name, lo, hi, call, argv in WHOLE_NUMBER_ARGUMENTS:
+        target = call if surface == "library" else argv
+        if target is None:
+            continue
+        cases = [("bool", True, "an int"), ("float", float(lo), "an int")]
+        cases.append(("below", lo - 1, f"at least {lo}"))
+        if hi is not None:
+            cases.append(("above", hi + 1, f"at most {hi}"))
+        for kind, value, rule in cases:
+            message = f"{name} must be {rule}, got {value!r}"
+            yield pytest.param(target, name, value, message, id=f"{name}-{kind}")
+
+
+class TestWholeNumberArguments:
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked for a refused argument"))
+        monkeypatch.setattr(harness, "solve_sat", lambda *a, **k: pytest.fail("solved"))
+
+    @pytest.mark.parametrize("call, name, value, message", whole_number_refusals("library"))
+    def test_library_refusal(self, call, name, value, message):
+        with pytest.raises(ValueError) as err:
+            call(value)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("argv, name, value, message", whole_number_refusals("cli"))
+    def test_cli_refusal(self, argv, name, value, message, capsys):
+        try:
+            code = main([*argv, str(value)])
+        except SystemExit as exc:  # argparse refuses "True" and "1.0" as no int
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and name in errors[0]
+        if type(value) is int:
+            assert captured.err == f"error: {message}\n"
 
 
 SHARDED = FuzzConfig(seed=11, num_instances=9, var_range=(1, 8), clause_range=(1, 20))
