@@ -20,7 +20,7 @@ import re
 from collections import Counter, defaultdict
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .decomposition import DecompositionPair, StructuralError, swap_set
+from .decomposition import DecompositionPair, StructuralError, check_int, swap_set
 from .instrument import DISABLED_OPS, OpCounter
 
 Clause = List[int]
@@ -43,10 +43,10 @@ class _CnfFormulaFields(NamedTuple):
 class CnfFormula(_CnfFormulaFields):
     """A CNF formula as a clause list over variables 1..num_vars.
 
-    ``num_vars`` is an int >= 0, ``clauses`` and each clause a list or
-    tuple (read more than once, so never a one-shot iterator), and every
-    literal an int in +/-1..num_vars (exactly an int: a bool or other int
-    subclass is refused); anything else raises StructuralError.  A clause
+    ``num_vars`` passes ``check_int`` (lo 0), ``clauses`` and each clause is
+    a list or tuple (read more than once, so never a one-shot iterator), and
+    every literal an int in +/-1..num_vars (exactly an int: a bool or other
+    int subclass is refused); anything else raises StructuralError.  A clause
     names each variable at most once: a repeated literal or a tautology
     (x and not x) is refused, which the reduction needs to be sound.
     ``parse_dimacs`` checks the grammar and the range only, and repairs the
@@ -58,8 +58,7 @@ class CnfFormula(_CnfFormulaFields):
     __slots__ = ()
 
     def __new__(cls, num_vars: int, clauses: List[Clause]) -> "CnfFormula":
-        if type(num_vars) is not int or num_vars < 0:
-            raise StructuralError(f"num_vars must be an int >= 0, got {num_vars!r}")
+        check_int("num_vars", num_vars, 0)
         sequence = (list, tuple)  # built once: a literal tuple of names is built per use
         if not isinstance(clauses, sequence):
             raise StructuralError(f"clauses must be a list or tuple, got {type(clauses).__name__}")
@@ -93,9 +92,8 @@ class CnfFormula(_CnfFormulaFields):
 # a literal is -?[0-9]+ in ASCII digits, never a negative zero; a count is
 # plain ASCII digits (int() would also read 1_0, +1, -0 and other scripts'
 # digits, and refuses a run over sys.get_int_max_str_digits())
-_LITERAL = re.compile(r"-?0*[1-9][0-9]*|0+")
 _COUNTS = re.compile(r"([0-9]+)\s+([0-9]+)")
-# clause data read a block at a time: a block holding a character outside
+# clause data, a block or a token at a time: text holding a character outside
 # the literal alphabet or a negative zero is refused before int() reads it
 # (``_outside_literal_grammar``).  The translate table deletes the ASCII part
 # of the alphabet: the characters \s matches below 128, the digits and '-'
@@ -131,7 +129,7 @@ def parse_dimacs(text: str) -> Tuple[CnfFormula, Tuple[int, ...]]:
     step in C: a block's lines are joined (comment lines dropped when the
     block holds a 'c'), ``_outside_literal_grammar`` refuses any character
     other than whitespace, ASCII digits and '-' and any negative zero, so a token
-    ``int()`` then reads is a literal of ``_LITERAL``'s grammar; one
+    ``int()`` then reads is a literal, ``-?[0-9]+`` and not -0; one
     ``max``/``min`` checks the range, and the literals are cut into clauses
     at their zeros, an unfinished clause carrying into the next block.
 
@@ -215,7 +213,8 @@ def _body_error(
     lines: List[str], body_start: int, num_vars: int, declared_clauses: int
 ) -> ParseError:
     """The error of clause data ``parse_dimacs`` refused, found by walking
-    the lines after the header (``lines[body_start:]``) one by one."""
+    the lines after the header (``lines[body_start:]``) one by one and
+    judging each token by the block loop's rule."""
     out_of_range: Optional[ParseError] = None
     found = 0
     open_clause = False  # a literal read since the last terminator
@@ -227,8 +226,8 @@ def _body_error(
             return ParseError("duplicate header", lineno)
         for tok in stripped.split():
             try:
-                lit = int(tok) if _LITERAL.fullmatch(tok) else None
-            except ValueError:  # too many digits
+                lit = None if _outside_literal_grammar(tok) else int(tok)
+            except ValueError:  # a misplaced '-', or too many digits
                 lit = None
             if lit is None:
                 return ParseError(f"non-integer token {tok!r}", lineno)

@@ -32,7 +32,8 @@ from .instrument import DISABLED_OPS, OpCounter
 
 
 class StructuralError(ValueError):
-    """Raised when matrices, rows, or indices break the structural contract.
+    """Raised for a refused argument: matrices, rows, indices or sizes that
+    break the structural contract, or any whole number ``check_int`` refuses.
 
     ``clause`` is the 1-based index of the clause a ``CnfFormula`` refused,
     and None for every other refusal."""
@@ -40,6 +41,18 @@ class StructuralError(ValueError):
     def __init__(self, message: str, clause: Optional[int] = None):
         super().__init__(message)
         self.clause = clause
+
+
+def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
+    """``value`` if it is an int (a bool is not one) in ``lo..hi`` (no upper end
+    when ``hi`` is None); else StructuralError naming ``name`` and ``value``."""
+    if type(value) is not int:
+        raise StructuralError(f"{name} must be an int, got {value!r}")
+    if value < lo:
+        raise StructuralError(f"{name} must be at least {lo}, got {value!r}")
+    if hi is not None and value > hi:
+        raise StructuralError(f"{name} must be at most {hi}, got {value!r}")
+    return value
 
 
 def _occurrences(rows: List[List[int]], n: int, m: int, side: str):
@@ -79,16 +92,14 @@ class DecompositionPair:
       bar_cols[j]    ascending rows whose second component holds column j
 
     ``DecompositionPair(n, m, alpha_rows, bar_rows)`` takes the row lists
-    and raises StructuralError unless n, m >= 1 and each side holds n
-    strictly ascending lists of integer columns in 0..m-1.  The decomposition
-    conditions themselves are checked by ``validate``.
+    and raises StructuralError unless n, m pass ``check_int`` (lo 1) and
+    each side holds n strictly ascending lists of integer columns in
+    0..m-1.  The decomposition conditions are checked by ``validate``.
     """
 
     def __init__(self, n: int, m: int, alpha_rows: List[List[int]], bar_rows: List[List[int]]):
-        if n < 1 or m < 1:
-            raise StructuralError(f"a pair needs n, m >= 1, got n={n}, m={m}")
-        self.n = n
-        self.m = m
+        self.n = check_int("n", n, 1)
+        self.m = check_int("m", m, 1)
         self.alpha_rows, self.alpha_cols = _occurrences(alpha_rows, n, m, "alpha")
         self.bar_rows, self.bar_cols = _occurrences(bar_rows, n, m, "alpha-bar")
 

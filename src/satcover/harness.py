@@ -29,7 +29,7 @@ from .cnf import (
     to_decomposition,
 )
 from .cnf import to_matrix  # noqa: F401  not called; perfbench/tracer.py patches it here
-from .decomposition import DecompositionPair
+from .decomposition import DecompositionPair, check_int
 from .instrument import collector_paused
 from . import shards
 from .solver import SolveRun, solve_sat
@@ -86,7 +86,7 @@ def brute_sat(
     n = formula.num_vars
     if n > limit_vars:
         raise ValueError(f"brute_sat refuses n={n} > {limit_vars}")
-    if any(len(clause) == 0 for clause in formula.clauses):
+    if not all(formula.clauses):
         return False, None
     k = min(n, 16, max(12, n - 4))
     tables = _literal_tables(k)
@@ -173,7 +173,7 @@ def dpll(
     parent)`` tuple), so the depth of the search is not bounded by Python's
     recursion limit.  A branch's literal is set like the units after it.
     """
-    if any(len(clause) == 0 for clause in formula.clauses):
+    if not all(formula.clauses):
         return False, None
     budget = step_budget
     # (clauses, literal assumed or None at the root, path)
@@ -226,18 +226,6 @@ def oracle_status(
 # random_cnf seeds instance ``index`` of corpus ``seed`` with seed * INDEX_BOUND + index,
 # one-to-one only for 0 <= index < INDEX_BOUND: no corpus, sweep or probe size holds more.
 INDEX_BOUND = 2**32
-
-
-def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
-    """``value`` if it is an int (a bool is not one) in ``lo..hi`` (no upper end
-    when ``hi`` is None); else ValueError naming ``name`` and ``value``."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < lo:
-        raise ValueError(f"{name} must be at least {lo}, got {value!r}")
-    if hi is not None and value > hi:
-        raise ValueError(f"{name} must be at most {hi}, got {value!r}")
-    return value
 
 
 class _FuzzConfigFields(NamedTuple):
@@ -506,7 +494,7 @@ def _tally(
     for label, formula in labeled_formulas:
         generated += 1
         status, run = engine_of(formula)
-        points[sum(len(c) for c in formula.clauses), run.ops.total] += 1
+        points[sum(map(len, formula.clauses)), run.ops.total] += 1
         oracle = oracle_of(formula)
         if check_reduction:
             holds = holds and _reduction_holds(formula, oracle == "SAT")

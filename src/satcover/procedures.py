@@ -32,7 +32,7 @@ from heapq import heappop, heappush
 from itertools import compress
 from typing import Dict, List, NamedTuple, Optional, Set, Union
 
-from .decomposition import DecompositionPair, StructuralError
+from .decomposition import DecompositionPair, StructuralError, check_int
 from .graph import LIVE, REMOVED, TRAIL_IN_USE, USELESS, PointingGraph
 
 
@@ -109,7 +109,9 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
     edges.  Removing a main vertex while any of its associated columns has
     multiplicity 1 aborts with removable=False; the caller restores state
     when it needs the pre-call graph back.  No vertex is processed twice.
-    Every write is logged on ``graph.trail`` before it is made.
+    Every write is logged on ``graph.trail`` before it is made.  A
+    ``start_vertex`` that ``check_int`` refuses (1..n) or that is not live
+    raises StructuralError first.
 
     The work is O(degree) per removed vertex (times log k per in-edge in a
     column of k targets), and the charge is O(degree): the alpha counts,
@@ -122,8 +124,8 @@ def removal_procedure(graph: PointingGraph, start_vertex: int) -> RemovalOutcome
     live = g.edge_live
     live_targets, alpha_cols = g.live_targets, g.pair.alpha_cols
     indegree, status, main_columns, bar_count = g.indegree, g.status, g.main_columns, g.bar_count
-    s0 = start_vertex - 1
-    if not (0 <= s0 < g.n) or status[s0] < LIVE:
+    s0 = check_int("start_vertex", start_vertex, 1, g.n) - 1
+    if status[s0] < LIVE:
         raise StructuralError(f"vertex {start_vertex} is not a live graph vertex")
     emit("rp-start", start_vertex)
 
@@ -411,24 +413,22 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
 def extend(graph: PointingGraph, plan: ExtensionPlan) -> None:
     """Form the planned rows as additional main vertices.
 
-    Every planned row must be unformed (removed rows never come back), every
-    planned column within 1..m, and every row's second component must hold
-    one of the planned columns.  A new main vertex is associated with, and
-    bumps the multiplicity of, every planned column where its
-    second-component row has a 1.
+    Every planned row must pass ``check_int`` (1..n) and be unformed
+    (removed rows never come back), every planned column pass it (1..m),
+    and every row's second component hold one of the planned columns, else
+    StructuralError is raised before anything is written.  A new main vertex
+    is associated with, and bumps the multiplicity of, every planned column
+    where its second-component row has a 1.
     """
     rows = list(dict.fromkeys(plan.new_main_vertices))  # first occurrences, in order
     cols = list(dict.fromkeys(plan.columns))
     if not rows:
         raise StructuralError("extension plan is empty")
     for c in cols:
-        if not 1 <= c <= graph.m:
-            raise StructuralError(f"plan column {c} outside 1..{graph.m}")
+        check_int("plan column", c, 1, graph.m)
     assocs = []
     for p in rows:
-        if not 1 <= p <= graph.n:
-            raise StructuralError(f"plan row {p} outside 1..{graph.n}")
-        if graph.status[p - 1]:
+        if graph.status[check_int("plan row", p, 1, graph.n) - 1]:
             raise StructuralError(f"plan row {p} is already part of the graph")
         second = set(graph.pair.bar_rows[p - 1])
         assocs.append([c for c in cols if c - 1 in second])

@@ -93,18 +93,18 @@ class SolveRun(NamedTuple):
 # invariant checks (optional, used by the harness)
 # ---------------------------------------------------------------------------
 
-def _check_graph_invariants(graph) -> None:
+def _check_graph_invariants(graph, sources: List[tuple]) -> None:
     """Raise EngineInvariantError unless the graph's counters match its live
     edges and vertices: the edge bound, live endpoints, indegree, live
-    targets and multiplicity, checked in that order."""
+    targets and multiplicity, checked in that order.  ``sources`` holds the
+    (column, source row), 0-based, of every single column: only those have
+    edges, each leaving the column's one alpha row."""
     g = graph
     status, edge_live, edge_base = g.status, g.edge_live, g.edge_base
     indegree = [0] * g.n
     per_column = [0] * g.m
     dead_endpoint = False
-    # only single columns have edges, leaving their one alpha row: a live
-    # byte under another column fails the count below
-    for j0, s0 in [(j, rows[0]) for j, rows in enumerate(g.pair.alpha_cols) if len(rows) == 1]:
+    for j0, s0 in sources:  # a live byte under another column fails the count below
         for edge, t0 in enumerate(g.targets[j0], edge_base[j0]):
             if edge_live[edge]:
                 dead_endpoint = dead_endpoint or status[s0] < LIVE or status[t0] < LIVE
@@ -153,20 +153,22 @@ def _run_covering(pair: DecompositionPair, trace: Trace, *, shortcut: bool, inva
             trace.emit("verdict", 0, 0)
             return CoveringFound(frozenset()), 0
 
+        if invariant_checks:  # built once: the pair never changes during a solve
+            sources = [(j, rows[0]) for j, rows in enumerate(pair.alpha_cols) if len(rows) == 1]
         extensions = 0
         while True:
             construct(graph)
             if invariant_checks:
-                _check_graph_invariants(graph)
+                _check_graph_invariants(graph, sources)
             blocking = clean(graph)
             if invariant_checks:
-                _check_graph_invariants(graph)
+                _check_graph_invariants(graph, sources)
             if blocking is not None:
                 trace.emit("verdict", 1, blocking)
                 return NoCovering(Reason(NON_REMOVABLE_USELESS_VERTEX, blocking)), extensions
             result = eliminate_incompatibilities(graph)
             if invariant_checks:
-                _check_graph_invariants(graph)
+                _check_graph_invariants(graph, sources)
             if isinstance(result, Unreachable):
                 trace.emit("verdict", 1, result.column)
                 return NoCovering(Reason(UNREACHABLE_COLUMN, result.column)), extensions
@@ -252,10 +254,10 @@ def solve_sat(
         raise StructuralError(f"clause_labels has {len(clause_labels)} labels for {m} clauses")
     trace = (Trace if keep_trace else UnkeptTrace)(OpCounter() if count_ops else DISABLED_OPS)
 
-    for idx, clause in enumerate(formula.clauses, start=1):
-        if not clause:
-            trace.emit("verdict", 1, idx)
-            return SolveRun(Unsat(Reason(EMPTY_CLAUSE, clause_labels[idx - 1])), trace, 0)
+    if not all(formula.clauses):
+        idx = list(map(bool, formula.clauses)).index(False) + 1
+        trace.emit("verdict", 1, idx)
+        return SolveRun(Unsat(Reason(EMPTY_CLAUSE, clause_labels[idx - 1])), trace, 0)
     if not formula.clauses:
         trace.emit("verdict", 0, 0)
         return SolveRun(Sat((False,) * formula.num_vars), trace, 0)

@@ -190,6 +190,12 @@ def clean_in_order(graph, order: Sequence[int]) -> Optional[int]:
     return None
 
 
+def single_sources(pair: DecompositionPair) -> List[tuple]:
+    """The (column, source row), 0-based, of every single column of the pair:
+    the list ``solver._run_covering`` hands ``_check_graph_invariants``."""
+    return [(j0, rows[0]) for j0, rows in enumerate(pair.alpha_cols) if len(rows) == 1]
+
+
 def live_edges(graph) -> List[tuple]:
     """All live edges of a pointing graph as (source, target, column),
     sorted.  Only a single column has edges, and they leave its one alpha

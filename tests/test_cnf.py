@@ -1,4 +1,5 @@
 """DIMACS parsing, canonical emission, and the matrix reduction."""
+import itertools
 import re
 from typing import List, Tuple
 from unittest import mock
@@ -377,6 +378,42 @@ class TestParse:
         assert cnf._outside_literal_grammar(text) is refused
         assert any(regex.search(text) for regex in self.SCREEN_REFERENCE) is refused
 
+    # the per-token grammar ``_body_error`` read a literal with before it
+    # judged each token by the block loop's rule, kept as that rule's reference
+    LITERAL_REFERENCE = re.compile(r"-?0*[1-9][0-9]*|0+")
+
+    def test_body_error_judges_a_token_as_the_literal_regex_did(self):
+        def reference(tok):
+            try:
+                return int(tok) if self.LITERAL_REFERENCE.fullmatch(tok) else None
+            except ValueError:  # too many digits
+                return None
+
+        # every token of 1 to 4 characters over ASCII digits, '-', '+', '_',
+        # 'x' and a non-ASCII digit, and two runs of digits int() refuses
+        alphabet = "0123456789-+_x٣"
+        tokens = [
+            "".join(chars)
+            for length in range(1, 5)
+            for chars in itertools.product(alphabet, repeat=length)
+        ]
+        tokens += ["1" * 5000, "-" + "1" * 5000]
+        assert len(tokens) == 15 + 15**2 + 15**3 + 15**4 + 2
+        literals = 0
+        for tok in tokens:
+            lit = reference(tok)
+            # no variable is declared, so a nonzero literal is out of range
+            # and a lone 0 is one clause of the two declared
+            if lit is None:
+                expected = f"line 2: non-integer token {tok!r}"
+            elif lit:
+                expected = f"line 2: literal {lit} outside declared range 1..0"
+            else:
+                expected = "line 2: header declares 2 clauses, found 1"
+            assert str(cnf._body_error(["p cnf 0 2", tok], 1, 0, 2)) == expected, tok
+            literals += lit is not None
+        assert literals == 11_110 + 1_107  # digit runs, and "-" before one that is not all 0s
+
     @pytest.mark.parametrize(
         "edits, removed",
         [
@@ -429,10 +466,10 @@ class TestFormula:
     @pytest.mark.parametrize(
         "num_vars, clauses, message",
         [
-            (-1, [], "num_vars must be an int >= 0, got -1"),
-            (2.5, [[1]], "num_vars must be an int >= 0, got 2.5"),
-            (True, [[1]], "num_vars must be an int >= 0, got True"),
-            ("3", [[1]], "num_vars must be an int >= 0, got '3'"),
+            (-1, [], "num_vars must be at least 0, got -1"),
+            (2.5, [[1]], "num_vars must be an int, got 2.5"),
+            (True, [[1]], "num_vars must be an int, got True"),
+            ("3", [[1]], "num_vars must be an int, got '3'"),
             (3, [[1.0]], "clause 1: literal 1.0 is not an int"),
             (1, [[1], [True]], "clause 2: literal True is not an int"),
             (3, [[1, "2"]], "clause 1: literal '2' is not an int"),

@@ -1,8 +1,12 @@
-"""Decomposition pair model: validation, counts, swaps, covering check."""
+"""Decomposition pair model: validation, counts, swaps, covering check, and
+the one whole-number rule of the engine's sizes and indices."""
+import copy
+
 import pytest
 from hypothesis import given, settings
 
 from satcover import (
+    CnfFormula,
     DecompositionPair,
     StructuralError,
     apply_swaps,
@@ -11,8 +15,11 @@ from satcover import (
     is_alpha_covering,
     validate,
 )
-from satcover.decomposition import Violation
-from satcover.instrument import OpCounter
+from satcover import harness
+from satcover.decomposition import Violation, check_int
+from satcover.graph import find_main_vertices
+from satcover.instrument import OpCounter, Trace
+from satcover.procedures import ExtensionPlan, extend, removal_procedure
 
 from conftest import (
     IntLike,
@@ -20,6 +27,7 @@ from conftest import (
     naive_cell,
     naive_column_counts,
     naive_input_length,
+    pair_of,
 )
 
 
@@ -227,3 +235,73 @@ class TestInputLength:
     @settings(max_examples=60, deadline=None)
     def test_matches_naive(self, pair):
         assert input_length(pair) == naive_input_length(pair)
+
+
+# rows 1 and 2 are main vertices (column 1); row 3 is unformed and holds
+# only column 2 on its second side
+PLAN_TEXT = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
+
+# (call on a fresh graph of PLAN_TEXT, exact refusal); the graph is unused
+# by the constructors
+WHOLE_NUMBER_REFUSALS = {
+    # the calls whose own comparisons let a bool or a float through
+    "pair-n-float": (lambda g: DecompositionPair(2.0, 1, [[0], [0]], [[], []]), "n must be an int, got 2.0"),
+    "pair-n-bool": (lambda g: DecompositionPair(True, 1, [[0]], [[]]), "n must be an int, got True"),
+    "pair-m-float": (lambda g: DecompositionPair(1, 2.0, [[0]], [[1]]), "m must be an int, got 2.0"),
+    "removal-float": (lambda g: removal_procedure(g, 1.0), "start_vertex must be an int, got 1.0"),
+    "extend-row-float": (lambda g: extend(g, ExtensionPlan([2.5], [1])), "plan row must be an int, got 2.5"),
+    "removal-bool": (lambda g: removal_procedure(g, True), "start_vertex must be an int, got True"),
+    # the sizes, each by bool, float and a value below its range
+    "formula-bool": (lambda g: CnfFormula(True, [[1]]), "num_vars must be an int, got True"),
+    "formula-float": (lambda g: CnfFormula(1.0, [[1]]), "num_vars must be an int, got 1.0"),
+    "formula-below": (lambda g: CnfFormula(-1, []), "num_vars must be at least 0, got -1"),
+    "pair-n-below": (lambda g: DecompositionPair(0, 1, [], []), "n must be at least 1, got 0"),
+    "pair-m-bool": (lambda g: DecompositionPair(1, True, [[0]], [[]]), "m must be an int, got True"),
+    "pair-m-below": (lambda g: DecompositionPair(1, 0, [[]], [[]]), "m must be at least 1, got 0"),
+    # the indices: out of range, or a bool or a float a step would write
+    "removal-below": (lambda g: removal_procedure(g, 0), "start_vertex must be at least 1, got 0"),
+    "removal-above": (lambda g: removal_procedure(g, 4), "start_vertex must be at most 3, got 4"),
+    "extend-row-bool": (lambda g: extend(g, ExtensionPlan([True], [2])), "plan row must be an int, got True"),
+    "extend-row-below": (lambda g: extend(g, ExtensionPlan([0], [2])), "plan row must be at least 1, got 0"),
+    "extend-row-above": (lambda g: extend(g, ExtensionPlan([4], [2])), "plan row must be at most 3, got 4"),
+    "extend-column-float": (
+        lambda g: extend(g, ExtensionPlan([3], [2.0])), "plan column must be an int, got 2.0"
+    ),
+}
+
+
+def graph_state(graph):
+    """Everything a refused call must leave as it was: the graph's fields,
+    the trace's events and the op total."""
+    fields = {k: v for k, v in vars(graph).items() if k != "trace"}
+    return copy.deepcopy(fields), graph.trace.serialize(), graph.trace.ops.total
+
+
+class TestWholeNumberRule:
+    def test_check_int(self):
+        int_like = IntLike(2)
+        assert check_int("k", 3, 1, 3) == 3
+        assert check_int("k", 10**30, 0) == 10**30  # no upper end
+        for value, message in [
+            (True, "k must be an int, got True"),
+            (3.0, "k must be an int, got 3.0"),
+            (int_like, f"k must be an int, got {int_like!r}"),
+            (0, "k must be at least 1, got 0"),
+            (4, "k must be at most 3, got 4"),
+        ]:
+            with pytest.raises(StructuralError) as info:
+                check_int("k", value, 1, 3)
+            assert str(info.value) == message and info.value.clause is None
+        # the harness's callers catch ValueError and import the one rule
+        assert issubclass(StructuralError, ValueError)
+        assert harness.check_int is check_int
+
+    @pytest.mark.parametrize("call, message", WHOLE_NUMBER_REFUSALS.values(), ids=WHOLE_NUMBER_REFUSALS)
+    def test_refused_naming_the_argument_before_any_write(self, call, message):
+        pair = pair_of(PLAN_TEXT)
+        graph = find_main_vertices(pair, column_counts(pair), Trace(OpCounter()))
+        before = graph_state(graph)
+        with pytest.raises(StructuralError) as info:
+            call(graph)
+        assert str(info.value) == message
+        assert graph_state(graph) == before

@@ -24,6 +24,7 @@ from conftest import (
     naive_single_columns,
     pair_of,
     reference_in_edges,
+    single_sources,
 )
 
 
@@ -213,7 +214,7 @@ class TestConstruct:
         if graph is None:
             return
         construct(graph)
-        _check_graph_invariants(graph)
+        _check_graph_invariants(graph, single_sources(graph.pair))
         # every live edge leaves a column-single vertex and lands on a
         # row whose complement side holds that column
         for src, tgt, col in live_edges(graph):

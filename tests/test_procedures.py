@@ -39,6 +39,7 @@ from conftest import (
     live_edges,
     pair_of,
     reference_swapped_alpha_counts,
+    single_sources,
 )
 
 
@@ -200,7 +201,7 @@ class TestUndoTrail:
             outcome = removal_procedure(graph, data.draw(st.sampled_from(live), label="vertex"))
             if outcome.removable and data.draw(st.booleans(), label="commit"):
                 snap.commit(graph)
-                _check_graph_invariants(graph)
+                _check_graph_invariants(graph, single_sources(graph.pair))
                 assert all(graph.status[v - 1] == REMOVED for v in outcome.removed_vertices)
             else:
                 snap.restore(graph)
@@ -459,7 +460,8 @@ class TestExtend:
     @pytest.mark.parametrize("column", [0, 8])
     def test_out_of_range_column_rejected(self, column):
         graph = self.unextended()
-        with pytest.raises(StructuralError, match=f"plan column {column} outside 1..3"):
+        bound = "at least 1" if column < 1 else "at most 3"
+        with pytest.raises(StructuralError, match=f"^plan column must be {bound}, got {column}$"):
             extend(graph, ExtensionPlan([3], [column]))
         assert graph.main_columns == [[1], [1], []] and not graph.status[2]
 
@@ -513,17 +515,18 @@ def driven(formula, alpha: str):
     graph = find_main_vertices(pair, column_counts(pair), Trace())
     if graph is None:
         return
+    sources = single_sources(pair)
     while True:
         construct(graph)
-        _check_graph_invariants(graph)
+        _check_graph_invariants(graph, sources)
         yield graph
         blocking = clean(graph)
-        _check_graph_invariants(graph)
+        _check_graph_invariants(graph, sources)
         yield graph
         if blocking is not None:
             return
         result = eliminate_incompatibilities(graph)
-        _check_graph_invariants(graph)
+        _check_graph_invariants(graph, sources)
         yield graph
         if not isinstance(result, ExtensionPlan):
             return

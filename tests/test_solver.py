@@ -29,7 +29,16 @@ from satcover import solver as solver_mod
 from satcover.graph import REMOVED
 from satcover.harness import brute_sat, enumerate_formulas
 
-from conftest import E5_TEXT, formulas, naive_sat, negated, pair_of, seeded_corpus, typed
+from conftest import (
+    E5_TEXT,
+    formulas,
+    naive_sat,
+    negated,
+    pair_of,
+    seeded_corpus,
+    single_sources,
+    typed,
+)
 
 
 class TestCoveringDriver:
@@ -357,9 +366,26 @@ class TestGraphInvariantChecks:
     """Each check of ``_check_graph_invariants`` fires, with its message, on
     a graph whose state was corrupted after ``construct``."""
 
+    def test_one_source_list_per_solve(self, e4, monkeypatch):
+        # E4 extends once, so the loop checks after each of its three steps
+        # in two rounds; every check gets the one list the solve built
+        seen = []
+        check = solver_mod._check_graph_invariants
+
+        def spy(graph, sources):
+            seen.append((graph.pair, sources))
+            check(graph, sources)
+
+        monkeypatch.setattr(solver_mod, "_check_graph_invariants", spy)
+        run = solve_sat(e4, invariant_checks=True)
+        assert isinstance(run.verdict, Sat) and run.extensions == 1
+        pair, sources = seen[0]
+        assert len(seen) == 6 and all(got is sources for _, got in seen)
+        assert sources == single_sources(pair)
+
     def assert_caught(self, graph, message):
         with pytest.raises(solver_mod.EngineInvariantError) as err:
-            solver_mod._check_graph_invariants(graph)
+            solver_mod._check_graph_invariants(graph, single_sources(graph.pair))
         assert str(err.value) == message
 
     @pytest.mark.parametrize(
@@ -388,7 +414,7 @@ class TestGraphInvariantChecks:
         pair = pair_of(E5_TEXT)
         graph = find_main_vertices(pair, column_counts(pair), Trace())
         construct(graph)
-        solver_mod._check_graph_invariants(graph)  # clean before corruption
+        solver_mod._check_graph_invariants(graph, single_sources(graph.pair))  # clean before corruption
         getattr(graph, field)[index] = value
         self.assert_caught(graph, message)
 
