@@ -88,10 +88,15 @@ _ANSWERS = {
 }
 
 
-def _answer(args, report: dict, trace_bytes: Optional[bytes]) -> int:
-    """Write the requested report and trace files, print the answer lines of
-    ``solve`` and ``covering`` and return the exit code.  ``trace_bytes`` is
-    the serialized trace under ``--trace``, the bytes ``trace_hash`` digests."""
+def _answer(args, start: float, run, build) -> int:
+    """Answer ``solve`` or ``covering`` for a ``run`` timed from ``start``:
+    build its report with ``build(elapsed_ms=..., trace_bytes=...)``, write
+    the requested report and trace files, print the answer lines and return
+    the exit code.  ``trace_bytes`` is the trace serialized once under
+    ``--trace``, the bytes ``trace_hash`` digests."""
+    elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    trace_bytes = run.trace.serialize() if args.trace else None
+    report = build(elapsed_ms=elapsed_ms, trace_bytes=trace_bytes)
     try:
         if args.json:
             with open(args.json, "w", encoding="ascii") as fh:
@@ -148,12 +153,7 @@ def _cmd_solve(args) -> int:
         alpha=args.alpha,
         clause_labels=labels,
     )
-    elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    trace_bytes = run.trace.serialize() if args.trace else None
-    report = build_sat_report(
-        args.file, formula, run, elapsed_ms=elapsed_ms, trace_bytes=trace_bytes
-    )
-    return _answer(args, report, trace_bytes)
+    return _answer(args, start, run, functools.partial(build_sat_report, args.file, formula, run))
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +232,7 @@ def _cmd_covering(args) -> int:
         )
     except StructuralError as exc:
         return _fail_input(str(exc))
-    elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    trace_bytes = run.trace.serialize() if args.trace else None
-    report = build_covering_report(
-        args.file, pair, run, elapsed_ms=elapsed_ms, trace_bytes=trace_bytes
-    )
-    return _answer(args, report, trace_bytes)
+    return _answer(args, start, run, functools.partial(build_covering_report, args.file, pair, run))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def check_int(name: str, value, lo: int, hi: Optional[int] = None) -> int:
 def _occurrences(rows: List[List[int]], n: int, m: int, side: str):
     """Freeze row lists into tuples and transpose them into the ascending row
     indices of every column, checking that there are n rows of strictly
-    ascending integer columns in 0..m-1."""
+    ascending exact int columns in 0..m-1."""
     if len(rows) != n:
         raise StructuralError(f"{side} has {len(rows)} rows, expected {n}")
     try:
@@ -66,19 +66,17 @@ def _occurrences(rows: List[List[int]], n: int, m: int, side: str):
     except TypeError:
         raise StructuralError(f"{side} must be a list of rows of column indices") from None
     cols: List[List[int]] = [[] for _ in range(m)]
-    try:
-        for i, row in enumerate(frozen):
-            last = -1
-            for j in row:
-                if not last < j < m:
-                    raise StructuralError(
-                        f"{side} row {i + 1}: column {j} is not strictly ascending "
-                        f"inside 0..{m - 1}"
-                    )
-                cols[j].append(i)
-                last = j
-    except TypeError:
-        raise StructuralError(f"{side} row {i + 1}: column {j!r} is not an integer") from None
+    for i, row in enumerate(frozen):
+        last = -1
+        for j in row:
+            if type(j) is not int:
+                raise StructuralError(f"{side} row {i + 1}: column {j!r} is not an integer")
+            if not last < j < m:
+                raise StructuralError(
+                    f"{side} row {i + 1}: column {j} is not strictly ascending inside 0..{m - 1}"
+                )
+            cols[j].append(i)
+            last = j
     return frozen, tuple(list(map(tuple, cols)))
 
 
@@ -93,8 +91,8 @@ class DecompositionPair:
 
     ``DecompositionPair(n, m, alpha_rows, bar_rows)`` takes the row lists
     and raises StructuralError unless n, m pass ``check_int`` (lo 1) and
-    each side holds n strictly ascending lists of integer columns in
-    0..m-1.  The decomposition conditions are checked by ``validate``.
+    each side holds n strictly ascending lists of exact int columns (a bool
+    is not one) in 0..m-1; ``validate`` checks the decomposition conditions.
     """
 
     def __init__(self, n: int, m: int, alpha_rows: List[List[int]], bar_rows: List[List[int]]):

@@ -353,18 +353,16 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
         visited: List[int] = []
         plan_rows: List[int] = []
         plan_cols: List[int] = []
-        popped = 0  # columns popped and not yet charged
         while zeros:
             j0 = heappop(zeros)
-            popped += 1
+            ops.cmp(1)  # the pop
             if swapped[j0]:
                 continue  # stale
             visited.append(j0)
             j = j0 + 1
             # a swapped count of 0 means every alpha row of the column is live
             members = [r0 + 1 for r0 in pair.alpha_cols[j0]]
-            ops.cmp(popped + len(members))  # the pops, and each member's tried mark
-            popped = 0
+            ops.cmp(len(members))  # each member's tried mark
             trace.emit("incompat-found", j, len(members))
             snap = None
             committed = 0
@@ -402,7 +400,6 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
                 plan_cols.append(j)
                 trace.emit("extension-planned", p, j)
         else:  # a full pass committed nothing
-            ops.cmp(popped)
             return ExtensionPlan(plan_rows, plan_cols) if plan_rows else None
 
 
@@ -413,22 +410,22 @@ def eliminate_incompatibilities(graph: PointingGraph) -> Union[None, Unreachable
 def extend(graph: PointingGraph, plan: ExtensionPlan) -> None:
     """Form the planned rows as additional main vertices.
 
-    Every planned row must pass ``check_int`` (1..n) and be unformed
-    (removed rows never come back), every planned column pass it (1..m),
-    and every row's second component hold one of the planned columns, else
-    StructuralError is raised before anything is written.  A new main vertex
-    is associated with, and bumps the multiplicity of, every planned column
-    where its second-component row has a 1.
+    Every planned row must pass ``check_int`` (1..n: an exact int, and a bool
+    is not one) and be unformed (removed rows never come back), every
+    planned column pass it (1..m), and every row's second component hold one
+    of the planned columns, else StructuralError is raised before anything
+    is written; each entry is judged before the plan is deduped.  A new main
+    vertex is associated with, and bumps the multiplicity of, every planned
+    column where its second-component row has a 1.
     """
-    rows = list(dict.fromkeys(plan.new_main_vertices))  # first occurrences, in order
-    cols = list(dict.fromkeys(plan.columns))
+    # judged before the dedupes, which keep first occurrences, in order
+    cols = list(dict.fromkeys([check_int("plan column", c, 1, graph.m) for c in plan.columns]))
+    rows = list(dict.fromkeys([check_int("plan row", p, 1, graph.n) for p in plan.new_main_vertices]))
     if not rows:
         raise StructuralError("extension plan is empty")
-    for c in cols:
-        check_int("plan column", c, 1, graph.m)
     assocs = []
     for p in rows:
-        if graph.status[check_int("plan row", p, 1, graph.n) - 1]:
+        if graph.status[p - 1]:
             raise StructuralError(f"plan row {p} is already part of the graph")
         second = set(graph.pair.bar_rows[p - 1])
         assocs.append([c for c in cols if c - 1 in second])

@@ -1,6 +1,7 @@
 """Decomposition pair model: validation, counts, swaps, covering check, and
 the one whole-number rule of the engine's sizes and indices."""
 import copy
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -241,6 +242,13 @@ class TestInputLength:
 # only column 2 on its second side
 PLAN_TEXT = "p cnf 3 3\n1 2 0\n-1 3 0\n-2 -3 0\n"
 
+INT_LIKE = IntLike(1)
+
+
+class Column(IntEnum):
+    ONE = 1
+
+
 # (call on a fresh graph of PLAN_TEXT, exact refusal); the graph is unused
 # by the constructors
 WHOLE_NUMBER_REFUSALS = {
@@ -266,6 +274,24 @@ WHOLE_NUMBER_REFUSALS = {
     "extend-row-above": (lambda g: extend(g, ExtensionPlan([4], [2])), "plan row must be at most 3, got 4"),
     "extend-column-float": (
         lambda g: extend(g, ExtensionPlan([3], [2.0])), "plan column must be an int, got 2.0"
+    ),
+    # the entries of the pair and of a plan: only an exact int is a column or
+    # a row; an int subclass compares, hashes and indexes as one, as a numpy
+    # integer does, and a list cannot be a dict key
+    "pair-entry-bool": (
+        lambda g: DecompositionPair(1, 2, [[True]], [[0]]), "alpha row 1: column True is not an integer"
+    ),
+    "pair-entry-int-like": (
+        lambda g: DecompositionPair(1, 2, [[0]], [[INT_LIKE]]),
+        f"alpha-bar row 1: column {INT_LIKE!r} is not an integer",
+    ),
+    "pair-entry-int-subclass": (
+        lambda g: DecompositionPair(1, 2, [[Column.ONE]], [[0]]),
+        f"alpha row 1: column {Column.ONE!r} is not an integer",
+    ),
+    "extend-row-list": (lambda g: extend(g, ExtensionPlan([[2]], [2])), "plan row must be an int, got [2]"),
+    "extend-column-list": (
+        lambda g: extend(g, ExtensionPlan([3], [[2]])), "plan column must be an int, got [2]"
     ),
 }
 

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from satcover import DecompositionPair, StructuralError, column_counts, to_decomposition
 from satcover.graph import (
     LIVE,
+    REMOVED,
+    UNFORMED,
     USELESS,
     PointingGraph,
     construct,
@@ -192,6 +194,22 @@ class TestConstruct:
         graph.trace = Trace(graph.trace.ops)
         assert not construct(graph)
         assert "vertex-examined" not in graph.trace.kinds()
+
+    def test_a_removed_vertex_is_skipped(self):
+        # rows 1 and 2 are both main on column 1, so a cascade can take row 1
+        # out before the first construct; its single column 2 would otherwise
+        # give it an edge to row 3
+        pair = DecompositionPair(3, 2, [[1], [], []], [[0], [0], [1]])
+        graph = find_main_vertices(pair, column_counts(pair), Trace(OpCounter()))
+        snap = StateSnapshot.capture(graph)
+        assert removal_procedure(graph, 1).removable
+        snap.commit(graph)
+        graph.trace = Trace(graph.trace.ops)
+        assert not construct(graph)
+        events = graph.trace.events_without_readings()
+        assert [payload for kind, payload in events if kind == "vertex-examined"] == [(2,)]
+        assert live_edges(graph) == []
+        assert list(graph.status) == [REMOVED, LIVE, UNFORMED]
 
     def test_outgoing_columns(self):
         graph = build(E5_TEXT)

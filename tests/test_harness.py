@@ -944,6 +944,18 @@ class TestSharding:
         assert sharded_reports() == serial
         assert len(calls) == 4
 
+    def test_a_refused_queue_runs_in_process(self, serial, forks, monkeypatch):
+        # no descriptor to spare for the queue's pipe: nothing forks, and the
+        # whole range runs here
+        split_into(monkeypatch, 3)
+
+        def refused():
+            raise OSError(errno.EMFILE, "Too many open files")
+
+        monkeypatch.setattr(os, "pipe", refused)
+        assert sharded_reports() == serial
+        assert forks == []
+
     def test_chunks_finishing_out_of_order_merge_in_order(self, serial, monkeypatch):
         # whichever process takes chunk 0 finishes it last
         with monkeypatch.context() as m:
